@@ -1,5 +1,5 @@
-//! Component micro-benchmarks and ablations for the design choices called
-//! out in DESIGN.md:
+//! Component micro-benchmarks and ablations for the search's main design
+//! choices:
 //!
 //! * `blocking/refine_vs_root` — incremental block refinement vs full
 //!   re-blocking from scratch;

@@ -4,8 +4,8 @@
 //!   risks that functions of the optimal solution will not be sampled."
 //! * **α sweep** (Def. 3.10): prioritizing record coverage vs function
 //!   brevity.
-//! * **min-support sweep** (DESIGN.md §5.1): the significance threshold of
-//!   the candidate filter.
+//! * **min-support sweep** (§4.4.2): the significance threshold of the
+//!   candidate filter, which the binomial sample sizing targets.
 //! * **ϱ sweep** (§4.6): the level-bounded queue width — ϱ = 1 is greedy,
 //!   larger values buy backtracking.
 //! * **registry ablation** (§6): the paper's catalogue vs the extended one

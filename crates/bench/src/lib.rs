@@ -13,7 +13,7 @@
 //!
 //! Criterion benches (`cargo bench -p affidavit-bench`): `table2`,
 //! `fig5_rows`, `fig6_attrs`, plus `components` micro/ablation benches for
-//! the design choices called out in DESIGN.md.
+//! the design choices listed at the top of `benches/components.rs`.
 //!
 //! All binaries default to laptop-scale row caps; pass `--full` for the
 //! paper's original sizes.

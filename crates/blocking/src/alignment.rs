@@ -23,9 +23,9 @@ pub fn sample_random_alignment(blocking: &Blocking, rng: &mut StdRng) -> Vec<(Re
     let mut tgt_buf: Vec<RecordId> = Vec::new();
     for block in blocking.mixed_blocks() {
         src_buf.clear();
-        src_buf.extend_from_slice(&block.src);
+        src_buf.extend_from_slice(block.src);
         tgt_buf.clear();
-        tgt_buf.extend_from_slice(&block.tgt);
+        tgt_buf.extend_from_slice(block.tgt);
         src_buf.shuffle(rng);
         tgt_buf.shuffle(rng);
         let n = src_buf.len().min(tgt_buf.len());

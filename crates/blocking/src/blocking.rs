@@ -1,5 +1,12 @@
 //! Blocking results Φ^H (Definitions 4.3 and 4.4) with incremental
 //! refinement.
+//!
+//! A blocking is stored flat: every block's source records sit contiguously
+//! in one `src` array and its target records in one `tgt` array, and
+//! `ends[i]` holds the exclusive end offsets of block `i` in both. A
+//! blocking is four allocations however many blocks it has, so refining
+//! it, and dropping a discarded child, costs a constant number of
+//! allocations rather than two per block.
 
 use std::sync::Arc;
 
@@ -9,16 +16,17 @@ use affidavit_table::{
 };
 use rayon::prelude::*;
 
-/// One block φ(κ): the source and target records sharing a blocking index.
-#[derive(Debug, Clone, Default)]
-pub struct Block {
+/// One block φ(κ): the source and target records sharing a blocking index,
+/// borrowed from its [`Blocking`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Block<'a> {
     /// Source records in the block (`φ_S(κ)`).
-    pub src: Vec<RecordId>,
+    pub src: &'a [RecordId],
     /// Target records in the block (`φ_T(κ)`).
-    pub tgt: Vec<RecordId>,
+    pub tgt: &'a [RecordId],
 }
 
-impl Block {
+impl Block<'_> {
     /// True if the block holds both source and target records — only such
     /// blocks can contribute alignment examples.
     pub fn is_mixed(&self) -> bool {
@@ -38,65 +46,131 @@ impl Block {
 
 /// The blocking result Φ^H of a search state.
 ///
+/// Blocks are kept in deterministic (parent-order, first-seen) order.
 /// `dead_src` holds source records on which some assigned function was
 /// inapplicable (partial application returned `None`); they can never align
 /// with any target under this state and count towards the `cs` lower bound.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Blocking {
-    /// All blocks, in deterministic (parent-order, first-seen) order.
-    pub blocks: Vec<Block>,
+    /// Source records of all blocks, block after block.
+    src: Vec<RecordId>,
+    /// Target records of all blocks, block after block.
+    tgt: Vec<RecordId>,
+    /// Exclusive `(src, tgt)` end offsets of each block.
+    ends: Vec<(u32, u32)>,
     /// Source records excluded by partial function application.
-    pub dead_src: Vec<RecordId>,
+    dead_src: Vec<RecordId>,
 }
 
-/// Split one parent block by the transformed source value vs. the raw
-/// target value of `attr`, appending the resulting sub-blocks (in
-/// first-seen key order) to `out_blocks` and inapplicable sources to
-/// `dead`. `groups`/`order` are caller-provided workhorse buffers (left
-/// drained) so the serial path can reuse one allocation across blocks.
-#[allow(clippy::too_many_arguments)]
-fn split_block<I: Interner>(
-    block: &Block,
-    attr: AttrId,
-    func: &AttrFunction,
-    scratch: &mut ApplyScratch,
-    source: &Table,
-    target: &Table,
-    pool: &mut I,
-    groups: &mut FxHashMap<Sym, Block>,
-    order: &mut Vec<Sym>,
-    out_blocks: &mut Vec<Block>,
-    dead: &mut Vec<RecordId>,
-) {
-    // One bounds-checked column fetch per table, then contiguous-slice
-    // indexing inside the loop: the per-record apply/intern order is
-    // unchanged, so pool evolution is byte-identical to the row walk.
-    let src_col = source.column(attr);
-    let tgt_col = target.column(attr);
-    for &sid in &block.src {
-        let raw = src_col[sid.index()];
-        match scratch.apply(func, raw, pool) {
-            Some(key) => {
-                let entry = groups.entry(key).or_insert_with(|| {
-                    order.push(key);
-                    Block::default()
-                });
-                entry.src.push(sid);
-            }
-            None => dead.push(sid),
+/// Group id of a source record the function was inapplicable to.
+const DEAD: u32 = u32::MAX;
+
+/// Reusable buffers for splitting blocks, one per refine call (or per
+/// worker chunk). Every buffer is left empty between blocks; the group map
+/// is emptied key by key, because clearing a hash map costs its whole
+/// capacity, and one large block would then tax every small one after it.
+#[derive(Default)]
+struct Splitter {
+    /// Grouping key → group id within the current block.
+    group_of: FxHashMap<Sym, u32>,
+    /// Grouping keys in first-seen order (index = group id).
+    keys: Vec<Sym>,
+    /// Group id of each source record of the block ([`DEAD`] if dead).
+    src_group: Vec<u32>,
+    /// Group id of each target record of the block.
+    tgt_group: Vec<u32>,
+    /// Per group: `(src, tgt)` record counts, then write cursors.
+    cursors: Vec<(u32, u32)>,
+}
+
+impl Splitter {
+    fn group(&mut self, key: Sym) -> u32 {
+        let next = self.keys.len() as u32;
+        *self.group_of.entry(key).or_insert_with(|| {
+            self.keys.push(key);
+            self.cursors.push((0, 0));
+            next
+        })
+    }
+
+    /// Split one parent block by the transformed source value vs. the raw
+    /// target value of `attr`, count-then-scatter: a first pass assigns
+    /// every record its group (first-seen key order, sources before
+    /// targets) and counts group sizes, a second pass writes each record to
+    /// its group's slot of `out`. Sub-blocks are appended to `out` in group
+    /// order and inapplicable sources to `out.dead_src`, in record order.
+    #[allow(clippy::too_many_arguments)]
+    fn split<I: Interner>(
+        &mut self,
+        block: Block<'_>,
+        src_col: &[Sym],
+        tgt_col: &[Sym],
+        func: &AttrFunction,
+        scratch: &mut ApplyScratch,
+        pool: &mut I,
+        out: &mut Blocking,
+    ) {
+        let dead_before = out.dead_src.len();
+        for &sid in block.src {
+            let group = match scratch.apply(func, src_col[sid.index()], pool) {
+                Some(key) => {
+                    let g = self.group(key);
+                    self.cursors[g as usize].0 += 1;
+                    g
+                }
+                None => {
+                    out.dead_src.push(sid);
+                    DEAD
+                }
+            };
+            self.src_group.push(group);
         }
-    }
-    for &tid in &block.tgt {
-        let key = tgt_col[tid.index()];
-        let entry = groups.entry(key).or_insert_with(|| {
-            order.push(key);
-            Block::default()
-        });
-        entry.tgt.push(tid);
-    }
-    for key in order.drain(..) {
-        let b = groups.remove(&key).expect("key was inserted above");
-        out_blocks.push(b);
+        for &tid in block.tgt {
+            let g = self.group(tgt_col[tid.index()]);
+            self.cursors[g as usize].1 += 1;
+            self.tgt_group.push(g);
+        }
+        match self.keys.len() {
+            0 => {}
+            // One group and no dead source: the block survives whole.
+            1 if out.dead_src.len() == dead_before => {
+                out.src.extend_from_slice(block.src);
+                out.tgt.extend_from_slice(block.tgt);
+                out.push_end();
+            }
+            _ => {
+                // Group sizes → start offsets in `out`.
+                let (mut s, mut t) = (out.src.len() as u32, out.tgt.len() as u32);
+                for cursor in &mut self.cursors {
+                    let (ns, nt) = *cursor;
+                    *cursor = (s, t);
+                    s += ns;
+                    t += nt;
+                }
+                out.src.resize(s as usize, RecordId(0));
+                out.tgt.resize(t as usize, RecordId(0));
+                for (&sid, &g) in block.src.iter().zip(&self.src_group) {
+                    if g != DEAD {
+                        let at = &mut self.cursors[g as usize].0;
+                        out.src[*at as usize] = sid;
+                        *at += 1;
+                    }
+                }
+                for (&tid, &g) in block.tgt.iter().zip(&self.tgt_group) {
+                    let at = &mut self.cursors[g as usize].1;
+                    out.tgt[*at as usize] = tid;
+                    *at += 1;
+                }
+                // Every cursor now sits at its group's end.
+                out.ends.extend_from_slice(&self.cursors);
+            }
+        }
+        for key in self.keys.drain(..) {
+            self.group_of.remove(&key);
+        }
+        self.src_group.clear();
+        self.tgt_group.clear();
+        self.cursors.clear();
     }
 }
 
@@ -104,13 +178,97 @@ impl Blocking {
     /// The root blocking of the empty assignment `H^∅ = (∗, …, ∗)`: a
     /// single block containing every record.
     pub fn root(source: &Table, target: &Table) -> Blocking {
-        Blocking {
-            blocks: vec![Block {
-                src: source.record_ids().collect(),
-                tgt: target.record_ids().collect(),
-            }],
+        let mut root = Blocking {
+            src: source.record_ids().collect(),
+            tgt: target.record_ids().collect(),
+            ends: Vec::with_capacity(1),
             dead_src: Vec::new(),
+        };
+        root.push_end();
+        root
+    }
+
+    /// Build a blocking from explicit blocks and dead sources.
+    pub fn from_blocks<'a>(
+        blocks: impl IntoIterator<Item = Block<'a>>,
+        dead_src: Vec<RecordId>,
+    ) -> Blocking {
+        let mut out = Blocking {
+            dead_src,
+            ..Blocking::default()
+        };
+        for block in blocks {
+            out.push_block(block);
         }
+        out
+    }
+
+    /// Append one block after the existing ones.
+    pub fn push_block(&mut self, block: Block<'_>) {
+        self.src.extend_from_slice(block.src);
+        self.tgt.extend_from_slice(block.tgt);
+        self.push_end();
+    }
+
+    /// Close the block formed by the records appended since the last one.
+    /// Every blocking starts as a root or from pushed blocks, and
+    /// refinement never grows the arrays, so this check keeps every offset
+    /// of every blocking within `u32`.
+    fn push_end(&mut self) {
+        let offset =
+            |len: usize| u32::try_from(len).expect("a blocking holds < 2^32 records per side");
+        self.ends
+            .push((offset(self.src.len()), offset(self.tgt.len())));
+    }
+
+    /// Block `i`, in block order.
+    pub fn block(&self, i: usize) -> Block<'_> {
+        let (s0, t0) = if i == 0 { (0, 0) } else { self.ends[i - 1] };
+        let (s1, t1) = self.ends[i];
+        Block {
+            src: &self.src[s0 as usize..s1 as usize],
+            tgt: &self.tgt[t0 as usize..t1 as usize],
+        }
+    }
+
+    /// Iterate over all blocks, in block order.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = Block<'_>> + '_ {
+        let mut start = (0u32, 0u32);
+        self.ends.iter().map(move |&end| {
+            let block = Block {
+                src: &self.src[start.0 as usize..end.0 as usize],
+                tgt: &self.tgt[start.1 as usize..end.1 as usize],
+            };
+            start = end;
+            block
+        })
+    }
+
+    /// Source records excluded by partial function application, in the
+    /// order refinement found them.
+    pub fn dead_src(&self) -> &[RecordId] {
+        &self.dead_src
+    }
+
+    /// An empty blocking with the dead sources of `self`, sized for a
+    /// refinement of it.
+    fn refined_shell(&self) -> Blocking {
+        Blocking {
+            src: Vec::with_capacity(self.src.len()),
+            tgt: Vec::with_capacity(self.tgt.len()),
+            ends: Vec::with_capacity(self.ends.len()),
+            dead_src: self.dead_src.clone(),
+        }
+    }
+
+    /// Append `chunk` after the blocks of `self`, rebasing its offsets.
+    fn append(&mut self, chunk: Blocking) {
+        let (s, t) = (self.src.len() as u32, self.tgt.len() as u32);
+        self.ends
+            .extend(chunk.ends.iter().map(|&(cs, ct)| (cs + s, ct + t)));
+        self.src.extend_from_slice(&chunk.src);
+        self.tgt.extend_from_slice(&chunk.tgt);
+        self.dead_src.extend_from_slice(&chunk.dead_src);
     }
 
     /// Refine on a newly assigned attribute: every block splits by the
@@ -129,28 +287,16 @@ impl Blocking {
         target: &Table,
         pool: &mut I,
     ) -> Blocking {
+        let _span = affidavit_obs::span("blocking.refine");
         scratch.begin();
-        let mut out = Blocking {
-            blocks: Vec::with_capacity(self.blocks.len()),
-            dead_src: self.dead_src.clone(),
-        };
-        // Workhorse map reused across blocks (cleared via drain).
-        let mut groups: FxHashMap<Sym, Block> = FxHashMap::default();
-        let mut order: Vec<Sym> = Vec::new();
-        for block in &self.blocks {
-            split_block(
-                block,
-                attr,
-                func,
-                scratch,
-                source,
-                target,
-                pool,
-                &mut groups,
-                &mut order,
-                &mut out.blocks,
-                &mut out.dead_src,
-            );
+        let mut out = self.refined_shell();
+        // One bounds-checked column fetch per table, then contiguous-slice
+        // indexing inside the loop: the per-record apply/intern order is
+        // unchanged, so pool evolution is byte-identical to the row walk.
+        let (src_col, tgt_col) = (source.column(attr), target.column(attr));
+        let mut splitter = Splitter::default();
+        for block in self.blocks() {
+            splitter.split(block, src_col, tgt_col, func, scratch, pool, &mut out);
         }
         out
     }
@@ -159,13 +305,14 @@ impl Blocking {
     /// the per-block lever for the paper's 500k-record instances, where a
     /// single refinement touches every live record.
     ///
-    /// Each worker splits one block against its own [`ScratchPool`]
-    /// overlay of the frozen pool and its own [`ApplyScratch`] memo; the
-    /// driver then concatenates partitions in block order and absorbs each
-    /// worker's newly interned strings in that same order, so the output
-    /// blocking **and** the pool's contents are byte-identical to the
-    /// serial path at every thread count (grouping keys never escape the
-    /// workers — only the pool side effects need replaying).
+    /// Each worker splits one contiguous chunk of blocks against its own
+    /// [`ScratchPool`] overlay of the frozen pool and its own
+    /// [`ApplyScratch`] memo into a chunk-local blocking; the driver then
+    /// concatenates the chunks in block order (rebasing their offsets) and
+    /// absorbs each worker's newly interned strings in that same order, so
+    /// the output blocking **and** the pool's contents are byte-identical
+    /// to the serial path at every thread count (grouping keys never escape
+    /// the workers — only the pool side effects need replaying).
     ///
     /// Callers gate on thread count and instance size; this method always
     /// fans out (degrading to the serial path only for trivial inputs).
@@ -177,75 +324,63 @@ impl Blocking {
         target: &Table,
         pool: &mut ValuePool,
     ) -> Blocking {
-        let _span = affidavit_obs::span("blocking.refine");
-        if self.blocks.len() <= 1 {
+        if self.len() <= 1 {
             // One block means one worker: the fan-out would only add
             // overhead on the already-hot path.
             return self.refine(attr, func, &mut ApplyScratch::new(), source, target, pool);
         }
-        struct BlockSplit {
-            blocks: Vec<Block>,
-            dead: Vec<RecordId>,
+        let _span = affidavit_obs::span("blocking.refine");
+        struct ChunkSplit {
+            blocking: Blocking,
             base_len: usize,
             new_strings: Vec<Arc<str>>,
         }
         // One contiguous chunk of blocks per worker (not one block per work
         // item): each chunk shares a single scratch overlay, apply memo and
-        // grouping buffers, preserving the serial path's cross-block memo
-        // hits within a chunk.
+        // splitter, preserving the serial path's cross-block memo hits
+        // within a chunk.
         let threads = rayon::current_num_threads().max(1);
-        let chunk_size = self.blocks.len().div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..self.blocks.len())
+        let chunk_size = self.len().div_ceil(threads);
+        let ranges: Vec<(usize, usize)> = (0..self.len())
             .step_by(chunk_size)
-            .map(|lo| (lo, (lo + chunk_size).min(self.blocks.len())))
+            .map(|lo| (lo, (lo + chunk_size).min(self.len())))
             .collect();
-        let splits: Vec<BlockSplit> = {
+        let (src_col, tgt_col) = (source.column(attr), target.column(attr));
+        let splits: Vec<ChunkSplit> = {
             let reader = pool.reader();
             ranges
                 .par_iter()
                 .map(|&(lo, hi)| {
                     let mut ws = ScratchPool::new(reader);
                     let mut scratch = ApplyScratch::new();
-                    scratch.begin();
-                    let mut groups: FxHashMap<Sym, Block> = FxHashMap::default();
-                    let mut order: Vec<Sym> = Vec::new();
-                    let mut blocks = Vec::new();
-                    let mut dead = Vec::new();
-                    for block in &self.blocks[lo..hi] {
-                        split_block(
-                            block,
-                            attr,
+                    let mut splitter = Splitter::default();
+                    let mut blocking = Blocking::default();
+                    for i in lo..hi {
+                        splitter.split(
+                            self.block(i),
+                            src_col,
+                            tgt_col,
                             func,
                             &mut scratch,
-                            source,
-                            target,
                             &mut ws,
-                            &mut groups,
-                            &mut order,
-                            &mut blocks,
-                            &mut dead,
+                            &mut blocking,
                         );
                     }
-                    BlockSplit {
-                        blocks,
-                        dead,
+                    ChunkSplit {
+                        blocking,
                         base_len: ws.base_len(),
                         new_strings: ws.take_new_strings(),
                     }
                 })
                 .collect()
         };
-        let mut out = Blocking {
-            blocks: Vec::with_capacity(self.blocks.len()),
-            dead_src: self.dead_src.clone(),
-        };
+        let mut out = self.refined_shell();
         for split in splits {
             // Replay the pool side effect in block order: the serial path
             // interns every transformed source value as it groups, and
             // later symbol assignment must not depend on which path ran.
             let _ = pool.absorb(split.base_len, &split.new_strings);
-            out.blocks.extend(split.blocks);
-            out.dead_src.extend(split.dead);
+            out.append(split.blocking);
         }
         out
     }
@@ -253,43 +388,46 @@ impl Blocking {
     /// Lower bound on inserted targets from this blocking alone:
     /// `ct(H) = Σ_{|φ_T| > |φ_S|} (|φ_T| − |φ_S|)` (§4.5).
     pub fn ct(&self) -> u64 {
-        self.blocks.iter().map(Block::target_surplus).sum()
+        self.blocks().map(|b| b.target_surplus()).sum()
     }
 
     /// Lower bound on deleted sources:
     /// `cs(H) = Σ_{|φ_S| > |φ_T|} (|φ_S| − |φ_T|)` plus the dead sources.
     pub fn cs(&self) -> u64 {
-        let surplus: u64 = self.blocks.iter().map(Block::source_surplus).sum();
+        let surplus: u64 = self.blocks().map(|b| b.source_surplus()).sum();
         surplus + self.dead_src.len() as u64
     }
 
     /// Iterate over the mixed blocks (both sides non-empty).
-    pub fn mixed_blocks(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.iter().filter(|b| b.is_mixed())
+    pub fn mixed_blocks(&self) -> impl Iterator<Item = Block<'_>> + '_ {
+        self.blocks().filter(Block::is_mixed)
     }
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.ends.len()
     }
 
     /// True if there are no blocks.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.ends.is_empty()
     }
 
     /// Indeterminacy estimate of an attribute under this blocking (§4.3):
     /// the maximum number of distinct *source* values of `attr` over all
     /// mixed blocks — an upper bound for how many source values compete as
-    /// the origin of a target value.
+    /// the origin of a target value. A block with no more sources than the
+    /// running maximum cannot raise it and is skipped unread.
     pub fn indeterminacy(&self, attr: AttrId, source: &Table) -> usize {
+        let col = source.column(attr);
         let mut distinct: FxHashSet<Sym> = FxHashSet::default();
         let mut max = 0usize;
         for block in self.mixed_blocks() {
-            distinct.clear();
-            for &sid in &block.src {
-                distinct.insert(source.value(sid, attr));
+            if block.src.len() <= max {
+                continue;
             }
+            distinct.clear();
+            distinct.extend(block.src.iter().map(|sid| col[sid.index()]));
             max = max.max(distinct.len());
         }
         max
@@ -297,12 +435,12 @@ impl Blocking {
 
     /// Total number of source records still inside blocks (excludes dead).
     pub fn live_sources(&self) -> usize {
-        self.blocks.iter().map(|b| b.src.len()).sum()
+        self.src.len()
     }
 
     /// Total number of target records (always all of T).
     pub fn total_targets(&self) -> usize {
-        self.blocks.iter().map(|b| b.tgt.len()).sum()
+        self.tgt.len()
     }
 }
 
@@ -341,8 +479,8 @@ mod tests {
         let (s, t, _) = tables();
         let b = Blocking::root(&s, &t);
         assert_eq!(b.len(), 1);
-        assert_eq!(b.blocks[0].src.len(), 4);
-        assert_eq!(b.blocks[0].tgt.len(), 3);
+        assert_eq!(b.block(0).src.len(), 4);
+        assert_eq!(b.block(0).tgt.len(), 3);
         assert_eq!(b.ct(), 0);
         assert_eq!(b.cs(), 1); // 4 sources, 3 targets in one block
     }
@@ -381,7 +519,7 @@ mod tests {
                 &mut pool,
             );
 
-        let mixed: Vec<&Block> = b.mixed_blocks().collect();
+        let mixed: Vec<Block> = b.mixed_blocks().collect();
         assert_eq!(mixed.len(), 2);
         let sap = mixed.iter().find(|blk| blk.src.len() == 3).unwrap();
         assert_eq!(sap.tgt.len(), 2);
@@ -403,7 +541,9 @@ mod tests {
             &t,
             &mut pool,
         );
-        assert_eq!(b.dead_src.len(), 4);
+        assert_eq!(b.dead_src().len(), 4);
+        assert_eq!(b.live_sources(), 0);
+        assert_eq!(b.total_targets(), 3);
         assert_eq!(b.cs(), 4);
         assert_eq!(b.ct(), 3); // all targets now unmatched
     }
@@ -426,20 +566,24 @@ mod tests {
         assert_eq!(after, 3); // the C-block has 3 distinct Val values
     }
 
-    /// `(per-block (src, tgt) record lists, dead sources)` — the exact
-    /// observable content of a blocking.
-    type ExactBlocking = (Vec<(Vec<RecordId>, Vec<RecordId>)>, Vec<RecordId>);
-
-    /// Exact comparison of two blockings: block order, record order within
-    /// blocks, and dead-source order all included.
-    fn exact(b: &Blocking) -> ExactBlocking {
-        (
-            b.blocks
-                .iter()
-                .map(|blk| (blk.src.clone(), blk.tgt.clone()))
-                .collect(),
-            b.dead_src.clone(),
-        )
+    #[test]
+    fn views_and_builders_agree() {
+        let ids = |r: std::ops::Range<u32>| r.map(RecordId).collect::<Vec<_>>();
+        let (a, b, c) = (ids(0..2), ids(2..3), ids(0..1));
+        let blocks = [
+            Block { src: &a, tgt: &c },
+            Block { src: &[], tgt: &[] },
+            Block { src: &b, tgt: &[] },
+        ];
+        let built = Blocking::from_blocks(blocks, vec![RecordId(3)]);
+        assert_eq!(built.len(), 3);
+        assert_eq!(built.blocks().collect::<Vec<_>>(), blocks);
+        assert_eq!(built.block(2), blocks[2]);
+        assert_eq!(built.dead_src(), &[RecordId(3)]);
+        assert_eq!((built.live_sources(), built.total_targets()), (3, 1));
+        let mut pushed = Blocking::from_blocks([], vec![RecordId(3)]);
+        blocks.iter().for_each(|&blk| pushed.push_block(blk));
+        assert_eq!(pushed, built);
     }
 
     fn assert_parallel_matches_serial(base: &Blocking, s: &Table, t: &Table, pool: &ValuePool) {
@@ -465,9 +609,10 @@ mod tests {
                         .unwrap();
                     let parallel = pool_handle
                         .install(|| base.refine_parallel(AttrId(attr), &func, s, t, &mut par_pool));
+                    // Structural equality: block order, record order within
+                    // blocks and dead-source order all included.
                     assert_eq!(
-                        exact(&serial),
-                        exact(&parallel),
+                        serial, parallel,
                         "attr {attr} func {func:?} threads {threads}"
                     );
                     // Pool side-effect parity: identical contents in
@@ -502,41 +647,37 @@ mod tests {
         // Empty blocks, source-only and target-only blocks interleaved
         // with a giant mixed block — shapes the search itself produces
         // only in corner cases.
-        let adversarial = Blocking {
-            blocks: vec![
-                Block::default(),
+        let all_src: Vec<RecordId> = s.record_ids().collect();
+        let all_tgt: Vec<RecordId> = t.record_ids().collect();
+        let empty = Block { src: &[], tgt: &[] };
+        let adversarial = Blocking::from_blocks(
+            [
+                empty,
                 Block {
-                    src: s.record_ids().collect(),
-                    tgt: t.record_ids().collect(),
+                    src: &all_src,
+                    tgt: &all_tgt,
                 },
-                Block::default(),
+                empty,
                 Block {
-                    src: s.record_ids().take(2).collect(),
-                    tgt: Vec::new(),
+                    src: &all_src[..2],
+                    tgt: &[],
                 },
                 Block {
-                    src: Vec::new(),
-                    tgt: t.record_ids().take(1).collect(),
+                    src: &[],
+                    tgt: &all_tgt[..1],
                 },
             ],
-            dead_src: vec![affidavit_table::RecordId(3)],
-        };
+            vec![RecordId(3)],
+        );
         assert_parallel_matches_serial(&adversarial, &s, &t, &pool);
         // All-singleton blocks: every record alone.
-        let singletons = Blocking {
-            blocks: s
-                .record_ids()
-                .map(|sid| Block {
-                    src: vec![sid],
-                    tgt: Vec::new(),
-                })
-                .chain(t.record_ids().map(|tid| Block {
-                    src: Vec::new(),
-                    tgt: vec![tid],
-                }))
-                .collect(),
-            dead_src: Vec::new(),
-        };
+        let singletons = Blocking::from_blocks(
+            all_src
+                .chunks(1)
+                .map(|src| Block { src, tgt: &[] })
+                .chain(all_tgt.chunks(1).map(|tgt| Block { src: &[], tgt })),
+            Vec::new(),
+        );
         assert_parallel_matches_serial(&singletons, &s, &t, &pool);
     }
 
@@ -560,16 +701,6 @@ mod tests {
             &t,
             &mut pool,
         );
-        let shape1: Vec<(usize, usize)> = b1
-            .blocks
-            .iter()
-            .map(|b| (b.src.len(), b.tgt.len()))
-            .collect();
-        let shape2: Vec<(usize, usize)> = b2
-            .blocks
-            .iter()
-            .map(|b| (b.src.len(), b.tgt.len()))
-            .collect();
-        assert_eq!(shape1, shape2);
+        assert_eq!(b1, b2);
     }
 }

@@ -75,16 +75,16 @@ pub struct BlockGroups {
 
 /// Map every record of `blocking` to its fingerprint group.
 pub fn group_records(blocking: &Blocking, n_src: usize, n_tgt: usize) -> BlockGroups {
-    let n_blocks = blocking.blocks.len();
+    let n_blocks = blocking.len();
     let count = n_blocks.clamp(1, MAX_GROUPS);
     let mut src_group = vec![count as u32; n_src];
     let mut tgt_group = vec![count as u32; n_tgt];
-    for (i, block) in blocking.blocks.iter().enumerate() {
+    for (i, block) in blocking.blocks().enumerate() {
         let g = group_of_block(i, n_blocks) as u32;
-        for &sid in &block.src {
+        for &sid in block.src {
             src_group[sid.index()] = g;
         }
-        for &tid in &block.tgt {
+        for &tid in block.tgt {
             tgt_group[tid.index()] = g;
         }
     }
@@ -113,17 +113,17 @@ pub fn group_fingerprints<I: Interner>(
     target: &Table,
     pool: &I,
 ) -> Vec<Fingerprint> {
-    let n_blocks = blocking.blocks.len();
+    let n_blocks = blocking.len();
     let count = n_blocks.clamp(1, MAX_GROUPS);
     let mut hashers: Vec<Fnv> = (0..count + 1).map(|_| Fnv::new()).collect();
-    for (i, block) in blocking.blocks.iter().enumerate() {
+    for (i, block) in blocking.blocks().enumerate() {
         let fnv = &mut hashers[group_of_block(i, n_blocks)];
-        for &sid in &block.src {
+        for &sid in block.src {
             fnv.update(b"s");
             fnv.update_u64(sid.0 as u64);
             feed_row(fnv, source, sid.index(), pool);
         }
-        for &tid in &block.tgt {
+        for &tid in block.tgt {
             fnv.update(b"t");
             fnv.update_u64(tid.0 as u64);
             feed_row(fnv, target, tid.index(), pool);
@@ -131,7 +131,7 @@ pub fn group_fingerprints<I: Interner>(
         fnv.update(b"|");
     }
     let dead = &mut hashers[count];
-    for &sid in &blocking.dead_src {
+    for &sid in blocking.dead_src() {
         dead.update(b"d");
         dead.update_u64(sid.0 as u64);
         feed_row(dead, source, sid.index(), pool);
@@ -151,8 +151,8 @@ pub fn header_fingerprint(blocking: &Blocking, source: &Table, target: &Table) -
     }
     fnv.update_u64(source.len() as u64);
     fnv.update_u64(target.len() as u64);
-    fnv.update_u64(blocking.blocks.len() as u64);
-    fnv.update_u64(blocking.dead_src.len() as u64);
+    fnv.update_u64(blocking.len() as u64);
+    fnv.update_u64(blocking.dead_src().len() as u64);
     fnv.finish()
 }
 
@@ -224,7 +224,7 @@ mod tests {
         let t = Table::from_rows(Schema::new(["v"]), &mut pool, vec![vec!["1"]]);
         let funcs = vec![AttrFunction::Scale(Rational::new(1, 10).unwrap())];
         let blocking = final_blocking(&funcs, &s, &t, &mut pool);
-        assert_eq!(blocking.dead_src.len(), 1);
+        assert_eq!(blocking.dead_src().len(), 1);
         let groups = group_records(&blocking, s.len(), t.len());
         assert_eq!(groups.src_group[1] as usize, groups.count);
         let fps = group_fingerprints(&blocking, &s, &t, &pool);
@@ -251,7 +251,7 @@ mod tests {
         let s = Table::from_rows(Schema::new(["k"]), &mut pool, rows.clone());
         let t = Table::from_rows(Schema::new(["k"]), &mut pool, rows);
         let blocking = final_blocking(&[AttrFunction::Identity], &s, &t, &mut pool);
-        assert_eq!(blocking.blocks.len(), n);
+        assert_eq!(blocking.len(), n);
         let fps = group_fingerprints(&blocking, &s, &t, &pool);
         assert_eq!(fps.len(), MAX_GROUPS + 1);
         // Every block maps into range, in nondecreasing group order.

@@ -48,7 +48,8 @@ pub struct AffidavitConfig {
     pub max_block_size: usize,
     /// Minimum number of times a candidate must be generated to survive
     /// filtering — the "statistically significant amount" the binomial
-    /// sizing targets (`P(X ≥ 5) ≥ ρ`; see DESIGN.md §5.1).
+    /// sizing targets (`P(X ≥ 5) ≥ ρ`, §4.4.2; see
+    /// `stats::induction_sample_size`).
     pub min_support: u32,
     /// Cap on distinct source values examined per sampled target during
     /// induction (implementation safeguard for degenerate huge blocks).

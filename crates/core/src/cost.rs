@@ -86,18 +86,14 @@ mod tests {
     use affidavit_table::RecordId;
 
     fn blocking(shape: &[(usize, usize)], dead: usize) -> Blocking {
-        let mut b = Blocking::default();
-        let mut next = 0u32;
-        for &(ns, nt) in shape {
-            let src = (0..ns).map(|_| RecordId(0)).collect();
-            let tgt = (0..nt).map(|_| RecordId(0)).collect();
-            b.blocks.push(Block { src, tgt });
-        }
-        for _ in 0..dead {
-            b.dead_src.push(RecordId(next));
-            next += 1;
-        }
-        b
+        let ids = vec![RecordId(0); shape.iter().map(|&(ns, nt)| ns.max(nt)).max().unwrap_or(0)];
+        Blocking::from_blocks(
+            shape.iter().map(|&(ns, nt)| Block {
+                src: &ids[..ns],
+                tgt: &ids[..nt],
+            }),
+            (0..dead as u32).map(RecordId).collect(),
+        )
     }
 
     #[test]

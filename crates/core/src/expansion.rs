@@ -158,7 +158,7 @@ mod tests {
             format!(
                 "{:?}|{:?}|{}|{}",
                 c.func,
-                c.blocking.blocks.len(),
+                c.blocking.len(),
                 c.cost.to_bits(),
                 c.kept
             )

@@ -611,6 +611,8 @@ mod tests {
         let mut ctx = Ctx::new(&mut inst, &cfg);
         let root = ctx.root_state();
         assert_eq!(root.blocking.len(), 1);
-        assert!(Blocking::root(&ctx.instance.source, &ctx.instance.target).blocks[0].is_mixed());
+        assert!(Blocking::root(&ctx.instance.source, &ctx.instance.target)
+            .block(0)
+            .is_mixed());
     }
 }

@@ -53,7 +53,7 @@ pub fn induce_candidates<I: Interner>(
     let _span = affidavit_obs::span("induce.candidates");
     // Enumerate targets living in mixed blocks (block index, target id).
     let mut mixed_targets: Vec<(usize, affidavit_table::RecordId)> = Vec::new();
-    for (bi, block) in blocking.blocks.iter().enumerate() {
+    for (bi, block) in blocking.blocks().enumerate() {
         if block.is_mixed() {
             mixed_targets.extend(block.tgt.iter().map(|&tid| (bi, tid)));
         }
@@ -82,7 +82,7 @@ pub fn induce_candidates<I: Interner>(
             current_block = bi;
             src_values.clear();
             seen_vals.clear();
-            for &sid in &blocking.blocks[bi].src {
+            for &sid in blocking.block(bi).src {
                 let v = source.value(sid, attr);
                 if seen_vals.insert(v) {
                     src_values.push(v);

@@ -40,13 +40,14 @@ pub fn rank_candidates<I: Interner>(
     beta: usize,
     rng: &mut StdRng,
 ) -> Vec<RankedCandidate> {
+    let _span = affidavit_obs::span("rank.candidates");
     if candidates.is_empty() || beta == 0 {
         return Vec::new();
     }
     // Sample k' source records from mixed blocks; evaluate each containing
     // block once.
     let mut mixed_sources: Vec<usize> = Vec::new(); // block indices, one per source record
-    for (bi, block) in blocking.blocks.iter().enumerate() {
+    for (bi, block) in blocking.blocks().enumerate() {
         if block.is_mixed() {
             mixed_sources.extend(std::iter::repeat_n(bi, block.src.len()));
         }
@@ -74,13 +75,13 @@ pub fn rank_candidates<I: Interner>(
     let mut out_hist: FxHashMap<Sym, u32> = FxHashMap::default();
 
     for &bi in &blocks_to_eval {
-        let block = &blocking.blocks[bi];
+        let block = blocking.block(bi);
         src_hist.clear();
-        for &sid in &block.src {
+        for &sid in block.src {
             *src_hist.entry(source.value(sid, attr)).or_default() += 1;
         }
         tgt_hist.clear();
-        for &tid in &block.tgt {
+        for &tid in block.tgt {
             *tgt_hist.entry(target.value(tid, attr)).or_default() += 1;
         }
         for (fi, func) in applied.iter_mut().enumerate() {

@@ -7,8 +7,9 @@
 //! attribute count and — crucially — the *value-distinctness profile* the
 //! paper's analysis hinges on (low-distinctness tables like chess/nursery/
 //! letter break the `Hs` overlap matcher; wide sparse tables like uniprot
-//! stress attribute scalability). See DESIGN.md §4 for the substitution
-//! rationale.
+//! stress attribute scalability). Those profiles, not the exact rows, are
+//! what drive the search's cost, so a generator matching them reproduces
+//! the paper's experiments without the files.
 //!
 //! Real data can be dropped into `data/<name>.csv`; [`loader::load_or_generate`]
 //! prefers the file when present.

@@ -552,8 +552,7 @@ impl WireBlocking {
     pub fn from_blocking(b: &Blocking) -> WireBlocking {
         WireBlocking {
             blocks: b
-                .blocks
-                .iter()
+                .blocks()
                 .map(|blk| {
                     (
                         blk.src.iter().map(|r| r.0).collect(),
@@ -561,7 +560,7 @@ impl WireBlocking {
                     )
                 })
                 .collect(),
-            dead_src: b.dead_src.iter().map(|r| r.0).collect(),
+            dead_src: b.dead_src().iter().map(|r| r.0).collect(),
         }
     }
 
@@ -582,19 +581,20 @@ impl WireBlocking {
                 })
                 .collect()
         };
-        Ok(Blocking {
-            blocks: self
-                .blocks
-                .iter()
-                .map(|(src, tgt)| {
-                    Ok(Block {
-                        src: check(src, src_rows, "source")?,
-                        tgt: check(tgt, tgt_rows, "target")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            dead_src: check(&self.dead_src, src_rows, "source")?,
-        })
+        let blocks = self
+            .blocks
+            .iter()
+            .map(|(src, tgt)| {
+                Ok((
+                    check(src, src_rows, "source")?,
+                    check(tgt, tgt_rows, "target")?,
+                ))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(Blocking::from_blocks(
+            blocks.iter().map(|(src, tgt)| Block { src, tgt }),
+            check(&self.dead_src, src_rows, "source")?,
+        ))
     }
 }
 
@@ -998,6 +998,37 @@ mod tests {
     }
 
     #[test]
+    fn blocking_roundtrips_with_empty_blocks_and_dead_sources() {
+        let ids = |r: &[u32]| r.iter().map(|&i| RecordId(i)).collect::<Vec<_>>();
+        let (a, b, c) = (ids(&[2, 0]), ids(&[1]), ids(&[3, 1]));
+        let empty = Block { src: &[], tgt: &[] };
+        let blocking = Blocking::from_blocks(
+            [
+                empty,
+                Block { src: &a, tgt: &c },
+                Block { src: &[], tgt: &b },
+                Block { src: &b, tgt: &[] },
+                empty,
+            ],
+            ids(&[4, 3]),
+        );
+        let wire = WireBlocking::from_blocking(&blocking);
+        let json = serde_json::to_string(&wire).unwrap();
+        assert_eq!(
+            json,
+            r#"{"blocks":[[[],[]],[[2,0],[3,1]],[[],[1]],[[1],[]],[[],[]]],"dead_src":[4,3]}"#
+        );
+        let back: WireBlocking = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, wire);
+        assert_eq!(back.to_blocking(5, 4).unwrap(), blocking);
+        // Dead source 4 lies outside a 4-row source table.
+        assert!(back
+            .to_blocking(4, 4)
+            .unwrap_err()
+            .contains("outside the snapshot"));
+    }
+
+    #[test]
     fn expansion_requests_roundtrip_exactly() {
         let instance = sample_instance();
         let state = SearchState {
@@ -1023,10 +1054,7 @@ mod tests {
         assert_eq!(rebuilt.state.id, 7);
         assert_eq!(rebuilt.state.parent, Some(2));
         assert_eq!(rebuilt.alignment, request.alignment);
-        assert_eq!(
-            rebuilt.state.blocking.blocks.len(),
-            request.state.blocking.blocks.len()
-        );
+        assert_eq!(rebuilt.state.blocking.len(), request.state.blocking.len());
         assert_eq!(
             WireExpansion::from_request(&rebuilt),
             wire,
@@ -1089,13 +1117,13 @@ mod tests {
         let mut pool = ValuePool::new();
         let child = PortableChild {
             func: AttrFunction::Constant(pool.intern("k $")),
-            blocking: Blocking {
-                blocks: vec![Block {
-                    src: vec![RecordId(0)],
-                    tgt: vec![RecordId(1)],
+            blocking: Blocking::from_blocks(
+                [Block {
+                    src: &[RecordId(0)],
+                    tgt: &[RecordId(1)],
                 }],
-                dead_src: vec![RecordId(1)],
-            },
+                vec![RecordId(1)],
+            ),
             cost,
             kept: true,
         };

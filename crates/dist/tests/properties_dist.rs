@@ -338,3 +338,35 @@ fn golden_expansion_bytes_are_stable() {
     assert_eq!(request.state.id, 7);
     assert_eq!(request.alignment.len(), 2);
 }
+
+/// The pinned fixtures survive decode → in-memory `Blocking` → re-encode
+/// byte for byte: a blocking's wire form does not depend on how the
+/// engine lays blocks out in memory.
+#[test]
+fn golden_fixtures_reencode_byte_identically() {
+    let text = include_str!("fixtures/job_v3.json").trim_end();
+    assert_eq!(encode_job(&decode_job(text).unwrap()), text);
+
+    let text = include_str!("fixtures/expansion_v3.json").trim_end();
+    let mut job = decode_job(text).unwrap();
+    let JobPayload::Expansion {
+        instance: WireInstanceSpec::Inline { instance, .. },
+        batch,
+        ..
+    } = &mut job.payload
+    else {
+        panic!("fixture is an inline expansion job");
+    };
+    let decoded = instance.decode().unwrap();
+    for wire in batch.iter_mut() {
+        let request = wire
+            .to_request(
+                decoded.pool.len(),
+                decoded.source.len(),
+                decoded.target.len(),
+            )
+            .unwrap();
+        *wire = WireExpansion::from_request(&request);
+    }
+    assert_eq!(encode_job(&job), text);
+}

@@ -4,9 +4,10 @@
 //! `apply` is *partial*: numeric operations on non-numeric values, masking
 //! on too-short strings, non-terminating exact divisions and unparseable
 //! dates yield `None`, meaning "this function cannot transform this value"
-//! (the record then necessarily falls outside the explanation core — see
-//! DESIGN.md §5.3). Prefix/suffix replacement and value mappings fall back
-//! to identity, exactly as the paper specifies for `f_Date` in Figure 1.
+//! (the record then necessarily falls outside the explanation core, and
+//! blocking counts it as a dead source). Prefix/suffix replacement and
+//! value mappings fall back to identity, exactly as the paper specifies
+//! for `f_Date` in Figure 1.
 
 use std::fmt;
 

@@ -20,7 +20,7 @@ impl ValueMap {
     /// Build from pairs. Later duplicates of the same input are dropped
     /// (first wins), and — because the unmapped fallback is identity —
     /// explicit `x ↦ x` entries are dropped too, which can only shorten the
-    /// description (see DESIGN.md §5.2).
+    /// description (ψ of a map grows with its entries).
     pub fn from_pairs(pairs: impl IntoIterator<Item = (Sym, Sym)>) -> ValueMap {
         let mut v: Vec<(Sym, Sym)> = Vec::new();
         for (k, val) in pairs {

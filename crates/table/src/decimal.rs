@@ -8,7 +8,8 @@
 //! A [`Decimal`] is `mantissa · 10^(−scale)` with `mantissa: i128` and
 //! `scale: u32`, kept normalized (no trailing fractional zeros, zero has
 //! scale 0). All operations are checked; overflow yields `None`, and the
-//! caller treats the value as non-transformable (see DESIGN.md §5.3).
+//! caller treats the value as non-transformable (the function is partial
+//! there, so the record falls outside the explanation core).
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -2,7 +2,8 @@
 //!
 //! Tables are *multisets* — snapshots may legitimately contain duplicate
 //! rows, and the explanation semantics (Prop. 3.6) are defined over
-//! multiset matching (see DESIGN.md §5.4).
+//! multiset matching: a row present twice in S and once in T leaves one
+//! copy outside the core.
 //!
 //! # Layout
 //!
