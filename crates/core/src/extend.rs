@@ -34,15 +34,11 @@ use affidavit_blocking::{greedy_map_from_alignment, sample_random_alignment, Blo
 use affidavit_functions::AttrFunction;
 use affidavit_table::{AttrId, RecordId};
 
-use crate::config::AffidavitConfig;
 use crate::cost::child_state_cost;
-use crate::expansion::{PortableAttrExpansion, PortableChild, PortableExpansion};
 use crate::induction::{induce_candidates, InductionParams};
-use crate::instance::ProblemInstance;
 use crate::ranking::rank_candidates;
 use crate::search::{Ctx, SearchCtx};
 use crate::state::{Assignment, SearchState};
-use crate::stats::{cochran_sample_size, induction_sample_size};
 use crate::trace::TraceNode;
 
 /// Create the child of `state` that assigns `func` to `attr`, refining the
@@ -315,93 +311,6 @@ fn expand_attr(
 pub(crate) struct StateExpansion {
     parts: Vec<AttrExpansion>,
     any_kept: bool,
-}
-
-impl CandChild {
-    fn into_portable(self) -> PortableChild {
-        PortableChild {
-            func: self.func,
-            blocking: self.blocking,
-            cost: self.cost,
-            kept: self.kept,
-        }
-    }
-
-    fn from_portable(p: PortableChild) -> CandChild {
-        CandChild {
-            func: p.func,
-            blocking: p.blocking,
-            cost: p.cost,
-            kept: p.kept,
-        }
-    }
-}
-
-impl StateExpansion {
-    /// Re-express as the public [`PortableExpansion`] — a move of the same
-    /// data, so the portable form is exactly what phase 2 absorbs.
-    pub(crate) fn into_portable(self) -> PortableExpansion {
-        PortableExpansion {
-            parts: self
-                .parts
-                .into_iter()
-                .map(|p| PortableAttrExpansion {
-                    attr: p.attr,
-                    base_len: p.base_len,
-                    new_strings: p.new_strings,
-                    greedy: p.greedy.into_portable(),
-                    ranked: p.ranked.into_iter().map(CandChild::into_portable).collect(),
-                })
-                .collect(),
-            any_kept: self.any_kept,
-        }
-    }
-
-    /// Inverse of [`StateExpansion::into_portable`]; used by the driver to
-    /// absorb expansions an [`crate::expansion::ExpansionExecutor`]
-    /// computed elsewhere.
-    pub(crate) fn from_portable(p: PortableExpansion) -> StateExpansion {
-        StateExpansion {
-            parts: p
-                .parts
-                .into_iter()
-                .map(|p| AttrExpansion {
-                    attr: p.attr,
-                    base_len: p.base_len,
-                    new_strings: p.new_strings,
-                    greedy: CandChild::from_portable(p.greedy),
-                    ranked: p.ranked.into_iter().map(CandChild::from_portable).collect(),
-                })
-                .collect(),
-            any_kept: p.any_kept,
-        }
-    }
-}
-
-/// Phase 1 from a bare instance + configuration: build the frozen
-/// read-only context from first principles and expand one state. The
-/// worker-process entry point behind
-/// [`expand_portable`](crate::expansion::expand_portable) — derived
-/// sample sizes, Δ and arity are recomputed exactly as
-/// [`Ctx::new`] computes them, so the result is byte-identical to the
-/// driver's own phase 1.
-pub(crate) fn expand_state_portable(
-    instance: &ProblemInstance,
-    cfg: &AffidavitConfig,
-    state: &SearchState,
-    alignment: &[(RecordId, RecordId)],
-) -> PortableExpansion {
-    let sctx = SearchCtx {
-        source: &instance.source,
-        target: &instance.target,
-        pool: &instance.pool,
-        cfg,
-        k_induce: induction_sample_size(cfg.theta, cfg.confidence),
-        k_rank: cochran_sample_size(cfg.theta),
-        delta: instance.delta(),
-        arity: instance.arity(),
-    };
-    expand_state(&sctx, state, alignment).into_portable()
 }
 
 /// Phase 1 for a whole state: order the undecided attributes, expand the

@@ -12,7 +12,6 @@ use rayon::prelude::*;
 
 use crate::config::{AffidavitConfig, InitStrategy};
 use crate::cost::state_cost;
-use crate::expansion::{ExpansionExecutor, ExpansionRequest};
 use crate::explanation::Explanation;
 use crate::extend::{
     consume_state_expansion, expand_state, extensions, make_child, StateExpansion,
@@ -312,39 +311,15 @@ fn push_children(
 }
 
 /// The Affidavit search algorithm.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Affidavit {
     cfg: AffidavitConfig,
-    executor: Option<Arc<dyn ExpansionExecutor>>,
-}
-
-impl std::fmt::Debug for Affidavit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Affidavit")
-            .field("cfg", &self.cfg)
-            .field("executor", &self.executor.is_some())
-            .finish()
-    }
 }
 
 impl Affidavit {
     /// Create a solver with the given configuration.
     pub fn new(cfg: AffidavitConfig) -> Affidavit {
-        Affidavit {
-            cfg,
-            executor: None,
-        }
-    }
-
-    /// Attach a remote phase-1 executor (builder style): speculated
-    /// K-way batches are offered to `executor` — a worker fleet stealing
-    /// expansion jobs from a broker queue — before the local thread pool.
-    /// A declined batch (`None`) falls back to the local path, and the
-    /// serial-replay reconciliation consumes either source identically,
-    /// so results are byte-identical with or without an executor.
-    pub fn with_expansion_executor(mut self, executor: Arc<dyn ExpansionExecutor>) -> Affidavit {
-        self.executor = Some(executor);
-        self
+        Affidavit { cfg }
     }
 
     /// The configuration in use.
@@ -484,47 +459,18 @@ impl Affidavit {
                     let started_ext = Instant::now();
                     let expansions: Vec<StateExpansion> = {
                         let _span = affidavit_obs::span("search.speculate");
-                        // Offer the batch to the remote executor first; a
-                        // declined (or malformed) batch falls back to the
-                        // local pool. Expansions are pure, so the two
-                        // sources are interchangeable byte-for-byte.
-                        let remote = self.executor.as_ref().and_then(|executor| {
-                            let requests: Vec<ExpansionRequest> = spec
-                                .iter()
-                                .zip(&alignments)
-                                .map(|(st, al)| ExpansionRequest {
-                                    state: st.clone(),
-                                    alignment: al.clone(),
-                                })
-                                .collect();
-                            executor
-                                .expand_batch(ctx.instance, &self.cfg, &requests)
-                                .filter(|r| r.len() == requests.len())
-                                .map(|r| {
-                                    r.into_iter()
-                                        .map(StateExpansion::from_portable)
-                                        .collect::<Vec<_>>()
-                                })
-                        });
-                        match remote {
-                            Some(expansions) => expansions,
-                            None => {
-                                let sctx = ctx.search_ctx();
-                                let expand = |i: usize| {
-                                    let t = Instant::now();
-                                    let exp = expand_state(&sctx, &spec[i], &alignments[i]);
-                                    affidavit_obs::metrics().observe(
-                                        "search_expansion_micros",
-                                        t.elapsed().as_micros() as f64,
-                                    );
-                                    exp
-                                };
-                                if self.cfg.threads != 1 {
-                                    (0..spec.len()).into_par_iter().map(expand).collect()
-                                } else {
-                                    (0..spec.len()).map(expand).collect()
-                                }
-                            }
+                        let sctx = ctx.search_ctx();
+                        let expand = |i: usize| {
+                            let t = Instant::now();
+                            let exp = expand_state(&sctx, &spec[i], &alignments[i]);
+                            affidavit_obs::metrics()
+                                .observe("search_expansion_micros", t.elapsed().as_micros() as f64);
+                            exp
+                        };
+                        if self.cfg.threads != 1 {
+                            (0..spec.len()).into_par_iter().map(expand).collect()
+                        } else {
+                            (0..spec.len()).map(expand).collect()
                         }
                     };
                     ctx.stats.extension_time += started_ext.elapsed();
@@ -879,96 +825,6 @@ mod tests {
         let gated = run(4);
         assert_eq!(gated.4, 0, "a gated run performs zero speculative work");
         assert_eq!(serial, gated);
-    }
-
-    #[test]
-    fn expansion_executor_results_are_absorbed_byte_identically() {
-        use crate::expansion::{expand_portable, ExpansionRequest, PortableExpansion};
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        /// An executor that recomputes every request from first
-        /// principles via `expand_portable` — exactly what a worker
-        /// process does after decoding the wire job.
-        struct Recompute {
-            batches: AtomicUsize,
-        }
-        impl ExpansionExecutor for Recompute {
-            fn expand_batch(
-                &self,
-                instance: &ProblemInstance,
-                cfg: &AffidavitConfig,
-                batch: &[ExpansionRequest],
-            ) -> Option<Vec<PortableExpansion>> {
-                self.batches.fetch_add(1, Ordering::SeqCst);
-                Some(
-                    batch
-                        .iter()
-                        .map(|req| expand_portable(instance, cfg, req))
-                        .collect(),
-                )
-            }
-        }
-
-        let fingerprint = |executor: Option<Arc<Recompute>>| {
-            let mut inst = noisy_instance();
-            let cfg = AffidavitConfig::paper_id()
-                .with_trace()
-                .with_speculative_width(4)
-                .with_speculation_min_records(0);
-            let mut solver = Affidavit::new(cfg);
-            if let Some(ex) = executor {
-                solver = solver.with_expansion_executor(ex);
-            }
-            let out = solver.explain(&mut inst);
-            (
-                format!("{:?}", out.explanation.functions),
-                out.explanation.core_size(),
-                out.stats.polled,
-                out.stats.expansions,
-                out.stats.states_generated,
-                out.stats.end_state_cost.to_bits(),
-                out.trace.expect("trace enabled").render(),
-            )
-        };
-        let local = fingerprint(None);
-        let executor = Arc::new(Recompute {
-            batches: AtomicUsize::new(0),
-        });
-        let remote = fingerprint(Some(executor.clone()));
-        assert!(
-            executor.batches.load(Ordering::SeqCst) > 0,
-            "the executor must have been offered at least one batch"
-        );
-        assert_eq!(local, remote);
-    }
-
-    #[test]
-    fn a_declining_executor_falls_back_to_the_local_path() {
-        struct Decline;
-        impl ExpansionExecutor for Decline {
-            fn expand_batch(
-                &self,
-                _instance: &ProblemInstance,
-                _cfg: &AffidavitConfig,
-                _batch: &[ExpansionRequest],
-            ) -> Option<Vec<crate::expansion::PortableExpansion>> {
-                None
-            }
-        }
-        let mut inst = noisy_instance();
-        let cfg = AffidavitConfig::paper_id()
-            .with_speculative_width(4)
-            .with_speculation_min_records(0);
-        let out = Affidavit::new(cfg.clone())
-            .with_expansion_executor(Arc::new(Decline))
-            .explain(&mut inst);
-        let mut inst2 = noisy_instance();
-        let base = Affidavit::new(cfg).explain(&mut inst2);
-        assert_eq!(
-            format!("{:?}", out.explanation.functions),
-            format!("{:?}", base.explanation.functions)
-        );
-        assert_eq!(out.stats.polled, base.stats.polled);
     }
 
     #[test]

@@ -390,9 +390,6 @@ pub fn absorb_result(
     let (new_strings, functions, core, deleted, inserted, polled, expansions, millis) =
         match &result.outcome {
             JobOutcome::Failed { reason } => return Err(reason.clone()),
-            JobOutcome::Expanded { .. } => {
-                return Err("expected an explanation result, got an expansion batch".to_owned())
-            }
             JobOutcome::Explained {
                 new_strings,
                 functions,

@@ -83,7 +83,6 @@ fn opts_for(seed: u64) -> ProfileOptions {
         align: false,
         ingest: IngestOptions::default(),
         pool,
-        executor: None,
     }
 }
 
