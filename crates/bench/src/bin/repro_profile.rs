@@ -275,16 +275,15 @@ fn main() {
 /// distributed profiler.
 #[derive(serde::Serialize)]
 struct DistRow {
-    /// `"fs"` (spool-directory broker, real `affidavit-worker` children),
-    /// `"tcp"` (coordinator socket, real children dialing `--connect`) or
-    /// `"in-process"` (worker threads; fallback when the worker binary is
-    /// not found next to this one).
+    /// `"tcp"` (coordinator socket, real `affidavit-worker` children
+    /// dialing `--connect`) or `"in-process"` (worker threads; fallback
+    /// when the worker binary is not found next to this one).
     transport: String,
     /// Worker count of this run.
     workers: usize,
     /// Wall-clock seconds for the whole profile.
     total_secs: f64,
-    /// This transport's 1-worker time divided by `total_secs` — only
+    /// The 1-worker time divided by `total_secs` — only
     /// meaningful when `speedup_valid`.
     speedup_vs_1: f64,
     /// Successful exclusive claims.
@@ -299,8 +298,8 @@ struct DistRow {
 
 /// Distributed-profiling scaling measurement, serialized into
 /// `BENCH_dist.json` at the repo root. The same snapshot directories are
-/// profiled through `affidavit-dist`'s work-stealing job queue on every
-/// available transport at each worker count; every run must render
+/// profiled through `affidavit-dist`'s work-stealing job queue at each
+/// worker count; every run must render
 /// byte-identically (timing stripped) to the single-process
 /// `profile_dirs`.
 #[derive(serde::Serialize)]
@@ -336,25 +335,16 @@ fn bench_dist(
     let local_profile = profile_dirs(before, after, opts).expect("local profile");
     let tables = local_profile.tables.len();
     let local = canonical(local_profile);
-    // Both real transports when the worker binary is present, the
-    // in-process thread backend otherwise.
+    // Real worker processes over TCP when the worker binary is present,
+    // the in-process thread backend otherwise.
     let backends: Vec<(&str, DistBackend)> = match worker_binary() {
-        Ok(bin) => vec![
-            (
-                "fs",
-                DistBackend::ChildProcesses {
-                    broker_dir: None,
-                    worker_bin: Some(bin.clone()),
-                },
-            ),
-            (
-                "tcp",
-                DistBackend::Tcp {
-                    listen: None,
-                    worker_bin: Some(bin),
-                },
-            ),
-        ],
+        Ok(bin) => vec![(
+            "tcp",
+            DistBackend::Tcp {
+                listen: None,
+                worker_bin: Some(bin),
+            },
+        )],
         Err(_) => vec![("in-process", DistBackend::InProcess)],
     };
 
@@ -391,7 +381,7 @@ fn bench_dist(
     }
     assert!(
         deterministic,
-        "every transport and worker count must render the single-process profile byte-identically"
+        "every worker count must render the single-process profile byte-identically"
     );
 
     // Registry regression gate: the deterministic counters this JSON is

@@ -8,7 +8,54 @@ use affidavit_core::report::{render_report, to_sql};
 use affidavit_core::{Affidavit, AffidavitConfig, ProblemInstance};
 use affidavit_datagen::blueprint::{Blueprint, GenConfig};
 use affidavit_store::{ingest, IngestOptions, PoolBackend, PoolConfig};
-use affidavit_table::{csv, AttrId, Table, ValuePool};
+use affidavit_table::{csv, AttrId, Table, TableError, ValuePool};
+
+/// `println!` for command output: a failed write — typically a reader
+/// that closed the pipe early (`affidavit explain … | head`) — comes back
+/// as an `Err` that ends the command, instead of a panic. Unit tests keep
+/// `println!` so the test harness still captures the output; the binary
+/// tests exercise the real path.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        #[cfg(test)]
+        let written: Result<(), String> = {
+            println!($($arg)*);
+            Ok(())
+        };
+        #[cfg(not(test))]
+        let written = {
+            use std::io::Write as _;
+            writeln!(std::io::stdout().lock(), $($arg)*).map_err(stdout_error)
+        };
+        written
+    }};
+}
+
+/// The error of a write to a stdout whose reader has gone. Not a failure
+/// of the command: [`crate::run`] ends such a run quietly.
+pub(crate) const STDOUT_CLOSED: &str = "stdout closed by its reader";
+
+pub(crate) fn stdout_error(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        STDOUT_CLOSED.to_owned()
+    } else {
+        format!("writing to stdout: {e}")
+    }
+}
+
+/// Write `table` to stdout as CSV.
+fn csv_to_stdout(table: &Table, pool: &ValuePool) -> Result<(), String> {
+    csv::write(
+        std::io::stdout().lock(),
+        table,
+        pool,
+        csv::CsvOptions::default(),
+    )
+    .map_err(|e| match e {
+        TableError::Io(e) => stdout_error(e),
+        e => e.to_string(),
+    })
+}
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -82,26 +129,17 @@ INCREMENTAL FLAGS (explain, profile, client):
 
 DISTRIBUTED FLAGS (profile):
   --workers N              Fan table pairs out to N affidavit-worker child
-                           processes over a work-stealing job broker
-                           (default: 0 = profile in-process). The report is
-                           byte-identical at every worker count.
-  --transport fs|tcp       Broker transport for --workers (default: fs).
-                           fs claims jobs by atomic rename in a spool
-                           directory; tcp serves framed steals from a
-                           coordinator socket — no shared filesystem, and
-                           extra workers on any machine can dial in with
-                           `affidavit-worker --connect HOST:PORT`.
-  --listen ADDR            Bind address of the tcp transport's coordinator
-                           listener (default: 127.0.0.1:0 = loopback with
-                           an OS-chosen port). Bind a routable address to
+                           processes that steal them from this process
+                           over TCP (default: 0 = profile in-process). The
+                           report is byte-identical at every worker count.
+                           Extra workers on any machine can join the run
+                           with `affidavit-worker --connect HOST:PORT`.
+  --listen ADDR            Bind address of the coordinator's listener
+                           (default: 127.0.0.1:0 = loopback with an
+                           OS-chosen port). Bind a routable address to
                            accept workers from other machines — trusted
                            networks only: the protocol carries no
                            authentication yet.
-  --broker DIR             Job-spool directory for the fs transport
-                           (default: a fresh temp directory). Point it at
-                           shared storage to let externally started workers
-                           steal from the same run; the directory must be
-                           empty.
   --steal-timeout-secs N   Re-publish a worker's claimed job for others to
                            steal if no result arrives within N seconds;
                            the wait doubles on every retry of the same job
@@ -149,10 +187,10 @@ SERVICE FLAGS (serve, client):
   --metrics                client: print the daemon's metrics registry
                            as Prometheus-style text instead of an
                            explain (default: off).
-  --pin SRC TGT            client: ingest and pin a snapshot pair on the
-                           server without searching, so a later explain
-                           of the same pair is a guaranteed warm hit
-                           (default: off).
+  --pin                    client: ingest and pin the snapshot pair named
+                           by the two CSV paths on the server without
+                           searching, so a later explain of the same pair
+                           is a guaranteed warm hit (default: off).
   --shutdown               client: ask the daemon to exit cleanly
                            (default: off).
 
@@ -181,14 +219,7 @@ const SEARCH_FLAGS: &[&str] = &[
 ];
 const INGESTION_FLAGS: &[&str] = &["ingest-chunk-rows", "pool-backend", "pool-budget-bytes"];
 const INCREMENTAL_FLAGS: &[&str] = &["delta", "delta-state"];
-const DISTRIBUTED_FLAGS: &[&str] = &[
-    "workers",
-    "transport",
-    "listen",
-    "broker",
-    "steal-timeout-secs",
-    "deadline-secs",
-];
+const DISTRIBUTED_FLAGS: &[&str] = &["workers", "listen", "steal-timeout-secs", "deadline-secs"];
 const OBSERVABILITY_FLAGS: &[&str] = &["obs-out", "obs-summary"];
 
 /// The flags `command` accepts: exactly what its USAGE line documents,
@@ -242,6 +273,26 @@ fn accepted_flags(command: &str) -> Vec<&'static str> {
         .collect()
 }
 
+/// Whether `--name` takes a value, as USAGE documents it: a value flag
+/// is always written `--name PLACEHOLDER`, a switch never is.
+fn takes_value(name: &str) -> bool {
+    usage_mentions(name).iter().any(|rest| {
+        let mut after = rest.chars();
+        after.next() == Some(' ') && after.next().is_some_and(|c| c.is_ascii_alphabetic())
+    })
+}
+
+/// The USAGE text right after each mention of `--name` (mentions of a
+/// longer flag that merely starts with `--name` excluded).
+fn usage_mentions(name: &str) -> Vec<&'static str> {
+    let needle = format!("--{name}");
+    USAGE
+        .match_indices(needle.as_str())
+        .map(|(at, _)| &USAGE[at + needle.len()..])
+        .filter(|rest| !rest.starts_with(|c: char| c == '-' || c.is_ascii_alphanumeric()))
+        .collect()
+}
+
 /// Simple positional + flag splitter.
 struct Parsed<'a> {
     positional: Vec<&'a str>,
@@ -250,31 +301,33 @@ struct Parsed<'a> {
 
 /// Split `command`'s arguments, rejecting any flag the command does not
 /// accept: a misspelt or retired flag is a usage error naming the flag,
-/// never a silently ignored no-op.
+/// never a silently ignored no-op. A value flag takes the next argument
+/// and fails when there is none (or it is another flag); a switch never
+/// takes one.
 fn parse<'a>(command: &str, args: &'a [String]) -> Result<Parsed<'a>, String> {
+    let accepted = accepted_flags(command);
     let mut positional = Vec::new();
     let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            let value = args
-                .get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .map(String::as_str);
-            if value.is_some() {
-                i += 1;
-            }
-            flags.push((name, value));
-        } else {
-            positional.push(args[i].as_str());
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            positional.push(arg.as_str());
+            continue;
+        };
+        if !accepted.contains(&name) {
+            return Err(format!(
+                "{command}: unknown flag --{name} (see `affidavit help` for the flags it accepts)"
+            ));
         }
-        i += 1;
-    }
-    let accepted = accepted_flags(command);
-    if let Some((name, _)) = flags.iter().find(|(name, _)| !accepted.contains(name)) {
-        return Err(format!(
-            "{command}: unknown flag --{name} (see `affidavit help` for the flags it accepts)"
-        ));
+        let value = if takes_value(name) {
+            match args.next() {
+                Some(value) if !value.starts_with("--") => Some(value.as_str()),
+                _ => return Err(format!("{command}: --{name} needs a value")),
+            }
+        } else {
+            None
+        };
+        flags.push((name, value));
     }
     Ok(Parsed { positional, flags })
 }
@@ -401,16 +454,17 @@ pub fn explain(args: &[String]) -> Result<(), String> {
         let outcome =
             affidavit_core::delta::explain_delta(Path::new(src), Path::new(tgt), &opts, &state)?;
         affidavit_obs::diag("delta", &outcome.stats.summary());
-        println!("{}", outcome.report);
+        say!("{}", outcome.report)?;
         let duration = if p.has("stable") {
             std::time::Duration::ZERO
         } else {
             outcome.duration
         };
-        println!(
+        say!(
             "search: {} states polled, {} generated, {duration:?}",
-            outcome.polled, outcome.generated
-        );
+            outcome.polled,
+            outcome.generated
+        )?;
         return Ok(());
     }
     let mut pool = pool_cfg.build().map_err(|e| e.to_string())?;
@@ -479,7 +533,7 @@ pub fn explain(args: &[String]) -> Result<(), String> {
             ),
         );
     }
-    println!("{}", render_report(&outcome.explanation, &instance));
+    say!("{}", render_report(&outcome.explanation, &instance))?;
     // --stable zeroes the one nondeterministic byte sequence on stdout,
     // so two runs (or a run and a served client) diff clean.
     let duration = if p.has("stable") {
@@ -487,15 +541,16 @@ pub fn explain(args: &[String]) -> Result<(), String> {
     } else {
         outcome.stats.duration
     };
-    println!(
+    say!(
         "search: {} states polled, {} generated, {duration:?}",
-        outcome.stats.polled, outcome.stats.states_generated
-    );
+        outcome.stats.polled,
+        outcome.stats.states_generated
+    )?;
     if let Some(trace) = outcome.trace {
-        println!("\nsearch tree:\n{}", trace.render());
+        say!("\nsearch tree:\n{}", trace.render())?;
     }
     if let Some(table) = p.flag_value("sql") {
-        println!("\n{}", to_sql(&outcome.explanation, &instance, table));
+        say!("\n{}", to_sql(&outcome.explanation, &instance, table))?;
     }
     if let Some(path) = p.flag_value("save") {
         let portable = PortableExplanation::from_explanation(&outcome.explanation, &instance);
@@ -545,13 +600,7 @@ pub fn profile(args: &[String]) -> Result<(), String> {
         );
     }
     let mut profile = if workers == 0 {
-        for flag in [
-            "transport",
-            "listen",
-            "broker",
-            "steal-timeout-secs",
-            "deadline-secs",
-        ] {
+        for flag in ["listen", "steal-timeout-secs", "deadline-secs"] {
             if p.has(flag) {
                 return Err(format!(
                     "--{flag} only applies to distributed runs; add --workers N"
@@ -575,30 +624,9 @@ pub fn profile(args: &[String]) -> Result<(), String> {
             affidavit_core::profiling::profile_dirs(Path::new(src_dir), Path::new(tgt_dir), &opts)?
         }
     } else {
-        let transport = p.flag_value("transport").unwrap_or("fs");
-        let backend = match transport {
-            "fs" => {
-                if p.has("listen") {
-                    return Err("--listen only applies to --transport tcp".to_owned());
-                }
-                affidavit_dist::DistBackend::ChildProcesses {
-                    broker_dir: p.flag_value("broker").map(std::path::PathBuf::from),
-                    worker_bin: None,
-                }
-            }
-            "tcp" => {
-                if p.has("broker") {
-                    return Err(
-                        "--broker is the fs transport's spool; with --transport tcp use --listen"
-                            .to_owned(),
-                    );
-                }
-                affidavit_dist::DistBackend::Tcp {
-                    listen: p.flag_value("listen").map(str::to_owned),
-                    worker_bin: None,
-                }
-            }
-            other => return Err(format!("unknown --transport {other:?} (use fs|tcp)")),
+        let backend = affidavit_dist::DistBackend::Tcp {
+            listen: p.flag_value("listen").map(str::to_owned),
+            worker_bin: None,
         };
         let dopts = affidavit_dist::DistOptions {
             workers,
@@ -614,7 +642,7 @@ pub fn profile(args: &[String]) -> Result<(), String> {
             &dopts,
         )?;
         affidavit_obs::diag(
-            &format!("distributed ({transport})"),
+            "distributed",
             &format!(
                 "{} jobs over {} workers — {} steals, {} stragglers requeued, \
                  {} duplicates discarded, {} conflicts",
@@ -631,7 +659,7 @@ pub fn profile(args: &[String]) -> Result<(), String> {
     if p.has("stable") {
         profile.strip_timing();
     }
-    println!("{}", profile.render());
+    say!("{}", profile.render())?;
     if let Some(path) = p.flag_value("json") {
         std::fs::write(path, profile.to_json()).map_err(|e| e.to_string())?;
         eprintln!("wrote machine-readable profile to {path}");
@@ -677,7 +705,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let mut daemon = affidavit_serve::serve(&opts)?;
     // Scripts capture the chosen port from this line — flush through
     // pipe buffering before parking.
-    println!("affidavit serve listening on {}", daemon.local_addr());
+    say!("affidavit serve listening on {}", daemon.local_addr())?;
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     daemon.wait();
@@ -737,21 +765,21 @@ pub fn client(args: &[String]) -> Result<(), crate::Failure> {
     if p.has("ping") {
         remote.ping().map_err(fail)?;
         if json {
-            println!("{{\"status\":\"pong\"}}");
+            say!("{{\"status\":\"pong\"}}")?;
         } else {
-            println!("pong from {addr}");
+            say!("pong from {addr}")?;
         }
         return Ok(());
     }
     if p.has("server-stats") {
         let stats = remote.stats().map_err(fail)?;
         if json {
-            println!(
+            say!(
                 "{}",
                 serde_json::to_string(&stats).expect("stats serialize")
-            );
+            )?;
         } else {
-            println!(
+            say!(
                 "serve stats: {} requests over {} connections — {} sessions pinned, \
                  {} ingests, {} warm hits, {} evictions",
                 stats.requests,
@@ -760,7 +788,7 @@ pub fn client(args: &[String]) -> Result<(), crate::Failure> {
                 stats.ingests,
                 stats.hits,
                 stats.evictions
-            );
+            )?;
         }
         return Ok(());
     }
@@ -768,20 +796,17 @@ pub fn client(args: &[String]) -> Result<(), crate::Failure> {
         // Prometheus text exposition is already machine-readable, so
         // both formats print it verbatim.
         let text = remote.metrics().map_err(fail)?;
-        print!("{text}");
+        std::io::Write::write_all(&mut std::io::stdout().lock(), text.as_bytes())
+            .map_err(stdout_error)?;
         return Ok(());
     }
     if p.has("pin") {
-        // The splitter hands `--pin SRC TGT` over as flag value SRC plus
-        // positional TGT; `SRC TGT --pin` arrives as two positionals.
-        let (src, tgt) = match (p.flag_value("pin"), &p.positional[..]) {
-            (Some(src), [tgt]) => (src, *tgt),
-            (None, [src, tgt]) => (*src, *tgt),
-            _ => {
-                return Err(plain(format!(
-                    "client --pin needs two CSV paths (on the server's filesystem)\n{USAGE}"
-                )))
-            }
+        // `--pin` is a switch, so `--pin SRC TGT` and `SRC TGT --pin`
+        // both arrive as two positionals.
+        let [src, tgt] = p.positional[..] else {
+            return Err(plain(format!(
+                "client --pin needs two CSV paths (on the server's filesystem)\n{USAGE}"
+            )));
         };
         let cfg = build_config(&p).map_err(plain)?;
         let (ingest_opts, pool_cfg) = build_ingest(&p, cfg.threads).map_err(plain)?;
@@ -796,21 +821,21 @@ pub fn client(args: &[String]) -> Result<(), crate::Failure> {
             },
         );
         if json {
-            println!("{{\"status\":\"pinned\",\"warm\":{warm}}}");
+            say!("{{\"status\":\"pinned\",\"warm\":{warm}}}")?;
         } else {
-            println!(
+            say!(
                 "pinned {src} and {tgt} on {addr} ({})",
                 if warm { "already warm" } else { "cold" }
-            );
+            )?;
         }
         return Ok(());
     }
     if p.has("shutdown") {
         remote.shutdown().map_err(fail)?;
         if json {
-            println!("{{\"status\":\"shutting_down\"}}");
+            say!("{{\"status\":\"shutting_down\"}}")?;
         } else {
-            println!("server at {addr} is shutting down");
+            say!("server at {addr} is shutting down")?;
         }
         return Ok(());
     }
@@ -832,23 +857,24 @@ pub fn client(args: &[String]) -> Result<(), crate::Failure> {
         },
     );
     if json {
-        println!(
+        say!(
             "{}",
             serde_json::to_string(&reply).expect("replies serialize")
-        );
+        )?;
     } else {
         // Exactly the one-shot `affidavit explain` stdout: the rendered
         // report, then the search line (timing zeroed under --stable).
-        println!("{}", reply.report);
+        say!("{}", reply.report)?;
         let duration = if p.has("stable") {
             std::time::Duration::ZERO
         } else {
             std::time::Duration::from_millis(reply.millis)
         };
-        println!(
+        say!(
             "search: {} states polled, {} generated, {duration:?}",
-            reply.polled, reply.generated
-        );
+            reply.polled,
+            reply.generated
+        )?;
     }
     Ok(())
 }
@@ -898,7 +924,7 @@ pub fn diff(args: &[String]) -> Result<(), String> {
         })
         .collect::<Result<_, _>>()?;
     let report = affidavit_baselines_diff(&instance, &key_attrs);
-    println!("{report}");
+    say!("{report}")?;
     Ok(())
 }
 
@@ -981,11 +1007,7 @@ pub fn apply(args: &[String]) -> Result<(), String> {
                 eprintln!("wrote {path}");
                 Ok(())
             }
-            None => {
-                let mut stdout = std::io::stdout();
-                csv::write(&mut stdout, &transformed, &pool, csv::CsvOptions::default())
-                    .map_err(|e| e.to_string())
-            }
+            None => csv_to_stdout(&transformed, &pool),
         };
     }
     let [src, tgt, unseen_path] = p.positional[..] else {
@@ -1022,16 +1044,7 @@ pub fn apply(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
             eprintln!("wrote {path}");
         }
-        None => {
-            let mut stdout = std::io::stdout();
-            csv::write(
-                &mut stdout,
-                &transformed,
-                &instance.pool,
-                csv::CsvOptions::default(),
-            )
-            .map_err(|e| e.to_string())?;
-        }
+        None => csv_to_stdout(&transformed, &instance.pool)?,
     }
     Ok(())
 }
@@ -1087,13 +1100,13 @@ pub fn gen(args: &[String]) -> Result<(), String> {
         csv::CsvOptions::default(),
     )
     .map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "wrote {} and {} (η={eta}, τ={tau}, {} records each, reference cost {})",
         src_path.display(),
         tgt_path.display(),
         generated.instance.source.len(),
         generated.reference.cost_units(generated.instance.arity())
-    );
+    )?;
     Ok(())
 }
 
@@ -1279,9 +1292,7 @@ mod tests {
         "--delta",
         "--delta-state",
         "--workers",
-        "--transport",
         "--listen",
-        "--broker",
         "--steal-timeout-secs",
         "--deadline-secs",
         "--stable",
@@ -1325,19 +1336,77 @@ mod tests {
     #[test]
     fn every_documented_flag_is_accepted_and_every_accepted_flag_documented() {
         for flag in DOCUMENTED_FLAGS {
-            let args = argv(&[flag]);
             assert!(
-                COMMANDS.iter().any(|cmd| parse(cmd, &args).is_ok()),
+                COMMANDS
+                    .iter()
+                    .any(|cmd| accepted_flags(cmd).contains(&&flag[2..])),
                 "{flag} is documented but no command accepts it"
             );
         }
         for cmd in COMMANDS {
             for flag in accepted_flags(cmd) {
+                let mentions = usage_mentions(flag);
                 assert!(
-                    USAGE.contains(&format!("--{flag}")),
+                    !mentions.is_empty(),
                     "{cmd} accepts --{flag}, which USAGE never mentions"
                 );
+                // USAGE is where the parser learns whether a flag takes a
+                // value, so every mention must agree.
+                let value = takes_value(flag);
+                for rest in mentions {
+                    let line = rest.lines().next().unwrap_or("");
+                    let shown = rest.starts_with(' ') && rest[1..].starts_with(char::is_alphabetic);
+                    assert_eq!(shown, value, "--{flag} is written both ways: …{line}");
+                }
+                let alone = argv(&[&format!("--{flag}")]);
+                let before_a_flag = argv(&[&format!("--{flag}"), "--obs-summary"]);
+                let before_a_word = argv(&[&format!("--{flag}"), "word"]);
+                if value {
+                    // A value flag with no value fails loudly, naming it.
+                    let needs = format!("{cmd}: --{flag} needs a value");
+                    assert_eq!(parse(cmd, &alone).err(), Some(needs.clone()));
+                    assert_eq!(parse(cmd, &before_a_flag).err(), Some(needs));
+                    let p = parse(cmd, &before_a_word).unwrap();
+                    assert_eq!(p.flag_value(flag), Some("word"), "{cmd} --{flag}");
+                } else {
+                    // A switch never consumes the next argument.
+                    let p = parse(cmd, &before_a_word).unwrap();
+                    assert!(p.has(flag), "{cmd} --{flag}");
+                    assert_eq!(p.positional, vec!["word"], "{cmd} --{flag}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn flags_missing_a_value_are_usage_errors() {
+        for (case, flag) in [
+            (&["explain", "s.csv", "t.csv", "--threads"][..], "--threads"),
+            (
+                &["explain", "s.csv", "t.csv", "--seed", "--stable"],
+                "--seed",
+            ),
+            (&["profile", "a", "b", "--workers"], "--workers"),
+            (&["client", "s.csv", "t.csv", "--connect"], "--connect"),
+        ] {
+            let err = crate::run(&argv(case)).unwrap_err();
+            assert_eq!(err.code, 1, "{case:?}");
+            assert_eq!(err.message, format!("{}: {flag} needs a value", case[0]));
+        }
+        // A leading switch leaves both paths positional.
+        let args = argv(&["--stable", "s.csv", "t.csv"]);
+        assert_eq!(
+            parse("explain", &args).unwrap().positional,
+            ["s.csv", "t.csv"]
+        );
+        // `--pin` is a switch: both spellings name the same two paths.
+        for args in [
+            argv(&["--connect", "h:1", "--pin", "s.csv", "t.csv"]),
+            argv(&["--connect", "h:1", "s.csv", "t.csv", "--pin"]),
+        ] {
+            let p = parse("client", &args).unwrap();
+            assert!(p.has("pin"));
+            assert_eq!(p.positional, ["s.csv", "t.csv"]);
         }
     }
 
@@ -1358,6 +1427,16 @@ mod tests {
                 "0",
             ],
             &["serve", "--expansion-workers", "2"],
+            &["profile", "a", "b", concat!("--trans", "port"), "tcp"],
+            &[
+                "profile",
+                "a",
+                "b",
+                "--workers",
+                "2",
+                concat!("--bro", "ker"),
+                "d",
+            ],
             &["client", "--connect", "127.0.0.1:1", "--ping", "--pong"],
             // A flag documented for one command is unknown to another.
             &["diff", "s.csv", "t.csv", "--key", "k", "--threads", "2"],
@@ -1457,28 +1536,12 @@ mod tests {
         let d = dir.to_str().unwrap();
         let err = profile(&argv(&[d, d, "--workers", "many"])).unwrap_err();
         assert!(err.contains("--workers"), "{err}");
-        let err = profile(&argv(&[d, d, "--broker", "/tmp/spool"])).unwrap_err();
-        assert!(err.contains("--workers"), "{err}");
-        // Transport flags without a distributed run, or crossed between
-        // transports, fail with pointed messages.
-        let err = profile(&argv(&[d, d, "--transport", "tcp"])).unwrap_err();
-        assert!(err.contains("--workers"), "{err}");
-        let err = profile(&argv(&[d, d, "--workers", "2", "--transport", "udp"])).unwrap_err();
-        assert!(err.contains("fs|tcp"), "{err}");
-        let err = profile(&argv(&[
-            d,
-            d,
-            "--workers",
-            "2",
-            "--transport",
-            "tcp",
-            "--broker",
-            "/tmp/spool",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--listen"), "{err}");
-        let err = profile(&argv(&[d, d, "--workers", "2", "--listen", "127.0.0.1:0"])).unwrap_err();
-        assert!(err.contains("--transport tcp"), "{err}");
+        // Fleet flags without a distributed run fail with a pointer to
+        // --workers.
+        for flag in ["--listen", "--steal-timeout-secs", "--deadline-secs"] {
+            let err = profile(&argv(&[d, d, flag, "1"])).unwrap_err();
+            assert!(err.contains("add --workers N"), "{flag}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

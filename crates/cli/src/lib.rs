@@ -101,7 +101,11 @@ impl ObsSession {
 /// Dispatch one CLI invocation (everything after the program name).
 pub fn run(args: &[String]) -> Result<(), Failure> {
     let obs = ObsSession::from_args(args)?;
-    let result = dispatch(args);
+    let result = match dispatch(args) {
+        // A reader that stopped reading (`| head`) is not a failure.
+        Err(failure) if failure.message == commands::STDOUT_CLOSED => Ok(()),
+        result => result,
+    };
     obs.finish();
     result
 }
@@ -119,8 +123,9 @@ fn dispatch(args: &[String]) -> Result<(), Failure> {
         "serve" => commands::serve(rest).map_err(Failure::from),
         "client" => commands::client(rest),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
+            use std::io::Write as _;
+            writeln!(std::io::stdout().lock(), "{USAGE}")
+                .map_err(|e| Failure::from(commands::stdout_error(e)))
         }
         other => Err(Failure::from(format!("unknown command {other:?}\n{USAGE}"))),
     }

@@ -124,8 +124,7 @@ impl SnapshotProfile {
     /// snapshots can be compared byte for byte. Search timings are the only
     /// nondeterministic part of a profile; everything else is invariant
     /// under thread count, speculative width, worker count and — for
-    /// distributed runs — the broker transport carrying the jobs
-    /// (spool directory or TCP).
+    /// distributed runs — whether the workers are threads or processes.
     pub fn strip_timing(&mut self) {
         for t in &mut self.tables {
             if let TableOutcome::Explained { millis, .. } = &mut t.outcome {

@@ -1,38 +1,34 @@
-//! `affidavit-worker` — steal and execute jobs from a broker.
+//! `affidavit-worker` — steal and execute jobs from a coordinator.
 //!
 //! ```text
-//! affidavit-worker (--broker DIR | --connect HOST:PORT)
+//! affidavit-worker --connect HOST:PORT
 //!                  [--worker-id NAME] [--poll-ms N] [--reconnect-attempts N]
 //! ```
 //!
-//! The worker loops forever: claim the next pending job (an atomic
-//! rename in the `--broker` spool directory, or one framed TCP exchange
-//! against a `--connect` coordinator), run the search, deliver the
-//! result, repeat. It exits successfully once the broker requests stop
-//! (any still-pending jobs belong to an aborting run or are redundant
-//! duplicates, and are abandoned). Any number of workers — spawned by
-//! `affidavit profile --workers N`, or started by hand against a shared
-//! spool or a coordinator address — can serve one run; the coordinator's
+//! The worker loops forever: claim the next pending job (one framed TCP
+//! exchange against the coordinator's listener), run the search, deliver
+//! the result, repeat. It exits successfully once the coordinator
+//! requests stop (any still-pending jobs belong to an aborting run or are
+//! redundant duplicates, and are abandoned). Any number of workers —
+//! spawned by `affidavit profile --workers N`, or started by hand against
+//! the coordinator's address — can serve one run; the coordinator's
 //! output does not depend on how many there are.
 //!
-//! If the broker disappears mid-run (spool directory removed,
-//! coordinator socket dead), the worker probes for it with exponential
-//! backoff for `--reconnect-attempts` rounds, resuming where it left off
-//! when the broker returns. A broker that stays gone terminates the
-//! worker with **exit code 3** (`1` is reserved for usage and fatal
+//! If the coordinator disappears mid-run, the worker probes for it with
+//! exponential backoff for `--reconnect-attempts` rounds, resuming where
+//! it left off when it returns. A coordinator that stays gone terminates
+//! the worker with **exit code 3** (`1` is reserved for usage and fatal
 //! errors), so a supervisor can distinguish "lost my coordinator" from
 //! "misconfigured".
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use affidavit_dist::{
-    run_worker_with_reconnect, Broker, FsBroker, JobQueue, TcpClient, WorkerExit,
-    BROKER_LOST_EXIT_CODE,
+    run_worker_with_reconnect, Broker, TcpClient, WorkerExit, BROKER_LOST_EXIT_CODE,
 };
 
-const USAGE: &str = "usage: affidavit-worker (--broker DIR | --connect HOST:PORT) \
+const USAGE: &str = "usage: affidavit-worker --connect HOST:PORT \
                      [--worker-id NAME] [--poll-ms N] [--reconnect-attempts N]";
 
 fn main() -> ExitCode {
@@ -46,7 +42,6 @@ fn main() -> ExitCode {
 }
 
 fn run(args: Vec<String>) -> Result<ExitCode, String> {
-    let mut broker_dir: Option<PathBuf> = None;
     let mut connect: Option<String> = None;
     let mut worker_id = format!("pid-{}", std::process::id());
     let mut poll_ms: u64 = 10;
@@ -54,7 +49,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--broker" => broker_dir = Some(PathBuf::from(it.next().ok_or(USAGE)?)),
             "--connect" => connect = Some(it.next().ok_or(USAGE)?),
             "--worker-id" => worker_id = it.next().ok_or(USAGE)?,
             "--poll-ms" => {
@@ -79,34 +73,14 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         }
     }
     let poll = Duration::from_millis(poll_ms.max(1));
-    type LivenessProbe = Box<dyn Fn() -> Result<(), String>>;
-    // One queue + one liveness probe per transport; the steal loop and
-    // the reconnect policy are shared.
-    let (queue, probe): (Box<dyn JobQueue>, LivenessProbe) = match (broker_dir, connect) {
-        (Some(dir), None) => {
-            let queue = FsBroker::open(&dir)?;
-            let probe = move || {
-                if dir.join("jobs").is_dir() {
-                    Ok(())
-                } else {
-                    Err(format!("spool {} is gone", dir.display()))
-                }
-            };
-            (Box::new(queue), Box::new(probe))
-        }
-        (None, Some(addr)) => {
-            let client = TcpClient::new(addr);
-            let probe_client = client.clone();
-            (
-                Box::new(Broker::new(client)),
-                Box::new(move || probe_client.ping()),
-            )
-        }
-        _ => return Err(USAGE.to_owned()),
+    let Some(addr) = connect else {
+        return Err(USAGE.to_owned());
     };
+    let client = TcpClient::new(addr);
+    let queue = Broker::over(client.clone());
     match run_worker_with_reconnect(
-        queue.as_ref(),
-        probe.as_ref(),
+        &queue,
+        &|| client.ping(),
         &worker_id,
         poll,
         reconnect_attempts,

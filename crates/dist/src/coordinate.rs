@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use affidavit_core::profiling::{
@@ -20,36 +21,25 @@ use affidavit_core::profiling::{
 };
 use affidavit_core::{AffidavitConfig, Explanation, ProblemInstance};
 
-use crate::broker::{spawn_workers, worker_binary, FsBroker, WorkerEndpoint, WorkerHandle};
+use crate::fleet::{spawn_workers, worker_binary, WorkerHandle};
 use crate::job::{Job, JobOutcome, JobPayload, JobResult};
 use crate::queue::{InProcessQueue, JobQueue, QueueStats};
-use crate::tcp::TcpBroker;
-use crate::transport::{Broker, Transport};
+use crate::tcp::TcpServer;
+use crate::transport::Transport;
 use crate::wire::WireInstance;
 use crate::worker::run_worker;
 
-/// Where the workers live, and which transport carries the protocol.
+/// Where the workers live. Either way the coordinator keeps the job
+/// state in one [`InProcessQueue`].
 #[derive(Debug, Clone, Default)]
 pub enum DistBackend {
-    /// Worker threads inside this process over an
-    /// [`InProcessQueue`] — tests, doctests, library embedding.
+    /// Worker threads inside this process, calling the queue directly —
+    /// tests, doctests, library embedding.
     #[default]
     InProcess,
-    /// Real `affidavit-worker` child processes over an [`FsBroker`]
-    /// spool directory (requires a filesystem the coordinator and all
-    /// workers share).
-    ChildProcesses {
-        /// Spool directory; `None` = a fresh temp directory, removed on
-        /// completion. Point it at shared storage to let externally
-        /// started workers steal from the same run.
-        broker_dir: Option<PathBuf>,
-        /// Worker executable; `None` = resolve via
-        /// [`worker_binary`].
-        worker_bin: Option<PathBuf>,
-    },
-    /// Real `affidavit-worker` child processes over a
-    /// [`TcpBroker`] — no shared filesystem needed; externally started
-    /// workers dial `affidavit-worker --connect HOST:PORT`.
+    /// Real `affidavit-worker` child processes, served the queue by a
+    /// [`TcpServer`]; externally started workers dial
+    /// `affidavit-worker --connect HOST:PORT` to join the run.
     Tcp {
         /// Coordinator bind address; `None` = `127.0.0.1:0` (loopback,
         /// OS-chosen port). Bind a routable address to accept workers
@@ -67,7 +57,7 @@ pub struct DistOptions {
     /// Worker count (threads or child processes). `0` autosizes to one
     /// per hardware thread ([`std::thread::available_parallelism`]).
     pub workers: usize,
-    /// Transport and worker placement.
+    /// Worker placement.
     pub backend: DistBackend,
     /// How many copies of every job to enqueue (speculative duplicate
     /// dispatch; the extras are stolen by idle workers and their results
@@ -103,7 +93,7 @@ impl Default for DistOptions {
 /// Counters describing one distributed run. The steal-loop counters
 /// (`steals`, `stragglers_requeued`, `duplicates_discarded`,
 /// `conflicts`) come from the queue's [`QueueStats`] and carry the same
-/// meaning on every transport.
+/// meaning for threads and processes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DistStats {
     /// Jobs dispatched (distinct ids).
@@ -171,11 +161,11 @@ pub fn execute_jobs(
         return Ok((BTreeMap::new(), stats));
     }
     let manifest: Vec<u64> = jobs.iter().map(|j| j.id).collect();
-    match &opts.backend {
+    let queue = InProcessQueue::new();
+    let results = match &opts.backend {
         DistBackend::InProcess => {
-            let queue = InProcessQueue::new();
             submit_all(&queue, jobs, opts.redundancy)?;
-            let results = std::thread::scope(|scope| -> Result<_, String> {
+            std::thread::scope(|scope| -> Result<_, String> {
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {
                         let queue = &queue;
@@ -194,90 +184,40 @@ pub fn execute_jobs(
                         .map_err(|_| "worker thread panicked".to_owned())??;
                 }
                 results
-            })?;
-            // Late duplicates (redundancy stragglers completing during
-            // shutdown) have all been compared once the threads joined.
-            queue.check_health()?;
-            stats.absorb_queue(queue.stats()?);
-            stats.publish();
-            Ok((results, stats))
-        }
-        DistBackend::ChildProcesses {
-            broker_dir,
-            worker_bin,
-        } => {
-            // A unique spool per run; an explicit --broker directory must
-            // be fresh (job ids restart at 0 every run, so stale results
-            // would be absorbed as this run's). On failure the spool is
-            // left behind for post-mortem.
-            static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            let (root, owned) = match broker_dir {
-                Some(dir) => (dir.clone(), false),
-                None => {
-                    // pid + counter alone can collide with a failed
-                    // run's leftover spool after PID recycling; the
-                    // nanosecond stamp makes the path unique.
-                    let nanos = std::time::SystemTime::now()
-                        .duration_since(std::time::UNIX_EPOCH)
-                        .map(|d| d.as_nanos())
-                        .unwrap_or(0);
-                    let dir = std::env::temp_dir().join(format!(
-                        "affidavit-dist-{}-{}-{nanos}",
-                        std::process::id(),
-                        RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                    ));
-                    (dir, true)
-                }
-            };
-            let bin = resolve_worker_bin(worker_bin)?;
-            let broker = FsBroker::open(&root)?;
-            // Even an owned temp spool is checked: job ids restart at 0
-            // every run, so absorbing any leftover would silently
-            // corrupt this run's profile — better to refuse loudly.
-            broker.ensure_fresh()?;
-            let endpoint = WorkerEndpoint::Spool(root.clone());
-            let results = run_fleet(&broker, &bin, &endpoint, workers, jobs, &manifest, opts)?;
-            stats.absorb_queue(broker.stats()?);
-            stats.publish();
-            if owned {
-                std::fs::remove_dir_all(&root).ok();
-            }
-            Ok((results, stats))
+            })?
         }
         DistBackend::Tcp { listen, worker_bin } => {
-            let bin = resolve_worker_bin(worker_bin)?;
-            let broker = Broker::new(TcpBroker::bind(listen.as_deref().unwrap_or("127.0.0.1:0"))?);
-            let endpoint = WorkerEndpoint::Tcp(broker.transport().local_addr().to_string());
-            let results = run_fleet(&broker, &bin, &endpoint, workers, jobs, &manifest, opts)?;
-            stats.absorb_queue(broker.stats()?);
-            stats.publish();
-            Ok((results, stats))
+            let bin = match worker_bin {
+                Some(path) => path.clone(),
+                None => worker_binary()?,
+            };
+            let listen = listen.as_deref().unwrap_or("127.0.0.1:0");
+            let server = TcpServer::bind(listen, Arc::clone(queue.transport()))?;
+            let addr = server.local_addr().to_string();
+            run_fleet(&queue, &bin, &addr, workers, jobs, &manifest, opts)?
         }
-    }
+    };
+    // Late duplicates (redundancy stragglers completing during shutdown)
+    // have all been compared once the workers are gone.
+    queue.check_health()?;
+    stats.absorb_queue(queue.stats()?);
+    stats.publish();
+    Ok((results, stats))
 }
 
-fn resolve_worker_bin(worker_bin: &Option<PathBuf>) -> Result<PathBuf, String> {
-    match worker_bin {
-        Some(path) => Ok(path.clone()),
-        None => worker_binary(),
-    }
-}
-
-/// Drive a fleet of real `affidavit-worker` child processes over any
-/// transport: spawn, submit, wait with straggler recovery and liveness
-/// checks, wind down. The transport seam keeps this — the whole
-/// coordinator side of the protocol — identical for the spool directory
-/// and the TCP listener.
-fn run_fleet<T: Transport>(
-    queue: &crate::transport::Broker<T>,
+/// Drive a fleet of real `affidavit-worker` child processes dialing
+/// `addr`: spawn, submit, wait with straggler recovery and liveness
+/// checks, wind down.
+fn run_fleet(
+    queue: &InProcessQueue,
     worker_bin: &Path,
-    endpoint: &WorkerEndpoint,
+    addr: &str,
     workers: usize,
     jobs: Vec<Job>,
     manifest: &[u64],
     opts: &DistOptions,
 ) -> Result<BTreeMap<u64, JobResult>, String> {
-    let mut children = spawn_workers(worker_bin, endpoint, workers, opts.poll)?;
+    let mut children = spawn_workers(worker_bin, addr, workers, opts.poll)?;
     let run = |children: &mut Vec<WorkerHandle>| -> Result<BTreeMap<u64, JobResult>, String> {
         submit_all(queue, jobs, opts.redundancy)?;
         let mut last_recovery = Instant::now();
@@ -298,8 +238,7 @@ fn run_fleet<T: Transport>(
     let results = run(&mut children);
     // Wind down the fleet whether the run succeeded or not; the
     // WorkerHandle drop kills anything that ignores the request. The
-    // run's own error stays the headline — a shutdown that fails
-    // because the transport is already gone must not mask it.
+    // run's own error stays the headline.
     let shutdown = queue.request_shutdown();
     let results = results?;
     shutdown?;
@@ -308,10 +247,6 @@ fn run_fleet<T: Transport>(
             return Err(format!("worker {} exited with failure", child.worker_id));
         }
     }
-    // The fleet has drained: any straggler duplicate that completed
-    // after the last fresh result has been compared by now — surface a
-    // late-recorded divergence instead of absorbing quietly.
-    queue.check_health()?;
     Ok(results)
 }
 
@@ -345,9 +280,8 @@ fn wait_for_results<Q: JobQueue>(
             }
         }
         // Conflicts appear only around (duplicate) deliveries, so the
-        // health scan — a full results-directory listing on the fs
-        // transport — runs on result arrival, not on every poll nap;
-        // the fleet teardown does one final check for late duplicates.
+        // health check runs on result arrival, not on every poll nap;
+        // the teardown does one final check for late duplicates.
         if fetched_new {
             queue.check_health()?;
         }

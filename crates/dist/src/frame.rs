@@ -20,9 +20,22 @@
 //! `read_frame` additionally distinguishes a peer that stalls *between*
 //! frames ([`FrameRead::Idle`] — a parked keep-alive connection, not an
 //! error) from one that stalls *inside* a frame (an error).
+//!
+//! # Listeners
+//!
+//! Both listeners built on the codec — the job store's
+//! [`TcpServer`](crate::tcp::TcpServer) and the serve daemon — accept
+//! with [`spawn_accept_loop`]: one thread per keep-alive connection,
+//! tracked in a [`ConnRegistry`] so that shutting the listener down
+//! severs parked peers instead of leaving their threads answering for a
+//! listener that no longer exists.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Upper bound on a single frame. Job envelopes carry whole serialized
@@ -185,6 +198,110 @@ fn read_progress(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), ReadEnd> 
     Ok(())
 }
 
+/// The live connections of one listener, plus its closing flag. A
+/// connection occupies a slot from accept until its serving thread ends
+/// (the [`ConnSlot`] guard frees it, on a panic too), so the registry
+/// holds only live peers however many clients a long-lived listener has
+/// served.
+#[derive(Debug, Default)]
+pub struct ConnRegistry {
+    live: Mutex<BTreeMap<u64, TcpStream>>,
+    accepted: AtomicU64,
+    closed: AtomicBool,
+}
+
+/// A registered connection's slot; dropping it frees the slot.
+#[derive(Debug)]
+pub struct ConnSlot {
+    registry: Arc<ConnRegistry>,
+    id: u64,
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.registry.lock().remove(&self.id);
+    }
+}
+
+impl ConnRegistry {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, TcpStream>> {
+        // The map holds plain socket handles: a panicking holder cannot
+        // leave it half-updated, so a poisoned lock is still usable.
+        self.live.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Track `stream` until the returned slot is dropped. A connection
+    /// accepted after [`ConnRegistry::close`] is severed at once.
+    pub fn register(self: &Arc<Self>, stream: &TcpStream) -> ConnSlot {
+        let id = self.accepted.fetch_add(1, Ordering::Relaxed);
+        if let Ok(handle) = stream.try_clone() {
+            self.lock().insert(id, handle);
+        }
+        if self.is_closed() {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+        ConnSlot {
+            registry: Arc::clone(self),
+            id,
+        }
+    }
+
+    /// Stop the accept loop and sever every live connection.
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::Relaxed);
+        for stream in self.lock().values() {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+    }
+
+    /// Whether [`ConnRegistry::close`] has been called. Serving threads
+    /// check it when their peer idles, as a backstop for a connection
+    /// whose handle could not be registered.
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Relaxed)
+    }
+
+    /// Connections currently registered.
+    pub fn live(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Connections accepted over the registry's lifetime.
+    pub fn accepted(&self) -> u64 {
+        self.accepted.load(Ordering::Relaxed)
+    }
+}
+
+/// Accept connections on `listener` until `conns` is closed, running
+/// `serve` for each on its own thread with the connection registered for
+/// the thread's lifetime.
+pub fn spawn_accept_loop(
+    listener: TcpListener,
+    conns: Arc<ConnRegistry>,
+    serve: impl Fn(TcpStream) + Send + Sync + 'static,
+) -> Result<JoinHandle<()>, String> {
+    // Nonblocking so the loop notices `close` without a final dial.
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| format!("nonblocking listener: {e}"))?;
+    let serve = Arc::new(serve);
+    Ok(std::thread::spawn(move || {
+        while !conns.is_closed() {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    let slot = conns.register(&stream);
+                    let serve = Arc::clone(&serve);
+                    std::thread::spawn(move || {
+                        let _slot = slot;
+                        serve(stream);
+                    });
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,5 +399,61 @@ mod tests {
         tx.write_all(&[0, 0]).unwrap();
         tx.flush().unwrap();
         assert!(read_frame(&mut rx, &cfg).unwrap_err().contains("stalled"));
+    }
+
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn the_registry_frees_closed_connections_and_close_severs_live_ones() {
+        let cfg = FrameConfig::default();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let conns = Arc::new(ConnRegistry::default());
+        // An echo server that parks between frames like the real ones.
+        let accept = spawn_accept_loop(listener, Arc::clone(&conns), move |mut stream| {
+            if configure_stream(&stream, &cfg).is_err() {
+                return;
+            }
+            loop {
+                match read_frame(&mut stream, &cfg) {
+                    Ok(FrameRead::Frame(text)) => {
+                        if write_frame(&mut stream, &text, &cfg).is_err() {
+                            return;
+                        }
+                    }
+                    Ok(FrameRead::Idle) => {}
+                    Ok(FrameRead::Closed) | Err(_) => return,
+                }
+            }
+        })
+        .unwrap();
+        // Many short-lived clients leave nothing behind.
+        for i in 0..40 {
+            let mut peer = TcpStream::connect(addr).unwrap();
+            configure_stream(&peer, &cfg).unwrap();
+            write_frame(&mut peer, &format!("hello {i}"), &cfg).unwrap();
+            assert!(matches!(
+                read_frame(&mut peer, &cfg).unwrap(),
+                FrameRead::Frame(_)
+            ));
+        }
+        wait_until("closed connections are freed", || conns.live() == 0);
+        assert_eq!(conns.accepted(), 40);
+        // Live peers are severed by close, and the accept loop ends.
+        let mut peers: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        wait_until("live peers are registered", || conns.live() == 2);
+        conns.close();
+        accept.join().unwrap();
+        for peer in &mut peers {
+            configure_stream(peer, &cfg).unwrap();
+            assert!(!matches!(read_frame(peer, &cfg), Ok(FrameRead::Frame(_))));
+        }
+        wait_until("severed connections are freed", || conns.live() == 0);
     }
 }

@@ -11,27 +11,29 @@
 //!   results), covered by round-trip and golden-bytes tests. The one job
 //!   task is a whole-pair `explain`; a job naming any other task fails
 //!   to decode.
-//! * [`queue`] — the [`JobQueue`] abstraction and the in-process backend.
-//! * [`transport`] — the transport seam: the work-stealing protocol
-//!   (publish → exclusive claim/lease → deliver → straggler
-//!   re-publication with backoff → duplicate compare-and-discard → stop)
-//!   expressed **once**, in [`Broker`], against the [`Transport`] trait's
-//!   operations on opaque wire envelopes.
-//! * [`broker`] — transport #1, the spool directory: real
-//!   `affidavit-worker` child processes claim pending job files by atomic
-//!   rename (exactly one winner — that *is* the work-stealing).
+//! * [`queue`] — the [`JobQueue`] abstraction and [`InProcessQueue`].
+//! * [`transport`] — the work-stealing protocol (publish → exclusive
+//!   claim/lease → deliver → straggler re-publication with backoff →
+//!   duplicate compare-and-discard → stop), written **once**: job state
+//!   lives in one [`MemTransport`], and [`Broker`] layers the protocol
+//!   over the [`Transport`] trait's operations on opaque wire envelopes.
+//!   [`InProcessQueue`] is `Broker<MemTransport>`.
 //! * [`frame`] — the length-prefixed frame codec under every socket
 //!   protocol (this crate's steal loop and the `affidavit-serve` client
-//!   API), with progress-based stall timeouts.
-//! * [`tcp`] — transport #2, sockets: the coordinator binds a listener
-//!   and tracks leases in memory; workers dial `--connect HOST:PORT` and
-//!   multiplex framed request/response exchanges over one keep-alive
-//!   connection, so no shared filesystem is needed and a dropped
-//!   connection mid-job is just a straggler.
+//!   API), with progress-based stall timeouts, plus the connection
+//!   registry and accept loop both listeners share.
+//! * [`tcp`] — the one transport between processes: the coordinator's
+//!   [`TcpServer`] serves its [`MemTransport`] over frames; workers dial
+//!   `--connect HOST:PORT` and multiplex framed request/response
+//!   exchanges over one keep-alive [`TcpClient`] connection, so no
+//!   shared filesystem is needed and a dropped connection mid-job is
+//!   just a straggler.
+//! * [`fleet`] — locating, spawning and reaping `affidavit-worker` child
+//!   processes.
 //! * [`coordinate`] — the coordinator: results are absorbed **in job-id
 //!   order** with [`SymRemap`](affidavit_table::SymRemap) pool merging,
 //!   so the rendered profile is byte-identical to the single-process run
-//!   at every worker count and on every transport
+//!   at every worker count, for threads and processes alike
 //!   (`tests/properties_dist.rs`, `tests/properties_transport.rs`).
 //!
 //! Determinism does not depend on the queue: every job result is a pure
@@ -81,8 +83,8 @@
 
 #![warn(missing_docs)]
 
-pub mod broker;
 pub mod coordinate;
+pub mod fleet;
 pub mod frame;
 pub mod job;
 pub mod queue;
@@ -91,22 +93,21 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use broker::{
-    spawn_workers, worker_binary, FsBroker, FsTransport, WorkerEndpoint, WorkerHandle,
-};
 pub use coordinate::{
     absorb_result, execute_jobs, explain_via, profile_dirs_distributed, DistBackend, DistOptions,
     DistStats, RemoteExplanation,
 };
+pub use fleet::{spawn_workers, worker_binary, WorkerHandle};
 pub use frame::{
-    configure_stream, read_frame, write_frame, FrameConfig, FrameRead, MAX_FRAME_BYTES,
+    configure_stream, read_frame, spawn_accept_loop, write_frame, ConnRegistry, FrameConfig,
+    FrameRead, MAX_FRAME_BYTES,
 };
 pub use job::{
     decode_job, decode_result, encode_job, encode_result, Job, JobOutcome, JobPayload, JobResult,
 };
 pub use queue::{InProcessQueue, JobQueue, QueueStats};
-pub use tcp::{TcpBroker, TcpClient};
-pub use transport::{requeue_backoff, Broker, Claimed, Delivered, Transport};
+pub use tcp::{TcpClient, TcpServer};
+pub use transport::{requeue_backoff, Broker, Claimed, Delivered, MemTransport, Transport};
 pub use wire::{WireFunction, WireInstance, WIRE_FORMAT, WIRE_VERSION};
 pub use worker::{
     run_worker, run_worker_with_reconnect, WorkerExit, WorkerStats, BROKER_LOST_EXIT_CODE,

@@ -1,30 +1,31 @@
-//! The TCP transport: a coordinator-side listener, no shared filesystem.
+//! The TCP transport: a coordinator's job store, served over sockets.
 //!
-//! [`TcpBroker`] is the coordinator half: it binds a
-//! [`std::net::TcpListener`], keeps the published queue, the delivered
-//! results and — crucially — the **leases** in coordinator memory, and
-//! serves framed request/response exchanges from any number of workers.
-//! [`TcpClient`] is the worker half: it holds **one persistent framed
-//! connection** to the coordinator and multiplexes every protocol
-//! operation (claim, deliver, heartbeat, …) over it as one
-//! request/response exchange. A failure on the kept-alive connection —
+//! [`TcpServer`] is the coordinator half: it binds a
+//! [`std::net::TcpListener`] and serves framed request/response exchanges
+//! from any number of workers against an [`Arc<MemTransport>`] — the same
+//! job store the coordinator drives directly, so pending jobs, leases and
+//! results exist once, in coordinator memory. [`TcpClient`] is the worker
+//! half: it holds **one persistent framed connection** to the coordinator
+//! and multiplexes every [`Transport`] operation (claim, deliver,
+//! heartbeat, …) over it as one request/response exchange, each answered
+//! by one [`MemTransport`] call. A failure on the kept-alive connection —
 //! coordinator restart, an idle-killing middlebox — drops it and retries
 //! the operation once on a fresh dial; a failure on the *fresh* dial
 //! propagates, which is the broker-lost signal the worker's reconnect
-//! loop and exit code 3 are built on. A worker that dies mid-job still
-//! takes nothing down with it: its lease simply expires on the
-//! coordinator and the job is re-published, exactly the straggler path
-//! of the filesystem transport. The job/result payloads inside the
-//! exchanges are the unchanged `wire.rs` v1 envelopes, opaque to this
-//! module.
+//! loop and exit code 3 are built on. A worker that dies mid-job takes
+//! nothing down with it: its lease expires in the store and the job is
+//! re-published. The job/result payloads inside the exchanges are the
+//! unchanged `wire.rs` envelopes, opaque to this module.
 //!
 //! Framing lives in [`crate::frame`] — a 4-byte big-endian length plus
 //! JSON, with **progress-based** stall timeouts so a slow-but-advancing
 //! peer mid-frame is never misread as dead. The JSON here is a small
 //! tagged request/response vocabulary (this module's private
 //! `Request`/`Response` enums); the `affidavit-serve` crate layers its
-//! client-API vocabulary over the same codec. Oversized or malformed
-//! frames fail the exchange, never the broker.
+//! client-API vocabulary over the same codec. A malformed request is
+//! answered with an error and changes nothing; a frame that is not even
+//! a frame (oversized, not UTF-8, stalled mid-way) closes the connection.
+//! Neither takes the listener down.
 //!
 //! Retrying an operation after a failure on the cached connection can
 //! execute it twice on the coordinator (the first attempt may have been
@@ -33,24 +34,19 @@
 //! duplicate result is compared-and-discarded, an abandoned extra claim
 //! expires into a requeue, a repeated delivery takes the duplicate path,
 //! and the rest are idempotent reads or sticky flags.
-//!
-//! Both halves implement [`Transport`], so the work-stealing protocol in
-//! [`Broker`](crate::transport::Broker) — encoding, duplicate
-//! compare-and-discard, conflict recording — runs unchanged over
-//! sockets: `Broker<TcpBroker>` on the coordinator, `Broker<TcpClient>`
-//! inside `affidavit-worker --connect`.
 
-use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::frame::{configure_stream, read_frame, write_frame, FrameConfig, FrameRead};
+use crate::frame::{
+    configure_stream, read_frame, spawn_accept_loop, write_frame, ConnRegistry, FrameConfig,
+    FrameRead,
+};
 use crate::queue::QueueStats;
-use crate::transport::{requeue_backoff, Claimed, Delivered, Transport};
+use crate::transport::{Claimed, Delivered, MemTransport, Transport};
 
 // ---- the request/response vocabulary -------------------------------------
 
@@ -133,119 +129,35 @@ enum Response {
 
 // ---- coordinator side ----------------------------------------------------
 
-/// One outstanding claim, tracked in coordinator memory. A worker that
-/// vanishes (crash, killed process, dropped connection) simply stops
-/// renewing its side of the story; the lease ages out and the envelope
-/// is re-published.
+/// The coordinator half of the TCP transport: a listener serving a job
+/// store to remote workers. Dropping it stops accepting and severs every
+/// connected worker (whose next exchange then fails, and whose redial
+/// finds no listener — the broker-lost path).
 #[derive(Debug)]
-struct Lease {
-    id: u64,
-    envelope: String,
-    claimed_at: Instant,
-    requeued: bool,
-}
-
-#[derive(Debug, Default)]
-struct TcpState {
-    /// Published envelopes, claimable lowest job id first (matching the
-    /// filesystem transport's sorted-file-name order); the second key
-    /// component separates re-publications of the same id.
-    pending: BTreeMap<(u64, u64), String>,
-    next_submission: u64,
-    leases: Vec<Lease>,
-    results: BTreeMap<u64, String>,
-    conflicts: Vec<String>,
-    stats: QueueStats,
-    stop: bool,
-}
-
-#[derive(Debug, Default)]
-struct TcpShared {
-    state: Mutex<TcpState>,
-    accept_shutdown: AtomicBool,
-    /// Accepted connections over the broker's lifetime — with keep-alive
-    /// clients this stays at one per worker process, however many
-    /// operations each performs.
-    connections_served: AtomicUsize,
-    /// Handles to the live keep-alive sockets, so dropping the broker
-    /// can sever parked peers instead of leaving their serve threads
-    /// answering a coordinator that no longer exists.
-    conns: Mutex<Vec<Option<TcpStream>>>,
-}
-
-impl TcpShared {
-    fn lock(&self) -> Result<MutexGuard<'_, TcpState>, String> {
-        self.state
-            .lock()
-            .map_err(|_| "tcp broker state poisoned".to_owned())
-    }
-
-    /// Track a connection for shutdown-on-drop; returns its slot.
-    fn register(&self, stream: Option<TcpStream>) -> usize {
-        let mut conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-        conns.push(stream);
-        conns.len() - 1
-    }
-
-    fn deregister(&self, slot: usize) {
-        let mut conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-        conns[slot] = None;
-    }
-
-    fn sever_all(&self) {
-        let conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-        for stream in conns.iter().flatten() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
-}
-
-/// The coordinator half of the TCP transport: listener, queue, results
-/// and leases. Implements [`Transport`] directly against its own state —
-/// the coordinator never talks to itself over a socket.
-#[derive(Debug)]
-pub struct TcpBroker {
-    shared: Arc<TcpShared>,
+pub struct TcpServer {
     addr: SocketAddr,
+    conns: Arc<ConnRegistry>,
     accept: Option<std::thread::JoinHandle<()>>,
 }
 
-impl TcpBroker {
+impl TcpServer {
     /// Bind a listener (e.g. `"127.0.0.1:0"` for an OS-chosen loopback
     /// port, `"0.0.0.0:9999"` to accept workers from other machines —
     /// trusted networks only, the protocol carries no authentication
-    /// yet) and start serving requests in a background thread.
-    pub fn bind(addr: &str) -> Result<TcpBroker, String> {
+    /// yet) and serve `store` in background threads.
+    pub fn bind(addr: &str, store: Arc<MemTransport>) -> Result<TcpServer, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
         let local = listener
             .local_addr()
             .map_err(|e| format!("local address of {addr}: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("nonblocking listener: {e}"))?;
-        let shared = Arc::new(TcpShared::default());
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::spawn(move || {
-            while !accept_shared.accept_shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let shared = Arc::clone(&accept_shared);
-                        let slot = shared.register(stream.try_clone().ok());
-                        std::thread::spawn(move || {
-                            serve_connection(stream, &shared);
-                            shared.deregister(slot);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-        });
-        Ok(TcpBroker {
-            shared,
+        let conns = Arc::new(ConnRegistry::default());
+        let serving = Arc::clone(&conns);
+        let accept = spawn_accept_loop(listener, Arc::clone(&conns), move |stream| {
+            serve_connection(stream, &store, &serving)
+        })?;
+        Ok(TcpServer {
             addr: local,
+            conns,
             accept: Some(accept),
         })
     }
@@ -256,30 +168,17 @@ impl TcpBroker {
         self.addr
     }
 
-    /// Leases currently outstanding (claimed, no delivery yet).
-    pub fn active_leases(&self) -> usize {
-        self.shared
-            .lock()
-            .map(|state| state.leases.iter().filter(|l| !l.requeued).count())
-            .unwrap_or(0)
-    }
-
-    /// Connections the accept loop has served so far. Keep-alive clients
-    /// hold one connection across all their operations, so this counts
-    /// peers (plus reconnects), not requests.
+    /// Connections accepted so far. Keep-alive clients hold one
+    /// connection across all their operations, so this counts peers
+    /// (plus reconnects), not requests.
     pub fn connections_served(&self) -> usize {
-        self.shared.connections_served.load(Ordering::Relaxed)
+        self.conns.accepted() as usize
     }
 }
 
-impl Drop for TcpBroker {
+impl Drop for TcpServer {
     fn drop(&mut self) {
-        self.shared.accept_shutdown.store(true, Ordering::Relaxed);
-        // Sever parked keep-alive peers: their serve threads must not
-        // keep answering for a coordinator that no longer exists (a
-        // worker's next exchange fails, it probes, and the probe's fresh
-        // dial finds the listener gone — the broker-lost path).
-        self.shared.sever_all();
+        self.conns.close();
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -290,270 +189,79 @@ impl Drop for TcpBroker {
 /// closes it. Keep-alive clients park between operations; an idle stall
 /// window ([`FrameRead::Idle`]) is normal on such a connection, not a
 /// reason to hang up.
-fn serve_connection(mut stream: TcpStream, shared: &TcpShared) {
-    let cfg = FrameConfig::default();
-    if configure_stream(&stream, &cfg).is_err() {
+fn serve_connection(mut stream: TcpStream, store: &MemTransport, conns: &ConnRegistry) {
+    let cfg = &FrameConfig::default();
+    if configure_stream(&stream, cfg).is_err() {
         return;
     }
-    shared.connections_served.fetch_add(1, Ordering::Relaxed);
     loop {
-        let text = match read_frame(&mut stream, &cfg) {
+        let text = match read_frame(&mut stream, cfg) {
             Ok(FrameRead::Frame(text)) => text,
-            // A parked keep-alive peer — unless the broker is shutting
-            // down, in which case the thread must wind down too (the
-            // socket is normally severed by `Drop`, this is the backstop
-            // for a connection whose handle could not be cloned).
-            Ok(FrameRead::Idle) => {
-                if shared.accept_shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Ok(FrameRead::Closed) | Err(_) => return,
+            Ok(FrameRead::Idle) if !conns.is_closed() => continue,
+            Ok(FrameRead::Idle | FrameRead::Closed) | Err(_) => return,
         };
         let response = match serde_json::from_str::<Request>(&text) {
-            Ok(request) => answer(&request, shared),
+            Ok(request) => answer(&request, store),
             Err(e) => Response::Error {
                 message: format!("malformed request: {e}"),
             },
         };
         let encoded = serde_json::to_string(&response).expect("responses are serializable");
-        if write_frame(&mut stream, &encoded, &cfg).is_err() {
+        if write_frame(&mut stream, &encoded, cfg).is_err() {
             return;
         }
     }
 }
 
-/// Execute one request against the coordinator state.
-fn answer(request: &Request, shared: &TcpShared) -> Response {
-    let fail = |message: String| Response::Error { message };
-    let mut state = match shared.lock() {
-        Ok(state) => state,
-        Err(e) => return fail(e),
-    };
-    match request {
-        Request::Ping => Response::Ok,
-        Request::Publish { id, envelope } => {
-            let sub = state.next_submission;
-            state.next_submission += 1;
-            state.pending.insert((*id, sub), envelope.clone());
-            Response::Ok
-        }
-        Request::Claim { worker: _worker } => {
-            if state.stop {
-                return Response::Empty;
-            }
-            match state.pending.pop_first() {
-                None => Response::Empty,
-                Some(((id, _sub), envelope)) => {
-                    state.leases.push(Lease {
-                        id,
-                        envelope: envelope.clone(),
-                        claimed_at: Instant::now(),
-                        requeued: false,
-                    });
-                    state.stats.steals += 1;
-                    Response::Job { id, envelope }
-                }
-            }
-        }
-        Request::Heartbeat {
-            worker: _worker,
-            id,
-        } => {
-            // Restart the lease clock for every live lease on the id. A
-            // heartbeat for an already-requeued or delivered job finds
-            // nothing to renew — that is fine, the worker's eventual
-            // duplicate delivery is compared-and-discarded as usual.
-            let now = Instant::now();
-            for lease in state
-                .leases
-                .iter_mut()
-                .filter(|l| !l.requeued && l.id == *id)
-            {
-                lease.claimed_at = now;
-            }
-            Response::Ok
-        }
+/// Execute one request: exactly one [`MemTransport`] call.
+fn answer(request: &Request, store: &MemTransport) -> Response {
+    let unit = |done: Result<(), String>| done.map(|()| Response::Ok);
+    let response = match request {
+        Request::Ping => Ok(Response::Ok),
+        Request::Publish { id, envelope } => unit(store.publish(*id, envelope)),
+        Request::Claim { worker } => store.claim(worker).map(|claimed| match claimed {
+            Some(Claimed { id, envelope }) => Response::Job { id, envelope },
+            None => Response::Empty,
+        }),
+        Request::Heartbeat { worker, id } => unit(store.heartbeat(worker, *id)),
         Request::Deliver {
-            worker: _worker,
+            worker,
             id,
             envelope,
-        } => {
-            if let Some(existing) = state.results.get(id) {
-                return Response::Duplicate {
-                    existing: existing.clone(),
-                };
-            }
-            state.results.insert(*id, envelope.clone());
-            // The delivery ends every lease on this id — including a
-            // re-published straggler's, whose eventual duplicate will be
-            // compared and discarded.
-            state.leases.retain(|lease| lease.id != *id);
-            Response::Accepted
-        }
-        Request::DiscardDuplicate { .. } => {
-            state.stats.duplicates_discarded += 1;
-            Response::Ok
-        }
+        } => store
+            .deliver(worker, *id, envelope)
+            .map(|delivered| match delivered {
+                Delivered::Accepted => Response::Accepted,
+                Delivered::Duplicate { existing } => Response::Duplicate { existing },
+            }),
+        Request::DiscardDuplicate { worker, id } => unit(store.discard_duplicate(worker, *id)),
         Request::RecordConflict {
             worker,
             id,
-            envelope: _envelope,
-        } => {
-            state.conflicts.push(format!(
-                "job {id}: worker {worker:?} delivered bytes diverging from the stored result"
-            ));
-            state.stats.conflicts += 1;
-            Response::Ok
-        }
-        Request::Fetch { id } => match state.results.get(id) {
-            Some(envelope) => Response::Found {
-                envelope: envelope.clone(),
-            },
+            envelope,
+        } => unit(store.record_conflict(worker, *id, envelope)),
+        Request::Fetch { id } => store.fetch(*id).map(|found| match found {
+            Some(envelope) => Response::Found { envelope },
             None => Response::NotFound,
-        },
-        Request::Requeue { base_timeout_ms } => {
-            let count = requeue_pass(&mut state, Duration::from_millis(*base_timeout_ms));
-            Response::Requeued {
+        }),
+        Request::Requeue { base_timeout_ms } => store
+            .requeue_expired(Duration::from_millis(*base_timeout_ms))
+            .map(|count| Response::Requeued {
                 count: count as u64,
-            }
-        }
-        Request::Stop => {
-            state.stop = true;
-            Response::Ok
-        }
-        Request::Stopped => Response::Flag { value: state.stop },
-        Request::Conflicts => Response::ConflictList {
-            items: state.conflicts.clone(),
-        },
-        Request::Counters => Response::CounterValues {
-            steals: state.stats.steals as u64,
-            requeues: state.stats.requeues as u64,
-            duplicates_discarded: state.stats.duplicates_discarded as u64,
-            conflicts: state.stats.conflicts as u64,
-        },
-    }
-}
-
-/// Re-publish expired leases; shared by the direct ([`TcpBroker`]) and
-/// remote ([`TcpClient`]) paths.
-fn requeue_pass(state: &mut TcpState, base_timeout: Duration) -> usize {
-    let now = Instant::now();
-    let mut prior: HashMap<u64, u32> = HashMap::new();
-    for lease in &state.leases {
-        if lease.requeued {
-            *prior.entry(lease.id).or_default() += 1;
-        }
-    }
-    let mut republish: Vec<(u64, String)> = Vec::new();
-    for lease in &mut state.leases {
-        if lease.requeued || state.results.contains_key(&lease.id) {
-            continue;
-        }
-        let required = requeue_backoff(base_timeout, prior.get(&lease.id).copied().unwrap_or(0));
-        if now.duration_since(lease.claimed_at) < required {
-            continue;
-        }
-        lease.requeued = true;
-        republish.push((lease.id, lease.envelope.clone()));
-    }
-    let count = republish.len();
-    for (id, envelope) in republish {
-        let sub = state.next_submission;
-        state.next_submission += 1;
-        state.pending.insert((id, sub), envelope);
-    }
-    state.stats.requeues += count;
-    count
-}
-
-/// Interpret an [`answer`]/[`TcpClient::call`] response as the
-/// [`Transport`] return values — the one decoding table shared by the
-/// coordinator's in-memory dispatch and the worker's socket exchange, so
-/// the two halves cannot drift.
-mod decode {
-    use super::*;
-
-    pub fn unit(response: Response, op: &str) -> Result<(), String> {
-        match response {
-            Response::Ok => Ok(()),
-            other => Err(format!("unexpected {op} response {other:?}")),
-        }
-    }
-
-    pub fn claim(response: Response) -> Result<Option<Claimed>, String> {
-        match response {
-            Response::Job { id, envelope } => Ok(Some(Claimed { id, envelope })),
-            Response::Empty => Ok(None),
-            other => Err(format!("unexpected claim response {other:?}")),
-        }
-    }
-
-    pub fn deliver(response: Response) -> Result<Delivered, String> {
-        match response {
-            Response::Accepted => Ok(Delivered::Accepted),
-            Response::Duplicate { existing } => Ok(Delivered::Duplicate { existing }),
-            other => Err(format!("unexpected deliver response {other:?}")),
-        }
-    }
-
-    pub fn fetch(response: Response) -> Result<Option<String>, String> {
-        match response {
-            Response::Found { envelope } => Ok(Some(envelope)),
-            Response::NotFound => Ok(None),
-            other => Err(format!("unexpected fetch response {other:?}")),
-        }
-    }
-
-    pub fn requeued(response: Response) -> Result<usize, String> {
-        match response {
-            Response::Requeued { count } => Ok(count as usize),
-            other => Err(format!("unexpected requeue response {other:?}")),
-        }
-    }
-
-    pub fn flag(response: Response) -> Result<bool, String> {
-        match response {
-            Response::Flag { value } => Ok(value),
-            other => Err(format!("unexpected stopped response {other:?}")),
-        }
-    }
-
-    pub fn conflicts(response: Response) -> Result<Vec<String>, String> {
-        match response {
-            Response::ConflictList { items } => Ok(items),
-            other => Err(format!("unexpected conflicts response {other:?}")),
-        }
-    }
-
-    pub fn counters(response: Response) -> Result<QueueStats, String> {
-        match response {
-            Response::CounterValues {
-                steals,
-                requeues,
-                duplicates_discarded,
-                conflicts,
-            } => Ok(QueueStats {
-                steals: steals as usize,
-                requeues: requeues as usize,
-                duplicates_discarded: duplicates_discarded as usize,
-                conflicts: conflicts as usize,
             }),
-            other => Err(format!("unexpected counters response {other:?}")),
-        }
-    }
-}
-
-impl TcpBroker {
-    /// Dispatch a request against the local state, surfacing
-    /// [`Response::Error`] as `Err` like a remote exchange would.
-    fn local(&self, request: &Request) -> Result<Response, String> {
-        match answer(request, &self.shared) {
-            Response::Error { message } => Err(message),
-            response => Ok(response),
-        }
-    }
+        Request::Stop => unit(store.stop()),
+        Request::Stopped => store.stopped().map(|value| Response::Flag { value }),
+        Request::Conflicts => store
+            .conflicts()
+            .map(|items| Response::ConflictList { items }),
+        Request::Counters => store.counters().map(|c| Response::CounterValues {
+            steals: c.steals as u64,
+            requeues: c.requeues as u64,
+            duplicates_discarded: c.duplicates_discarded as u64,
+            conflicts: c.conflicts as u64,
+        }),
+    };
+    response.unwrap_or_else(|message| Response::Error { message })
 }
 
 // ---- worker side ---------------------------------------------------------
@@ -590,10 +298,7 @@ impl TcpClient {
 
     /// One round trip: is the coordinator reachable and answering?
     pub fn ping(&self) -> Result<(), String> {
-        match self.call(&Request::Ping)? {
-            Response::Ok => Ok(()),
-            other => Err(format!("unexpected ping response {other:?}")),
-        }
+        self.call_unit(&Request::Ping, "ping")
     }
 
     /// One exchange over the persistent connection. A failure on the
@@ -648,105 +353,125 @@ fn exchange(stream: &mut TcpStream, encoded: &str, cfg: &FrameConfig) -> Result<
     }
 }
 
-/// The [`Transport`] methods expressed once over a request dispatcher —
-/// `TcpBroker::local` (coordinator, in-memory) and `TcpClient::call`
-/// (worker, over the socket) get the exact same request construction
-/// and response decoding, so the two halves cannot drift.
-macro_rules! transport_via_requests {
-    ($ty:ty, $dispatch:ident) => {
-        impl Transport for $ty {
-            fn publish(&self, id: u64, envelope: &str) -> Result<(), String> {
-                decode::unit(
-                    self.$dispatch(&Request::Publish {
-                        id,
-                        envelope: envelope.to_owned(),
-                    })?,
-                    "publish",
-                )
-            }
-
-            fn claim(&self, worker: &str) -> Result<Option<Claimed>, String> {
-                decode::claim(self.$dispatch(&Request::Claim {
-                    worker: worker.to_owned(),
-                })?)
-            }
-
-            fn heartbeat(&self, worker: &str, id: u64) -> Result<(), String> {
-                decode::unit(
-                    self.$dispatch(&Request::Heartbeat {
-                        worker: worker.to_owned(),
-                        id,
-                    })?,
-                    "heartbeat",
-                )
-            }
-
-            fn deliver(&self, worker: &str, id: u64, envelope: &str) -> Result<Delivered, String> {
-                decode::deliver(self.$dispatch(&Request::Deliver {
-                    worker: worker.to_owned(),
-                    id,
-                    envelope: envelope.to_owned(),
-                })?)
-            }
-
-            fn discard_duplicate(&self, worker: &str, id: u64) -> Result<(), String> {
-                decode::unit(
-                    self.$dispatch(&Request::DiscardDuplicate {
-                        worker: worker.to_owned(),
-                        id,
-                    })?,
-                    "discard",
-                )
-            }
-
-            fn record_conflict(&self, worker: &str, id: u64, envelope: &str) -> Result<(), String> {
-                decode::unit(
-                    self.$dispatch(&Request::RecordConflict {
-                        worker: worker.to_owned(),
-                        id,
-                        envelope: envelope.to_owned(),
-                    })?,
-                    "conflict",
-                )
-            }
-
-            fn fetch(&self, id: u64) -> Result<Option<String>, String> {
-                decode::fetch(self.$dispatch(&Request::Fetch { id })?)
-            }
-
-            fn requeue_expired(&self, base_timeout: Duration) -> Result<usize, String> {
-                decode::requeued(self.$dispatch(&Request::Requeue {
-                    base_timeout_ms: base_timeout.as_millis() as u64,
-                })?)
-            }
-
-            fn stop(&self) -> Result<(), String> {
-                decode::unit(self.$dispatch(&Request::Stop)?, "stop")
-            }
-
-            fn stopped(&self) -> Result<bool, String> {
-                decode::flag(self.$dispatch(&Request::Stopped)?)
-            }
-
-            fn conflicts(&self) -> Result<Vec<String>, String> {
-                decode::conflicts(self.$dispatch(&Request::Conflicts)?)
-            }
-
-            fn counters(&self) -> Result<QueueStats, String> {
-                decode::counters(self.$dispatch(&Request::Counters)?)
-            }
-        }
-    };
+fn unexpected(op: &str, response: Response) -> String {
+    format!("unexpected {op} response {response:?}")
 }
 
-transport_via_requests!(TcpBroker, local);
-transport_via_requests!(TcpClient, call);
+impl TcpClient {
+    /// An exchange whose only successful answer is [`Response::Ok`].
+    fn call_unit(&self, request: &Request, op: &str) -> Result<(), String> {
+        match self.call(request)? {
+            Response::Ok => Ok(()),
+            other => Err(unexpected(op, other)),
+        }
+    }
+}
+
+impl Transport for TcpClient {
+    fn publish(&self, id: u64, envelope: &str) -> Result<(), String> {
+        let envelope = envelope.to_owned();
+        self.call_unit(&Request::Publish { id, envelope }, "publish")
+    }
+
+    fn claim(&self, worker: &str) -> Result<Option<Claimed>, String> {
+        match self.call(&Request::Claim {
+            worker: worker.to_owned(),
+        })? {
+            Response::Job { id, envelope } => Ok(Some(Claimed { id, envelope })),
+            Response::Empty => Ok(None),
+            other => Err(unexpected("claim", other)),
+        }
+    }
+
+    fn heartbeat(&self, worker: &str, id: u64) -> Result<(), String> {
+        let worker = worker.to_owned();
+        self.call_unit(&Request::Heartbeat { worker, id }, "heartbeat")
+    }
+
+    fn deliver(&self, worker: &str, id: u64, envelope: &str) -> Result<Delivered, String> {
+        match self.call(&Request::Deliver {
+            worker: worker.to_owned(),
+            id,
+            envelope: envelope.to_owned(),
+        })? {
+            Response::Accepted => Ok(Delivered::Accepted),
+            Response::Duplicate { existing } => Ok(Delivered::Duplicate { existing }),
+            other => Err(unexpected("deliver", other)),
+        }
+    }
+
+    fn discard_duplicate(&self, worker: &str, id: u64) -> Result<(), String> {
+        let worker = worker.to_owned();
+        self.call_unit(&Request::DiscardDuplicate { worker, id }, "discard")
+    }
+
+    fn record_conflict(&self, worker: &str, id: u64, envelope: &str) -> Result<(), String> {
+        let request = Request::RecordConflict {
+            worker: worker.to_owned(),
+            id,
+            envelope: envelope.to_owned(),
+        };
+        self.call_unit(&request, "conflict")
+    }
+
+    fn fetch(&self, id: u64) -> Result<Option<String>, String> {
+        match self.call(&Request::Fetch { id })? {
+            Response::Found { envelope } => Ok(Some(envelope)),
+            Response::NotFound => Ok(None),
+            other => Err(unexpected("fetch", other)),
+        }
+    }
+
+    fn requeue_expired(&self, base_timeout: Duration) -> Result<usize, String> {
+        match self.call(&Request::Requeue {
+            base_timeout_ms: base_timeout.as_millis() as u64,
+        })? {
+            Response::Requeued { count } => Ok(count as usize),
+            other => Err(unexpected("requeue", other)),
+        }
+    }
+
+    fn stop(&self) -> Result<(), String> {
+        self.call_unit(&Request::Stop, "stop")
+    }
+
+    fn stopped(&self) -> Result<bool, String> {
+        match self.call(&Request::Stopped)? {
+            Response::Flag { value } => Ok(value),
+            other => Err(unexpected("stopped", other)),
+        }
+    }
+
+    fn conflicts(&self) -> Result<Vec<String>, String> {
+        match self.call(&Request::Conflicts)? {
+            Response::ConflictList { items } => Ok(items),
+            other => Err(unexpected("conflicts", other)),
+        }
+    }
+
+    fn counters(&self) -> Result<QueueStats, String> {
+        match self.call(&Request::Counters)? {
+            Response::CounterValues {
+                steals,
+                requeues,
+                duplicates_discarded,
+                conflicts,
+            } => Ok(QueueStats {
+                steals: steals as usize,
+                requeues: requeues as usize,
+                duplicates_discarded: duplicates_discarded as usize,
+                conflicts: conflicts as usize,
+            }),
+            other => Err(unexpected("counters", other)),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{Job, JobOutcome, JobPayload, JobResult};
-    use crate::queue::JobQueue;
+    use crate::job::{Job, JobPayload};
+    use crate::queue::{InProcessQueue, JobQueue};
     use crate::transport::Broker;
     use crate::wire::WireInstance;
 
@@ -766,55 +491,32 @@ mod tests {
         }
     }
 
-    fn dummy_result(id: u64, worker: &str, reason: &str) -> JobResult {
-        JobResult {
-            id,
-            name: format!("job-{id}"),
-            worker: worker.to_owned(),
-            outcome: JobOutcome::Failed {
-                reason: reason.to_owned(),
-            },
-        }
-    }
-
-    fn pair() -> (Broker<TcpBroker>, Broker<TcpClient>) {
-        let server = TcpBroker::bind("127.0.0.1:0").expect("bind loopback");
-        let client = TcpClient::new(server.local_addr().to_string());
-        (Broker::new(server), Broker::new(client))
-    }
-
-    #[test]
-    fn steal_over_sockets_is_exclusive_and_fifo_by_id() {
-        let (coordinator, worker) = pair();
-        coordinator.submit(&dummy_job(1)).unwrap();
-        coordinator.submit(&dummy_job(0)).unwrap();
-        // Lowest id first, regardless of submission order — matching the
-        // filesystem transport's sorted-name semantics.
-        assert_eq!(worker.steal("a").unwrap().unwrap().id, 0);
-        assert_eq!(worker.steal("b").unwrap().unwrap().id, 1);
-        assert!(worker.steal("a").unwrap().is_none());
-        assert_eq!(coordinator.stats().unwrap().steals, 2);
-        assert_eq!(coordinator.transport().active_leases(), 2);
+    fn serve(store: &Arc<MemTransport>) -> TcpServer {
+        TcpServer::bind("127.0.0.1:0", Arc::clone(store)).expect("bind loopback")
     }
 
     #[test]
     fn one_keepalive_connection_serves_many_operations() {
-        let (coordinator, worker) = pair();
+        let coordinator = InProcessQueue::new();
+        let server = serve(coordinator.transport());
+        let worker = Broker::over(TcpClient::new(server.local_addr().to_string()));
         coordinator.submit(&dummy_job(0)).unwrap();
         // A representative worker lifetime: probe, steal, heartbeat,
         // deliver, poll for shutdown — all over the socket.
         worker.transport().ping().unwrap();
-        assert_eq!(worker.steal("a").unwrap().unwrap().id, 0);
-        worker.transport().heartbeat("a", 0).unwrap();
-        worker.complete("a", &dummy_result(0, "a", "done")).unwrap();
+        let job = worker.steal("a").unwrap().unwrap();
+        worker.heartbeat("a", 0).unwrap();
+        worker
+            .complete("a", &crate::job::process_job(&job, "a"))
+            .unwrap();
         assert!(!worker.shutdown_requested().unwrap());
         assert_eq!(worker.stats().unwrap().steals, 1);
-        // Every operation above shared one accepted connection. (The
-        // coordinator side dispatches in-memory and never dials itself.)
-        assert_eq!(coordinator.transport().connections_served(), 1);
-        // A clone is a handle to the same keep-alive socket.
-        worker.transport().clone().ping().unwrap();
-        assert_eq!(coordinator.transport().connections_served(), 1);
+        assert!(coordinator.fetch_result(0).unwrap().is_some());
+        // Every operation above shared one accepted connection, and a
+        // clone of the client is a handle to the same socket.
+        assert_eq!(server.connections_served(), 1);
+        worker.transport().as_ref().clone().ping().unwrap();
+        assert_eq!(server.connections_served(), 1);
     }
 
     #[test]
@@ -850,123 +552,238 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_restarts_the_lease_clock() {
-        // Drive the coordinator state directly — no sockets, no sleeps:
-        // the lease age is manipulated by hand so the test is exact.
-        let shared = TcpShared::default();
-        let publish = Request::Publish {
-            id: 5,
-            envelope: "envelope".to_owned(),
-        };
-        assert!(matches!(answer(&publish, &shared), Response::Ok));
-        let claim = Request::Claim {
-            worker: "w".to_owned(),
-        };
-        assert!(matches!(answer(&claim, &shared), Response::Job { .. }));
-        let age = |shared: &TcpShared, by: Duration| {
-            shared.lock().unwrap().leases[0].claimed_at = Instant::now() - by;
-        };
-        // The lease is a minute old — far past a 30s timeout — but a
-        // heartbeat lands before the requeue pass: the clock restarts
-        // and the job is NOT treated as a straggler.
-        age(&shared, Duration::from_secs(60));
-        let beat = Request::Heartbeat {
-            worker: "w".to_owned(),
-            id: 5,
-        };
-        assert!(matches!(answer(&beat, &shared), Response::Ok));
-        let timeout = Duration::from_secs(30);
-        assert_eq!(requeue_pass(&mut shared.lock().unwrap(), timeout), 0);
-        // The same aged lease without a heartbeat is requeued.
-        age(&shared, Duration::from_secs(60));
-        assert_eq!(requeue_pass(&mut shared.lock().unwrap(), timeout), 1);
-        // Heartbeats for requeued (or unknown) ids renew nothing.
-        assert!(matches!(answer(&beat, &shared), Response::Ok));
-        assert_eq!(shared.lock().unwrap().stats.requeues, 1);
-    }
-
-    #[test]
-    fn results_roundtrip_and_duplicates_are_checked() {
-        let (coordinator, worker) = pair();
-        worker.complete("a", &dummy_result(4, "a", "same")).unwrap();
-        worker.complete("b", &dummy_result(4, "b", "same")).unwrap();
-        assert_eq!(coordinator.fetch_result(4).unwrap().unwrap().worker, "a");
-        assert_eq!(coordinator.stats().unwrap().duplicates_discarded, 1);
-        assert!(coordinator.check_health().is_ok());
-        worker
-            .complete("c", &dummy_result(4, "c", "DIFFERENT"))
-            .unwrap();
-        assert!(coordinator
-            .check_health()
-            .unwrap_err()
-            .contains("diverging"));
-        assert_eq!(coordinator.stats().unwrap().conflicts, 1);
-    }
-
-    #[test]
-    fn dropped_worker_lease_expires_and_is_republished() {
-        let (coordinator, worker) = pair();
-        coordinator.submit(&dummy_job(9)).unwrap();
-        // The worker claims the job and then "dies" — the lease is all
-        // the coordinator remembers of it.
-        assert_eq!(worker.steal("doomed").unwrap().unwrap().id, 9);
-        assert!(worker.steal("other").unwrap().is_none());
-        assert_eq!(coordinator.transport().active_leases(), 1);
-        // The lease is immediately stale under a zero timeout, and is
-        // re-published exactly once.
-        assert_eq!(
-            coordinator
-                .transport()
-                .requeue_expired(Duration::ZERO)
-                .unwrap(),
-            1
-        );
-        assert_eq!(
-            coordinator
-                .transport()
-                .requeue_expired(Duration::ZERO)
-                .unwrap(),
-            0
-        );
-        assert_eq!(worker.steal("other").unwrap().unwrap().id, 9);
-        worker
-            .complete("other", &dummy_result(9, "other", "done"))
-            .unwrap();
-        assert_eq!(
-            coordinator
-                .transport()
-                .requeue_expired(Duration::ZERO)
-                .unwrap(),
-            0
-        );
-        assert_eq!(coordinator.stats().unwrap().requeues, 1);
-        assert_eq!(
-            coordinator.fetch_result(9).unwrap().unwrap().worker,
-            "other"
-        );
-    }
-
-    #[test]
-    fn shutdown_stops_handing_out_pending_jobs() {
-        let (coordinator, worker) = pair();
-        coordinator.submit(&dummy_job(0)).unwrap();
-        coordinator.request_shutdown().unwrap();
-        assert!(worker.shutdown_requested().unwrap());
-        assert!(worker.steal("w").unwrap().is_none());
-    }
-
-    #[test]
     fn ping_fails_once_the_coordinator_is_gone() {
-        let (coordinator, worker) = pair();
-        let client = worker.transport().clone();
+        let store = Arc::new(MemTransport::default());
+        let server = serve(&store);
+        let addr = server.local_addr().to_string();
+        let client = TcpClient::new(addr.clone());
         client.ping().expect("coordinator up");
-        let addr = coordinator.transport().local_addr().to_string();
-        drop(coordinator);
+        drop(server);
         // The listener is closed and the port released. The cached
         // keep-alive connection is dead, the redial finds no listener:
         // the probe the worker's reconnect loop uses must fail.
         assert!(client.ping().is_err());
         // And so must a fresh client's first dial.
         assert!(TcpClient::new(addr).ping().is_err());
+    }
+
+    /// SplitMix64 — a seeded, dependency-free stream for the mutation
+    /// test, so every run sends the same frames.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// One valid request of every kind, encoded.
+    fn valid_frames() -> Vec<String> {
+        let worker = || "w-1".to_owned();
+        let envelope = || r#"{"quoted \"payload\"":[1,2]}"#.to_owned();
+        [
+            Request::Ping,
+            Request::Publish {
+                id: 3,
+                envelope: envelope(),
+            },
+            Request::Claim { worker: worker() },
+            Request::Heartbeat {
+                worker: worker(),
+                id: 3,
+            },
+            Request::Deliver {
+                worker: worker(),
+                id: 3,
+                envelope: envelope(),
+            },
+            Request::DiscardDuplicate {
+                worker: worker(),
+                id: 3,
+            },
+            Request::RecordConflict {
+                worker: worker(),
+                id: 3,
+                envelope: envelope(),
+            },
+            Request::Fetch { id: 3 },
+            Request::Requeue { base_timeout_ms: 0 },
+            Request::Stop,
+            Request::Stopped,
+            Request::Conflicts,
+            Request::Counters,
+        ]
+        .iter()
+        .map(|request| serde_json::to_string(request).unwrap())
+        .collect()
+    }
+
+    /// Byte offsets of the JSON structure (braces, brackets, colons,
+    /// commas and string delimiters) outside string contents: changing
+    /// any one of them leaves text that is not a request.
+    fn structural_offsets(json: &[u8]) -> Vec<usize> {
+        let (mut offsets, mut in_string, mut escaped) = (Vec::new(), false, false);
+        for (i, &b) in json.iter().enumerate() {
+            if in_string {
+                match b {
+                    _ if escaped => escaped = false,
+                    b'\\' => escaped = true,
+                    b'"' => {
+                        in_string = false;
+                        offsets.push(i);
+                    }
+                    _ => {}
+                }
+            } else if b == b'"' {
+                in_string = true;
+                offsets.push(i);
+            } else if b"{}[]:,".contains(&b) {
+                offsets.push(i);
+            }
+        }
+        offsets
+    }
+
+    /// What a mutated frame looks like on the wire.
+    enum Mutant {
+        /// A complete frame whose payload is these bytes.
+        Payload(Vec<u8>),
+        /// A length header promising more bytes than the peer sends
+        /// before it stops writing.
+        ShortFrame(Vec<u8>),
+    }
+
+    fn mutate(rng: &mut Rng, frame: &str) -> Mutant {
+        let bytes = frame.as_bytes().to_vec();
+        match rng.below(6) {
+            // Truncated JSON: every strict prefix of an object is invalid.
+            0 => Mutant::Payload(bytes[..rng.below(bytes.len())].to_vec()),
+            // Truncated frame: the peer stops mid-frame.
+            1 => Mutant::ShortFrame(bytes[..rng.below(bytes.len())].to_vec()),
+            // One structural byte flipped.
+            2 => {
+                let mut bytes = bytes;
+                let offsets = structural_offsets(&bytes);
+                let at = offsets[rng.below(offsets.len())];
+                bytes[at] ^= 1 + rng.below(255) as u8;
+                Mutant::Payload(bytes)
+            }
+            // A tag that names no operation.
+            3 => {
+                let tags = ["", "CLAIM", "claim ", "claims", "forget", "steal", "7"];
+                let tag = tags[rng.below(tags.len())];
+                let start = frame.find(r#""op":""#).unwrap() + 6;
+                let end = start + frame[start..].find('"').unwrap();
+                Mutant::Payload(format!("{}{tag}{}", &frame[..start], &frame[end..]).into_bytes())
+            }
+            // An id (or timeout) no u64 can hold.
+            4 => {
+                let huge = [
+                    "18446744073709551616",
+                    "99999999999999999999999999",
+                    "-1",
+                    "1e30",
+                    "2.5",
+                ];
+                let huge = huge[rng.below(huge.len())];
+                let field = [r#""id":"#, r#""base_timeout_ms":"#]
+                    .into_iter()
+                    .find_map(|key| frame.find(key).map(|at| at + key.len()));
+                match field {
+                    Some(start) => {
+                        let end = start + frame[start..].find([',', '}']).unwrap();
+                        let text = format!("{}{huge}{}", &frame[..start], &frame[end..]);
+                        Mutant::Payload(text.into_bytes())
+                    }
+                    None => Mutant::Payload(format!("{frame}{huge}").into_bytes()),
+                }
+            }
+            // Not UTF-8, or an escape naming no character.
+            _ => {
+                let mut bytes = bytes;
+                let at = rng.below(bytes.len());
+                if rng.below(2) == 0 {
+                    bytes.insert(at, [0xFF, 0x80, 0xC3][rng.below(3)]);
+                    Mutant::Payload(bytes)
+                } else {
+                    let text = frame.replacen("w-1", r"\ud800\u0041", 1);
+                    let text = if text == frame {
+                        r#"{"op":"claim","worker":"\udc00"}"#.to_owned()
+                    } else {
+                        text
+                    };
+                    Mutant::Payload(text.into_bytes())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_request_frames_fail_closed() {
+        use std::io::Write as _;
+        // The store holds one job; no mutated frame may touch it.
+        let store = Arc::new(MemTransport::default());
+        store.publish(7, "the-job").unwrap();
+        let server = serve(&store);
+        let addr = server.local_addr();
+        let frames = valid_frames();
+        let mut rng = Rng(0xAFF1_DA71);
+        for case in 0..120 {
+            let frame = &frames[rng.below(frames.len())];
+            let mutant = mutate(&mut rng, frame);
+            let mut stream = TcpStream::connect(addr).unwrap();
+            // Reading the answer times out after the listener's own stall
+            // bound: an answer must come (or the connection close) first.
+            let cfg = FrameConfig::default();
+            configure_stream(&stream, &cfg).unwrap();
+            let (len, body) = match &mutant {
+                Mutant::Payload(body) => (body.len(), body),
+                Mutant::ShortFrame(body) => (body.len() + 1, body),
+            };
+            stream.write_all(&(len as u32).to_be_bytes()).unwrap();
+            stream.write_all(body).unwrap();
+            if let Mutant::ShortFrame(_) = mutant {
+                stream.shutdown(std::net::Shutdown::Write).unwrap();
+            }
+            // A complete UTF-8 frame is a request the listener must
+            // refuse with an error; anything else ends the connection.
+            let is_text =
+                matches!(&mutant, Mutant::Payload(body) if std::str::from_utf8(body).is_ok());
+            let sent = String::from_utf8_lossy(body).into_owned();
+            match read_frame(&mut stream, &cfg) {
+                Ok(FrameRead::Frame(text)) => {
+                    let response: Response = serde_json::from_str(&text).unwrap();
+                    assert!(
+                        is_text && matches!(response, Response::Error { .. }),
+                        "case {case}: {sent:?} was answered with {response:?}"
+                    );
+                }
+                Ok(FrameRead::Closed) | Err(_) => {
+                    assert!(!is_text, "case {case}: {sent:?} closed the connection")
+                }
+                Ok(FrameRead::Idle) => panic!("case {case}: {sent:?} got no answer"),
+            }
+        }
+        // Nothing was claimed, published, delivered or stopped...
+        assert_eq!(store.counters().unwrap(), QueueStats::default());
+        assert!(!store.stopped().unwrap());
+        assert_eq!(store.fetch(3).unwrap(), None);
+        // ...and the listener still answers a valid claim.
+        let claimed = TcpClient::new(addr.to_string()).claim("w").unwrap();
+        assert_eq!(
+            claimed,
+            Some(Claimed {
+                id: 7,
+                envelope: "the-job".to_owned()
+            })
+        );
     }
 }

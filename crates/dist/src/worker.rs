@@ -2,13 +2,12 @@
 //!
 //! The same loop serves every deployment shape — in-process threads over
 //! an [`InProcessQueue`](crate::queue::InProcessQueue), and the
-//! `affidavit-worker` binary over either transport
-//! ([`FsBroker`](crate::broker::FsBroker) or
-//! [`TcpClient`](crate::tcp::TcpClient)) — because [`JobQueue`] hides
+//! `affidavit-worker` binary over a
+//! [`TcpClient`](crate::tcp::TcpClient) — because [`JobQueue`] hides
 //! the medium. [`run_worker_with_reconnect`] wraps the loop for the
-//! binary: a queue error (spool directory gone, coordinator socket dead)
-//! triggers a bounded probe-and-backoff reconnect instead of an
-//! immediate crash, and a broker that never comes back is reported as
+//! binary: a queue error (coordinator socket dead) triggers a bounded
+//! probe-and-backoff reconnect instead of an immediate crash, and a
+//! broker that never comes back is reported as
 //! [`WorkerExit::BrokerLost`] so the process can exit with a distinct
 //! code.
 
@@ -43,11 +42,10 @@ pub struct WorkerStats {
 /// submitting — the worker naps and tries again, with the nap growing
 /// from `poll` up to `poll × 16` over consecutive empty polls (and
 /// snapping back to `poll` after a successful steal). The backoff keeps
-/// an idle worker from hammering the broker — each empty poll is a
-/// directory scan on the fs transport and two exchanges on the tcp
-/// transport's keep-alive connection — at the price of at most `poll ×
-/// 16` extra latency
-/// picking up late work or noticing shutdown. Once shutdown is
+/// an idle worker from hammering the broker — each empty poll is two
+/// exchanges over a remote worker's keep-alive connection — at the
+/// price of at most `poll × 16` extra latency picking up late work or
+/// noticing shutdown. Once shutdown is
 /// requested the queue stops handing out work (pending jobs at that
 /// point belong to an aborting run or are redundant duplicates), so the
 /// worker finishes its current job at most and exits.
@@ -145,8 +143,8 @@ fn with_heartbeats<R>(
 pub enum WorkerExit {
     /// Clean shutdown: the broker requested stop and the queue drained.
     Completed(WorkerStats),
-    /// The broker vanished (spool directory removed, coordinator socket
-    /// dead) and stayed unreachable through the whole reconnect budget.
+    /// The broker vanished (coordinator socket dead) and stayed
+    /// unreachable through the whole reconnect budget.
     BrokerLost {
         /// Probe attempts spent before giving up.
         attempts: usize,
@@ -306,7 +304,7 @@ mod tests {
                 Err("gone".into())
             }
             fn steal(&self, _: &str) -> Result<Option<Job>, String> {
-                Err("spool removed".into())
+                Err("connection refused".into())
             }
             fn complete(&self, _: &str, _: &crate::job::JobResult) -> Result<(), String> {
                 Err("gone".into())
@@ -338,7 +336,7 @@ mod tests {
             exit,
             WorkerExit::BrokerLost {
                 attempts: 3,
-                error: "spool removed".to_owned()
+                error: "connection refused".to_owned()
             }
         );
     }

@@ -2,14 +2,17 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use affidavit_core::profiling::{stage_snapshot_pair, ProfileOptions};
 use affidavit_core::report::render_report;
 use affidavit_core::{Affidavit, DeadlineExceeded};
-use affidavit_dist::{configure_stream, read_frame, write_frame, FrameConfig, FrameRead};
+use affidavit_dist::{
+    configure_stream, read_frame, spawn_accept_loop, write_frame, ConnRegistry, FrameConfig,
+    FrameRead,
+};
 use affidavit_store::{
     ingest_pair, IngestOptions, PoolBackend, PoolConfig, SessionKey, SessionLru,
 };
@@ -53,12 +56,10 @@ impl Default for ServeOptions {
 struct ServeShared {
     sessions: Mutex<SessionLru>,
     requests: AtomicU64,
-    connections: AtomicU64,
-    shutdown: AtomicBool,
     frame: FrameConfig,
     /// Live keep-alive sockets, severed on shutdown so parked clients
     /// get a hard close instead of a daemon that answers forever.
-    conns: Mutex<Vec<Option<TcpStream>>>,
+    conns: Arc<ConnRegistry>,
     max_inflight: usize,
     request_deadline: Option<Duration>,
     inflight: AtomicU64,
@@ -92,25 +93,6 @@ impl ServeShared {
         Ok(slot)
     }
 
-    fn register(&self, stream: Option<TcpStream>) -> usize {
-        let mut conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-        conns.push(stream);
-        conns.len() - 1
-    }
-
-    fn deregister(&self, slot: usize) {
-        let mut conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-        conns[slot] = None;
-    }
-
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        let conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-        for stream in conns.iter().flatten() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
-
     fn stats(&self) -> ServeStats {
         let (sessions, counters) = match self.sessions.lock() {
             Ok(lru) => (lru.len() as u64, lru.counters()),
@@ -122,7 +104,7 @@ impl ServeShared {
             ingests: counters.ingests,
             hits: counters.hits,
             evictions: counters.evictions,
-            connections: self.connections.load(Ordering::Relaxed),
+            connections: self.conns.accepted(),
         }
     }
 
@@ -188,7 +170,7 @@ impl ServeHandle {
     /// Shut the daemon down from this side: stop accepting, sever
     /// parked clients, join the accept loop.
     pub fn shutdown(&mut self) {
-        self.shared.begin_shutdown();
+        self.shared.conns.close();
         self.wait();
     }
 }
@@ -208,41 +190,21 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeHandle, String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local address of {}: {e}", opts.listen))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking listener: {e}"))?;
     let shared = Arc::new(ServeShared {
         sessions: Mutex::new(SessionLru::new(opts.sessions)),
         requests: AtomicU64::new(0),
-        connections: AtomicU64::new(0),
-        shutdown: AtomicBool::new(false),
         frame: opts.frame,
-        conns: Mutex::new(Vec::new()),
+        conns: Arc::new(ConnRegistry::default()),
         max_inflight: opts.max_inflight,
         request_deadline: opts.request_deadline,
         inflight: AtomicU64::new(0),
         busy_rejections: AtomicU64::new(0),
         deadline_expirations: AtomicU64::new(0),
     });
-    let accept_shared = Arc::clone(&shared);
-    let accept = std::thread::spawn(move || {
-        while !accept_shared.shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&accept_shared);
-                    let slot = shared.register(stream.try_clone().ok());
-                    std::thread::spawn(move || {
-                        serve_connection(stream, &shared);
-                        shared.deregister(slot);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(1)),
-            }
-        }
-    });
+    let serving = Arc::clone(&shared);
+    let accept = spawn_accept_loop(listener, Arc::clone(&shared.conns), move |stream| {
+        serve_connection(stream, &serving)
+    })?;
     Ok(ServeHandle {
         shared,
         addr,
@@ -258,17 +220,11 @@ fn serve_connection(mut stream: TcpStream, shared: &ServeShared) {
     if configure_stream(&stream, &cfg).is_err() {
         return;
     }
-    shared.connections.fetch_add(1, Ordering::Relaxed);
     loop {
         let text = match read_frame(&mut stream, &cfg) {
             Ok(FrameRead::Frame(text)) => text,
-            Ok(FrameRead::Idle) => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Ok(FrameRead::Closed) | Err(_) => return,
+            Ok(FrameRead::Idle) if !shared.conns.is_closed() => continue,
+            Ok(FrameRead::Idle | FrameRead::Closed) | Err(_) => return,
         };
         let (response, last) = match serde_json::from_str::<ClientRequest>(&text) {
             Ok(ClientRequest::Shutdown) => (ClientResponse::ShuttingDown, true),
@@ -287,7 +243,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServeShared) {
         if last {
             // Acknowledged first, then torn down: the requesting client
             // gets its frame; every other parked client is severed.
-            shared.begin_shutdown();
+            shared.conns.close();
             return;
         }
     }
@@ -481,10 +437,8 @@ mod tests {
         ServeShared {
             sessions: Mutex::new(SessionLru::new(2)),
             requests: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
             frame: FrameConfig::default(),
-            conns: Mutex::new(Vec::new()),
+            conns: Arc::new(ConnRegistry::default()),
             max_inflight,
             request_deadline: None,
             inflight: AtomicU64::new(0),

@@ -3,9 +3,8 @@
 //! A delta manifest is a small JSON document that must never be observed
 //! half-written: a crashed run leaving a truncated manifest would be
 //! indistinguishable from a corrupted one, forcing a full redo on the
-//! next run (safe, but wasteful). Writes therefore go through the same
-//! write-to-temp-then-rename discipline as the distributed job spool
-//! (`affidavit_dist::broker`): the content lands in a hidden sibling
+//! next run (safe, but wasteful). Writes therefore go through
+//! write-to-temp-then-rename: the content lands in a hidden sibling
 //! temp file first and is renamed into place in one atomic step, so
 //! readers only ever see either the previous complete manifest or the
 //! new complete manifest.
