@@ -164,9 +164,8 @@ fn main() {
     }
 
     // Ingestion-throughput benchmark: one large synthetic table written as
-    // CSV, read back through (a) the serial in-memory parser, (b) the
-    // streaming chunked reader at 1 and N threads, and (c) the streaming
-    // reader into a disk-spilled SegmentPool. All four produce
+    // CSV, read back through (a) the serial in-memory parser and (b, c)
+    // the streaming chunked reader at 1 and N threads. All three produce
     // byte-identical `(Table, ValuePool)` pairs (asserted).
     let ingest_rows = args.get_or("ingest-rows", 20_000usize);
     let ingest_runs = args.get_or("ingest-runs", 3usize);
@@ -179,7 +178,7 @@ fn main() {
         ingest_chunk_rows,
     );
     println!(
-        "\ningestion ({} rows, {:.1} MiB, {} runs): read_str {:.3}s | stream@1 {:.3}s | stream@{} {:.3}s ({:.2}x, {:.0} MB/s) | disk backend {:.3}s ({} B spilled) | deterministic = {}",
+        "\ningestion ({} rows, {:.1} MiB, {} runs): read_str {:.3}s | stream@1 {:.3}s | stream@{} {:.3}s ({:.2}x, {:.0} MB/s) | deterministic = {}",
         ingest.rows,
         ingest.bytes as f64 / (1024.0 * 1024.0),
         ingest.runs,
@@ -189,8 +188,6 @@ fn main() {
         ingest.stream_secs_parallel,
         ingest.stream_speedup,
         ingest.mb_per_s_stream_parallel,
-        ingest.disk_backend_secs,
-        ingest.disk_spilled_bytes,
         ingest.deterministic,
     );
     if args.get_str("bench-json").is_some() || args.get_str("ingest-json").is_some() {
@@ -413,9 +410,9 @@ fn bench_dist(
 }
 
 /// Ingestion-throughput measurement, serialized into `BENCH_ingest.json`
-/// at the repo root. Four readers over the same CSV bytes — serial
-/// in-memory, streaming at 1 and N threads, streaming into a disk-spilled
-/// `SegmentPool` — must produce byte-identical `(Table, ValuePool)` pairs.
+/// at the repo root. Three readers over the same CSV bytes — serial
+/// in-memory, streaming at 1 and N threads — must produce byte-identical
+/// `(Table, ValuePool)` pairs.
 #[derive(serde::Serialize)]
 struct IngestBench {
     /// Records in the benchmark table.
@@ -443,12 +440,6 @@ struct IngestBench {
     stream_speedup: f64,
     /// Throughput of the parallel streaming configuration.
     mb_per_s_stream_parallel: f64,
-    /// Mean seconds for streaming ingestion into the disk backend.
-    disk_backend_secs: f64,
-    /// RAM budget of the disk-backend run.
-    disk_budget_bytes: usize,
-    /// Bytes spilled by the disk-backend run (must be > 0).
-    disk_spilled_bytes: u64,
     /// False when the machine cannot physically exhibit parallel speedup
     /// (one hardware thread) — treat `stream_speedup` as noise.
     speedup_valid: bool,
@@ -463,7 +454,7 @@ fn bench_ingest(
     threads: usize,
     chunk_rows: usize,
 ) -> IngestBench {
-    use affidavit_store::{ingest, IngestOptions, PoolBackend, PoolConfig};
+    use affidavit_store::{ingest, IngestOptions};
     use affidavit_table::{Table, ValuePool};
 
     let spec = affidavit_datasets::specs::by_name("adult").expect("dataset exists");
@@ -488,17 +479,13 @@ fn bench_ingest(
         out
     };
 
-    let mut timings = [0.0f64; 4];
+    let mut timings = [0.0f64; 3];
     let mut fingerprints: Vec<String> = Vec::new();
-    let mut spilled = 0u64;
     // Registry regression gate: `ingest_rows_total` accumulates across
     // the process, so meter the delta this benchmark's streaming reads
     // contribute and assert it below.
     let rows_metered_before = affidavit_obs::metrics().counter("ingest_rows_total");
     let mut rows_expected = 0u64;
-    // Small enough that the distinct-value corpus of the benchmark table
-    // cannot fit: the disk run must exercise spill + fault-back paths.
-    let disk_budget_bytes = 64 * 1024;
     for _ in 0..runs {
         let mut prints = Vec::new();
         // (a) serial in-memory parse (I/O excluded: the historical path
@@ -524,24 +511,6 @@ fn bench_ingest(
             rows_expected += t.len() as u64;
             prints.push(fingerprint(&t, &p));
         }
-        // (d) streaming into a disk-spilled SegmentPool.
-        let opts = IngestOptions {
-            chunk_rows,
-            threads,
-            ..IngestOptions::default()
-        };
-        let started = Instant::now();
-        let mut p = PoolConfig {
-            backend: PoolBackend::Disk,
-            budget_bytes: disk_budget_bytes,
-        }
-        .build()
-        .expect("disk pool");
-        let t = ingest::read_path(&path, &mut p, &opts).expect("disk stream");
-        timings[3] += started.elapsed().as_secs_f64();
-        spilled = p.store_stats().expect("disk backend").spilled_bytes;
-        rows_expected += t.len() as u64;
-        prints.push(fingerprint(&t, &p));
         fingerprints.push(prints.join("\u{3}"));
     }
     let rows_metered = affidavit_obs::metrics().counter("ingest_rows_total") - rows_metered_before;
@@ -560,8 +529,7 @@ fn bench_ingest(
         deterministic,
         "all ingestion paths must produce byte-identical pools and tables"
     );
-    assert!(spilled > 0, "the disk-backend run must spill");
-    let [serial, stream1, stream_n, disk] = timings.map(|t| t / runs as f64);
+    let [serial, stream1, stream_n] = timings.map(|t| t / runs as f64);
     IngestBench {
         rows,
         attrs: spec.attrs,
@@ -575,9 +543,6 @@ fn bench_ingest(
         stream_secs_parallel: stream_n,
         stream_speedup: stream1 / stream_n.max(1e-12),
         mb_per_s_stream_parallel: bytes as f64 / (1024.0 * 1024.0) / stream_n.max(1e-12),
-        disk_backend_secs: disk,
-        disk_budget_bytes,
-        disk_spilled_bytes: spilled,
         speedup_valid: speedup::warn_if_invalid(),
         deterministic,
     }

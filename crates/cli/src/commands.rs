@@ -7,7 +7,7 @@ use affidavit_core::portable::PortableExplanation;
 use affidavit_core::report::{render_report, to_sql};
 use affidavit_core::{Affidavit, AffidavitConfig, ProblemInstance};
 use affidavit_datagen::blueprint::{Blueprint, GenConfig};
-use affidavit_store::{ingest, IngestOptions, PoolBackend, PoolConfig};
+use affidavit_store::{ingest, IngestOptions};
 use affidavit_table::{csv, AttrId, Table, TableError, ValuePool};
 
 /// `println!` for command output: a failed write — typically a reader
@@ -100,16 +100,11 @@ SEARCH FLAGS (explain, apply, profile):
                            thousands grouping, rounding, token programs
                            (default: off; the paper's Table 1 catalogue).
 
-INGESTION FLAGS (explain, profile):
+INGESTION FLAGS (explain, profile, client):
   --ingest-chunk-rows N    Records per streaming-ingestion chunk (default:
                            4096 rows). Smaller chunks bound memory tighter
                            and parallelize finer; the parsed table is
                            identical either way.
-  --pool-backend ram|disk  Value-pool string storage (default: ram). disk
-                           spills interned strings to segment files under the
-                           budget below.
-  --pool-budget-bytes N    RAM budget for the disk backend's resident string
-                           bytes, in bytes (default: 67108864 = 64 MiB).
 
 INCREMENTAL FLAGS (explain, profile, client):
   --delta                  Reuse the previous run's results for unchanged
@@ -217,7 +212,7 @@ const SEARCH_FLAGS: &[&str] = &[
     "corpus",
     "extended",
 ];
-const INGESTION_FLAGS: &[&str] = &["ingest-chunk-rows", "pool-backend", "pool-budget-bytes"];
+const INGESTION_FLAGS: &[&str] = &["ingest-chunk-rows"];
 const INCREMENTAL_FLAGS: &[&str] = &["delta", "delta-state"];
 const DISTRIBUTED_FLAGS: &[&str] = &["workers", "listen", "steal-timeout-secs", "deadline-secs"];
 const OBSERVABILITY_FLAGS: &[&str] = &["obs-out", "obs-summary"];
@@ -365,9 +360,9 @@ fn read_csv_streaming(
     ingest::read_path(path, pool, opts).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Ingestion and pool-backend flags shared by `explain` and `profile`.
+/// Ingestion flags shared by `explain`, `profile` and `client`.
 /// Ingestion workers follow `--threads` (the search's worker count).
-fn build_ingest(p: &Parsed<'_>, threads: usize) -> Result<(IngestOptions, PoolConfig), String> {
+fn build_ingest(p: &Parsed<'_>, threads: usize) -> Result<IngestOptions, String> {
     let mut ingest_opts = IngestOptions {
         threads,
         ..IngestOptions::default()
@@ -377,16 +372,7 @@ fn build_ingest(p: &Parsed<'_>, threads: usize) -> Result<(IngestOptions, PoolCo
             .parse()
             .map_err(|_| format!("bad --ingest-chunk-rows {v:?} (records per chunk)"))?;
     }
-    let mut pool_cfg = PoolConfig::default();
-    if let Some(v) = p.flag_value("pool-backend") {
-        pool_cfg.backend = v.parse()?;
-    }
-    if let Some(v) = p.flag_value("pool-budget-bytes") {
-        pool_cfg.budget_bytes = v
-            .parse()
-            .map_err(|_| format!("bad --pool-budget-bytes {v:?} (RAM budget for string bytes)"))?;
-    }
-    Ok((ingest_opts, pool_cfg))
+    Ok(ingest_opts)
 }
 
 fn build_config(p: &Parsed<'_>) -> Result<AffidavitConfig, String> {
@@ -427,7 +413,7 @@ pub fn explain(args: &[String]) -> Result<(), String> {
         return Err(format!("explain needs two CSV paths\n{USAGE}"));
     };
     let cfg = build_config(&p)?;
-    let (ingest_opts, pool_cfg) = build_ingest(&p, cfg.threads)?;
+    let ingest_opts = build_ingest(&p, cfg.threads)?;
     if p.has("delta-state") && !p.has("delta") {
         return Err("--delta-state requires --delta".to_owned());
     }
@@ -445,7 +431,7 @@ pub fn explain(args: &[String]) -> Result<(), String> {
             config: cfg,
             align: p.has("align"),
             ingest: ingest_opts,
-            pool: pool_cfg,
+            ..Default::default()
         };
         let state = match p.flag_value("delta-state") {
             Some(dir) => Path::new(dir).join("explain.affidavit-delta.json"),
@@ -467,7 +453,7 @@ pub fn explain(args: &[String]) -> Result<(), String> {
         )?;
         return Ok(());
     }
-    let mut pool = pool_cfg.build().map_err(|e| e.to_string())?;
+    let mut pool = ValuePool::new();
     let mut instance = if p.has("align") {
         // §6 future work: align renamed/reordered target columns by
         // content before explaining; with unequal arity, first look for
@@ -524,15 +510,6 @@ pub fn explain(args: &[String]) -> Result<(), String> {
         ProblemInstance::new(source, target, pool).map_err(|e| e.to_string())?
     };
     let outcome = Affidavit::new(cfg).explain(&mut instance);
-    if let Some(stats) = instance.pool.store_stats() {
-        affidavit_obs::diag(
-            "pool backend",
-            &format!(
-                "disk — {} bytes spilled, {} bytes resident",
-                stats.spilled_bytes, stats.resident_bytes
-            ),
-        );
-    }
     say!("{}", render_report(&outcome.explanation, &instance))?;
     // --stable zeroes the one nondeterministic byte sequence on stdout,
     // so two runs (or a run and a served client) diff clean.
@@ -569,12 +546,12 @@ pub fn profile(args: &[String]) -> Result<(), String> {
         return Err(format!("profile needs two directories\n{USAGE}"));
     };
     let config = build_config(&p)?;
-    let (ingest_opts, pool_cfg) = build_ingest(&p, config.threads)?;
+    let ingest_opts = build_ingest(&p, config.threads)?;
     let opts = affidavit_core::profiling::ProfileOptions {
         config,
         align: p.has("align"),
         ingest: ingest_opts,
-        pool: pool_cfg,
+        ..Default::default()
     };
     let workers: usize = match p.flag_value("workers") {
         Some(v) => v
@@ -809,8 +786,8 @@ pub fn client(args: &[String]) -> Result<(), crate::Failure> {
             )));
         };
         let cfg = build_config(&p).map_err(plain)?;
-        let (ingest_opts, pool_cfg) = build_ingest(&p, cfg.threads).map_err(plain)?;
-        let spec = build_spec(src, tgt, cfg, &p, &ingest_opts, &pool_cfg);
+        let ingest_opts = build_ingest(&p, cfg.threads).map_err(plain)?;
+        let spec = build_spec(src, tgt, cfg, &p, &ingest_opts);
         let warm = remote.pin(&spec).map_err(fail)?;
         diag(
             "session",
@@ -845,8 +822,8 @@ pub fn client(args: &[String]) -> Result<(), crate::Failure> {
         )));
     };
     let cfg = build_config(&p).map_err(plain)?;
-    let (ingest_opts, pool_cfg) = build_ingest(&p, cfg.threads).map_err(plain)?;
-    let spec = build_spec(src, tgt, cfg, &p, &ingest_opts, &pool_cfg);
+    let ingest_opts = build_ingest(&p, cfg.threads).map_err(plain)?;
+    let spec = build_spec(src, tgt, cfg, &p, &ingest_opts);
     let reply = remote.explain(&spec).map_err(fail)?;
     diag(
         "session",
@@ -886,7 +863,6 @@ fn build_spec(
     cfg: AffidavitConfig,
     p: &Parsed<'_>,
     ingest_opts: &IngestOptions,
-    pool_cfg: &PoolConfig,
 ) -> affidavit_serve::ExplainSpec {
     affidavit_serve::ExplainSpec {
         source: src.to_owned(),
@@ -894,11 +870,6 @@ fn build_spec(
         config: cfg,
         align: p.has("align"),
         ingest_chunk_rows: ingest_opts.chunk_rows,
-        pool_backend: match pool_cfg.backend {
-            PoolBackend::Ram => "ram".to_owned(),
-            PoolBackend::Disk => "disk".to_owned(),
-        },
-        pool_budget_bytes: pool_cfg.budget_bytes,
         delta: p.has("delta"),
         delta_state: p.flag_value("delta-state").map(str::to_owned),
     }
@@ -1113,7 +1084,6 @@ pub fn gen(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use affidavit_store::PoolBackend;
 
     fn argv(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()
@@ -1154,52 +1124,13 @@ mod tests {
 
     #[test]
     fn build_ingest_flags() {
-        let args = argv(&[
-            "--ingest-chunk-rows",
-            "128",
-            "--pool-backend",
-            "disk",
-            "--pool-budget-bytes",
-            "4096",
-        ]);
+        let args = argv(&["--ingest-chunk-rows", "128"]);
         let p = parse("explain", &args).unwrap();
-        let (ingest_opts, pool_cfg) = build_ingest(&p, 3).unwrap();
+        let ingest_opts = build_ingest(&p, 3).unwrap();
         assert_eq!(ingest_opts.chunk_rows, 128);
         assert_eq!(ingest_opts.threads, 3);
-        assert_eq!(pool_cfg.backend, PoolBackend::Disk);
-        assert_eq!(pool_cfg.budget_bytes, 4096);
-        let bad_backend = argv(&["--pool-backend", "mmap"]);
-        assert!(build_ingest(&parse("explain", &bad_backend).unwrap(), 1).is_err());
         let bad_chunk = argv(&["--ingest-chunk-rows", "many"]);
         assert!(build_ingest(&parse("explain", &bad_chunk).unwrap(), 1).is_err());
-    }
-
-    #[test]
-    fn explain_runs_with_disk_pool_backend() {
-        let dir = std::env::temp_dir().join("affidavit-cli-diskpool-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let src = dir.join("s.csv");
-        let tgt = dir.join("t.csv");
-        let mut s = String::from("k,v\n");
-        let mut t = String::from("k,v\n");
-        for i in 0..40 {
-            s.push_str(&format!("key{i},{}\n", (i + 1) * 1000));
-            t.push_str(&format!("key{i},{}\n", i + 1));
-        }
-        std::fs::write(&src, s).unwrap();
-        std::fs::write(&tgt, t).unwrap();
-        explain(&argv(&[
-            src.to_str().unwrap(),
-            tgt.to_str().unwrap(),
-            "--pool-backend",
-            "disk",
-            "--pool-budget-bytes",
-            "256",
-            "--ingest-chunk-rows",
-            "8",
-        ]))
-        .unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1287,8 +1218,6 @@ mod tests {
         "--corpus",
         "--extended",
         "--ingest-chunk-rows",
-        "--pool-backend",
-        "--pool-budget-bytes",
         "--delta",
         "--delta-state",
         "--workers",
@@ -1317,7 +1246,7 @@ mod tests {
     #[test]
     fn every_documented_flag_has_a_default_in_help() {
         // The flag audit: each tunable introduced by the parallel search,
-        // streaming ingestion, pool-backend and distribution work must be
+        // streaming ingestion and distribution work must be
         // described in USAGE with its default spelled out.
         for flag in DOCUMENTED_FLAGS {
             let line_start = USAGE
@@ -1438,6 +1367,46 @@ mod tests {
                 "d",
             ],
             &["client", "--connect", "127.0.0.1:1", "--ping", "--pong"],
+            &[
+                "explain",
+                "s.csv",
+                "t.csv",
+                concat!("--pool", "-backend"),
+                "disk",
+            ],
+            &["profile", "a", "b", concat!("--pool", "-backend"), "disk"],
+            &[
+                "client",
+                "--connect",
+                "127.0.0.1:1",
+                "s.csv",
+                "t.csv",
+                concat!("--pool", "-backend"),
+                "disk",
+            ],
+            &[
+                "explain",
+                "s.csv",
+                "t.csv",
+                concat!("--pool", "-budget-bytes"),
+                "4096",
+            ],
+            &[
+                "profile",
+                "a",
+                "b",
+                concat!("--pool", "-budget-bytes"),
+                "4096",
+            ],
+            &[
+                "client",
+                "--connect",
+                "127.0.0.1:1",
+                "s.csv",
+                "t.csv",
+                concat!("--pool", "-budget-bytes"),
+                "4096",
+            ],
             // A flag documented for one command is unknown to another.
             &["diff", "s.csv", "t.csv", "--key", "k", "--threads", "2"],
             &["gen", "iris", "--out-dir", "d", "--workers", "2"],

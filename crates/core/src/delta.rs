@@ -216,8 +216,8 @@ pub struct DeltaReport {
 
 /// Fingerprint the parts of the configuration that shape output bytes:
 /// the search configuration and schema alignment. Ingestion chunking and
-/// pool backend are deliberately excluded — they are byte-transparent, so
-/// a manifest recorded under one backend splices under another.
+/// threads are deliberately excluded — they are byte-transparent, so a
+/// manifest recorded under one chunking splices under another.
 pub fn config_fingerprint(config: &AffidavitConfig, align: bool) -> String {
     let mut fnv = affidavit_store::Fnv::new();
     fnv.update_str(&serde_json::to_string(config).expect("configs are serializable"));

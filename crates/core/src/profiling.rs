@@ -44,7 +44,8 @@ pub struct ProfileOptions {
     /// Streaming-ingestion options for reading each table pair's CSVs
     /// (chunk size, worker threads).
     pub ingest: IngestOptions,
-    /// Pool backend for each table pair (RAM or disk-spilled segments).
+    /// No settings: see [`PoolConfig`]. Kept only for the benchmark
+    /// harness, which names it.
     pub pool: PoolConfig,
 }
 
@@ -240,7 +241,7 @@ pub fn stage_file_pair(
     tgt_path: &Path,
     opts: &ProfileOptions,
 ) -> Result<ProblemInstance, String> {
-    let pair = ingest_pair(src_path, tgt_path, &opts.ingest, &opts.pool)?;
+    let pair = ingest_pair(src_path, tgt_path, &opts.ingest, &PoolConfig)?;
     stage_snapshot_pair(pair, opts)
 }
 

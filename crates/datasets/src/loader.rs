@@ -6,14 +6,12 @@
 //! the synthetic stand-in.
 //!
 //! Real files go through the `affidavit-store` streaming ingestion
-//! pipeline: chunked parallel interning (`IngestOptions`) into a pool of
-//! the configured backend (`PoolConfig`, RAM or disk-spilled), so loading
-//! scales with cores and snapshots may exceed RAM. The default options
-//! reproduce the historical serial in-RAM behavior bit for bit.
+//! pipeline with its default options (serial, chunked), which is
+//! byte-identical to the table crate's CSV reader.
 
 use std::path::Path;
 
-use affidavit_store::{ingest, IngestOptions, PoolConfig};
+use affidavit_store::{ingest, IngestOptions};
 use affidavit_table::{Table, ValuePool};
 
 use crate::specs::DatasetSpec;
@@ -26,28 +24,9 @@ pub fn load_or_generate(
     data_dir: impl AsRef<Path>,
     seed: u64,
 ) -> (Table, ValuePool, bool) {
-    load_or_generate_with(
-        spec,
-        data_dir,
-        seed,
-        &IngestOptions::default(),
-        &PoolConfig::default(),
-    )
-}
-
-/// [`load_or_generate`] with explicit ingestion and pool-backend options
-/// (the CLI's `--ingest-chunk-rows` / `--pool-backend` /
-/// `--pool-budget-bytes`).
-pub fn load_or_generate_with(
-    spec: &DatasetSpec,
-    data_dir: impl AsRef<Path>,
-    seed: u64,
-    ingest_opts: &IngestOptions,
-    pool_cfg: &PoolConfig,
-) -> (Table, ValuePool, bool) {
     let path = data_dir.as_ref().join(format!("{}.csv", spec.name));
     if path.is_file() {
-        match try_load(&path, ingest_opts, pool_cfg) {
+        match try_load(&path) {
             Ok((table, pool)) => return (table, pool, true),
             Err(err) => {
                 eprintln!(
@@ -61,15 +40,10 @@ pub fn load_or_generate_with(
     (table, pool, false)
 }
 
-fn try_load(
-    path: &Path,
-    ingest_opts: &IngestOptions,
-    pool_cfg: &PoolConfig,
-) -> Result<(Table, ValuePool), String> {
-    let mut pool = pool_cfg
-        .build()
-        .map_err(|e| format!("cannot create {:?} pool backend: {e}", pool_cfg.backend))?;
-    let table = ingest::read_path(path, &mut pool, ingest_opts).map_err(|e| e.to_string())?;
+fn try_load(path: &Path) -> Result<(Table, ValuePool), String> {
+    let mut pool = ValuePool::new();
+    let table =
+        ingest::read_path(path, &mut pool, &IngestOptions::default()).map_err(|e| e.to_string())?;
     Ok((table, pool))
 }
 
@@ -77,7 +51,6 @@ fn try_load(
 mod tests {
     use super::*;
     use crate::specs::by_name;
-    use affidavit_store::PoolBackend;
 
     #[test]
     fn falls_back_to_synthetic() {
@@ -109,33 +82,6 @@ mod tests {
         let (t, _, real) = load_or_generate(&spec, &dir, 1);
         assert!(!real);
         assert_eq!(t.len(), 150);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn loads_through_parallel_ingestion_and_disk_backend() {
-        let dir = std::env::temp_dir().join("affidavit-loader-backend-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut text = String::from("a,b\n");
-        for i in 0..200 {
-            text.push_str(&format!("x{i},y{i}\n"));
-        }
-        std::fs::write(dir.join("iris.csv"), &text).unwrap();
-        let spec = by_name("iris").unwrap();
-        let ingest_opts = IngestOptions {
-            chunk_rows: 16,
-            threads: 2,
-            ..IngestOptions::default()
-        };
-        let pool_cfg = PoolConfig {
-            backend: PoolBackend::Disk,
-            budget_bytes: 512,
-        };
-        let (t, pool, real) = load_or_generate_with(&spec, &dir, 1, &ingest_opts, &pool_cfg);
-        assert!(real);
-        assert_eq!(t.len(), 200);
-        let stats = pool.store_stats().expect("disk backend attached");
-        assert!(stats.spilled_bytes > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

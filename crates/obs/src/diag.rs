@@ -1,6 +1,6 @@
 //! Unified stderr diagnostics.
 //!
-//! Every informational line the engine prints to stderr — spill stats,
+//! Every informational line the engine prints to stderr — delta reuse,
 //! distributed-run summaries, serve totals — goes through [`diag`], so
 //! one process-wide switch decides the wire format: human text
 //! (`event: detail`) or the NDJSON diagnostic object already specified
@@ -70,8 +70,8 @@ mod tests {
     #[test]
     fn human_lines_are_event_colon_detail() {
         assert_eq!(
-            render_diag(DiagFormat::Human, "pool backend", "disk — 42 bytes spilled"),
-            "pool backend: disk — 42 bytes spilled"
+            render_diag(DiagFormat::Human, "delta", "3/4 blocks reused, 1 redone"),
+            "delta: 3/4 blocks reused, 1 redone"
         );
     }
 

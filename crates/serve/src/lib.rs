@@ -14,8 +14,7 @@
 //!   snapshot pairs pinned in a [`SessionLru`](affidavit_store::SessionLru)
 //!   keyed by **content fingerprint**. A repeat request against pinned
 //!   snapshots performs zero ingestion work; the LRU bounds how many
-//!   pairs stay pinned and disk-pool budgets are re-enforced after each
-//!   request.
+//!   pairs stay pinned.
 //! * [`client`] — one persistent framed connection with
 //!   reconnect-on-error; an unreachable daemon is
 //!   [`ClientError::Lost`], which the CLI maps to exit code 3.

@@ -30,10 +30,6 @@ pub struct ExplainSpec {
     /// Records per streaming-ingestion chunk (ingestion is byte-identical
     /// at every chunking, so this is not part of the session key).
     pub ingest_chunk_rows: usize,
-    /// Pool backend: `"ram"` or `"disk"`.
-    pub pool_backend: String,
-    /// RAM budget for the disk backend's resident string bytes.
-    pub pool_budget_bytes: usize,
     /// Incremental re-profiling: splice the answer from the pair's
     /// `--delta` manifest when its fingerprints still match, searching
     /// only when dirty. Output stays byte-identical either way.
@@ -45,17 +41,14 @@ pub struct ExplainSpec {
 
 impl ExplainSpec {
     /// A spec for `source`/`target` with the one-shot CLI's defaults:
-    /// the paper's `H^id` configuration, no alignment, RAM pool.
+    /// the paper's `H^id` configuration, no alignment.
     pub fn new(source: impl Into<String>, target: impl Into<String>) -> ExplainSpec {
-        let pool = affidavit_store::PoolConfig::default();
         ExplainSpec {
             source: source.into(),
             target: target.into(),
             config: AffidavitConfig::paper_id(),
             align: false,
             ingest_chunk_rows: affidavit_store::IngestOptions::default().chunk_rows,
-            pool_backend: "ram".to_owned(),
-            pool_budget_bytes: pool.budget_bytes,
             delta: false,
             delta_state: None,
         }

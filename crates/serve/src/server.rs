@@ -13,9 +13,7 @@ use affidavit_dist::{
     configure_stream, read_frame, spawn_accept_loop, write_frame, ConnRegistry, FrameConfig,
     FrameRead,
 };
-use affidavit_store::{
-    ingest_pair, IngestOptions, PoolBackend, PoolConfig, SessionKey, SessionLru,
-};
+use affidavit_store::{ingest_pair, IngestOptions, PoolConfig, SessionKey, SessionLru};
 
 use crate::protocol::{ClientRequest, ClientResponse, ExplainSpec, ReportReply, ServeStats};
 
@@ -318,12 +316,6 @@ fn explain(spec: &ExplainSpec, shared: &ServeShared) -> Result<ReportReply, Stri
     let millis = started.elapsed().as_millis() as u64;
     let _span = affidavit_obs::span("serve.respond");
     let report = render_report(&outcome.explanation, &instance);
-    // The post-read enforcement hook: a read-heavy request only ever
-    // faults disk-pool segments *in*, so resident bytes are pushed back
-    // under budget between requests.
-    if let Ok(mut sessions) = shared.sessions.lock() {
-        sessions.enforce_budgets();
-    }
     Ok(ReportReply {
         report,
         polled: outcome.stats.polled as u64,
@@ -341,7 +333,7 @@ fn explain(spec: &ExplainSpec, shared: &ServeShared) -> Result<ReportReply, Stri
 /// deliberately not enforced here: a dirty pair's redo must stay
 /// byte-identical to the one-shot `--delta` CLI, which has no deadline.
 fn explain_delta_served(spec: &ExplainSpec, shared: &ServeShared) -> Result<ReportReply, String> {
-    let opts = profile_options(spec)?;
+    let opts = profile_options(spec);
     let state = match &spec.delta_state {
         Some(dir) => Path::new(dir).join("explain.affidavit-delta.json"),
         None => affidavit_core::delta::default_explain_state(Path::new(&spec.target)),
@@ -359,9 +351,6 @@ fn explain_delta_served(spec: &ExplainSpec, shared: &ServeShared) -> Result<Repo
             stage_snapshot_pair(pair, &sopts)
         },
     )?;
-    if let Ok(mut sessions) = shared.sessions.lock() {
-        sessions.enforce_budgets();
-    }
     affidavit_obs::diag("delta", &outcome.stats.summary());
     Ok(ReportReply {
         report: outcome.report,
@@ -376,24 +365,20 @@ fn explain_delta_served(spec: &ExplainSpec, shared: &ServeShared) -> Result<Repo
 /// Returns whether the pair was already pinned.
 fn pin(spec: &ExplainSpec, shared: &ServeShared) -> Result<bool, String> {
     let (_pair, warm, _opts) = staged_pair(spec, shared)?;
-    if let Ok(mut sessions) = shared.sessions.lock() {
-        sessions.enforce_budgets();
-    }
     Ok(warm)
 }
 
 /// The session hot path shared by `Explain` and `Pin`: key the pair by
-/// file content + pool configuration and pin-or-reuse it. `warm` is
-/// true when the request performed zero ingestion work.
+/// file content and pin-or-reuse it. `warm` is true when the request
+/// performed zero ingestion work.
 fn staged_pair(
     spec: &ExplainSpec,
     shared: &ServeShared,
 ) -> Result<(affidavit_store::SnapshotPair, bool, ProfileOptions), String> {
-    let opts = profile_options(spec)?;
-    let (ingest_opts, pool_cfg) = (opts.ingest, opts.pool);
+    let opts = profile_options(spec);
     let src = Path::new(&spec.source);
     let tgt = Path::new(&spec.target);
-    let key = SessionKey::for_files(src, tgt, &pool_cfg)?;
+    let key = SessionKey::for_files(src, tgt)?;
     let (pair, warm) = {
         let mut sessions = shared
             .sessions
@@ -401,7 +386,7 @@ fn staged_pair(
             .map_err(|_| "session cache poisoned".to_owned())?;
         let ingests_before = sessions.counters().ingests;
         let pair =
-            sessions.get_or_ingest(key, || ingest_pair(src, tgt, &ingest_opts, &pool_cfg))?;
+            sessions.get_or_ingest(key, || ingest_pair(src, tgt, &opts.ingest, &PoolConfig))?;
         (pair, sessions.counters().ingests == ingests_before)
     };
     affidavit_obs::point("serve.session", vec![("warm".to_owned(), warm.to_string())]);
@@ -410,23 +395,18 @@ fn staged_pair(
 
 /// Translate a wire spec into the staging options the profiling layer
 /// uses — shared by the fresh-search and delta explain paths.
-fn profile_options(spec: &ExplainSpec) -> Result<ProfileOptions, String> {
-    let backend: PoolBackend = spec.pool_backend.parse()?;
-    let pool_cfg = PoolConfig {
-        backend,
-        budget_bytes: spec.pool_budget_bytes,
-    };
+fn profile_options(spec: &ExplainSpec) -> ProfileOptions {
     let ingest_opts = IngestOptions {
         chunk_rows: spec.ingest_chunk_rows,
         threads: spec.config.threads,
         ..IngestOptions::default()
     };
-    Ok(ProfileOptions {
+    ProfileOptions {
         config: spec.config.clone(),
         align: spec.align,
         ingest: ingest_opts,
-        pool: pool_cfg,
-    })
+        ..ProfileOptions::default()
+    }
 }
 
 #[cfg(test)]

@@ -398,31 +398,4 @@ mod tests {
         let err = read_stream("".as_bytes(), &mut pool, &IngestOptions::default()).unwrap_err();
         assert!(matches!(err, TableError::EmptyInput));
     }
-
-    #[test]
-    fn ingests_into_a_disk_backed_pool() {
-        let mut text = String::from("k,v\n");
-        for i in 0..500 {
-            text.push_str(&format!("key-{i:05},value-{i:05}\n"));
-        }
-        let mut pool = crate::PoolConfig {
-            backend: crate::PoolBackend::Disk,
-            budget_bytes: 512,
-        }
-        .build()
-        .unwrap();
-        let opts = IngestOptions {
-            chunk_rows: 64,
-            threads: 2,
-            ..IngestOptions::default()
-        };
-        let table = read_stream(text.as_bytes(), &mut pool, &opts).unwrap();
-        assert_eq!(table.len(), 500);
-        let stats = pool.store_stats().unwrap();
-        assert!(stats.spilled_bytes > 0, "tiny budget must spill");
-        // Same contents as a RAM ingest, symbol for symbol.
-        let mut ram = ValuePool::new();
-        let ram_table = csv::read_str(&text, &mut ram, CsvOptions::default()).unwrap();
-        assert_eq!(fingerprint(&table, &pool), fingerprint(&ram_table, &ram));
-    }
 }

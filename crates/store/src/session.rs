@@ -5,18 +5,11 @@
 //! against a snapshot pair ingests it into a [`SnapshotPair`] (two
 //! tables sharing one sealed [`ValuePool`]), and the [`SessionLru`] pins
 //! the pair under a [`SessionKey`] — the **content fingerprints** of both
-//! files plus the pool configuration — so every later request against
-//! the same bytes skips ingestion entirely and starts from a cheap
-//! clone (tables are column-`Arc`-backed, pool clones share sealed
-//! segments). Keying by content rather than path means a rewritten file
-//! re-ingests and an identical copy under another name hits.
-//!
-//! The LRU bounds how many pairs stay pinned, and
-//! [`SessionLru::enforce_budgets`] is the explicit post-read eviction
-//! hook for disk-backed pools: a read-heavy service workload over sealed
-//! pools only ever faults segments *in* (reads are `&self`), so the
-//! service calls this between requests to keep resident bytes under the
-//! pool budget.
+//! files — so every later request against the same bytes skips ingestion
+//! entirely and starts from a cheap clone (tables are column-`Arc`-backed,
+//! pool strings are `Arc<str>`). Keying by content rather than path means
+//! a rewritten file re-ingests and an identical copy under another name
+//! hits. The LRU bounds how many pairs stay pinned.
 //!
 //! Determinism corollary: a clone of a pinned pair is byte-identical to
 //! a fresh ingestion of the same files (chunked ingestion is
@@ -30,12 +23,11 @@ use std::path::Path;
 use affidavit_table::{Table, ValuePool};
 
 use crate::fingerprint::{fingerprint_file, Fingerprint};
-use crate::{ingest, IngestOptions, PoolBackend, PoolConfig};
+use crate::{ingest, IngestOptions, PoolConfig};
 
 /// An ingested snapshot pair: two tables interned into one shared pool —
 /// exactly what the profiler stages into a search instance. Cloning is
-/// cheap and yields a fully independent view (column `Arc`s, shared
-/// sealed segments).
+/// cheap and yields a fully independent view (column and string `Arc`s).
 #[derive(Debug, Clone)]
 pub struct SnapshotPair {
     /// The source (before) snapshot.
@@ -46,36 +38,25 @@ pub struct SnapshotPair {
     pub pool: ValuePool,
 }
 
-/// What identifies a pinned session: the content of both files and the
-/// pool configuration they were ingested under. Ingestion is
-/// byte-identical at every thread count and chunk size, so ingestion
-/// options are deliberately *not* part of the key.
+/// What identifies a pinned session: the content of both files.
+/// Ingestion is byte-identical at every thread count and chunk size, so
+/// ingestion options are deliberately *not* part of the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SessionKey {
     /// Content fingerprint of the source file.
     pub source: Fingerprint,
     /// Content fingerprint of the target file.
     pub target: Fingerprint,
-    /// Pool backend the pair was built over.
-    pub backend: PoolBackend,
-    /// Pool RAM budget (disk backend only; constant for RAM).
-    pub budget_bytes: usize,
 }
 
 impl SessionKey {
-    /// Key a pair of files by content under a pool configuration.
-    pub fn for_files(
-        src_path: &Path,
-        tgt_path: &Path,
-        pool: &PoolConfig,
-    ) -> Result<SessionKey, String> {
+    /// Key a pair of files by content.
+    pub fn for_files(src_path: &Path, tgt_path: &Path) -> Result<SessionKey, String> {
         let fp =
             |path: &Path| fingerprint_file(path).map_err(|e| format!("{}: {e}", path.display()));
         Ok(SessionKey {
             source: fp(src_path)?,
             target: fp(tgt_path)?,
-            backend: pool.backend,
-            budget_bytes: pool.budget_bytes,
         })
     }
 }
@@ -83,16 +64,15 @@ impl SessionKey {
 /// Ingest a snapshot pair from its CSV files into a fresh pool — the
 /// shared ingestion step under both the one-shot profiler and the
 /// resident service, so failure messages (and the ingested bytes) are
-/// identical in both modes.
+/// identical in both modes. `pool_cfg` carries no settings (see
+/// [`PoolConfig`]).
 pub fn ingest_pair(
     src_path: &Path,
     tgt_path: &Path,
     ingest_opts: &IngestOptions,
     pool_cfg: &PoolConfig,
 ) -> Result<SnapshotPair, String> {
-    let mut pool = pool_cfg
-        .build()
-        .map_err(|e| format!("cannot create {:?} pool backend: {e}", pool_cfg.backend))?;
+    let mut pool = pool_cfg.build();
     let read = |path: &Path, pool: &mut ValuePool| {
         ingest::read_path(path, pool, ingest_opts).map_err(|e| format!("{}: {e}", path.display()))
     };
@@ -199,16 +179,6 @@ impl SessionLru {
         Ok(pair)
     }
 
-    /// Evict each pinned pool's cached segments down to its RAM budget —
-    /// the post-read enforcement hook for disk-backed pools (reads are
-    /// `&self` and only ever fault segments in; see
-    /// [`ValuePool::enforce_budget`]). Call between requests.
-    pub fn enforce_budgets(&mut self) {
-        for entry in self.entries.values_mut() {
-            entry.pair.pool.enforce_budget();
-        }
-    }
-
     /// Ingestion-work counters so far.
     pub fn counters(&self) -> SessionCounters {
         self.counters
@@ -245,10 +215,10 @@ mod tests {
         (src, tgt)
     }
 
-    fn ingest_into(lru: &mut SessionLru, src: &Path, tgt: &Path, cfg: &PoolConfig) -> SnapshotPair {
-        let key = SessionKey::for_files(src, tgt, cfg).unwrap();
+    fn ingest_into(lru: &mut SessionLru, src: &Path, tgt: &Path) -> SnapshotPair {
+        let key = SessionKey::for_files(src, tgt).unwrap();
         lru.get_or_ingest(key, || {
-            ingest_pair(src, tgt, &IngestOptions::default(), cfg)
+            ingest_pair(src, tgt, &IngestOptions::default(), &PoolConfig)
         })
         .unwrap()
     }
@@ -258,12 +228,11 @@ mod tests {
         let dir = std::env::temp_dir().join("affidavit-session-test");
         std::fs::remove_dir_all(&dir).ok();
         let (src, tgt) = write_pair(&dir, "a", 30);
-        let cfg = PoolConfig::default();
         let mut lru = SessionLru::new(4);
-        let cold = ingest_into(&mut lru, &src, &tgt, &cfg);
+        let cold = ingest_into(&mut lru, &src, &tgt);
         assert_eq!(lru.counters().ingests, 1);
         // The warm repeat performs zero ingestion work...
-        let warm = ingest_into(&mut lru, &src, &tgt, &cfg);
+        let warm = ingest_into(&mut lru, &src, &tgt);
         assert_eq!(lru.counters().ingests, 1, "repeat must not re-ingest");
         assert_eq!(lru.counters().hits, 1);
         // ...and the pinned pair is indistinguishable from the cold one.
@@ -272,7 +241,7 @@ mod tests {
         assert_eq!(warm.pool.len(), cold.pool.len());
         // Rewriting a file changes its content key: a fresh ingestion.
         std::fs::write(&src, "k,v\nk0,changed\n").unwrap();
-        ingest_into(&mut lru, &src, &tgt, &cfg);
+        ingest_into(&mut lru, &src, &tgt);
         assert_eq!(lru.counters().ingests, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -281,55 +250,23 @@ mod tests {
     fn capacity_evicts_least_recently_used() {
         let dir = std::env::temp_dir().join("affidavit-session-lru-test");
         std::fs::remove_dir_all(&dir).ok();
-        let cfg = PoolConfig::default();
         let mut lru = SessionLru::new(2);
         let (a_src, a_tgt) = write_pair(&dir, "a", 5);
         let (b_src, b_tgt) = write_pair(&dir, "b", 6);
         let (c_src, c_tgt) = write_pair(&dir, "c", 7);
-        ingest_into(&mut lru, &a_src, &a_tgt, &cfg);
-        ingest_into(&mut lru, &b_src, &b_tgt, &cfg);
+        ingest_into(&mut lru, &a_src, &a_tgt);
+        ingest_into(&mut lru, &b_src, &b_tgt);
         // Touch a so b is the least recently used, then overflow with c.
-        ingest_into(&mut lru, &a_src, &a_tgt, &cfg);
-        ingest_into(&mut lru, &c_src, &c_tgt, &cfg);
+        ingest_into(&mut lru, &a_src, &a_tgt);
+        ingest_into(&mut lru, &c_src, &c_tgt);
         assert_eq!(lru.len(), 2);
         assert_eq!(lru.counters().evictions, 1);
         // a survived (recently used): a repeat is still a hit.
-        ingest_into(&mut lru, &a_src, &a_tgt, &cfg);
+        ingest_into(&mut lru, &a_src, &a_tgt);
         assert_eq!(lru.counters().hits, 2);
         // b was evicted: a repeat re-ingests.
-        ingest_into(&mut lru, &b_src, &b_tgt, &cfg);
+        ingest_into(&mut lru, &b_src, &b_tgt);
         assert_eq!(lru.counters().ingests, 4);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn enforce_budgets_bounds_pinned_disk_pools() {
-        let dir = std::env::temp_dir().join("affidavit-session-budget-test");
-        std::fs::remove_dir_all(&dir).ok();
-        let (src, tgt) = write_pair(&dir, "big", 400);
-        let cfg = PoolConfig {
-            backend: PoolBackend::Disk,
-            budget_bytes: 256,
-        };
-        let mut lru = SessionLru::new(2);
-        let pair = ingest_into(&mut lru, &src, &tgt, &cfg);
-        // Emulate the service hot path: a request clone reads everything
-        // (the pinned pool itself is also readable through the clone's
-        // shared segments), then the service enforces budgets.
-        let pool_len = pair.pool.len() as u32;
-        for i in 0..pool_len {
-            let _ = pair.pool.get(affidavit_table::Sym(i));
-        }
-        lru.enforce_budgets();
-        for entry in lru.entries.values() {
-            let stats = entry.pair.pool.store_stats().unwrap();
-            assert!(
-                stats.resident_bytes <= cfg.budget_bytes,
-                "pinned pool resident {} exceeds budget {}",
-                stats.resident_bytes,
-                cfg.budget_bytes
-            );
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

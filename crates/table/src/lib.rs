@@ -56,6 +56,4 @@ pub use rational::Rational;
 pub use record::{Record, RecordId};
 pub use schema::{AttrId, Attribute, Schema};
 pub use table::{Column, ColumnsView, RecordRef, Table};
-pub use value::{
-    Interner, PoolReader, ScratchPool, StoreStats, StringStore, Sym, SymRemap, ValuePool,
-};
+pub use value::{Interner, PoolReader, ScratchPool, Sym, SymRemap, ValuePool};

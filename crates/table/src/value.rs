@@ -4,12 +4,13 @@
 //! [`ValuePool`] and referenced by a [`Sym`]. Blocking, histogram building
 //! and function memoization then operate on `u32`s instead of strings, which
 //! is what lets the search scale to the paper's 500 000-record instances.
+//! The pool keeps every distinct string in RAM, once, as an `Arc<str>`
+//! shared between its index and its symbol table.
 
-use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::decimal::Decimal;
-use crate::fx::{FxHashMap, FxHasher};
+use crate::fx::FxHashMap;
 
 /// An interned value symbol. `Sym`s are only meaningful relative to the
 /// [`ValuePool`] that produced them.
@@ -24,98 +25,12 @@ impl Sym {
     }
 }
 
-/// Pluggable storage backend for a [`ValuePool`]'s string bytes.
-///
-/// The default pool keeps every interned string in RAM (`Arc<str>`); a
-/// backend routes the bytes elsewhere — e.g. the `affidavit-store` crate's
-/// `SegmentStore`, which appends them to segments spilled to disk under a
-/// memory budget. Symbol numbering, interning order and lookups are
-/// backend-independent, so any computation over a backend-backed pool is
-/// byte-identical to the same computation over a RAM pool.
-pub trait StringStore: std::fmt::Debug + Send + Sync {
-    /// Append a string, returning its index (equal to the previous
-    /// [`StringStore::len`]).
-    fn append(&mut self, s: &str) -> usize;
-
-    /// The string at `index`. Implementations may fault data in from disk;
-    /// faulted data must stay resident at least for the duration of the
-    /// current shared borrow (eviction only happens behind `&mut` access).
-    fn get(&self, index: usize) -> &str;
-
-    /// Number of stored strings.
-    fn len(&self) -> usize;
-
-    /// True if nothing is stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clone into a new independent store with the same contents.
-    fn clone_store(&self) -> Box<dyn StringStore>;
-
-    /// Evict cached data until [`StringStore::resident_bytes`] fits the
-    /// store's RAM budget, if it has one. Stores evict on their own at
-    /// mutation points (appends), but a *read-only* workload over a
-    /// sealed store only ever faults data in — callers holding `&mut`
-    /// access between read bursts invoke this to bound residency. The
-    /// `&mut` receiver is what makes eviction sound: [`StringStore::get`]
-    /// hands out `&str` borrows into cached data, so no such borrow can
-    /// be live here. No-op by default (pure-RAM stores have no budget).
-    fn enforce_budget(&mut self) {}
-
-    /// String bytes currently resident in RAM.
-    fn resident_bytes(&self) -> usize;
-
-    /// String bytes written to disk so far (0 for pure-RAM stores).
-    fn spilled_bytes(&self) -> u64;
-}
-
-/// Diagnostics for a pool running over a custom [`StringStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreStats {
-    /// String bytes currently resident in RAM.
-    pub resident_bytes: usize,
-    /// String bytes written to disk so far.
-    pub spilled_bytes: u64,
-}
-
-/// The index + storage half of a backend-driven pool. The hash index maps
-/// an Fx hash of the string to candidate symbols (collisions resolved by
-/// comparing against `store.get`), so the only per-string RAM cost outside
-/// the store itself is a few words — no second in-RAM copy of the corpus.
-#[derive(Debug)]
-struct StoreBackend {
-    store: Box<dyn StringStore>,
-    index: FxHashMap<u64, Vec<Sym>>,
-}
-
-fn fx_hash_str(s: &str) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(s.as_bytes());
-    h.finish()
-}
-
 /// A string interner with cached numeric interpretation per symbol.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ValuePool {
     map: FxHashMap<Arc<str>, Sym>,
     strings: Vec<Arc<str>>,
     numeric: Vec<Option<Decimal>>,
-    backend: Option<StoreBackend>,
-}
-
-impl Clone for ValuePool {
-    fn clone(&self) -> ValuePool {
-        ValuePool {
-            map: self.map.clone(),
-            strings: self.strings.clone(),
-            numeric: self.numeric.clone(),
-            backend: self.backend.as_ref().map(|b| StoreBackend {
-                store: b.store.clone_store(),
-                index: b.index.clone(),
-            }),
-        }
-    }
 }
 
 impl ValuePool {
@@ -130,61 +45,11 @@ impl ValuePool {
             map: FxHashMap::with_capacity_and_hasher(n, Default::default()),
             strings: Vec::with_capacity(n),
             numeric: Vec::with_capacity(n),
-            backend: None,
         }
-    }
-
-    /// Create an empty pool whose string bytes live in `store` instead of
-    /// RAM `Arc<str>`s (see [`StringStore`]). The store must be empty.
-    pub fn with_store(store: Box<dyn StringStore>) -> ValuePool {
-        assert!(store.is_empty(), "backend store must start empty");
-        ValuePool {
-            map: FxHashMap::default(),
-            strings: Vec::new(),
-            numeric: Vec::new(),
-            backend: Some(StoreBackend {
-                store,
-                index: FxHashMap::default(),
-            }),
-        }
-    }
-
-    /// Ask the backend [`StringStore`] to evict cached data down to its
-    /// RAM budget (see [`StringStore::enforce_budget`]). No-op for
-    /// RAM-backed pools. Read-heavy holders of a sealed pool — e.g. a
-    /// resident service answering queries against a pinned snapshot —
-    /// call this between read bursts, because reads alone only fault
-    /// data in and would otherwise grow residency without bound.
-    pub fn enforce_budget(&mut self) {
-        if let Some(backend) = self.backend.as_mut() {
-            backend.store.enforce_budget();
-        }
-    }
-
-    /// Diagnostics of the custom [`StringStore`], if one is attached.
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.backend.as_ref().map(|b| StoreStats {
-            resident_bytes: b.store.resident_bytes(),
-            spilled_bytes: b.store.spilled_bytes(),
-        })
     }
 
     /// Intern `s`, returning its symbol. Idempotent.
     pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(backend) = self.backend.as_mut() {
-            let hash = fx_hash_str(s);
-            if let Some(candidates) = backend.index.get(&hash) {
-                for &sym in candidates {
-                    if backend.store.get(sym.index()) == s {
-                        return sym;
-                    }
-                }
-            }
-            let sym = Sym(backend.store.append(s) as u32);
-            self.numeric.push(Decimal::parse(s));
-            backend.index.entry(hash).or_default().push(sym);
-            return sym;
-        }
         if let Some(&sym) = self.map.get(s) {
             return sym;
         }
@@ -198,23 +63,13 @@ impl ValuePool {
 
     /// Look up a symbol without interning. Returns `None` for unseen values.
     pub fn lookup(&self, s: &str) -> Option<Sym> {
-        if let Some(backend) = self.backend.as_ref() {
-            let candidates = backend.index.get(&fx_hash_str(s))?;
-            return candidates
-                .iter()
-                .copied()
-                .find(|&sym| backend.store.get(sym.index()) == s);
-        }
         self.map.get(s).copied()
     }
 
     /// The string a symbol denotes.
     #[inline]
     pub fn get(&self, sym: Sym) -> &str {
-        match self.backend.as_ref() {
-            Some(backend) => backend.store.get(sym.index()),
-            None => &self.strings[sym.index()],
-        }
+        &self.strings[sym.index()]
     }
 
     /// The cached exact-decimal interpretation of a symbol, if the value is
@@ -231,20 +86,20 @@ impl ValuePool {
 
     /// Number of distinct interned values.
     pub fn len(&self) -> usize {
-        self.numeric.len()
+        self.strings.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.numeric.is_empty()
+        self.strings.is_empty()
     }
 
     /// Iterate over all `(Sym, &str)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
-        (0..self.len()).map(move |i| {
-            let sym = Sym(i as u32);
-            (sym, self.get(sym))
-        })
+        self.strings
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (Sym(i as u32), s.as_ref()))
     }
 
     /// A cheap read-only view of the pool. Workers hold readers (or

@@ -4,15 +4,15 @@
 //! crates for details:
 //!
 //! * [`table`] — storage substrate (interning, exact decimals, CSV).
-//! * [`store`] — snapshot ingestion & storage backends (streaming parallel
-//!   CSV interning, disk-backed value pools).
+//! * [`store`] — snapshot ingestion and storage (streaming parallel CSV
+//!   interning, content fingerprints, delta manifests, pinned sessions).
 //! * [`functions`] — transformation meta functions and induction.
 //! * [`blocking`] — blocking indices, random alignments, overlap matching.
 //! * [`core`] — the Affidavit search algorithm (Algorithm 1), plus
 //!   incremental re-profiling (`core::delta`: fingerprinted block
 //!   reuse with from-scratch byte identity).
 //! * [`dist`] — distributed work-stealing profiling over serialized
-//!   problem instances (job queue, filesystem broker, worker processes).
+//!   problem instances (job queue, TCP worker processes).
 //! * [`serve`] — the resident explain daemon: framed client API over
 //!   pinned, fingerprint-keyed snapshot sessions.
 //! * [`obs`] — unified tracing, metrics and phase profiling: a pure
@@ -61,6 +61,6 @@ pub mod prelude {
     pub use affidavit_core::search::Affidavit;
     pub use affidavit_functions::function::AttrFunction;
     pub use affidavit_functions::kind::{MetaKind, Registry};
-    pub use affidavit_store::{IngestOptions, PoolBackend, PoolConfig, SegmentPool};
+    pub use affidavit_store::IngestOptions;
     pub use affidavit_table::{Schema, Table, ValuePool};
 }

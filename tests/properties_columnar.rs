@@ -11,16 +11,14 @@
 //!    survive the transpose-in/transpose-out round trip through columns,
 //!    row views and materialized records.
 //! 3. **Byte-identical output** — `explain` (both paper configs, threads
-//!    {1, 4}, speculative widths {1, 4}) and `profile` (RAM and
-//!    disk-spilled pool backends) render byte-identical reports and pool
-//!    evolution whether the instance tables were built row-wise or
-//!    rebuilt from raw columns.
+//!    {1, 4}, speculative widths {1, 4}) and `profile` (ingestion threads
+//!    {1, 4}) render byte-identical reports and pool evolution whether the
+//!    instance tables were built row-wise or rebuilt from raw columns.
 
 use affidavit::core::config::{AffidavitConfig, InitStrategy};
 use affidavit::core::profiling::{profile_dirs, ProfileOptions};
 use affidavit::core::report::render_report;
 use affidavit::core::search::Affidavit;
-use affidavit::store::{PoolBackend, PoolConfig};
 use affidavit::table::{csv, AttrId, RecordId, Schema, Sym, Table, ValuePool};
 use proptest::prelude::*;
 
@@ -192,11 +190,11 @@ fn explain_is_build_path_invariant() {
     }
 }
 
-/// Profile the same snapshot directories through the RAM backend at one
-/// ingestion thread and the disk-spilled backend (tiny budget, forced
-/// spills) at four — timing stripped, the outputs must be byte-identical.
+/// Profile the same snapshot directories at one ingestion thread and at
+/// four, in 8-row chunks — timing stripped, the outputs must be
+/// byte-identical.
 #[test]
-fn profile_is_backend_invariant() {
+fn profile_is_ingest_thread_invariant() {
     let root =
         std::env::temp_dir().join(format!("affidavit-columnar-profile-{}", std::process::id()));
     let before = root.join("before");
@@ -219,21 +217,20 @@ fn profile_is_backend_invariant() {
     )
     .unwrap();
 
-    let run = |backend: PoolBackend, threads: usize| {
+    let run = |threads: usize| {
         let mut opts = ProfileOptions::default();
         opts.ingest.chunk_rows = 8;
         opts.ingest.threads = threads;
-        opts.pool = PoolConfig {
-            backend,
-            budget_bytes: 512,
-        };
         let mut profile = profile_dirs(&before, &after, &opts).expect("profiling succeeds");
         profile.strip_timing();
         profile.render()
     };
-    let ram = run(PoolBackend::Ram, 1);
-    let disk = run(PoolBackend::Disk, 4);
+    let serial = run(1);
+    let parallel = run(4);
     std::fs::remove_dir_all(&root).ok();
-    assert_eq!(ram, disk, "profile must not depend on the pool backend");
-    assert!(ram.contains("pair"), "profile covered the table pair");
+    assert_eq!(
+        serial, parallel,
+        "profile must not depend on the ingestion threads"
+    );
+    assert!(serial.contains("pair"), "profile covered the table pair");
 }

@@ -6,7 +6,7 @@
 //! never a wrong answer. The battery fuzzes snapshot edits (row
 //! insert/delete, cell edits, reorders, block-boundary edits, and
 //! byte-level no-op rewrites like CRLF and quoting) across both paper
-//! configurations × threads {1, 4} × {ram, disk} pools, and also checks
+//! configurations × threads {1, 4} × ingest chunkings, and also checks
 //! the redo path's *pool state* against a from-scratch staging — not
 //! just the rendered report. Separately: the streaming fingerprint is
 //! chunking-invariant, and a corrupted manifest falls back to a full
@@ -22,9 +22,7 @@ use affidavit::core::delta::{
 use affidavit::core::profiling::{profile_dirs, stage_file_pair, ProfileOptions, SnapshotProfile};
 use affidavit::core::report::render_report;
 use affidavit::core::{Affidavit, AffidavitConfig, ProblemInstance};
-use affidavit::store::{
-    fingerprint_bytes, fingerprint_file, Fnv, IngestOptions, PoolBackend, PoolConfig,
-};
+use affidavit::store::{fingerprint_bytes, fingerprint_file, Fnv, IngestOptions};
 use proptest::prelude::*;
 
 /// A fresh per-test scratch directory (tests in this file run in
@@ -61,7 +59,7 @@ fn write_pair(dir: &Path, seed: u64) -> (PathBuf, PathBuf) {
 }
 
 /// The battery's dimension sweep, driven off seed bits: both paper
-/// configurations × threads {1, 4} × {ram, disk} pools.
+/// configurations × threads {1, 4} × ingest chunks {4096, 3} rows.
 fn opts_for(seed: u64) -> ProfileOptions {
     let mut config = if seed & 1 == 0 {
         AffidavitConfig::paper_id()
@@ -69,20 +67,16 @@ fn opts_for(seed: u64) -> ProfileOptions {
         AffidavitConfig::paper_overlap()
     };
     config.threads = if seed & 2 == 0 { 1 } else { 4 };
-    let pool = if seed & 4 == 0 {
-        PoolConfig::default()
-    } else {
-        // Tiny budget so the disk backend actually spills.
-        PoolConfig {
-            backend: PoolBackend::Disk,
-            budget_bytes: 4096,
-        }
-    };
+    let mut ingest = IngestOptions::default();
+    if seed & 4 != 0 {
+        // Byte-transparent: chunking never changes the ingested pair.
+        ingest.chunk_rows = 3;
+    }
     ProfileOptions {
         config,
         align: false,
-        ingest: IngestOptions::default(),
-        pool,
+        ingest,
+        ..ProfileOptions::default()
     }
 }
 
@@ -307,38 +301,34 @@ fn a_broken_manifest_falls_back_to_a_correct_redo() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A manifest recorded under one pool backend splices under the other:
+/// A manifest recorded under one ingest chunking splices under another:
 /// the config fingerprint deliberately excludes byte-transparent knobs
-/// (pool backend, ingest chunking), and only them.
+/// (ingest chunking), and only them.
 #[test]
 fn the_manifest_is_portable_across_byte_transparent_knobs() {
     let dir = temp_dir("portable");
     let (src, tgt) = write_pair(&dir, 9);
-    let ram = opts_for(0);
-    let mut disk = opts_for(0);
-    disk.pool = PoolConfig {
-        backend: PoolBackend::Disk,
-        budget_bytes: 4096,
-    };
-    disk.ingest.chunk_rows = 3;
+    let default = opts_for(0);
+    let mut chunked = opts_for(0);
+    chunked.ingest.chunk_rows = 3;
     assert_eq!(
-        config_fingerprint(&ram.config, ram.align),
-        config_fingerprint(&disk.config, disk.align)
+        config_fingerprint(&default.config, default.align),
+        config_fingerprint(&chunked.config, chunked.align)
     );
     let mut threads4 = opts_for(0);
     threads4.config.threads = 4;
     assert_ne!(
-        config_fingerprint(&ram.config, ram.align),
+        config_fingerprint(&default.config, default.align),
         config_fingerprint(&threads4.config, threads4.align),
         "search-shaping knobs must invalidate the manifest"
     );
 
     let state = default_explain_state(&tgt);
-    let cold = explain_delta(&src, &tgt, &ram, &state).unwrap();
-    let warm = explain_delta(&src, &tgt, &disk, &state).unwrap();
+    let cold = explain_delta(&src, &tgt, &default, &state).unwrap();
+    let warm = explain_delta(&src, &tgt, &chunked, &state).unwrap();
     assert!(
         warm.spliced,
-        "a ram-recorded manifest must splice under the disk backend"
+        "a manifest recorded at the default chunking must splice under 3-row chunks"
     );
     assert_eq!(warm.report, cold.report);
     std::fs::remove_dir_all(&dir).ok();
@@ -346,7 +336,7 @@ fn the_manifest_is_portable_across_byte_transparent_knobs() {
 
 /// Directory-level sweep: `profile --delta` renders byte-identically
 /// (timing stripped) to `profile_dirs` across both paper configurations
-/// × both pool backends, redoing exactly the edited table.
+/// × two ingest chunkings, redoing exactly the edited table.
 #[test]
 fn profile_delta_matches_from_scratch_across_the_matrix() {
     let canonical = |mut p: SnapshotProfile| {

@@ -5,10 +5,8 @@
 //!    in-memory parser (`csv::read_str`) for adversarial inputs across
 //!    seeds × thread counts {1, 2, 4} × chunk sizes {1, 64, 4096}.
 //! 2. A full `explain` over the Figure 1 instance and a Table 2 dataset
-//!    spec must render an **identical report** under `--pool-backend
-//!    disk` (tiny budget, forced spills) and `--pool-backend ram`.
-//! 3. A `SegmentPool` under a deliberately tiny budget must actually
-//!    spill and still round-trip every string.
+//!    spec, ingested in 4-row chunks, must render an **identical report**
+//!    at ingestion threads 1, 2 and 4.
 //!
 //! The CI matrix leg pins one (threads, chunk size) combination via
 //! `AFFIDAVIT_INGEST_THREADS` / `AFFIDAVIT_INGEST_CHUNK_ROWS`; without
@@ -19,7 +17,7 @@ use affidavit::core::instance::ProblemInstance;
 use affidavit::core::report::render_report;
 use affidavit::core::search::Affidavit;
 use affidavit::datasets::running_example::{ATTRS, SOURCE_ROWS, TARGET_ROWS};
-use affidavit::store::{ingest, IngestOptions, PoolBackend, PoolConfig};
+use affidavit::store::{ingest, IngestOptions};
 use affidavit::table::{csv, Table, ValuePool};
 
 /// The `(threads, chunk_rows)` combinations under test: the env override
@@ -162,21 +160,10 @@ fn rows_to_csv(header: &[&str], rows: &[&[&str]]) -> String {
     text
 }
 
-/// Ingest `text` with the given backend and options, explain the pair,
+/// Ingest the pair in 4-row chunks over `threads` workers, explain it,
 /// and return the rendered report plus search counters.
-fn explain_through_backend(
-    source_csv: &str,
-    target_csv: &str,
-    backend: PoolBackend,
-    threads: usize,
-) -> String {
-    let pool_cfg = PoolConfig {
-        backend,
-        // Deliberately tiny: the Figure 1 pool alone exceeds this, so the
-        // disk run must spill and page segments back in mid-search.
-        budget_bytes: 512,
-    };
-    let mut pool = pool_cfg.build().unwrap();
+fn explain_streamed(source_csv: &str, target_csv: &str, threads: usize) -> String {
+    let mut pool = ValuePool::new();
     let opts = IngestOptions {
         chunk_rows: 4,
         threads,
@@ -184,10 +171,6 @@ fn explain_through_backend(
     };
     let source = ingest::read_stream(source_csv.as_bytes(), &mut pool, &opts).unwrap();
     let target = ingest::read_stream(target_csv.as_bytes(), &mut pool, &opts).unwrap();
-    if backend == PoolBackend::Disk {
-        let stats = pool.store_stats().expect("disk backend attached");
-        assert!(stats.spilled_bytes > 0, "tiny budget must force spills");
-    }
     let mut instance = ProblemInstance::new(source, target, pool).unwrap();
     let out =
         Affidavit::new(AffidavitConfig::paper_id().with_seed(0xEDB7_2020)).explain(&mut instance);
@@ -200,19 +183,30 @@ fn explain_through_backend(
     )
 }
 
+/// Serial streamed ingestion and parallel streamed ingestion at 2 and 4
+/// threads must lead to the same report.
+fn assert_thread_invariant(source_csv: &str, target_csv: &str) {
+    let serial = explain_streamed(source_csv, target_csv, 1);
+    for threads in [2, 4] {
+        assert_eq!(
+            explain_streamed(source_csv, target_csv, threads),
+            serial,
+            "ingestion at {threads} threads changed the explanation"
+        );
+    }
+}
+
 #[test]
-fn disk_and_ram_backends_render_identical_figure1_reports() {
+fn streamed_ingest_renders_identical_figure1_reports() {
     let source_rows: Vec<&[&str]> = SOURCE_ROWS.iter().map(|r| &r[..]).collect();
     let target_rows: Vec<&[&str]> = TARGET_ROWS.iter().map(|r| &r[..]).collect();
     let s = rows_to_csv(&ATTRS, &source_rows);
     let t = rows_to_csv(&ATTRS, &target_rows);
-    let ram = explain_through_backend(&s, &t, PoolBackend::Ram, 1);
-    let disk = explain_through_backend(&s, &t, PoolBackend::Disk, 2);
-    assert_eq!(ram, disk, "disk backend must not change the explanation");
+    assert_thread_invariant(&s, &t);
 }
 
 #[test]
-fn disk_and_ram_backends_render_identical_table2_reports() {
+fn streamed_ingest_renders_identical_table2_reports() {
     use affidavit::datagen::blueprint::{Blueprint, GenConfig};
     use affidavit::datasets::specs::by_name;
     use affidavit::datasets::synth::generate_rows;
@@ -239,32 +233,5 @@ fn disk_and_ram_backends_render_identical_table2_reports() {
     .unwrap();
     let s = String::from_utf8(s).unwrap();
     let t = String::from_utf8(t).unwrap();
-    let ram = explain_through_backend(&s, &t, PoolBackend::Ram, 1);
-    let disk = explain_through_backend(&s, &t, PoolBackend::Disk, 4);
-    assert_eq!(ram, disk, "disk backend must not change the explanation");
-}
-
-#[test]
-fn segment_pool_spills_and_round_trips_under_tiny_budget() {
-    use affidavit::store::{SegmentPool, SegmentPoolConfig};
-    use affidavit::table::Interner;
-
-    let mut pool = SegmentPool::create(SegmentPoolConfig {
-        budget_bytes: 256,
-        segment_bytes: 64,
-        spill_parent: None,
-    })
-    .unwrap();
-    let values: Vec<String> = (0..300).map(|i| format!("spilled-value-{i:05}")).collect();
-    let syms: Vec<_> = values.iter().map(|v| pool.intern(v)).collect();
-    assert!(pool.spilled_bytes() > 0, "tiny budget must spill to disk");
-    assert!(
-        pool.resident_bytes() < 1024,
-        "resident bytes ({}) must stay near the budget",
-        pool.resident_bytes()
-    );
-    for (v, &sym) in values.iter().zip(&syms) {
-        assert_eq!(pool.get(sym), v);
-        assert_eq!(pool.intern(v), sym, "re-interning must be idempotent");
-    }
+    assert_thread_invariant(&s, &t);
 }

@@ -288,12 +288,11 @@ fn the_registry_mirrors_session_counters_exactly() {
     let dir = std::env::temp_dir().join("affidavit-obs-registry-session");
     std::fs::remove_dir_all(&dir).ok();
     let (src, tgt) = write_pair(&dir);
-    let pool_cfg = PoolConfig::default();
     let ingest_opts = IngestOptions::default();
     let mut lru = SessionLru::new(1);
-    let key = SessionKey::for_files(&src, &tgt, &pool_cfg).unwrap();
+    let key = SessionKey::for_files(&src, &tgt).unwrap();
     for _ in 0..3 {
-        lru.get_or_ingest(key, || ingest_pair(&src, &tgt, &ingest_opts, &pool_cfg))
+        lru.get_or_ingest(key, || ingest_pair(&src, &tgt, &ingest_opts, &PoolConfig))
             .unwrap();
     }
     let counters = lru.counters();

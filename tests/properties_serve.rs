@@ -2,10 +2,9 @@
 //!
 //! The resident daemon's determinism contract: a served explain renders
 //! **exactly** the bytes the one-shot CLI path produces for the same
-//! inputs and configuration — cold or warm, at any thread count, over
-//! either pool backend, under concurrent clients. The battery sweeps
-//! both paper configurations × threads {1, 4} × {ram, disk} pools, then
-//! hammers one spec with 4 concurrent clients, and asserts throughout
+//! inputs and configuration — cold or warm, at any thread count, under
+//! concurrent clients. The battery sweeps both paper configurations ×
+//! threads {1, 4}, then hammers one spec with 4 concurrent clients, and asserts throughout
 //! (via the daemon's counters) that warm repeats perform zero ingestion
 //! work.
 
@@ -15,7 +14,7 @@ use affidavit_core::profiling::{stage_file_pair, ProfileOptions};
 use affidavit_core::report::render_report;
 use affidavit_core::{Affidavit, AffidavitConfig};
 use affidavit_serve::{serve, ExplainSpec, ServeClient, ServeOptions};
-use affidavit_store::{IngestOptions, PoolConfig};
+use affidavit_store::IngestOptions;
 
 /// A snapshot pair with a systematic change (rescaled values), plus some
 /// deletions and insertions so the report has every section.
@@ -37,7 +36,7 @@ fn write_pair(dir: &Path) -> (PathBuf, PathBuf) {
     (src, tgt)
 }
 
-fn spec_for(src: &Path, tgt: &Path, config: &str, threads: usize, backend: &str) -> ExplainSpec {
+fn spec_for(src: &Path, tgt: &Path, config: &str, threads: usize) -> ExplainSpec {
     let mut cfg = match config {
         "id" => AffidavitConfig::paper_id(),
         "overlap" => AffidavitConfig::paper_overlap(),
@@ -46,8 +45,6 @@ fn spec_for(src: &Path, tgt: &Path, config: &str, threads: usize, backend: &str)
     cfg.threads = threads;
     ExplainSpec {
         config: cfg,
-        pool_backend: backend.to_owned(),
-        pool_budget_bytes: 4096, // tiny, so the disk backend actually spills
         ..ExplainSpec::new(src.to_str().unwrap(), tgt.to_str().unwrap())
     }
 }
@@ -63,10 +60,7 @@ fn one_shot(spec: &ExplainSpec) -> (String, u64, u64) {
             threads: spec.config.threads,
             ..IngestOptions::default()
         },
-        pool: PoolConfig {
-            backend: spec.pool_backend.parse().unwrap(),
-            budget_bytes: spec.pool_budget_bytes,
-        },
+        ..ProfileOptions::default()
     };
     let mut instance =
         stage_file_pair(Path::new(&spec.source), Path::new(&spec.target), &opts).unwrap();
@@ -89,31 +83,26 @@ fn served_reports_match_one_shot_across_the_matrix() {
     let mut requests = 0u64;
     for config in ["id", "overlap"] {
         for threads in [1usize, 4] {
-            for backend in ["ram", "disk"] {
-                let spec = spec_for(&src, &tgt, config, threads, backend);
-                let (report, polled, generated) = one_shot(&spec);
-                let reply = client.explain(&spec).unwrap();
-                requests += 1;
-                assert_eq!(
-                    reply.report, report,
-                    "served bytes diverge ({config}, threads {threads}, {backend})"
-                );
-                assert_eq!(reply.polled, polled);
-                assert_eq!(reply.generated, generated);
-                // The session key is content + pool config: the first
-                // request per backend ingests, everything after reuses.
-                assert_eq!(reply.warm, requests > 2, "request {requests} ({backend})");
-            }
+            let spec = spec_for(&src, &tgt, config, threads);
+            let (report, polled, generated) = one_shot(&spec);
+            let reply = client.explain(&spec).unwrap();
+            requests += 1;
+            assert_eq!(
+                reply.report, report,
+                "served bytes diverge ({config}, threads {threads})"
+            );
+            assert_eq!(reply.polled, polled);
+            assert_eq!(reply.generated, generated);
+            // The session key is the content of both files: the first
+            // request ingests, everything after reuses.
+            assert_eq!(reply.warm, requests > 1, "request {requests}");
         }
     }
     let stats = client.stats().unwrap();
-    assert_eq!(stats.requests, 8);
-    assert_eq!(
-        stats.ingests, 2,
-        "one ingestion per pool backend, every repeat warm"
-    );
-    assert_eq!(stats.hits, 6);
-    assert_eq!(stats.sessions, 2);
+    assert_eq!(stats.requests, 4);
+    assert_eq!(stats.ingests, 1, "one ingestion, every repeat warm");
+    assert_eq!(stats.hits, 3);
+    assert_eq!(stats.sessions, 1);
 
     client.shutdown().unwrap();
     daemon.wait();
@@ -125,7 +114,7 @@ fn pin_prewarms_a_session_without_searching() {
     let dir = std::env::temp_dir().join("affidavit-serve-pin");
     std::fs::remove_dir_all(&dir).ok();
     let (src, tgt) = write_pair(&dir);
-    let spec = spec_for(&src, &tgt, "id", 1, "ram");
+    let spec = spec_for(&src, &tgt, "id", 1);
     let mut daemon = serve(&ServeOptions::default()).unwrap();
     let client = ServeClient::new(daemon.local_addr().to_string());
 
@@ -155,7 +144,7 @@ fn the_metrics_op_mirrors_the_session_counters() {
     let dir = std::env::temp_dir().join("affidavit-serve-metrics");
     std::fs::remove_dir_all(&dir).ok();
     let (src, tgt) = write_pair(&dir);
-    let spec = spec_for(&src, &tgt, "id", 1, "ram");
+    let spec = spec_for(&src, &tgt, "id", 1);
     let mut daemon = serve(&ServeOptions::default()).unwrap();
     let client = ServeClient::new(daemon.local_addr().to_string());
 
@@ -200,7 +189,7 @@ fn an_expired_request_deadline_is_a_clean_rejection() {
     let dir = std::env::temp_dir().join("affidavit-serve-deadline");
     std::fs::remove_dir_all(&dir).ok();
     let (src, tgt) = write_pair(&dir);
-    let spec = spec_for(&src, &tgt, "id", 1, "ram");
+    let spec = spec_for(&src, &tgt, "id", 1);
     let opts = ServeOptions {
         request_deadline: Some(Duration::ZERO),
         ..ServeOptions::default()
@@ -235,7 +224,7 @@ fn served_delta_splices_warm_sessions_and_stays_byte_identical() {
     let dir = std::env::temp_dir().join("affidavit-serve-delta");
     std::fs::remove_dir_all(&dir).ok();
     let (src, tgt) = write_pair(&dir);
-    let plain = spec_for(&src, &tgt, "id", 1, "ram");
+    let plain = spec_for(&src, &tgt, "id", 1);
     let delta_spec = ExplainSpec {
         delta: true,
         ..plain.clone()
@@ -299,7 +288,7 @@ fn concurrent_clients_get_identical_bytes_from_one_warm_session() {
     let dir = std::env::temp_dir().join("affidavit-serve-concurrent");
     std::fs::remove_dir_all(&dir).ok();
     let (src, tgt) = write_pair(&dir);
-    let spec = spec_for(&src, &tgt, "id", 1, "ram");
+    let spec = spec_for(&src, &tgt, "id", 1);
     let (report, _, _) = one_shot(&spec);
 
     let mut daemon = serve(&ServeOptions::default()).unwrap();
