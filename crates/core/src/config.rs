@@ -68,10 +68,10 @@ pub struct AffidavitConfig {
     /// Record a search trace (Figure 4) — costs a little memory.
     pub trace: bool,
     /// Minimum number of records (live sources + targets) in a state's
-    /// blocking before an extension batch is fanned out across the worker
-    /// pool; below it the batch runs on the calling thread, since spawn
-    /// overhead would exceed the work. Purely a scheduling knob — results
-    /// are identical either way.
+    /// blocking before its attribute scan, indeterminacy ordering and
+    /// driver-side refines fan out across the worker pool; below it they
+    /// run on the calling thread, since the hand-off would exceed the
+    /// work. Purely a scheduling knob — results are identical either way.
     pub parallel_min_records: usize,
     /// Worker threads for candidate generation during state extension.
     /// `1` (the default) runs fully sequentially on the calling thread;

@@ -1,33 +1,43 @@
 //! State extension — the `Extensions(H)` procedure of Algorithm 1, as a
 //! parallel two-phase engine.
 //!
-//! For a polled state, the β most determined undecided attributes are
-//! tried: candidate functions are induced from block-sampled examples,
+//! For a polled state, the undecided attributes are tried in indeterminacy
+//! order: candidate functions are induced from block-sampled examples,
 //! ranked by histogram overlap, and an extension is kept only if it is
 //! cheaper than extending with the *greedy map* `Hд` built from a random
 //! alignment — the signal that a simple function genuinely explains the
-//! attribute. Attributes where the greedy map wins are ⊞-marked; if every
-//! remaining attribute is map-suited the state is finalized into an end
-//! state by resolving the ⊞s one after another (§4.3).
+//! attribute. The paper expands the β most determined attributes, then —
+//! while nothing has been kept — one further attribute at a time.
+//! Attributes where the greedy map wins are ⊞-marked; if every remaining
+//! attribute is map-suited the state is finalized into an end state by
+//! resolving the ⊞s one after another (§4.3).
 //!
 //! # Two-phase structure
 //!
-//! **Phase 1 (parallel, read-only):** every attribute of the β-batch is
-//! expanded by an independent worker against the *frozen* shared state
-//! (`SearchCtx`): greedy benchmark, candidate induction, ranking and
-//! child blocking/cost all run on a per-worker `WorkerScratch` — an
-//! interning overlay over the frozen pool plus a per-attribute seeded
-//! RNG. Workers share nothing mutable.
+//! **Phase 1 (ordered scan, read-only):** workers claim the next index of
+//! the indeterminacy order from a shared cursor and expand that attribute
+//! against the *frozen* shared state (`SearchCtx`): greedy benchmark,
+//! candidate induction, ranking and child blocking/cost all run on a
+//! per-attribute `WorkerScratch` — an interning overlay over the frozen
+//! pool plus a per-attribute seeded RNG. Workers share nothing mutable
+//! but the claim book. The first attribute at index `i` whose candidates
+//! beat the greedy map sets the stop index `max(i, β − 1)` — exactly the
+//! last index the serial β-then-one-at-a-time loop expands — and no index
+//! past it is claimed any more. A worker may run at most `workers − 1`
+//! indices ahead of the lowest unfinished one, so at most `workers − 1`
+//! expansions past the stop are ever computed; they are dropped.
 //!
-//! **Phase 2 (sequential merge):** the driver walks the results in batch
-//! order, absorbs each worker's newly interned strings into the shared
-//! pool, rewrites escaping symbols through the returned remap, assigns
-//! state ids and records trace nodes. Because both the per-worker RNG
-//! streams and the merge order are independent of scheduling, the search
-//! is byte-identical at every thread count.
+//! **Phase 2 (sequential merge):** the driver walks the expansions up to
+//! the stop index in attribute order, absorbs each one's newly interned
+//! strings into the shared pool, rewrites escaping symbols through the
+//! returned remap, assigns state ids and records trace nodes. Because the
+//! per-attribute RNG streams, the stop index and the merge order are all
+//! independent of scheduling, the search is byte-identical at every
+//! thread count.
 
 use rayon::prelude::*;
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use affidavit_blocking::{greedy_map_from_alignment, sample_random_alignment, Blocking};
@@ -37,7 +47,7 @@ use affidavit_table::{AttrId, RecordId};
 use crate::cost::child_state_cost;
 use crate::induction::{induce_candidates, InductionParams};
 use crate::ranking::rank_candidates;
-use crate::search::{Ctx, SearchCtx};
+use crate::search::{Ctx, SearchCtx, SearchStats};
 use crate::state::{Assignment, SearchState};
 use crate::trace::TraceNode;
 
@@ -54,8 +64,7 @@ pub(crate) fn make_child(
     // live record; above the fan-out threshold, split the work over the
     // worker pool — `refine_parallel` is byte-identical to the serial
     // path, including the shared pool's contents.
-    let records = state.blocking.live_sources() + state.blocking.total_targets();
-    let blocking = if ctx.cfg.threads != 1 && records >= ctx.cfg.parallel_min_records {
+    let blocking = if ctx.search_ctx().fans_out(&state.blocking) {
         state.blocking.refine_parallel(
             AttrId(attr as u32),
             &func,
@@ -167,6 +176,23 @@ fn register_child(
     }
 }
 
+/// The `(indeterminacy, attr)` key of every attribute in `attrs` under
+/// `state`'s blocking, in `attrs` order — fanned out across the installed
+/// pool when `parallel`, and identical either way.
+pub(crate) fn indeterminacy_keys(
+    source: &affidavit_table::Table,
+    state: &SearchState,
+    attrs: &[usize],
+    parallel: bool,
+) -> Vec<(usize, usize)> {
+    let key = |&a: &usize| (state.blocking.indeterminacy(AttrId(a as u32), source), a);
+    if parallel {
+        attrs.par_iter().map(key).collect()
+    } else {
+        attrs.iter().map(key).collect()
+    }
+}
+
 /// Undecided attributes ordered by indeterminacy (most determined first,
 /// ties towards the lower attribute index) — the `Order-By-Indeterminacy`
 /// step. Takes the source table directly so speculative workers can order
@@ -174,16 +200,12 @@ fn register_child(
 pub(crate) fn order_by_indeterminacy(
     source: &affidavit_table::Table,
     state: &SearchState,
+    parallel: bool,
 ) -> Vec<usize> {
-    let mut attrs = state.undecided_attrs();
-    let keys: Vec<usize> = attrs
-        .iter()
-        .map(|&a| state.blocking.indeterminacy(AttrId(a as u32), source))
-        .collect();
-    let mut order: Vec<usize> = (0..attrs.len()).collect();
-    order.sort_by_key(|&i| (keys[i], attrs[i]));
-    attrs = order.into_iter().map(|i| attrs[i]).collect();
-    attrs
+    let _span = affidavit_obs::span("search.order");
+    let mut keys = indeterminacy_keys(source, state, &state.undecided_attrs(), parallel);
+    keys.sort_unstable();
+    keys.into_iter().map(|(_, a)| a).collect()
 }
 
 /// One candidate child computed by a worker: function (possibly carrying
@@ -209,6 +231,13 @@ struct AttrExpansion {
     greedy: CandChild,
     /// All ranked candidates, in rank order (kept and rejected).
     ranked: Vec<CandChild>,
+}
+
+impl AttrExpansion {
+    /// Whether some candidate beat the greedy benchmark.
+    fn any_kept(&self) -> bool {
+        self.ranked.iter().any(|c| c.kept)
+    }
 }
 
 /// Phase 1 worker: expand one attribute against the frozen context.
@@ -304,59 +333,186 @@ fn expand_attr(
 }
 
 /// Everything phase 1 produced for one polled state: per-attribute
-/// expansions in processed order, plus whether any candidate beat its
-/// greedy benchmark. Pure worker output — nothing here has touched shared
-/// search state, so an expansion computed speculatively for a state whose
-/// poll turn never comes can be dropped without a trace.
+/// expansions in indeterminacy order up to the stop index, plus whether
+/// any candidate beat its greedy benchmark. Pure worker output — nothing
+/// here has touched shared search state, so an expansion computed
+/// speculatively for a state whose poll turn never comes can be dropped
+/// without a trace.
 pub(crate) struct StateExpansion {
     parts: Vec<AttrExpansion>,
     any_kept: bool,
+    /// Expansions computed past the stop index and dropped.
+    discarded: usize,
 }
 
-/// Phase 1 for a whole state: order the undecided attributes, expand the
-/// β-batch (and, while nothing beats its greedy benchmark, one further
-/// attribute at a time) against the frozen context. Runs on the driver for
-/// the serial path and on pool workers for speculative frontier
-/// expansion; results are identical either way.
+impl StateExpansion {
+    /// Add this expansion's attribute-level work to the run counters.
+    pub(crate) fn tally(&self, stats: &mut SearchStats) {
+        stats.attr_expansions += self.parts.len() + self.discarded;
+        stats.attr_expansions_discarded += self.discarded;
+    }
+}
+
+/// The claim book of one ordered attribute scan over `len` attributes.
+///
+/// Indices are claimed in increasing order. A kept attribute at index `i`
+/// lowers `stop` to `max(i, floor)`; nothing past `stop` is claimed after
+/// that. A claim must also lie within `window` of the lowest unfinished
+/// index, which bounds the run-ahead past the final stop by `window − 1`:
+/// until the attribute that sets the final stop finishes, the lowest
+/// unfinished index is at most that stop.
+struct AttrScan {
+    floor: usize,
+    window: usize,
+    book: Mutex<ScanBook>,
+    progress: Condvar,
+}
+
+struct ScanBook {
+    /// Next index to claim.
+    next: usize,
+    /// Last index to expand; `len − 1` until an attribute is kept.
+    stop: usize,
+    /// Lowest index not yet finished.
+    low: usize,
+    finished: Vec<bool>,
+    /// Workers blocked in `claim`; wake-ups are skipped while it is zero.
+    waiting: usize,
+    /// A worker panicked: claim nothing more, so no sibling waits forever.
+    aborted: bool,
+}
+
+impl AttrScan {
+    fn new(len: usize, floor: usize, window: usize) -> AttrScan {
+        AttrScan {
+            floor,
+            window,
+            book: Mutex::new(ScanBook {
+                next: 0,
+                stop: len - 1,
+                low: 0,
+                finished: vec![false; len],
+                waiting: 0,
+                aborted: false,
+            }),
+            progress: Condvar::new(),
+        }
+    }
+
+    /// The next index to expand, or `None` once the scan is past its stop.
+    /// Blocks while the index would run `window` or more ahead of the
+    /// lowest unfinished one.
+    fn claim(&self) -> Option<usize> {
+        let mut book = self.book.lock().expect("scan book lock");
+        loop {
+            if book.aborted || book.next > book.stop {
+                return None;
+            }
+            if book.next < book.low + self.window {
+                book.next += 1;
+                return Some(book.next - 1);
+            }
+            book.waiting += 1;
+            book = self.progress.wait(book).expect("scan book wait");
+            book.waiting -= 1;
+        }
+    }
+
+    fn finish(&self, index: usize, kept: bool) {
+        let mut book = self.book.lock().expect("scan book lock");
+        book.finished[index] = true;
+        while book.finished.get(book.low) == Some(&true) {
+            book.low += 1;
+        }
+        if kept {
+            book.stop = book.stop.min(index.max(self.floor));
+        }
+        if book.waiting > 0 {
+            self.progress.notify_all();
+        }
+    }
+
+    fn abort(&self) {
+        let mut book = self.book.lock().expect("scan book lock");
+        book.aborted = true;
+        if book.waiting > 0 {
+            self.progress.notify_all();
+        }
+    }
+
+    fn stop(&self) -> usize {
+        self.book.lock().expect("scan book lock").stop
+    }
+
+    /// One worker's loop: claim, expand, report, until the scan ends.
+    fn work(&self, expand: impl Fn(usize) -> AttrExpansion) -> Vec<(usize, AttrExpansion)> {
+        let mut done = Vec::new();
+        while let Some(index) = self.claim() {
+            match catch_unwind(AssertUnwindSafe(|| expand(index))) {
+                Ok(exp) => {
+                    self.finish(index, exp.any_kept());
+                    done.push((index, exp));
+                }
+                Err(panic) => {
+                    self.abort();
+                    resume_unwind(panic);
+                }
+            }
+        }
+        done
+    }
+}
+
+/// Phase 1 for a whole state: order the undecided attributes, then run the
+/// ordered attribute scan against the frozen context — one worker per
+/// thread of the installed pool when the state is large enough to fan
+/// out, one worker on the calling thread otherwise (speculative state
+/// workers always get one: nested fan-outs run inline). The expansions
+/// kept are those at indices `0..=stop`, where `stop` is the last index
+/// the serial β-then-one-at-a-time loop would expand, so the result is
+/// identical at every worker count.
 pub(crate) fn expand_state(
     sctx: &SearchCtx<'_>,
     state: &SearchState,
     alignment: &[(RecordId, RecordId)],
 ) -> StateExpansion {
-    let astar = order_by_indeterminacy(sctx.source, state);
+    let parallel = sctx.fans_out(&state.blocking);
+    let astar = order_by_indeterminacy(sctx.source, state, parallel);
     debug_assert!(!astar.is_empty(), "expand_state called on an end state");
-    let mut cursor = astar.iter().copied();
-    // Poll β attributes first, then one at a time.
-    let mut batch: Vec<usize> = cursor.by_ref().take(sctx.cfg.beta.max(1)).collect();
-    let worth_spawning = state.blocking.live_sources() + state.blocking.total_targets()
-        >= sctx.cfg.parallel_min_records;
-    let mut parts: Vec<AttrExpansion> = Vec::new();
-    let mut any_kept = false;
+    let workers = if parallel {
+        rayon::current_num_threads()
+            .min(sctx.threads)
+            .min(astar.len())
+    } else {
+        1
+    };
+    let scan = AttrScan::new(astar.len(), sctx.cfg.beta.max(1) - 1, workers);
+    // A one-item fan-out runs inline on the calling thread.
+    let done: Vec<Vec<(usize, AttrExpansion)>> = (0..workers)
+        .into_par_iter()
+        .map(|_| scan.work(|i| expand_attr(sctx, state, astar[i], alignment)))
+        .collect();
 
-    while !any_kept && !batch.is_empty() {
-        // Attribute-level fan-out. Inside a speculative state worker this
-        // runs inline (pool workers pin their thread count to 1), so the
-        // two parallelism levels never oversubscribe.
-        let expanded: Vec<AttrExpansion> =
-            if sctx.cfg.threads != 1 && batch.len() > 1 && worth_spawning {
-                batch
-                    .par_iter()
-                    .map(|&attr| expand_attr(sctx, state, attr, alignment))
-                    .collect()
-            } else {
-                batch
-                    .iter()
-                    .map(|&attr| expand_attr(sctx, state, attr, alignment))
-                    .collect()
-            };
-        for exp in expanded {
-            any_kept |= exp.ranked.iter().any(|c| c.kept);
-            parts.push(exp);
+    let stop = scan.stop();
+    let mut slots: Vec<Option<AttrExpansion>> = Vec::new();
+    slots.resize_with(stop + 1, || None);
+    let mut discarded = 0;
+    for (index, exp) in done.into_iter().flatten() {
+        match slots.get_mut(index) {
+            Some(slot) => *slot = Some(exp),
+            None => discarded += 1,
         }
-        batch = cursor.by_ref().take(1).collect();
     }
-
-    StateExpansion { parts, any_kept }
+    let parts: Vec<AttrExpansion> = slots
+        .into_iter()
+        .map(|slot| slot.expect("every index up to the stop is expanded"))
+        .collect();
+    let any_kept = parts.iter().any(AttrExpansion::any_kept);
+    StateExpansion {
+        parts,
+        any_kept,
+        discarded,
+    }
 }
 
 /// Phase 2: absorb a state expansion into the shared pool and register
@@ -373,6 +529,7 @@ pub(crate) fn consume_state_expansion(
     state: &SearchState,
     exp: StateExpansion,
 ) -> Vec<SearchState> {
+    let _span = affidavit_obs::span("search.consume");
     let mut ext: Vec<SearchState> = Vec::new();
     for part in exp.parts {
         let remap = ctx.instance.pool.absorb(part.base_len, &part.new_strings);
@@ -409,12 +566,16 @@ pub(crate) fn consume_state_expansion(
 /// every undecided attribute turns out to be map-suited — a single
 /// finalized end state.
 pub(crate) fn extensions(ctx: &mut Ctx<'_>, state: &SearchState) -> Vec<SearchState> {
-    let alignment = sample_random_alignment(&state.blocking, &mut ctx.rng);
+    let alignment = {
+        let _span = affidavit_obs::span("search.align");
+        sample_random_alignment(&state.blocking, &mut ctx.rng)
+    };
     let started = Instant::now();
     let exp = {
         let sctx = ctx.search_ctx();
         expand_state(&sctx, state, &alignment)
     };
+    exp.tally(&mut ctx.stats);
     let elapsed = started.elapsed();
     ctx.stats.extension_time += elapsed;
     affidavit_obs::metrics().observe("search_expansion_micros", elapsed.as_micros() as f64);
@@ -500,6 +661,113 @@ mod tests {
         assert_eq!(seq, par);
     }
 
+    /// Key `k` aligns every record; `P1..P5` are unrelated relabelings
+    /// that only a value map explains; `U` is upper-cased. Once `k` is
+    /// assigned id every block is a singleton, so all indeterminacies tie
+    /// and the scan order is the attribute order: the first attribute with
+    /// a kept candidate (`U`, scan index 3) lies past the β = 2 batch.
+    fn late_keeper_instance() -> ProblemInstance {
+        let mut pool = ValuePool::new();
+        let n = 40;
+        let relabel = |i: usize, salt: usize| format!("q{}", 100 + (i * 17 + salt * 5) % n);
+        let rows_s: Vec<Vec<String>> = (0..n)
+            .map(|i| {
+                let mut row = vec![format!("k{i}")];
+                row.extend((1..=3).map(|p| format!("s{p}-{i}")));
+                row.push(format!("unit{i}x"));
+                row.extend((4..=5).map(|p| format!("s{p}-{i}")));
+                row
+            })
+            .collect();
+        let rows_t: Vec<Vec<String>> = (0..n)
+            .map(|i| {
+                let mut row = vec![format!("k{i}")];
+                row.extend((1..=3).map(|p| relabel(i, p)));
+                row.push(format!("UNIT{i}X"));
+                row.extend((4..=5).map(|p| relabel(i, p)));
+                row
+            })
+            .collect();
+        let schema = Schema::new(["k", "P1", "P2", "P3", "U", "P4", "P5"]);
+        let s = Table::from_rows(schema.clone(), &mut pool, rows_s);
+        let t = Table::from_rows(schema, &mut pool, rows_t);
+        ProblemInstance::new(s, t, pool).unwrap()
+    }
+
+    /// What one expansion of `pick(start)` yields under an installed pool
+    /// of `threads` and batch size `beta`, with the fan-out gate open: the
+    /// expanded attributes in merge order, the run-ahead discards, and the
+    /// kept children.
+    fn scan_at(
+        threads: usize,
+        beta: usize,
+        pick: fn(&mut Ctx<'_>, &SearchState) -> SearchState,
+    ) -> (Vec<usize>, usize, Vec<(usize, u64, String)>) {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let mut inst = late_keeper_instance();
+            let mut cfg = AffidavitConfig::paper_id().with_threads(threads);
+            cfg.parallel_min_records = 0;
+            cfg.beta = beta;
+            let mut ctx = Ctx::new(&mut inst, &cfg);
+            let root = ctx.root_state();
+            let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
+            let state = pick(&mut ctx, &start);
+            let alignment = sample_random_alignment(&state.blocking, &mut ctx.rng);
+            let exp = expand_state(&ctx.search_ctx(), &state, &alignment);
+            let expanded = exp.parts.iter().map(|p| p.attr).collect();
+            let discarded = exp.discarded;
+            let children = consume_state_expansion(&mut ctx, &state, exp)
+                .iter()
+                .map(|e| (e.id, e.cost.to_bits(), format!("{:?}", e.assignments)))
+                .collect();
+            (expanded, discarded, children)
+        })
+    }
+
+    #[test]
+    fn ordered_scan_stops_at_the_first_keeper_past_the_batch() {
+        let keep_start = |_: &mut Ctx<'_>, s: &SearchState| s.clone();
+        let (expanded, discarded, children) = scan_at(1, 2, keep_start);
+        assert_eq!(
+            expanded,
+            vec![1, 2, 3, 4],
+            "β batch {{P1, P2}}, then P3, then U is kept and the scan stops"
+        );
+        assert_eq!(discarded, 0, "one worker never runs ahead");
+        assert!(!children.is_empty());
+        assert!(children.iter().all(|c| c.2.contains("Uppercase")));
+        for threads in [2, 4] {
+            for _ in 0..8 {
+                let (e, d, c) = scan_at(threads, 2, keep_start);
+                assert_eq!((&e, &c), (&expanded, &children), "threads {threads}");
+                assert!(d < threads, "threads {threads} discarded {d}");
+            }
+        }
+        // A keeper inside the batch does not cut the batch short: with
+        // β = 5 the serial loop expands scan indices 0..=4 whatever it keeps.
+        for threads in [1, 2, 4] {
+            let (e, d, _) = scan_at(threads, 5, keep_start);
+            assert_eq!(e, vec![1, 2, 3, 4, 5], "threads {threads}");
+            assert!(d < threads, "threads {threads} discarded {d}");
+        }
+    }
+
+    #[test]
+    fn ordered_scan_without_a_keeper_expands_every_attribute() {
+        let assign_u =
+            |ctx: &mut Ctx<'_>, s: &SearchState| make_child(ctx, s, 4, AttrFunction::Uppercase);
+        for threads in [1, 2, 4] {
+            let (expanded, discarded, children) = scan_at(threads, 2, assign_u);
+            assert_eq!(expanded, vec![1, 2, 3, 5, 6], "threads {threads}");
+            assert_eq!(discarded, 0, "threads {threads}");
+            assert!(children.is_empty(), "threads {threads}");
+        }
+    }
+
     #[test]
     fn indeterminacy_ordering_prefers_determined() {
         let mut inst = instance();
@@ -507,7 +775,7 @@ mod tests {
         let mut ctx = Ctx::new(&mut inst, &cfg);
         let root = ctx.root_state();
         let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
-        let order = order_by_indeterminacy(&ctx.instance.source, &start);
+        let order = order_by_indeterminacy(&ctx.instance.source, &start, false);
         // Unit has 1 distinct source value per block; Val has 1 as well
         // (singleton blocks) — ties break towards the lower index (1).
         assert_eq!(order, vec![1, 2]);

@@ -11,7 +11,7 @@ use affidavit_blocking::{greedy_map_from_alignment, sample_random_alignment};
 use affidavit_functions::AttrFunction;
 use affidavit_table::AttrId;
 
-use crate::extend::make_child;
+use crate::extend::{indeterminacy_keys, make_child};
 use crate::search::Ctx;
 use crate::state::SearchState;
 
@@ -33,25 +33,25 @@ pub(crate) fn finalize(ctx: &mut Ctx<'_>, state: &SearchState) -> SearchState {
         if open.is_empty() {
             return current;
         }
-        let attr = open
-            .iter()
-            .copied()
-            .min_by_key(|&a| {
-                (
-                    current
-                        .blocking
-                        .indeterminacy(AttrId(a as u32), &ctx.instance.source),
-                    a,
-                )
-            })
-            .expect("open is non-empty");
-        let alignment = sample_random_alignment(&current.blocking, &mut ctx.rng);
-        let map = greedy_map_from_alignment(
-            &alignment,
-            AttrId(attr as u32),
-            &ctx.instance.source,
-            &ctx.instance.target,
-        );
+        let attr = {
+            let _span = affidavit_obs::span("search.order");
+            let parallel = ctx.search_ctx().fans_out(&current.blocking);
+            indeterminacy_keys(&ctx.instance.source, &current, &open, parallel)
+                .into_iter()
+                .min()
+                .map(|(_, a)| a)
+                .expect("open is non-empty")
+        };
+        let map = {
+            let _span = affidavit_obs::span("search.greedy_map");
+            let alignment = sample_random_alignment(&current.blocking, &mut ctx.rng);
+            greedy_map_from_alignment(
+                &alignment,
+                AttrId(attr as u32),
+                &ctx.instance.source,
+                &ctx.instance.target,
+            )
+        };
         // An empty greedy map is the identity; keep explanations clean.
         let func = if map.is_empty() {
             AttrFunction::Identity

@@ -50,6 +50,14 @@ pub struct SearchStats {
     /// them (an earlier sibling ended the search, evicted them, overtook
     /// them with a cheaper child, or fell back to ⊞ finalization).
     pub speculation_discarded: usize,
+    /// Attribute expansions the ordered attribute scan computed, merged or
+    /// dropped. Like `speculative_expansions`, this counts work performed
+    /// and may vary with the thread count.
+    pub attr_expansions: usize,
+    /// Attribute expansions a scan worker computed past the stop index,
+    /// which the driver dropped unabsorbed — at most `threads − 1` per
+    /// state expansion, always `0` on one worker.
+    pub attr_expansions_discarded: usize,
 }
 
 impl SearchStats {
@@ -68,6 +76,11 @@ impl SearchStats {
         m.set_counter(
             "search_speculation_discarded",
             self.speculation_discarded as u64,
+        );
+        m.set_counter("search_attr_expansions", self.attr_expansions as u64);
+        m.set_counter(
+            "search_attr_expansions_discarded",
+            self.attr_expansions_discarded as u64,
         );
         m.set_gauge("search_end_state_cost", self.end_state_cost);
         m.set_gauge(
@@ -119,6 +132,8 @@ pub(crate) struct SearchCtx<'a> {
     pub target: &'a Table,
     pub pool: &'a ValuePool,
     pub cfg: &'a AffidavitConfig,
+    /// `cfg.threads` resolved: `0` becomes the hardware thread count.
+    pub threads: usize,
     pub k_induce: usize,
     pub k_rank: usize,
     pub delta: i64,
@@ -148,6 +163,14 @@ impl<'a> SearchCtx<'a> {
             rng: StdRng::seed_from_u64(mix3(self.cfg.seed, state_id as u64, attr as u64)),
         }
     }
+
+    /// Whether work over `blocking` fans out across the worker pool: more
+    /// than one resolved thread, and at least `parallel_min_records` live
+    /// records — below that, the hand-off costs more than the work.
+    pub(crate) fn fans_out(&self, blocking: &Blocking) -> bool {
+        self.threads > 1
+            && blocking.live_sources() + blocking.total_targets() >= self.cfg.parallel_min_records
+    }
 }
 
 /// SplitMix64-style mixing of three words into one seed.
@@ -167,6 +190,8 @@ fn mix3(a: u64, b: u64, c: u64) -> u64 {
 pub(crate) struct Ctx<'a> {
     pub instance: &'a mut ProblemInstance,
     pub cfg: &'a AffidavitConfig,
+    /// `cfg.threads` resolved once per search.
+    pub threads: usize,
     pub rng: StdRng,
     pub scratch: ApplyScratch,
     pub k_induce: usize,
@@ -185,6 +210,7 @@ impl<'a> Ctx<'a> {
         Ctx {
             instance,
             cfg,
+            threads: cfg.effective_threads(),
             rng: StdRng::seed_from_u64(cfg.seed),
             scratch: ApplyScratch::new(),
             k_induce: induction_sample_size(cfg.theta, cfg.confidence),
@@ -209,6 +235,7 @@ impl<'a> Ctx<'a> {
             target: &self.instance.target,
             pool: &self.instance.pool,
             cfg: self.cfg,
+            threads: self.threads,
             k_induce: self.k_induce,
             k_rank: self.k_rank,
             delta: self.delta,
@@ -334,8 +361,8 @@ impl Affidavit {
     /// expansion limit fires, the best partial state is finalized with
     /// greedy maps.
     ///
-    /// With `cfg.threads != 1` the candidate-generation phase of every
-    /// expansion fans out across a persistent rayon pool; with
+    /// When `cfg.threads` resolves to more than one thread, the ordered
+    /// attribute scan of every expansion runs on a persistent rayon pool; with
     /// `cfg.speculative_width > 1` the best-first loop itself goes wide,
     /// expanding up to K frontier states per iteration and reconciling
     /// them in deterministic poll order. The result is byte-identical to
@@ -357,9 +384,10 @@ impl Affidavit {
         instance: &mut ProblemInstance,
         deadline: Option<Instant>,
     ) -> Result<SearchOutcome, DeadlineExceeded> {
-        // `threads == 0` autosizes to the hardware (`--threads 0`).
+        // `threads == 0` autosizes to the hardware (`--threads 0`); a
+        // count that resolves to one thread needs no pool at all.
         let threads = self.cfg.effective_threads();
-        if threads == 1 && self.cfg.threads == 1 {
+        if threads == 1 {
             return self.explain_inner(instance, deadline);
         }
         let pool = rayon::ThreadPoolBuilder::new()
@@ -467,7 +495,7 @@ impl Affidavit {
                                 .observe("search_expansion_micros", t.elapsed().as_micros() as f64);
                             exp
                         };
-                        if self.cfg.threads != 1 {
+                        if ctx.threads > 1 {
                             (0..spec.len()).into_par_iter().map(expand).collect()
                         } else {
                             (0..spec.len()).map(expand).collect()
@@ -475,6 +503,9 @@ impl Affidavit {
                     };
                     ctx.stats.extension_time += started_ext.elapsed();
                     ctx.stats.speculative_expansions += expansions.len();
+                    for exp in &expansions {
+                        exp.tally(&mut ctx.stats);
+                    }
                     let spec_ids: Vec<usize> = spec.iter().map(|s| s.id).collect();
                     speculated = Some(SpeculationCache {
                         spec_ids,

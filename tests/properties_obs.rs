@@ -276,6 +276,14 @@ fn the_registry_mirrors_search_stats_exactly() {
         outcome.stats.speculation_discarded as u64
     );
     assert_eq!(
+        m.counter("search_attr_expansions"),
+        outcome.stats.attr_expansions as u64
+    );
+    assert_eq!(
+        m.counter("search_attr_expansions_discarded"),
+        outcome.stats.attr_expansions_discarded as u64
+    );
+    assert_eq!(
         m.gauge("search_end_state_cost"),
         Some(outcome.stats.end_state_cost)
     );
