@@ -31,6 +31,5 @@
 pub mod args;
 pub mod harness;
 pub mod report;
-pub mod speedup;
 
 pub use harness::{run_cell, CellResult, ConfigKind};

@@ -5,8 +5,8 @@ use std::path::Path;
 use affidavit_core::apply::transform_table;
 use affidavit_core::portable::PortableExplanation;
 use affidavit_core::report::{render_report, to_sql};
-use affidavit_core::{Affidavit, AffidavitConfig, ProblemInstance};
-use affidavit_datagen::blueprint::{Blueprint, GenConfig};
+use affidavit_core::{Affidavit, AffidavitConfig, ProblemInstance, MAX_THREADS};
+use affidavit_datagen::blueprint::{Blueprint, BlueprintError, GenConfig};
 use affidavit_store::{ingest, IngestOptions};
 use affidavit_table::{csv, AttrId, Table, TableError, ValuePool};
 
@@ -88,8 +88,9 @@ SEARCH FLAGS (explain, apply, profile):
                            deterministic given the seed (default: 3988201504
                            = 0xEDB72020).
   --threads N              Worker threads for the candidate-generation phase;
-                           0 = one per hardware thread (default: 1). Results
-                           are byte-identical at every thread count.
+                           0 = one per hardware thread (default: 1; at most
+                           1024). Results are byte-identical at every
+                           thread count.
   --speculative-width K    Frontier states expanded speculatively per driver
                            iteration (default: 1 = speculation off). Results
                            are byte-identical at every width.
@@ -375,6 +376,20 @@ fn build_ingest(p: &Parsed<'_>, threads: usize) -> Result<IngestOptions, String>
     Ok(ingest_opts)
 }
 
+/// A worker-count flag (`--threads`, `--workers`): a count up to
+/// [`MAX_THREADS`], so a typo cannot spawn threads or processes without
+/// bound.
+fn count_flag(p: &Parsed<'_>, name: &str, zero: &str) -> Result<Option<usize>, String> {
+    let Some(v) = p.flag_value(name) else {
+        return Ok(None);
+    };
+    v.parse()
+        .ok()
+        .filter(|&n| affidavit_core::check_threads(n).is_ok())
+        .map(Some)
+        .ok_or_else(|| format!("bad --{name} {v:?} (a count up to {MAX_THREADS}, {zero})"))
+}
+
 fn build_config(p: &Parsed<'_>) -> Result<AffidavitConfig, String> {
     let mut cfg = match p.flag_value("config").unwrap_or("id") {
         "id" => AffidavitConfig::paper_id(),
@@ -384,10 +399,8 @@ fn build_config(p: &Parsed<'_>) -> Result<AffidavitConfig, String> {
     if let Some(seed) = p.flag_value("seed") {
         cfg.seed = seed.parse().map_err(|_| format!("bad --seed {seed:?}"))?;
     }
-    if let Some(threads) = p.flag_value("threads") {
-        cfg.threads = threads
-            .parse()
-            .map_err(|_| format!("bad --threads {threads:?} (use a count, or 0 for auto)"))?;
+    if let Some(threads) = count_flag(p, "threads", "or 0 for auto")? {
+        cfg.threads = threads;
     }
     if let Some(width) = p.flag_value("speculative-width") {
         cfg.speculative_width = width.parse().map_err(|_| {
@@ -553,12 +566,7 @@ pub fn profile(args: &[String]) -> Result<(), String> {
         ingest: ingest_opts,
         ..Default::default()
     };
-    let workers: usize = match p.flag_value("workers") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad --workers {v:?} (worker child processes, 0 = in-process)"))?,
-        None => 0,
-    };
+    let workers = count_flag(&p, "workers", "0 = in-process")?.unwrap_or(0);
     let secs_flag = |name: &str, default: u64| -> Result<std::time::Duration, String> {
         match p.flag_value(name) {
             None => Ok(std::time::Duration::from_secs(default)),
@@ -1028,23 +1036,25 @@ pub fn gen(args: &[String]) -> Result<(), String> {
     };
     let spec = affidavit_datasets::by_name(dataset)
         .ok_or_else(|| format!("unknown dataset {dataset:?}"))?;
-    let eta: f64 = p
-        .flag_value("eta")
-        .unwrap_or("0.3")
-        .parse()
-        .map_err(|_| "bad --eta")?;
-    let tau: f64 = p
-        .flag_value("tau")
-        .unwrap_or("0.3")
-        .parse()
-        .map_err(|_| "bad --tau")?;
+    let fraction = |name: &str| -> Result<(&str, f64), String> {
+        let v = p.flag_value(name).unwrap_or("0.3");
+        let x = v.parse().map_err(|_| format!("bad --{name} {v:?}"))?;
+        Ok((v, x))
+    };
+    let (eta_flag, eta) = fraction("eta")?;
+    let (tau_flag, tau) = fraction("tau")?;
     let seed: u64 = p
         .flag_value("seed")
         .unwrap_or("1")
         .parse()
         .map_err(|_| "bad --seed")?;
     let rows: usize = match p.flag_value("rows") {
-        Some(r) => r.parse().map_err(|_| "bad --rows")?,
+        // One row can never survive the cleaning rules (every value is
+        // distinct), so the smallest table worth generating has two.
+        Some(r) => match r.parse() {
+            Ok(n) if n >= 2 => n,
+            _ => return Err(format!("bad --rows {r:?} (a record count of at least 2)")),
+        },
         None => spec.rows,
     };
     let out_dir = p
@@ -1053,7 +1063,13 @@ pub fn gen(args: &[String]) -> Result<(), String> {
     std::fs::create_dir_all(out_dir).map_err(|e| e.to_string())?;
 
     let (base, pool) = affidavit_datasets::synth::generate_rows(&spec, rows, seed);
-    let generated = Blueprint::new(base, pool, GenConfig::new(eta, tau, seed)).materialize_full();
+    let generated = Blueprint::try_new(base, pool, GenConfig::new(eta, tau, seed))
+        .map_err(|e| match e {
+            BlueprintError::Eta(_) => format!("bad --eta {eta_flag:?} ({e})"),
+            BlueprintError::Tau(_) => format!("bad --tau {tau_flag:?} ({e})"),
+            BlueprintError::NoAttributeLeft { .. } => format!("gen {dataset} --rows {rows}: {e}"),
+        })?
+        .materialize_full();
     let dir = Path::new(out_dir);
     let src_path = dir.join(format!("{dataset}_source.csv"));
     let tgt_path = dir.join(format!("{dataset}_target.csv"));
@@ -1120,6 +1136,39 @@ mod tests {
         assert_eq!(cfg.speculative_width, 8);
         let bad = argv(&["--speculative-width", "wide"]);
         assert!(build_config(&parse("explain", &bad).unwrap()).is_err());
+    }
+
+    #[test]
+    fn out_of_range_counts_and_fractions_are_usage_errors() {
+        let huge = "99999999999";
+        let err = build_config(&parse("explain", &argv(&["--threads", huge])).unwrap());
+        assert!(err.unwrap_err().starts_with("bad --threads"));
+        // Rejected at parse time: no child process is ever spawned.
+        let d = std::env::temp_dir().to_string_lossy().into_owned();
+        let err = profile(&argv(&[&d, &d, "--workers", huge])).unwrap_err();
+        assert!(err.starts_with("bad --workers"), "{err}");
+
+        let dir = std::env::temp_dir().join(format!("affidavit-gen-bad-{}", std::process::id()));
+        let out = dir.to_string_lossy().into_owned();
+        let run = |extra: &[&str]| gen(&argv(&[&["--out-dir", &out][..], extra].concat()));
+        for (flag, value) in [
+            ("--rows", "0"),
+            ("--rows", "1"),
+            ("--eta", "-1"),
+            ("--eta", "2"),
+            ("--eta", "nan"),
+            ("--tau", "inf"),
+            ("--tau", "1"),
+        ] {
+            let err = run(&["iris", flag, value]).unwrap_err();
+            assert!(err.starts_with(&format!("bad {flag}")), "{err}");
+        }
+        // Every attribute of this 2-row table is too distinct to keep.
+        let err = run(&["balance", "--rows", "2", "--seed", "4"]).unwrap_err();
+        assert!(err.contains("cleaning rules"), "{err}");
+        // The inclusive bounds still generate.
+        run(&["iris", "--rows", "20", "--eta", "1", "--tau", "0"]).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -182,12 +182,89 @@ impl AffidavitConfig {
         self
     }
 
+    /// Reject a configuration the search cannot run: a thread count above
+    /// [`MAX_THREADS`], or α, θ or ρ outside the domain the cost model
+    /// and the sample sizing assume. Both paper configurations pass.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check_threads(self.threads)?;
+        let open = |x: f64| x > 0.0 && x < 1.0;
+        let (field, value, domain) = if !(0.0..=1.0).contains(&self.alpha) {
+            ("alpha", self.alpha, "[0, 1]")
+        } else if !open(self.theta) {
+            ("theta", self.theta, "(0, 1)")
+        } else if !open(self.confidence) {
+            ("confidence", self.confidence, "(0, 1)")
+        } else {
+            return Ok(());
+        };
+        Err(ConfigError::OutOfRange {
+            field,
+            value,
+            domain,
+        })
+    }
+
     /// The worker-thread count this configuration resolves to: `threads`
     /// itself, or — when `threads == 0` ("one per hardware thread") —
     /// [`std::thread::available_parallelism`].
     pub fn effective_threads(&self) -> usize {
         resolve_parallelism(self.threads)
     }
+}
+
+/// The most worker threads (or worker processes) any parallelism knob —
+/// `threads`, `--threads`, `--workers` — may request. A fixed ceiling,
+/// not a setting: it exists so a mistyped or hostile count is a typed
+/// error instead of an allocation or thread spawn with no bound.
+pub const MAX_THREADS: usize = 1024;
+
+/// A configuration value outside its domain — what
+/// [`AffidavitConfig::validate`] and [`check_threads`] reject.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// A parallelism request above [`MAX_THREADS`].
+    TooManyThreads {
+        /// The rejected count.
+        requested: usize,
+    },
+    /// A real-valued parameter outside its domain (NaN included).
+    OutOfRange {
+        /// The configuration field.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+        /// The accepted interval, in interval notation.
+        domain: &'static str,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::TooManyThreads { requested } => {
+                write!(
+                    f,
+                    "threads {requested} is above the ceiling of {MAX_THREADS}"
+                )
+            }
+            ConfigError::OutOfRange {
+                field,
+                value,
+                domain,
+            } => write!(f, "{field} {value:?} is outside {domain}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// Check a parallelism request against [`MAX_THREADS`]; `0` ("one per
+/// hardware thread") always passes.
+pub fn check_threads(requested: usize) -> Result<(), ConfigError> {
+    if requested > MAX_THREADS {
+        return Err(ConfigError::TooManyThreads { requested });
+    }
+    Ok(())
 }
 
 /// Resolve a `0 = autosize` parallelism knob (`--threads 0`,
@@ -226,6 +303,35 @@ mod tests {
     #[should_panic]
     fn alpha_out_of_range_panics() {
         let _ = AffidavitConfig::paper_id().with_alpha(1.5);
+    }
+
+    #[test]
+    fn validate_rejects_out_of_domain_values_only() {
+        assert_eq!(check_threads(MAX_THREADS), Ok(()));
+        assert_eq!(
+            check_threads(99_999_999_999),
+            Err(ConfigError::TooManyThreads {
+                requested: 99_999_999_999
+            })
+        );
+        for cfg in [
+            AffidavitConfig::paper_id(),
+            AffidavitConfig::paper_overlap(),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+        let bad: [fn(&mut AffidavitConfig); 5] = [
+            |c| c.threads = MAX_THREADS + 1,
+            |c| c.alpha = 1e308,
+            |c| c.theta = 0.0,
+            |c| c.theta = f64::NAN,
+            |c| c.confidence = 1.0,
+        ];
+        for edit in bad {
+            let mut cfg = AffidavitConfig::paper_id();
+            edit(&mut cfg);
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -54,7 +54,9 @@ pub mod state;
 pub mod stats;
 pub mod trace;
 
-pub use config::{resolve_parallelism, AffidavitConfig, InitStrategy};
+pub use config::{
+    check_threads, resolve_parallelism, AffidavitConfig, ConfigError, InitStrategy, MAX_THREADS,
+};
 pub use explanation::Explanation;
 pub use instance::ProblemInstance;
 pub use search::{Affidavit, DeadlineExceeded, SearchOutcome};

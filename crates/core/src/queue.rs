@@ -41,7 +41,7 @@ impl BoundedLevelQueue {
 
     /// Capacity of level `i`: `max(1, ϱ − i + 1)`.
     pub fn capacity(&self, level: usize) -> usize {
-        (self.rho + 1).saturating_sub(level).max(1)
+        self.rho.saturating_add(1).saturating_sub(level).max(1)
     }
 
     /// Number of queued states.

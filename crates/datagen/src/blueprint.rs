@@ -88,9 +88,61 @@ pub struct GeneratedInstance {
     pub scale: f64,
 }
 
+/// Why [`Blueprint::try_new`] cannot build a blueprint.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BlueprintError {
+    /// η outside [0, 1] (NaN included).
+    Eta(f64),
+    /// τ outside [0, 1). At τ = 1 every attribute is transformed, which
+    /// the §5.1 rule forbids, so sampling would retry forever.
+    Tau(f64),
+    /// The cleaning rules removed every attribute of the base table (each
+    /// was empty or more distinct than [`GenConfig::distinct_threshold`]),
+    /// typically because it has too few rows to repeat any value.
+    NoAttributeLeft {
+        /// Records in the base table.
+        rows: usize,
+    },
+}
+
+impl std::fmt::Display for BlueprintError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BlueprintError::Eta(eta) => write!(f, "η {eta:?} is outside [0, 1]"),
+            BlueprintError::Tau(tau) => write!(f, "τ {tau:?} is outside [0, 1)"),
+            BlueprintError::NoAttributeLeft { rows } => write!(
+                f,
+                "all attributes of the {rows}-row base table removed by the cleaning rules \
+                 (each is empty or too distinct); generate more rows"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BlueprintError {}
+
 impl Blueprint {
     /// Run the blueprint phase on a base table.
+    ///
+    /// # Panics
+    /// On any [`BlueprintError`]; see [`Blueprint::try_new`].
     pub fn new(base: Table, pool: ValuePool, cfg: GenConfig) -> Blueprint {
+        Blueprint::try_new(base, pool, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Blueprint::new`], failing with a [`BlueprintError`] instead of
+    /// panicking (or, at τ = 1, never returning).
+    pub fn try_new(
+        base: Table,
+        pool: ValuePool,
+        cfg: GenConfig,
+    ) -> Result<Blueprint, BlueprintError> {
+        if !(0.0..=1.0).contains(&cfg.eta) {
+            return Err(BlueprintError::Eta(cfg.eta));
+        }
+        if !(0.0..1.0).contains(&cfg.tau) {
+            return Err(BlueprintError::Tau(cfg.tau));
+        }
         let mut pool = pool;
         // 1. Attribute cleaning.
         let stats = attribute_stats(&base, &pool);
@@ -99,10 +151,9 @@ impl Blueprint {
             .filter(|s| !s.is_all_empty() && s.distinct_fraction() <= cfg.distinct_threshold)
             .map(|s| s.attr)
             .collect();
-        assert!(
-            !keep.is_empty(),
-            "all attributes removed by the cleaning rules"
-        );
+        if keep.is_empty() {
+            return Err(BlueprintError::NoAttributeLeft { rows: base.len() });
+        }
         let base = base.project(&keep);
         // One single-pass profile per kept attribute: the sampler needs
         // both the stats and the first-seen distinct values.
@@ -115,6 +166,9 @@ impl Blueprint {
         let snapshot = ((d_rows as f64) / (1.0 + cfg.eta)).floor() as usize;
         let noise = ((snapshot as f64) * cfg.eta).round() as usize;
         let core_n = snapshot.saturating_sub(noise).max(1);
+        // Both noise sets must fit beside the core, which they do not at
+        // η near 1 or on a tiny table: |S| = |T| always.
+        let noise = noise.min(d_rows.saturating_sub(core_n) / 2);
         let mut order: Vec<usize> = (0..d_rows).collect();
         order.shuffle(&mut rng);
         let core: Vec<usize> = order[..core_n.min(d_rows)].to_vec();
@@ -146,7 +200,7 @@ impl Blueprint {
             // Reject: every attribute was transformed (§5.1).
         };
 
-        Blueprint {
+        Ok(Blueprint {
             base,
             pool,
             core,
@@ -154,7 +208,7 @@ impl Blueprint {
             tgt_noise,
             functions,
             cfg,
-        }
+        })
     }
 
     /// Materialize the full-size instance.
@@ -341,6 +395,24 @@ mod tests {
         assert_eq!(snapshot, 115);
         assert_eq!(bp.src_noise.len(), bp.tgt_noise.len());
         assert!((bp.src_noise.len() as i64 - 35).abs() <= 1);
+    }
+
+    #[test]
+    fn out_of_domain_inputs_are_typed_errors() {
+        let spec = by_name("iris").unwrap();
+        let try_new = |rows, eta, tau| {
+            let (base, pool) = affidavit_datasets::synth::generate_rows(&spec, rows, 1);
+            Blueprint::try_new(base, pool, GenConfig::new(eta, tau, 1)).map(|_| ())
+        };
+        let no_attribute = BlueprintError::NoAttributeLeft { rows: 1 };
+        assert_eq!(try_new(1, 0.3, 0.3), Err(no_attribute));
+        assert_eq!(try_new(20, -1.0, 0.3), Err(BlueprintError::Eta(-1.0)));
+        assert!(matches!(
+            try_new(20, f64::NAN, 0.3),
+            Err(BlueprintError::Eta(_))
+        ));
+        assert_eq!(try_new(20, 0.3, 1.0), Err(BlueprintError::Tau(1.0)));
+        assert_eq!(try_new(20, 1.0, 0.0), Ok(()));
     }
 
     #[test]

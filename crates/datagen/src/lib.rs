@@ -44,6 +44,6 @@ pub mod blueprint;
 pub mod metrics;
 pub mod sampler;
 
-pub use blueprint::{Blueprint, GenConfig, GeneratedInstance};
+pub use blueprint::{Blueprint, BlueprintError, GenConfig, GeneratedInstance};
 pub use metrics::{evaluate, InstanceMetrics};
 pub use sampler::sample_transformation;

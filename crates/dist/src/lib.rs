@@ -22,6 +22,8 @@
 //!   protocol (this crate's steal loop and the `affidavit-serve` client
 //!   API), with progress-based stall timeouts, plus the connection
 //!   registry and accept loop both listeners share.
+//! * [`fuzz`] — seeded mutation of valid request frames, the engine of
+//!   the fail-closed tests of both listeners.
 //! * [`tcp`] — the one transport between processes: the coordinator's
 //!   [`TcpServer`] serves its [`MemTransport`] over frames; workers dial
 //!   `--connect HOST:PORT` and multiplex framed request/response
@@ -86,6 +88,7 @@
 pub mod coordinate;
 pub mod fleet;
 pub mod frame;
+pub mod fuzz;
 pub mod job;
 pub mod queue;
 pub mod tcp;

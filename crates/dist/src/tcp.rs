@@ -567,24 +567,6 @@ mod tests {
         assert!(TcpClient::new(addr).ping().is_err());
     }
 
-    /// SplitMix64 — a seeded, dependency-free stream for the mutation
-    /// test, so every run sends the same frames.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-    }
-
     /// One valid request of every kind, encoded.
     fn valid_frames() -> Vec<String> {
         let worker = || "w-1".to_owned();
@@ -626,158 +608,54 @@ mod tests {
         .collect()
     }
 
-    /// Byte offsets of the JSON structure (braces, brackets, colons,
-    /// commas and string delimiters) outside string contents: changing
-    /// any one of them leaves text that is not a request.
-    fn structural_offsets(json: &[u8]) -> Vec<usize> {
-        let (mut offsets, mut in_string, mut escaped) = (Vec::new(), false, false);
-        for (i, &b) in json.iter().enumerate() {
-            if in_string {
-                match b {
-                    _ if escaped => escaped = false,
-                    b'\\' => escaped = true,
-                    b'"' => {
-                        in_string = false;
-                        offsets.push(i);
-                    }
-                    _ => {}
-                }
-            } else if b == b'"' {
-                in_string = true;
-                offsets.push(i);
-            } else if b"{}[]:,".contains(&b) {
-                offsets.push(i);
-            }
-        }
-        offsets
-    }
-
-    /// What a mutated frame looks like on the wire.
-    enum Mutant {
-        /// A complete frame whose payload is these bytes.
-        Payload(Vec<u8>),
-        /// A length header promising more bytes than the peer sends
-        /// before it stops writing.
-        ShortFrame(Vec<u8>),
-    }
-
-    fn mutate(rng: &mut Rng, frame: &str) -> Mutant {
-        let bytes = frame.as_bytes().to_vec();
-        match rng.below(6) {
-            // Truncated JSON: every strict prefix of an object is invalid.
-            0 => Mutant::Payload(bytes[..rng.below(bytes.len())].to_vec()),
-            // Truncated frame: the peer stops mid-frame.
-            1 => Mutant::ShortFrame(bytes[..rng.below(bytes.len())].to_vec()),
-            // One structural byte flipped.
-            2 => {
-                let mut bytes = bytes;
-                let offsets = structural_offsets(&bytes);
-                let at = offsets[rng.below(offsets.len())];
-                bytes[at] ^= 1 + rng.below(255) as u8;
-                Mutant::Payload(bytes)
-            }
-            // A tag that names no operation.
-            3 => {
-                let tags = ["", "CLAIM", "claim ", "claims", "forget", "steal", "7"];
-                let tag = tags[rng.below(tags.len())];
-                let start = frame.find(r#""op":""#).unwrap() + 6;
-                let end = start + frame[start..].find('"').unwrap();
-                Mutant::Payload(format!("{}{tag}{}", &frame[..start], &frame[end..]).into_bytes())
-            }
-            // An id (or timeout) no u64 can hold.
-            4 => {
-                let huge = [
-                    "18446744073709551616",
-                    "99999999999999999999999999",
-                    "-1",
-                    "1e30",
-                    "2.5",
-                ];
-                let huge = huge[rng.below(huge.len())];
-                let field = [r#""id":"#, r#""base_timeout_ms":"#]
-                    .into_iter()
-                    .find_map(|key| frame.find(key).map(|at| at + key.len()));
-                match field {
-                    Some(start) => {
-                        let end = start + frame[start..].find([',', '}']).unwrap();
-                        let text = format!("{}{huge}{}", &frame[..start], &frame[end..]);
-                        Mutant::Payload(text.into_bytes())
-                    }
-                    None => Mutant::Payload(format!("{frame}{huge}").into_bytes()),
-                }
-            }
-            // Not UTF-8, or an escape naming no character.
-            _ => {
-                let mut bytes = bytes;
-                let at = rng.below(bytes.len());
-                if rng.below(2) == 0 {
-                    bytes.insert(at, [0xFF, 0x80, 0xC3][rng.below(3)]);
-                    Mutant::Payload(bytes)
-                } else {
-                    let text = frame.replacen("w-1", r"\ud800\u0041", 1);
-                    let text = if text == frame {
-                        r#"{"op":"claim","worker":"\udc00"}"#.to_owned()
-                    } else {
-                        text
-                    };
-                    Mutant::Payload(text.into_bytes())
-                }
-            }
-        }
-    }
-
     #[test]
     fn mutated_request_frames_fail_closed() {
-        use std::io::Write as _;
+        use crate::fuzz::{check_fail_closed, mutants, with_value, Mutant, Vocabulary};
         // The store holds one job; no mutated frame may touch it.
         let store = Arc::new(MemTransport::default());
         store.publish(7, "the-job").unwrap();
         let server = serve(&store);
-        let addr = server.local_addr();
-        let frames = valid_frames();
-        let mut rng = Rng(0xAFF1_DA71);
-        for case in 0..120 {
-            let frame = &frames[rng.below(frames.len())];
-            let mutant = mutate(&mut rng, frame);
-            let mut stream = TcpStream::connect(addr).unwrap();
-            // Reading the answer times out after the listener's own stall
-            // bound: an answer must come (or the connection close) first.
-            let cfg = FrameConfig::default();
-            configure_stream(&stream, &cfg).unwrap();
-            let (len, body) = match &mutant {
-                Mutant::Payload(body) => (body.len(), body),
-                Mutant::ShortFrame(body) => (body.len() + 1, body),
-            };
-            stream.write_all(&(len as u32).to_be_bytes()).unwrap();
-            stream.write_all(body).unwrap();
-            if let Mutant::ShortFrame(_) = mutant {
-                stream.shutdown(std::net::Shutdown::Write).unwrap();
-            }
-            // A complete UTF-8 frame is a request the listener must
-            // refuse with an error; anything else ends the connection.
-            let is_text =
-                matches!(&mutant, Mutant::Payload(body) if std::str::from_utf8(body).is_ok());
-            let sent = String::from_utf8_lossy(body).into_owned();
-            match read_frame(&mut stream, &cfg) {
-                Ok(FrameRead::Frame(text)) => {
-                    let response: Response = serde_json::from_str(&text).unwrap();
-                    assert!(
-                        is_text && matches!(response, Response::Error { .. }),
-                        "case {case}: {sent:?} was answered with {response:?}"
-                    );
-                }
-                Ok(FrameRead::Closed) | Err(_) => {
-                    assert!(!is_text, "case {case}: {sent:?} closed the connection")
-                }
-                Ok(FrameRead::Idle) => panic!("case {case}: {sent:?} got no answer"),
-            }
-        }
+        let huge: &[&str] = &[
+            "18446744073709551616",
+            "99999999999999999999999999",
+            "-1",
+            "1e30",
+            "2.5",
+        ];
+        // A worker name whose escape names no character: a decoder that
+        // accepted it would hand the job to that claim.
+        let lone_surrogates: &[&str] = &[r#""\ud800\u0041""#, r#""\udc00""#];
+        let vocab = Vocabulary {
+            bad_tags: &["", "CLAIM", "claim ", "claims", "forget", "steal", "7"],
+            bad_values: &[
+                ("id", huge),
+                ("base_timeout_ms", huge),
+                ("worker", lone_surrogates),
+            ],
+        };
+        let claim = r#"{"op":"claim","worker":"w-1"}"#;
+        let mut cases: Vec<Mutant> = lone_surrogates
+            .iter()
+            .map(|raw| Mutant::whole(with_value(claim, "worker", raw).into_bytes()))
+            .collect();
+        cases.extend(mutants(0xAFF1_DA71, 120, &valid_frames(), &vocab));
+        // Reading the answer times out after the listener's own stall
+        // bound: an answer must come (or the connection close) first.
+        check_fail_closed(
+            &server.local_addr().to_string(),
+            &FrameConfig::default(),
+            &cases,
+            |text| matches!(serde_json::from_str(text), Ok(Response::Error { .. })),
+        )
+        .unwrap();
         // Nothing was claimed, published, delivered or stopped...
         assert_eq!(store.counters().unwrap(), QueueStats::default());
         assert!(!store.stopped().unwrap());
         assert_eq!(store.fetch(3).unwrap(), None);
         // ...and the listener still answers a valid claim.
-        let claimed = TcpClient::new(addr.to_string()).claim("w").unwrap();
+        let claimed = TcpClient::new(server.local_addr().to_string())
+            .claim("w")
+            .unwrap();
         assert_eq!(
             claimed,
             Some(Claimed {

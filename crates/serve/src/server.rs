@@ -268,20 +268,31 @@ fn answer(request: &ClientRequest, shared: &ServeShared) -> ClientResponse {
         },
         ClientRequest::Explain { spec } => {
             shared.requests.fetch_add(1, Ordering::Relaxed);
-            match shared.admit().and_then(|_slot| explain(spec, shared)) {
+            match admit(spec, shared).and_then(|_slot| explain(spec, shared)) {
                 Ok(reply) => ClientResponse::Report { reply },
                 Err(message) => ClientResponse::Error { message },
             }
         }
         ClientRequest::Pin { spec } => {
             shared.requests.fetch_add(1, Ordering::Relaxed);
-            match shared.admit().and_then(|_slot| pin(spec, shared)) {
+            match admit(spec, shared).and_then(|_slot| pin(spec, shared)) {
                 Ok(warm) => ClientResponse::Pinned { warm },
                 Err(message) => ClientResponse::Error { message },
             }
         }
         ClientRequest::Shutdown => unreachable!("handled by the connection loop"),
     }
+}
+
+/// Admit an `Explain`/`Pin` spec: a configuration that would abort the
+/// daemon or panic its connection thread (see
+/// [`AffidavitConfig::validate`](affidavit_core::AffidavitConfig::validate))
+/// is refused before any admission or ingestion work.
+fn admit<'a>(spec: &ExplainSpec, shared: &'a ServeShared) -> Result<InflightSlot<'a>, String> {
+    spec.config
+        .validate()
+        .map_err(|e| format!("bad config: {e}"))?;
+    shared.admit()
 }
 
 /// The explain hot path: pin-or-reuse the ingested snapshot pair, then

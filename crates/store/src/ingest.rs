@@ -25,10 +25,8 @@ use std::io::BufRead;
 use std::path::Path;
 use std::sync::Arc;
 
-use affidavit_table::csv::{parse_rows_at, CsvChunk, CsvOptions, RowChunker};
-use affidavit_table::{
-    Interner, PoolReader, Schema, ScratchPool, Sym, Table, TableError, ValuePool,
-};
+use affidavit_table::csv::{header_schema, parse_rows_at, CsvChunk, CsvOptions, RowChunker};
+use affidavit_table::{Interner, PoolReader, ScratchPool, Sym, Table, TableError, ValuePool};
 use rayon::prelude::*;
 
 /// Options for streaming ingestion.
@@ -173,7 +171,8 @@ fn ingest<R: BufRead>(
             continue; // blank-line-only chunk before the header
         }
         let header = rows.remove(0);
-        break (Schema::new(header.fields.clone()), header.fields.len());
+        let arity = header.fields.len();
+        break (header_schema(header.fields)?, arity);
     };
     let mut table = Table::new(schema);
     let mut rows_done = 0usize;

@@ -432,6 +432,27 @@ impl<R: BufRead> RowChunker<R> {
     }
 }
 
+/// The schema a CSV header row names — the one header check every reader
+/// shares, so the in-memory and streaming paths fail alike. A repeated
+/// column name is a [`TableError::DuplicateColumn`]: two columns under
+/// one name would make every by-name output (function lines, SQL)
+/// ambiguous.
+pub fn header_schema(fields: Vec<String>) -> Result<Schema, TableError> {
+    // The std hasher: header names come from outside the program.
+    let mut seen: std::collections::HashMap<&str, usize> = Default::default();
+    for (idx, name) in fields.iter().enumerate() {
+        if let Some(&first) = seen.get(name.as_str()) {
+            return Err(TableError::DuplicateColumn {
+                name: name.clone(),
+                first: first + 1,
+                second: idx + 1,
+            });
+        }
+        seen.insert(name.as_str(), idx);
+    }
+    Ok(Schema::new(fields))
+}
+
 /// Read a table from CSV text. The first row is the header. A leading
 /// UTF-8 BOM is stripped.
 pub fn read_str(input: &str, pool: &mut ValuePool, opts: CsvOptions) -> Result<Table, TableError> {
@@ -442,7 +463,7 @@ pub fn read_str(input: &str, pool: &mut ValuePool, opts: CsvOptions) -> Result<T
         return Err(trailing.unwrap_or(TableError::EmptyInput));
     };
     let arity = header.fields.len();
-    let schema = Schema::new(header.fields);
+    let schema = header_schema(header.fields)?;
     let mut table = Table::with_capacity(schema, rows.len());
     let mut syms: Vec<Sym> = Vec::new();
     for (idx, row) in rows.enumerate() {
@@ -510,7 +531,8 @@ pub fn read_buffered_with<R: BufRead>(
             rows.is_empty(),
             "a 1-record chunk parses to at most one row"
         );
-        break (Schema::new(header.fields.clone()), header.fields.len());
+        let arity = header.fields.len();
+        break (header_schema(header.fields)?, arity);
     };
     let mut table = Table::new(schema);
     let mut syms: Vec<Sym> = Vec::new();

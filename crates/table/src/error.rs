@@ -35,6 +35,15 @@ pub enum TableError {
     },
     /// The input contained no header row.
     EmptyInput,
+    /// The CSV header names the same column twice.
+    DuplicateColumn {
+        /// The repeated column name.
+        name: String,
+        /// 1-based header position of its first occurrence.
+        first: usize,
+        /// 1-based header position of the repeat.
+        second: usize,
+    },
     /// Two tables that must share a schema do not.
     SchemaMismatch {
         /// Description of the mismatch.
@@ -62,6 +71,14 @@ impl fmt::Display for TableError {
                 )
             }
             TableError::EmptyInput => write!(f, "CSV input is empty (no header row)"),
+            TableError::DuplicateColumn {
+                name,
+                first,
+                second,
+            } => write!(
+                f,
+                "CSV header repeats column {name:?} (columns {first} and {second})"
+            ),
             TableError::SchemaMismatch { detail } => write!(f, "schema mismatch: {detail}"),
         }
     }

@@ -3,7 +3,9 @@
 //! 1. Streaming parallel ingestion (`affidavit_store::ingest`) must
 //!    produce a `(Table, ValuePool)` **byte-identical** to the serial
 //!    in-memory parser (`csv::read_str`) for adversarial inputs across
-//!    seeds × thread counts {1, 2, 4} × chunk sizes {1, 64, 4096}.
+//!    seeds × thread counts {1, 2, 4} × chunk sizes {1, 64, 4096} — and
+//!    must reject a header that repeats a column name with the same
+//!    typed error.
 //! 2. A full `explain` over the Figure 1 instance and a Table 2 dataset
 //!    spec, ingested in 4-row chunks, must render an **identical report**
 //!    at ingestion threads 1, 2 and 4.
@@ -18,7 +20,7 @@ use affidavit::core::report::render_report;
 use affidavit::core::search::Affidavit;
 use affidavit::datasets::running_example::{ATTRS, SOURCE_ROWS, TARGET_ROWS};
 use affidavit::store::{ingest, IngestOptions};
-use affidavit::table::{csv, Table, ValuePool};
+use affidavit::table::{csv, Table, TableError, ValuePool};
 
 /// The `(threads, chunk_rows)` combinations under test: the env override
 /// (CI matrix leg) wins, otherwise the full grid.
@@ -104,13 +106,43 @@ fn adversarial_csv(seed: u64) -> String {
     text
 }
 
+/// What a reader made of an input: the pair's fingerprint, or the error
+/// it failed with — a rejected input must fail alike on every path.
+fn outcome(result: Result<Table, TableError>, pool: &ValuePool) -> String {
+    match result {
+        Ok(table) => fingerprint(&table, pool),
+        Err(err) => format!("error: {err}"),
+    }
+}
+
+/// The adversarial CSVs for `seeds`, plus one input every path must
+/// reject: a header naming the same column twice (two `f_v` lines, and
+/// SQL that updates the wrong column, if it were accepted).
+fn inputs(seeds: &[u64]) -> Vec<String> {
+    let mut texts: Vec<String> = seeds.iter().map(|&seed| adversarial_csv(seed)).collect();
+    let mut duplicate = String::from(
+        "id,v,w,v
+",
+    );
+    for i in 0..200 {
+        duplicate.push_str(&format!(
+            "k{i},{},{},{}
+",
+            i % 7,
+            i % 3,
+            i % 5
+        ));
+    }
+    texts.push(duplicate);
+    texts
+}
+
 #[test]
 fn streaming_parallel_ingestion_is_byte_identical_to_serial() {
-    for seed in [1u64, 2, 3] {
-        let text = adversarial_csv(seed);
+    for (case, text) in inputs(&[1, 2, 3]).iter().enumerate() {
         let mut serial_pool = ValuePool::new();
-        let serial = csv::read_str(&text, &mut serial_pool, csv::CsvOptions::default()).unwrap();
-        let want = fingerprint(&serial, &serial_pool);
+        let serial = csv::read_str(text, &mut serial_pool, csv::CsvOptions::default());
+        let want = outcome(serial, &serial_pool);
         for (threads, chunk_rows) in matrix() {
             let opts = IngestOptions {
                 chunk_rows,
@@ -118,11 +150,11 @@ fn streaming_parallel_ingestion_is_byte_identical_to_serial() {
                 ..IngestOptions::default()
             };
             let mut pool = ValuePool::new();
-            let table = ingest::read_stream(text.as_bytes(), &mut pool, &opts).unwrap();
+            let table = ingest::read_stream(text.as_bytes(), &mut pool, &opts);
             assert_eq!(
-                fingerprint(&table, &pool),
+                outcome(table, &pool),
                 want,
-                "seed {seed}: threads={threads} chunk_rows={chunk_rows} diverged from serial"
+                "input {case}: threads={threads} chunk_rows={chunk_rows} diverged from serial"
             );
         }
     }
@@ -132,22 +164,30 @@ fn streaming_parallel_ingestion_is_byte_identical_to_serial() {
 fn serial_streaming_reader_matches_in_memory_parser() {
     // The satellite fix: `csv::read` (used by `read_path`) streams through
     // the chunker instead of slurping, and must stay byte-identical.
-    for seed in [4u64, 5] {
-        let text = adversarial_csv(seed);
+    for text in inputs(&[4, 5]) {
         let mut mem_pool = ValuePool::new();
-        let mem = csv::read_str(&text, &mut mem_pool, csv::CsvOptions::default()).unwrap();
+        let mem = csv::read_str(&text, &mut mem_pool, csv::CsvOptions::default());
         let mut stream_pool = ValuePool::new();
         let stream = csv::read(
             text.as_bytes(),
             &mut stream_pool,
             csv::CsvOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(
-            fingerprint(&mem, &mem_pool),
-            fingerprint(&stream, &stream_pool)
         );
+        assert_eq!(outcome(mem, &mem_pool), outcome(stream, &stream_pool));
     }
+}
+
+#[test]
+fn a_repeated_header_name_is_a_typed_error() {
+    let text = inputs(&[]).pop().unwrap();
+    let err = csv::read_str(&text, &mut ValuePool::new(), csv::CsvOptions::default()).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            TableError::DuplicateColumn { name, first: 2, second: 4 } if name == "v"
+        ),
+        "{err}"
+    );
 }
 
 fn rows_to_csv(header: &[&str], rows: &[&[&str]]) -> String {

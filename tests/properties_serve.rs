@@ -6,14 +6,20 @@
 //! concurrent clients. The battery sweeps both paper configurations ×
 //! threads {1, 4}, then hammers one spec with 4 concurrent clients, and asserts throughout
 //! (via the daemon's counters) that warm repeats perform zero ingestion
-//! work.
+//! work. A seeded mutation fuzz then sends malformed and out-of-domain
+//! request frames to a live daemon: each must be refused with an
+//! `Error` frame or a closed connection, never a dead daemon.
 
 use std::path::{Path, PathBuf};
 
 use affidavit_core::profiling::{stage_file_pair, ProfileOptions};
 use affidavit_core::report::render_report;
 use affidavit_core::{Affidavit, AffidavitConfig};
-use affidavit_serve::{serve, ExplainSpec, ServeClient, ServeOptions};
+use affidavit_dist::fuzz::{check_fail_closed, exchange, mutants, with_value, Mutant, Vocabulary};
+use affidavit_dist::{FrameConfig, FrameRead};
+use affidavit_serve::{
+    serve, ClientRequest, ClientResponse, ExplainSpec, ServeClient, ServeOptions,
+};
 use affidavit_store::IngestOptions;
 
 /// A snapshot pair with a systematic change (rescaled values), plus some
@@ -317,6 +323,166 @@ fn concurrent_clients_get_identical_bytes_from_one_warm_session() {
     // And a final repeat from a fresh client is still warm.
     assert!(client.explain(&spec).unwrap().warm);
     client.shutdown().unwrap();
+    daemon.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Send one whole frame and decode the daemon's answer; `None` means
+/// the daemon closed the connection.
+fn send(addr: &str, frame: &str) -> Option<ClientResponse> {
+    let mutant = Mutant::whole(frame.as_bytes().to_vec());
+    match exchange(addr, &mutant, &FrameConfig::default()).unwrap() {
+        FrameRead::Frame(text) => Some(serde_json::from_str(&text).unwrap()),
+        FrameRead::Closed => None,
+        FrameRead::Idle => panic!("the daemon gave no answer within its stall bound"),
+    }
+}
+
+/// An explain frame for `spec` with one field replaced by raw JSON text.
+fn frame_with(spec: &ExplainSpec, field: &str, raw: &str) -> String {
+    let frame = serde_json::to_string(&ClientRequest::Explain { spec: spec.clone() }).unwrap();
+    with_value(&frame, field, raw)
+}
+
+#[test]
+fn an_over_ceiling_thread_count_is_an_error_and_the_daemon_stays_up() {
+    let dir = std::env::temp_dir().join("affidavit-serve-ceiling");
+    std::fs::remove_dir_all(&dir).ok();
+    let (src, tgt) = write_pair(&dir);
+    let spec = spec_for(&src, &tgt, "id", 1);
+    let mut daemon = serve(&ServeOptions::default()).unwrap();
+    let addr = daemon.local_addr().to_string();
+
+    // Once a process abort: one worker slot allocated per requested
+    // thread before the first chunk was parsed.
+    match send(&addr, &frame_with(&spec, "threads", "99999999999")) {
+        Some(ClientResponse::Error { message }) => {
+            assert!(message.contains("threads 99999999999"), "{message}");
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    let ping = serde_json::to_string(&ClientRequest::Ping).unwrap();
+    assert!(matches!(send(&addr, &ping), Some(ClientResponse::Pong)));
+    // Rejected before admission: nothing was ingested or pinned.
+    let stats = daemon.stats();
+    assert_eq!((stats.ingests, stats.sessions), (0, 0));
+
+    ServeClient::new(addr).shutdown().unwrap();
+    daemon.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mutated_client_frames_fail_closed() {
+    use std::time::Duration;
+
+    let dir = std::env::temp_dir().join("affidavit-serve-fuzz");
+    std::fs::remove_dir_all(&dir).ok();
+    let (src, tgt) = write_pair(&dir);
+    let spec = spec_for(&src, &tgt, "id", 1);
+    let opts = ServeOptions {
+        frame: FrameConfig {
+            stall_timeout: Duration::from_secs(10),
+        },
+        ..ServeOptions::default()
+    };
+    let mut daemon = serve(&opts).unwrap();
+    let addr = daemon.local_addr().to_string();
+    let valid: Vec<String> = [
+        ClientRequest::Ping,
+        ClientRequest::Explain { spec: spec.clone() },
+        ClientRequest::Pin { spec: spec.clone() },
+        ClientRequest::Stats,
+        ClientRequest::Metrics,
+    ]
+    .iter()
+    .map(|request| serde_json::to_string(request).unwrap())
+    .collect();
+    // Spec values the daemon must refuse: a worker count above the
+    // ceiling, a count no usize can hold or a rate outside its domain
+    // (serde rejects the non-usize counts before the daemon's code runs),
+    // and a string whose escape names no character (`delta_state` is
+    // ignored while `delta` is off, so a decoder that accepted the escape
+    // would answer with a report). Every usize is in domain for
+    // `ingest_chunk_rows`, `queue_width` and `beta`; see
+    // `in_domain_extreme_counts_are_answered`.
+    let lone_surrogates: &[&str] = &[r#""\ud800\u0041""#, r#""\udc00""#];
+    let vocab = Vocabulary {
+        bad_tags: &["", "PING", "ping ", "explains", "claim", "shutdown!", "7"],
+        bad_values: &[
+            (
+                "threads",
+                &["99999999999", "1025", "18446744073709551615", "-1"],
+            ),
+            ("ingest_chunk_rows", &["18446744073709551616", "-1", "2.5"]),
+            ("queue_width", &["-5", "1e30", "99999999999999999999999999"]),
+            ("beta", &["-1", "0.5", "18446744073709551616"]),
+            ("theta", &["0", "1", "-1", "1e308"]),
+            ("confidence", &["0", "1", "2"]),
+            ("alpha", &["1e308", "-0.5", "2"]),
+            ("delta_state", lone_surrogates),
+        ],
+    };
+    // Crashers this fuzz found, kept as fixed cases: each once aborted
+    // the daemon or panicked its connection thread. The two escapes are
+    // fixed too, so they reach a request that reads them on every seed.
+    let mut cases: Vec<Mutant> = [
+        ("threads", "99999999999"),
+        ("threads", "100000"),
+        ("theta", "0"),
+        ("confidence", "1"),
+        ("alpha", "1e308"),
+        ("delta_state", lone_surrogates[0]),
+        ("delta_state", lone_surrogates[1]),
+    ]
+    .iter()
+    .map(|(field, raw)| Mutant::whole(frame_with(&spec, field, raw).into_bytes()))
+    .collect();
+    cases.extend(mutants(0x5E7E_F022, 120, &valid, &vocab));
+    check_fail_closed(&addr, &opts.frame, &cases, |text| {
+        matches!(serde_json::from_str(text), Ok(ClientResponse::Error { .. }))
+    })
+    .unwrap();
+
+    // The daemon is still up, and no mutant pinned or ingested anything.
+    let client = ServeClient::new(addr);
+    client.ping().unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.sessions, stats.ingests, stats.hits), (0, 0, 0));
+
+    client.shutdown().unwrap();
+    daemon.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn in_domain_extreme_counts_are_answered() {
+    let dir = std::env::temp_dir().join("affidavit-serve-extremes");
+    std::fs::remove_dir_all(&dir).ok();
+    let (src, tgt) = write_pair(&dir);
+    let spec = spec_for(&src, &tgt, "id", 1);
+    let (report, _, _) = one_shot(&spec);
+    let mut daemon = serve(&ServeOptions::default()).unwrap();
+    let addr = daemon.local_addr().to_string();
+
+    // 0 means 1 and no upper bound is needed, so each count is answered
+    // with a report; ingestion is byte-identical at every chunking.
+    for field in ["ingest_chunk_rows", "queue_width", "beta"] {
+        for raw in ["0", "99999999999", "18446744073709551615"] {
+            match send(&addr, &frame_with(&spec, field, raw)) {
+                Some(ClientResponse::Report { reply }) => {
+                    if field == "ingest_chunk_rows" {
+                        assert_eq!(reply.report, report, "{field} = {raw}");
+                    }
+                }
+                other => panic!("{field} = {raw}: expected a report, got {other:?}"),
+            }
+        }
+    }
+    let ping = serde_json::to_string(&ClientRequest::Ping).unwrap();
+    assert!(matches!(send(&addr, &ping), Some(ClientResponse::Pong)));
+
+    ServeClient::new(addr).shutdown().unwrap();
     daemon.wait();
     std::fs::remove_dir_all(&dir).ok();
 }
