@@ -91,9 +91,6 @@ SEARCH FLAGS (explain, apply, profile):
                            0 = one per hardware thread (default: 1; at most
                            1024). Results are byte-identical at every
                            thread count.
-  --speculative-width K    Frontier states expanded speculatively per driver
-                           iteration (default: 1 = speculation off). Results
-                           are byte-identical at every width.
   --trace                  Record and print the search tree (default: off).
   --corpus                 Also draw candidates from the built-in function
                            corpus (default: off; induction only).
@@ -204,15 +201,7 @@ OBSERVABILITY FLAGS (all commands):
                            finishes (default: off).";
 
 /// The flag groups of USAGE, by section heading.
-const SEARCH_FLAGS: &[&str] = &[
-    "config",
-    "seed",
-    "threads",
-    "speculative-width",
-    "trace",
-    "corpus",
-    "extended",
-];
+const SEARCH_FLAGS: &[&str] = &["config", "seed", "threads", "trace", "corpus", "extended"];
 const INGESTION_FLAGS: &[&str] = &["ingest-chunk-rows"];
 const INCREMENTAL_FLAGS: &[&str] = &["delta", "delta-state"];
 const DISTRIBUTED_FLAGS: &[&str] = &["workers", "listen", "steal-timeout-secs", "deadline-secs"];
@@ -401,11 +390,6 @@ fn build_config(p: &Parsed<'_>) -> Result<AffidavitConfig, String> {
     }
     if let Some(threads) = count_flag(p, "threads", "or 0 for auto")? {
         cfg.threads = threads;
-    }
-    if let Some(width) = p.flag_value("speculative-width") {
-        cfg.speculative_width = width.parse().map_err(|_| {
-            format!("bad --speculative-width {width:?} (frontier states expanded per iteration)")
-        })?;
     }
     if p.has("trace") {
         cfg.trace = true;
@@ -1129,16 +1113,6 @@ mod tests {
     }
 
     #[test]
-    fn build_config_speculative_width() {
-        let good = argv(&["--threads", "4", "--speculative-width", "8"]);
-        let cfg = build_config(&parse("explain", &good).unwrap()).unwrap();
-        assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.speculative_width, 8);
-        let bad = argv(&["--speculative-width", "wide"]);
-        assert!(build_config(&parse("explain", &bad).unwrap()).is_err());
-    }
-
-    #[test]
     fn out_of_range_counts_and_fractions_are_usage_errors() {
         let huge = "99999999999";
         let err = build_config(&parse("explain", &argv(&["--threads", huge])).unwrap());
@@ -1262,7 +1236,6 @@ mod tests {
         "--config",
         "--seed",
         "--threads",
-        "--speculative-width",
         "--trace",
         "--corpus",
         "--extended",
@@ -1396,13 +1369,44 @@ mod tests {
             &["explain", "s.csv", "t.csv", "--stabel"],
             &["profile", "a", "b", "--steal", "expansions"],
             &["profile", "a", "b", concat!("--expansion", "-batch"), "4"],
-            &["profile", "a", "b", "--speculation-min-records", "0"],
+            &[
+                "profile",
+                "a",
+                "b",
+                concat!("--speculation", "-min-records"),
+                "0",
+            ],
             &[
                 "explain",
                 "s.csv",
                 "t.csv",
-                "--speculation-min-records",
+                concat!("--speculation", "-min-records"),
                 "0",
+            ],
+            &[
+                "explain",
+                "s.csv",
+                "t.csv",
+                concat!("--speculative", "-width"),
+                "4",
+            ],
+            &[
+                "apply",
+                "s.csv",
+                "t.csv",
+                "u.csv",
+                concat!("--speculative", "-width"),
+                "4",
+            ],
+            &["profile", "a", "b", concat!("--speculative", "-width"), "4"],
+            &[
+                "client",
+                "--connect",
+                "127.0.0.1:1",
+                "s.csv",
+                "t.csv",
+                concat!("--speculative", "-width"),
+                "4",
             ],
             &["serve", "--expansion-workers", "2"],
             &["profile", "a", "b", concat!("--trans", "port"), "tcp"],

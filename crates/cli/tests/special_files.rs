@@ -1,0 +1,56 @@
+//! The built `affidavit` binary handed a special file (`/dev/zero`, which
+//! never ends) as a snapshot: a typed error and exit 1 within seconds, not
+//! a hang, an abort or a memory blow-up.
+
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// Run the binary; kill it and fail if it has not exited within 10 s.
+/// Returns its exit code and stderr.
+fn run_bounded(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_affidavit"))
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let started = Instant::now();
+    while child.try_wait().unwrap().is_none() {
+        if started.elapsed() > Duration::from_secs(10) {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{args:?} still running after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let output = child.wait_with_output().unwrap();
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_special_file_snapshot_exits_1_naming_the_path() {
+    let dir = std::env::temp_dir().join("affidavit-cli-special-file");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("t.csv");
+    std::fs::write(&csv, "k,v\na,1\nb,2\n").unwrap();
+    let csv = csv.to_str().unwrap();
+    for args in [
+        &["explain", "/dev/zero", csv][..],
+        &["explain", csv, "/dev/zero", "--stable"],
+        &["explain", "/dev/zero", csv, "--delta"],
+        &["apply", csv, csv, "/dev/zero"],
+    ] {
+        let (code, stderr) = run_bounded(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("/dev/zero") && stderr.contains("not a regular file"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

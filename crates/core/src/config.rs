@@ -80,23 +80,6 @@ pub struct AffidavitConfig {
     /// per-attribute seeded RNG and the extensions are merged in a stable
     /// order.
     pub threads: usize,
-    /// Speculative frontier width K: up to K frontier states are drained
-    /// per driver iteration (in exact poll order) and expanded
-    /// concurrently, then reconciled back in that order. A speculated
-    /// sibling whose turn never comes — an earlier sibling polled an end
-    /// state, evicted it, or produced a cheaper child that overtakes it —
-    /// is discarded unconsumed, so the polled/expanded sequence, trace and
-    /// explanation are byte-identical to `speculative_width = 1`.
-    /// `1` (the default) disables speculation; `0` is treated as `1`.
-    pub speculative_width: usize,
-    /// Minimum number of records (live sources + targets) in the head
-    /// frontier state's blocking before the driver speculates ahead of
-    /// the serial poll order. Below it a K-way batch costs more in
-    /// discarded sibling work and cache pressure than the serial loop —
-    /// the frontier-level analogue of `parallel_min_records`. Gated
-    /// iterations run the exact width-1 code path, so results are
-    /// identical either way; purely a scheduling knob.
-    pub speculation_min_records: usize,
 }
 
 impl Default for AffidavitConfig {
@@ -125,8 +108,6 @@ impl AffidavitConfig {
             trace: false,
             parallel_min_records: 4096,
             threads: 1,
-            speculative_width: 1,
-            speculation_min_records: 4096,
         }
     }
 
@@ -164,21 +145,6 @@ impl AffidavitConfig {
     /// one worker per hardware thread.
     pub fn with_threads(mut self, threads: usize) -> AffidavitConfig {
         self.threads = threads;
-        self
-    }
-
-    /// Set the speculative frontier width (builder style); results are
-    /// byte-identical at every width.
-    pub fn with_speculative_width(mut self, width: usize) -> AffidavitConfig {
-        self.speculative_width = width;
-        self
-    }
-
-    /// Set the minimum head-state record count for speculative fan-out
-    /// (builder style); `0` speculates on every frontier, whatever its
-    /// size. Results are identical at every setting.
-    pub fn with_speculation_min_records(mut self, records: usize) -> AffidavitConfig {
-        self.speculation_min_records = records;
         self
     }
 

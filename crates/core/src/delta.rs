@@ -216,11 +216,18 @@ pub struct DeltaReport {
 
 /// Fingerprint the parts of the configuration that shape output bytes:
 /// the search configuration and schema alignment. Ingestion chunking and
-/// threads are deliberately excluded — they are byte-transparent, so a
-/// manifest recorded under one chunking splices under another.
+/// the scheduling knobs (`threads`, `parallel_min_records`) are
+/// deliberately excluded — they are byte-transparent, so a manifest
+/// recorded under one thread count or chunking splices under another.
 pub fn config_fingerprint(config: &AffidavitConfig, align: bool) -> String {
+    let defaults = AffidavitConfig::default();
+    let shaping = AffidavitConfig {
+        threads: defaults.threads,
+        parallel_min_records: defaults.parallel_min_records,
+        ..config.clone()
+    };
     let mut fnv = affidavit_store::Fnv::new();
-    fnv.update_str(&serde_json::to_string(config).expect("configs are serializable"));
+    fnv.update_str(&serde_json::to_string(&shaping).expect("configs are serializable"));
     fnv.update(&[u8::from(align)]);
     fnv.update_u64(u64::from(DELTA_FORMAT_VERSION));
     fnv.finish().to_string()
@@ -1064,6 +1071,13 @@ mod tests {
         assert_ne!(
             config_fingerprint(&id, false),
             config_fingerprint(&id, true)
+        );
+        let mut scheduled = id.clone().with_threads(4);
+        scheduled.parallel_min_records = 0;
+        assert_eq!(
+            config_fingerprint(&id, false),
+            config_fingerprint(&scheduled, false),
+            "scheduling knobs are byte-transparent"
         );
     }
 }

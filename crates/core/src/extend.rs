@@ -195,8 +195,8 @@ pub(crate) fn indeterminacy_keys(
 
 /// Undecided attributes ordered by indeterminacy (most determined first,
 /// ties towards the lower attribute index) — the `Order-By-Indeterminacy`
-/// step. Takes the source table directly so speculative workers can order
-/// a frozen state without the driver context.
+/// step. Takes the source table directly so it runs on a frozen state
+/// without the driver context.
 pub(crate) fn order_by_indeterminacy(
     source: &affidavit_table::Table,
     state: &SearchState,
@@ -335,10 +335,8 @@ fn expand_attr(
 /// Everything phase 1 produced for one polled state: per-attribute
 /// expansions in indeterminacy order up to the stop index, plus whether
 /// any candidate beat its greedy benchmark. Pure worker output — nothing
-/// here has touched shared search state, so an expansion computed
-/// speculatively for a state whose poll turn never comes can be dropped
-/// without a trace.
-pub(crate) struct StateExpansion {
+/// here has touched shared search state yet.
+struct StateExpansion {
     parts: Vec<AttrExpansion>,
     any_kept: bool,
     /// Expansions computed past the stop index and dropped.
@@ -347,7 +345,7 @@ pub(crate) struct StateExpansion {
 
 impl StateExpansion {
     /// Add this expansion's attribute-level work to the run counters.
-    pub(crate) fn tally(&self, stats: &mut SearchStats) {
+    fn tally(&self, stats: &mut SearchStats) {
         stats.attr_expansions += self.parts.len() + self.discarded;
         stats.attr_expansions_discarded += self.discarded;
     }
@@ -466,12 +464,11 @@ impl AttrScan {
 /// Phase 1 for a whole state: order the undecided attributes, then run the
 /// ordered attribute scan against the frozen context — one worker per
 /// thread of the installed pool when the state is large enough to fan
-/// out, one worker on the calling thread otherwise (speculative state
-/// workers always get one: nested fan-outs run inline). The expansions
+/// out, one worker on the calling thread otherwise. The expansions
 /// kept are those at indices `0..=stop`, where `stop` is the last index
 /// the serial β-then-one-at-a-time loop would expand, so the result is
 /// identical at every worker count.
-pub(crate) fn expand_state(
+fn expand_state(
     sctx: &SearchCtx<'_>,
     state: &SearchState,
     alignment: &[(RecordId, RecordId)],
@@ -517,14 +514,12 @@ pub(crate) fn expand_state(
 
 /// Phase 2: absorb a state expansion into the shared pool and register
 /// every child (greedy benchmark + ranked candidates, in processed order),
-/// returning the kept extensions. Runs strictly in poll order — this is
-/// where ids, trace nodes and pool contents are assigned, so consuming
-/// expansions in serial order makes speculation invisible.
+/// returning the kept extensions. Runs on the driver thread — this is
+/// where ids, trace nodes and pool contents are assigned.
 ///
 /// An empty result means every expanded attribute is map-suited; the
-/// caller finalizes (that fallback draws from the driver RNG, which is the
-/// caller's to manage during speculative replay).
-pub(crate) fn consume_state_expansion(
+/// caller finalizes.
+fn consume_state_expansion(
     ctx: &mut Ctx<'_>,
     state: &SearchState,
     exp: StateExpansion,

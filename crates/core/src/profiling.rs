@@ -124,7 +124,7 @@ impl SnapshotProfile {
     /// Zero every wall-clock field (`millis`) so two profiles of the same
     /// snapshots can be compared byte for byte. Search timings are the only
     /// nondeterministic part of a profile; everything else is invariant
-    /// under thread count, speculative width, worker count and — for
+    /// under thread count, worker count and — for
     /// distributed runs — whether the workers are threads or processes.
     pub fn strip_timing(&mut self) {
         for t in &mut self.tables {

@@ -7,10 +7,10 @@
 //! worker finished first, which is one half of the distributed
 //! determinism story. The other half is that [`process_job`] is a pure
 //! function of the job bytes — the engine underneath is byte-identical at
-//! every thread count and speculative width — so a job that is stolen
-//! twice, retried after a straggler timeout, or replayed by a second
-//! worker produces the *same* result, and duplicates degrade to wasted
-//! work, never to nondeterminism.
+//! every thread count — so a job that is stolen twice, retried after a
+//! straggler timeout, or replayed by a second worker produces the *same*
+//! result, and duplicates degrade to wasted work, never to
+//! nondeterminism.
 
 use std::time::Instant;
 
@@ -40,10 +40,9 @@ pub enum JobPayload {
     Explain {
         /// The serialized problem instance.
         instance: WireInstance,
-        /// The search configuration (seed, β, ϱ, threads, speculative
-        /// width, …) — the worker honours it exactly, so its in-process
-        /// parallelism and frontier speculation are configured from the
-        /// coordinator.
+        /// The search configuration (seed, β, ϱ, threads, …) — the worker
+        /// honours it exactly, so its in-process parallelism is configured
+        /// from the coordinator.
         config: AffidavitConfig,
     },
 }

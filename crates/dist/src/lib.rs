@@ -40,10 +40,8 @@
 //!
 //! Determinism does not depend on the queue: every job result is a pure
 //! function of the job bytes (the engine underneath is byte-identical at
-//! any thread count and speculative width), so stolen-then-duplicated
-//! jobs and straggler retries degrade to *wasted work*, never to
-//! nondeterminism — the same argument, one level up, as the speculative
-//! frontier's reconciliation protocol.
+//! any thread count), so stolen-then-duplicated jobs and straggler
+//! retries degrade to *wasted work*, never to nondeterminism.
 //!
 //! ```
 //! use std::time::Duration;

@@ -39,15 +39,11 @@ use serde::{Deserialize, Serialize, Value};
 /// Format discriminator carried by every envelope.
 pub const WIRE_FORMAT: &str = "affidavit-dist";
 
-/// Version of the wire vocabulary this build speaks. Version 2 added the
-/// `speculation_min_records` field to the shipped search configuration;
-/// version 3 is the explain-job vocabulary in use today. The value stays
-/// at 3 because explain jobs and their results encode to the same bytes
-/// as in the builds that introduced it. Those builds also knew a
-/// frontier-expansion task; this one does not, so
-/// [`decode_job`](crate::job::decode_job) rejects such a job with an
-/// error instead of running it.
-pub const WIRE_VERSION: u64 = 3;
+/// Version of the wire vocabulary this build speaks. Version 4 dropped the
+/// two frontier-speculation fields from the shipped search configuration,
+/// so a version-3 job (or a version-3 frontier-expansion job) is rejected
+/// by [`unseal`] before its body is read.
+pub const WIRE_VERSION: u64 = 4;
 
 /// The self-describing outer wrapper of every wire message.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -517,7 +513,10 @@ mod tests {
         assert!(unseal(&text, "result").unwrap_err().contains("expected"));
         let alien = text.replace("affidavit-dist", "other-format");
         assert!(unseal(&alien, "job").unwrap_err().contains("format"));
-        let future = text.replace("\"version\":3", "\"version\":4");
+        let future = text.replace(
+            &format!("\"version\":{WIRE_VERSION}"),
+            &format!("\"version\":{}", WIRE_VERSION + 1),
+        );
         assert!(unseal(&future, "job")
             .unwrap_err()
             .contains("unsupported wire version"));

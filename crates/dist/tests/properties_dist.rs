@@ -142,7 +142,7 @@ fn redundant_dispatch_wastes_work_but_not_determinism() {
 // ---- wire-format stability ----------------------------------------------
 
 /// The fixture instance: small, covers quoting-sensitive strings, and is
-/// pinned byte-for-byte in `tests/fixtures/job_v3.json`. Regenerate the
+/// pinned byte-for-byte in `tests/fixtures/job_v4.json`. Regenerate the
 /// fixture (after a deliberate format change plus version bump) with
 /// `REGEN_FIXTURES=1 cargo test -p affidavit-dist --test properties_dist`.
 fn fixture_job() -> Job {
@@ -201,8 +201,8 @@ fn golden_bytes_are_stable() {
     // migrate) the old version explicitly. Silent format drift strands
     // deployed workers.
     let expected = check_golden(
-        "fixtures/job_v3.json",
-        include_str!("fixtures/job_v3.json"),
+        "fixtures/job_v4.json",
+        include_str!("fixtures/job_v4.json"),
         &encode_job(&fixture_job()),
     );
     let job = decode_job(&expected).unwrap();
@@ -213,19 +213,28 @@ fn golden_bytes_are_stable() {
     assert!(instance.decode().is_ok());
 }
 
-/// `fixtures/expansion_v3.json` holds a frontier-expansion job as the
-/// earlier version-3 coordinators published it. This build has no such
-/// task: a worker handed those bytes must get a decode error, not a
-/// panic and not a job it half understands.
+/// Version-3 coordinators published explain jobs carrying two more config
+/// fields (`job_v3.json`) and frontier-expansion jobs (`expansion_v3.json`).
+/// A worker handed either must get a version error, not a panic and not a
+/// job it half understands.
 #[test]
-fn expansion_jobs_from_older_coordinators_fail_closed() {
-    let text = include_str!("fixtures/expansion_v3.json");
-    assert!(
-        text.contains(r#""task":"expansion""#),
-        "fixture bytes changed"
-    );
-    let decoded = std::panic::catch_unwind(|| decode_job(text))
-        .expect("decoding unknown job bytes must not panic");
-    let err = decoded.expect_err("an expansion job must not decode");
-    assert!(!err.is_empty());
+fn jobs_from_older_coordinators_fail_closed() {
+    for (name, text, task) in [
+        (
+            "job_v3.json",
+            include_str!("fixtures/job_v3.json"),
+            r#""task":"explain""#,
+        ),
+        (
+            "expansion_v3.json",
+            include_str!("fixtures/expansion_v3.json"),
+            r#""task":"expansion""#,
+        ),
+    ] {
+        assert!(text.contains(task), "{name}: fixture bytes changed");
+        let decoded = std::panic::catch_unwind(|| decode_job(text))
+            .expect("decoding old job bytes must not panic");
+        let err = decoded.expect_err("an old-version job must not decode");
+        assert!(err.contains("unsupported wire version 3"), "{name}: {err}");
+    }
 }

@@ -114,9 +114,10 @@ pub fn fingerprint_bytes(bytes: &[u8]) -> Fingerprint {
     fnv.finish()
 }
 
-/// Fingerprint a file in one streaming pass (64 KiB chunks).
+/// Fingerprint a file in one streaming pass (64 KiB chunks). Only regular
+/// files are accepted (see [`open_snapshot`](affidavit_table::csv::open_snapshot)).
 pub fn fingerprint_file(path: &Path) -> io::Result<Fingerprint> {
-    let mut file = std::fs::File::open(path)?;
+    let mut file = affidavit_table::csv::open_snapshot(path)?;
     let mut fnv = Fnv::new();
     let mut chunk = [0u8; 64 * 1024];
     loop {

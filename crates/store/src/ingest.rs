@@ -149,7 +149,7 @@ pub fn read_path(
     pool: &mut ValuePool,
     opts: &IngestOptions,
 ) -> Result<Table, TableError> {
-    let file = std::fs::File::open(path)?;
+    let file = affidavit_table::csv::open_snapshot(path)?;
     read_stream(std::io::BufReader::new(file), pool, opts)
 }
 

@@ -556,13 +556,28 @@ pub fn read_buffered_with<R: BufRead>(
     Ok(table)
 }
 
+/// Open a snapshot file for reading. Anything but a regular file — a
+/// directory, a FIFO, a device such as `/dev/zero` — is rejected before
+/// it is opened, so a mistyped path is an error instead of a hang or an
+/// unbounded read.
+pub fn open_snapshot(path: impl AsRef<Path>) -> std::io::Result<std::fs::File> {
+    let path = path.as_ref();
+    if !std::fs::metadata(path)?.is_file() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "not a regular file",
+        ));
+    }
+    std::fs::File::open(path)
+}
+
 /// Read a table from a file path, streaming in bounded memory.
 pub fn read_path(
     path: impl AsRef<Path>,
     pool: &mut ValuePool,
     opts: CsvOptions,
 ) -> Result<Table, TableError> {
-    read(std::fs::File::open(path)?, pool, opts)
+    read(open_snapshot(path)?, pool, opts)
 }
 
 /// Write a table as CSV.

@@ -301,9 +301,9 @@ fn a_broken_manifest_falls_back_to_a_correct_redo() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A manifest recorded under one ingest chunking splices under another:
-/// the config fingerprint deliberately excludes byte-transparent knobs
-/// (ingest chunking), and only them.
+/// A manifest recorded under one ingest chunking or thread count splices
+/// under another: the config fingerprint deliberately excludes
+/// byte-transparent knobs (ingest chunking, scheduling), and only them.
 #[test]
 fn the_manifest_is_portable_across_byte_transparent_knobs() {
     let dir = temp_dir("portable");
@@ -311,26 +311,32 @@ fn the_manifest_is_portable_across_byte_transparent_knobs() {
     let default = opts_for(0);
     let mut chunked = opts_for(0);
     chunked.ingest.chunk_rows = 3;
-    assert_eq!(
-        config_fingerprint(&default.config, default.align),
-        config_fingerprint(&chunked.config, chunked.align)
-    );
     let mut threads4 = opts_for(0);
     threads4.config.threads = 4;
+    for transparent in [&chunked, &threads4] {
+        assert_eq!(
+            config_fingerprint(&default.config, default.align),
+            config_fingerprint(&transparent.config, transparent.align)
+        );
+    }
+    let mut reseeded = opts_for(0);
+    reseeded.config.seed ^= 1;
     assert_ne!(
         config_fingerprint(&default.config, default.align),
-        config_fingerprint(&threads4.config, threads4.align),
+        config_fingerprint(&reseeded.config, reseeded.align),
         "search-shaping knobs must invalidate the manifest"
     );
 
     let state = default_explain_state(&tgt);
     let cold = explain_delta(&src, &tgt, &default, &state).unwrap();
-    let warm = explain_delta(&src, &tgt, &chunked, &state).unwrap();
-    assert!(
-        warm.spliced,
-        "a manifest recorded at the default chunking must splice under 3-row chunks"
-    );
-    assert_eq!(warm.report, cold.report);
+    for (knob, opts) in [("3-row chunks", &chunked), ("threads = 4", &threads4)] {
+        let warm = explain_delta(&src, &tgt, opts, &state).unwrap();
+        assert!(
+            warm.spliced,
+            "a manifest recorded at the defaults must splice under {knob}"
+        );
+        assert_eq!(warm.report, cold.report);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

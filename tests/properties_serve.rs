@@ -372,6 +372,45 @@ fn an_over_ceiling_thread_count_is_an_error_and_the_daemon_stays_up() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A snapshot path naming a special file (here `/dev/zero`, which never
+/// ends) is refused before it is read: the request gets an `Error` frame
+/// and the daemon keeps serving.
+#[test]
+fn a_special_file_snapshot_is_an_error_and_the_daemon_stays_up() {
+    let dir = std::env::temp_dir().join("affidavit-serve-special-file");
+    std::fs::remove_dir_all(&dir).ok();
+    let (src, tgt) = write_pair(&dir);
+    let zero = Path::new("/dev/zero");
+    let mut daemon = serve(&ServeOptions::default()).unwrap();
+    let addr = daemon.local_addr().to_string();
+
+    for spec in [
+        spec_for(zero, &tgt, "id", 1),
+        spec_for(&src, zero, "overlap", 2),
+    ] {
+        for request in [
+            ClientRequest::Explain { spec: spec.clone() },
+            ClientRequest::Pin { spec },
+        ] {
+            let frame = serde_json::to_string(&request).unwrap();
+            match send(&addr, &frame) {
+                Some(ClientResponse::Error { message }) => {
+                    assert!(message.contains("not a regular file"), "{message}");
+                }
+                other => panic!("expected an Error frame, got {other:?}"),
+            }
+        }
+    }
+    let ping = serde_json::to_string(&ClientRequest::Ping).unwrap();
+    assert!(matches!(send(&addr, &ping), Some(ClientResponse::Pong)));
+    let stats = daemon.stats();
+    assert_eq!((stats.ingests, stats.sessions), (0, 0));
+
+    ServeClient::new(addr).shutdown().unwrap();
+    daemon.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn mutated_client_frames_fail_closed() {
     use std::time::Duration;
