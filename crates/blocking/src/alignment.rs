@@ -8,7 +8,7 @@
 //! fallback used to resolve ⊞-marked attributes at finalization.
 
 use affidavit_functions::ValueMap;
-use affidavit_table::{AttrId, FxHashMap, RecordId, Sym, Table};
+use affidavit_table::{AttrId, RecordId, Sym, Table};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -49,22 +49,26 @@ pub fn greedy_map_from_alignment(
     source: &Table,
     target: &Table,
 ) -> ValueMap {
-    // counts[s_val][t_val] = co-occurrence count
-    let mut counts: FxHashMap<Sym, FxHashMap<Sym, u32>> = FxHashMap::default();
-    for &(sid, tid) in pairs {
-        let sv = source.value(sid, attr);
-        let tv = target.value(tid, attr);
-        *counts.entry(sv).or_default().entry(tv).or_default() += 1;
-    }
-    let mut entries: Vec<(Sym, Sym)> = Vec::with_capacity(counts.len());
-    for (sv, tmap) in counts {
-        let best = tmap
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(tv, _)| tv)
-            .expect("tmap has at least one entry");
-        entries.push((sv, best));
-    }
+    let (src_col, tgt_col) = (source.column(attr), target.column(attr));
+    // Sorted value pairs: each source value's pairs are contiguous, and
+    // within them each run of one target value is its co-occurrence count,
+    // runs in ascending target order. Sorting allocates once, where a
+    // count map would allocate per distinct source value.
+    let mut values: Vec<(Sym, Sym)> = pairs
+        .iter()
+        .map(|&(sid, tid)| (src_col[sid.index()], tgt_col[tid.index()]))
+        .collect();
+    values.sort_unstable();
+    let entries = values.chunk_by(|a, b| a.0 == b.0).map(|same_src| {
+        let mut best = (0, same_src[0].1);
+        for run in same_src.chunk_by(|a, b| a.1 == b.1) {
+            // Strictly more: a tie keeps the earlier, smaller target.
+            if run.len() > best.0 {
+                best = (run.len(), run[0].1);
+            }
+        }
+        (same_src[0].0, best.1)
+    });
     ValueMap::from_pairs(entries)
 }
 
@@ -169,5 +173,46 @@ mod tests {
         let a = greedy_map_from_alignment(&pairs, affidavit_table::AttrId(1), &s, &t);
         let b = greedy_map_from_alignment(&pairs, affidavit_table::AttrId(1), &s, &t);
         assert_eq!(a, b);
+    }
+
+    /// The sort-and-count greedy map equals a count-map reference,
+    /// including which target wins a tie, over random pairings of small
+    /// value domains where ties are common.
+    #[test]
+    fn greedy_map_matches_a_count_map_reference() {
+        use affidavit_table::FxHashMap;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..200 {
+            let mut pool = ValuePool::new();
+            let n = rng.gen_range(0..40usize);
+            let col = |rng: &mut StdRng, domain: u32| {
+                (0..n)
+                    .map(|_| vec![format!("v{}", rng.gen_range(0..domain))])
+                    .collect::<Vec<_>>()
+            };
+            let (sd, td) = (rng.gen_range(1..6), rng.gen_range(1..6));
+            let s = Table::from_rows(Schema::new(["a"]), &mut pool, col(&mut rng, sd));
+            let t = Table::from_rows(Schema::new(["a"]), &mut pool, col(&mut rng, td));
+            let mut tids: Vec<RecordId> = t.record_ids().collect();
+            tids.shuffle(&mut rng);
+            let pairs: Vec<_> = s.record_ids().zip(tids).collect();
+            let mut counts: FxHashMap<Sym, FxHashMap<Sym, u32>> = FxHashMap::default();
+            for &(sid, tid) in &pairs {
+                let (sv, tv) = (s.value(sid, AttrId(0)), t.value(tid, AttrId(0)));
+                *counts.entry(sv).or_default().entry(tv).or_default() += 1;
+            }
+            let reference = ValueMap::from_pairs(counts.into_iter().map(|(sv, tmap)| {
+                let best = tmap
+                    .into_iter()
+                    .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+                    .expect("every source value has a target");
+                (sv, best.0)
+            }));
+            assert_eq!(
+                greedy_map_from_alignment(&pairs, AttrId(0), &s, &t),
+                reference
+            );
+        }
     }
 }

@@ -83,6 +83,93 @@ struct Splitter {
     cursors: Vec<(u32, u32)>,
 }
 
+/// Where a split's sub-blocks go: into a refined [`Blocking`] (count,
+/// decide, scatter) or only into the `(ct, cs)` bound it would have
+/// (count, decide).
+trait SplitOut {
+    /// Whether the grouping pass keeps each record's group for a scatter.
+    const SCATTER: bool;
+    /// A source record the function is inapplicable to.
+    fn dead(&mut self, sid: RecordId);
+    /// One sub-block holding exactly these records, in this order.
+    fn whole(&mut self, src: &[RecordId], tgt: &[RecordId]);
+    /// The sub-blocks of `block` as the splitter grouped them: counts in
+    /// `cursors`, and each record's group when [`SCATTER`](Self::SCATTER).
+    fn grouped(&mut self, splitter: &mut Splitter, block: Block<'_>);
+}
+
+impl SplitOut for Blocking {
+    const SCATTER: bool = true;
+
+    fn dead(&mut self, sid: RecordId) {
+        self.dead_src.push(sid);
+    }
+
+    fn whole(&mut self, src: &[RecordId], tgt: &[RecordId]) {
+        self.push_block(Block { src, tgt });
+    }
+
+    /// The scatter step: write each record to its group's slot.
+    fn grouped(&mut self, splitter: &mut Splitter, block: Block<'_>) {
+        // Group sizes → start offsets in `self`.
+        let (mut s, mut t) = (self.src.len() as u32, self.tgt.len() as u32);
+        for cursor in &mut splitter.cursors {
+            let (ns, nt) = *cursor;
+            *cursor = (s, t);
+            s += ns;
+            t += nt;
+        }
+        self.src.resize(s as usize, RecordId(0));
+        self.tgt.resize(t as usize, RecordId(0));
+        for (&sid, &g) in block.src.iter().zip(&splitter.src_group) {
+            if g != DEAD {
+                let at = &mut splitter.cursors[g as usize].0;
+                self.src[*at as usize] = sid;
+                *at += 1;
+            }
+        }
+        for (&tid, &g) in block.tgt.iter().zip(&splitter.tgt_group) {
+            let at = &mut splitter.cursors[g as usize].1;
+            self.tgt[*at as usize] = tid;
+            *at += 1;
+        }
+        // Every cursor now sits at its group's end.
+        self.ends.extend_from_slice(&splitter.cursors);
+    }
+}
+
+/// The `(ct, cs)` surplus sums of a refinement, accumulated without
+/// building it.
+struct Bound {
+    ct: u64,
+    cs: u64,
+}
+
+impl Bound {
+    fn add(&mut self, ns: usize, nt: usize) {
+        self.ct += nt.saturating_sub(ns) as u64;
+        self.cs += ns.saturating_sub(nt) as u64;
+    }
+}
+
+impl SplitOut for Bound {
+    const SCATTER: bool = false;
+
+    fn dead(&mut self, _: RecordId) {
+        self.cs += 1;
+    }
+
+    fn whole(&mut self, src: &[RecordId], tgt: &[RecordId]) {
+        self.add(src.len(), tgt.len());
+    }
+
+    fn grouped(&mut self, splitter: &mut Splitter, _: Block<'_>) {
+        for &(ns, nt) in &splitter.cursors {
+            self.add(ns as usize, nt as usize);
+        }
+    }
+}
+
 impl Splitter {
     fn group(&mut self, key: Sym) -> u32 {
         let next = self.keys.len() as u32;
@@ -94,13 +181,18 @@ impl Splitter {
     }
 
     /// Split one parent block by the transformed source value vs. the raw
-    /// target value of `attr`, count-then-scatter: a first pass assigns
-    /// every record its group (first-seen key order, sources before
-    /// targets) and counts group sizes, a second pass writes each record to
-    /// its group's slot of `out`. Sub-blocks are appended to `out` in group
-    /// order and inapplicable sources to `out.dead_src`, in record order.
+    /// target value of `attr`. Sub-blocks go to `out` in first-seen key
+    /// order (sources before targets), inapplicable sources to its dead
+    /// list in record order. Every source value goes through
+    /// `scratch.apply` exactly once, in record order, whatever the path,
+    /// so the pool evolves identically.
+    ///
+    /// A block with at most one record a side is decided directly, without
+    /// the group map. Other blocks are counted: a first pass assigns every
+    /// record its group and counts group sizes; `out` then scatters the
+    /// records (a [`Blocking`]) or only sums the surplus (a [`Bound`]).
     #[allow(clippy::too_many_arguments)]
-    fn split<I: Interner>(
+    fn split<I: Interner, O: SplitOut>(
         &mut self,
         block: Block<'_>,
         src_col: &[Sym],
@@ -108,9 +200,30 @@ impl Splitter {
         func: &AttrFunction,
         scratch: &mut ApplyScratch,
         pool: &mut I,
-        out: &mut Blocking,
+        out: &mut O,
     ) {
-        let dead_before = out.dead_src.len();
+        match (block.src, block.tgt) {
+            ([], []) => return,
+            ([], [_]) => return out.whole(&[], block.tgt),
+            (&[sid], tgt) if tgt.len() <= 1 => {
+                match scratch.apply(func, src_col[sid.index()], pool) {
+                    None => {
+                        out.dead(sid);
+                        if !tgt.is_empty() {
+                            out.whole(&[], tgt);
+                        }
+                    }
+                    Some(key) if tgt.first().is_some_and(|t| tgt_col[t.index()] != key) => {
+                        out.whole(block.src, &[]);
+                        out.whole(&[], tgt);
+                    }
+                    Some(_) => out.whole(block.src, tgt),
+                }
+                return;
+            }
+            _ => {}
+        }
+        let mut dead = 0;
         for &sid in block.src {
             let group = match scratch.apply(func, src_col[sid.index()], pool) {
                 Some(key) => {
@@ -119,51 +232,27 @@ impl Splitter {
                     g
                 }
                 None => {
-                    out.dead_src.push(sid);
+                    out.dead(sid);
+                    dead += 1;
                     DEAD
                 }
             };
-            self.src_group.push(group);
+            if O::SCATTER {
+                self.src_group.push(group);
+            }
         }
         for &tid in block.tgt {
             let g = self.group(tgt_col[tid.index()]);
             self.cursors[g as usize].1 += 1;
-            self.tgt_group.push(g);
+            if O::SCATTER {
+                self.tgt_group.push(g);
+            }
         }
         match self.keys.len() {
             0 => {}
             // One group and no dead source: the block survives whole.
-            1 if out.dead_src.len() == dead_before => {
-                out.src.extend_from_slice(block.src);
-                out.tgt.extend_from_slice(block.tgt);
-                out.push_end();
-            }
-            _ => {
-                // Group sizes → start offsets in `out`.
-                let (mut s, mut t) = (out.src.len() as u32, out.tgt.len() as u32);
-                for cursor in &mut self.cursors {
-                    let (ns, nt) = *cursor;
-                    *cursor = (s, t);
-                    s += ns;
-                    t += nt;
-                }
-                out.src.resize(s as usize, RecordId(0));
-                out.tgt.resize(t as usize, RecordId(0));
-                for (&sid, &g) in block.src.iter().zip(&self.src_group) {
-                    if g != DEAD {
-                        let at = &mut self.cursors[g as usize].0;
-                        out.src[*at as usize] = sid;
-                        *at += 1;
-                    }
-                }
-                for (&tid, &g) in block.tgt.iter().zip(&self.tgt_group) {
-                    let at = &mut self.cursors[g as usize].1;
-                    out.tgt[*at as usize] = tid;
-                    *at += 1;
-                }
-                // Every cursor now sits at its group's end.
-                out.ends.extend_from_slice(&self.cursors);
-            }
+            1 if dead == 0 => out.whole(block.src, block.tgt),
+            _ => out.grouped(self, block),
         }
         for key in self.keys.drain(..) {
             self.group_of.remove(&key);
@@ -288,17 +377,54 @@ impl Blocking {
         pool: &mut I,
     ) -> Blocking {
         let _span = affidavit_obs::span("blocking.refine");
-        scratch.begin();
         let mut out = self.refined_shell();
+        self.split_all(attr, func, scratch, source, target, pool, &mut out);
+        out
+    }
+
+    /// The `(ct, cs)` of [`refine`](Blocking::refine)'s result, without
+    /// building it: the same apply-and-group pass with no scatter step and
+    /// no output arrays. It leaves `pool` exactly as `refine` would, so a
+    /// caller can cost a candidate first and refine only if it keeps it.
+    pub fn refine_bound<I: Interner>(
+        &self,
+        attr: AttrId,
+        func: &AttrFunction,
+        scratch: &mut ApplyScratch,
+        source: &Table,
+        target: &Table,
+        pool: &mut I,
+    ) -> (u64, u64) {
+        let _span = affidavit_obs::span("blocking.bound");
+        let mut bound = Bound {
+            ct: 0,
+            cs: self.dead_src.len() as u64,
+        };
+        self.split_all(attr, func, scratch, source, target, pool, &mut bound);
+        (bound.ct, bound.cs)
+    }
+
+    /// Split every block in block order into `out`, against one splitter.
+    #[allow(clippy::too_many_arguments)]
+    fn split_all<I: Interner, O: SplitOut>(
+        &self,
+        attr: AttrId,
+        func: &AttrFunction,
+        scratch: &mut ApplyScratch,
+        source: &Table,
+        target: &Table,
+        pool: &mut I,
+        out: &mut O,
+    ) {
+        scratch.begin();
         // One bounds-checked column fetch per table, then contiguous-slice
         // indexing inside the loop: the per-record apply/intern order is
         // unchanged, so pool evolution is byte-identical to the row walk.
         let (src_col, tgt_col) = (source.column(attr), target.column(attr));
         let mut splitter = Splitter::default();
         for block in self.blocks() {
-            splitter.split(block, src_col, tgt_col, func, scratch, pool, &mut out);
+            splitter.split(block, src_col, tgt_col, func, scratch, pool, out);
         }
-        out
     }
 
     /// [`refine`](Blocking::refine), fanned out over the input blocks —
@@ -702,5 +828,142 @@ mod tests {
             &mut pool,
         );
         assert_eq!(b1, b2);
+    }
+
+    /// Refine one block holding every record of a one-column pair with
+    /// `func`. Checks that the bound pass gives the result's `(ct, cs)` and
+    /// interns the same strings, then returns the result and the strings
+    /// the refine interned.
+    fn split_one(src: &[&str], tgt: &[&str], func: &AttrFunction) -> (Blocking, Vec<String>) {
+        let mut pool = ValuePool::new();
+        let rows = |vals: &[&str]| vals.iter().map(|v| vec![v.to_string()]).collect::<Vec<_>>();
+        let s = Table::from_rows(Schema::new(["a"]), &mut pool, rows(src));
+        let t = Table::from_rows(Schema::new(["a"]), &mut pool, rows(tgt));
+        let (sids, tids): (Vec<_>, Vec<_>) = (s.record_ids().collect(), t.record_ids().collect());
+        let start = Blocking::from_blocks(
+            [Block {
+                src: &sids,
+                tgt: &tids,
+            }],
+            Vec::new(),
+        );
+        let base = pool.len();
+        let mut scratch = ApplyScratch::new();
+        let mut refined_pool = pool.clone();
+        let refined = start.refine(AttrId(0), func, &mut scratch, &s, &t, &mut refined_pool);
+        let bound = start.refine_bound(AttrId(0), func, &mut scratch, &s, &t, &mut pool);
+        assert_eq!(bound, (refined.ct(), refined.cs()), "{src:?} / {tgt:?}");
+        let new = |p: &ValuePool| p.iter().skip(base).map(|(_, v)| v.to_owned()).collect();
+        let interned: Vec<String> = new(&refined_pool);
+        assert_eq!(interned, new(&pool), "the bound pass must intern alike");
+        (refined, interned)
+    }
+
+    fn ids(r: std::ops::Range<u32>) -> Vec<RecordId> {
+        r.map(RecordId).collect()
+    }
+
+    fn scale() -> AttrFunction {
+        AttrFunction::Scale(affidavit_table::Rational::new(1, 10).unwrap())
+    }
+
+    #[test]
+    fn tiny_block_empty_is_dropped() {
+        let (b, interned) = split_one(&[], &[], &AttrFunction::Uppercase);
+        assert!(b.is_empty());
+        assert!(b.dead_src().is_empty());
+        assert!(interned.is_empty());
+    }
+
+    #[test]
+    fn tiny_block_lone_live_source_is_kept() {
+        let (b, interned) = split_one(&["x"], &[], &AttrFunction::Uppercase);
+        let one = ids(0..1);
+        assert_eq!(
+            b.blocks().collect::<Vec<_>>(),
+            [Block {
+                src: &one,
+                tgt: &[]
+            }]
+        );
+        assert!(b.dead_src().is_empty());
+        assert_eq!(interned, ["X"], "the lone source is applied once");
+    }
+
+    #[test]
+    fn tiny_block_lone_dead_source_dies() {
+        let (b, interned) = split_one(&["x"], &[], &scale());
+        assert!(b.is_empty());
+        assert_eq!(b.dead_src(), &[RecordId(0)]);
+        assert_eq!((b.ct(), b.cs()), (0, 1));
+        assert!(interned.is_empty());
+    }
+
+    #[test]
+    fn tiny_block_lone_target_is_copied() {
+        let (b, _) = split_one(&[], &["x"], &AttrFunction::Uppercase);
+        let one = ids(0..1);
+        assert_eq!(
+            b.blocks().collect::<Vec<_>>(),
+            [Block {
+                src: &[],
+                tgt: &one
+            }]
+        );
+        assert_eq!((b.ct(), b.cs()), (1, 0));
+    }
+
+    #[test]
+    fn tiny_block_matching_pair_stays_whole() {
+        let (b, interned) = split_one(&["x"], &["X"], &AttrFunction::Uppercase);
+        let one = ids(0..1);
+        assert_eq!(
+            b.blocks().collect::<Vec<_>>(),
+            [Block {
+                src: &one,
+                tgt: &one
+            }]
+        );
+        assert_eq!((b.ct(), b.cs()), (0, 0));
+        assert!(
+            interned.is_empty(),
+            "\"X\" was already interned by the target"
+        );
+    }
+
+    #[test]
+    fn tiny_block_mismatched_pair_splits_source_first() {
+        let (b, interned) = split_one(&["x"], &["Y"], &AttrFunction::Uppercase);
+        let one = ids(0..1);
+        assert_eq!(
+            b.blocks().collect::<Vec<_>>(),
+            [
+                Block {
+                    src: &one,
+                    tgt: &[]
+                },
+                Block {
+                    src: &[],
+                    tgt: &one
+                }
+            ]
+        );
+        assert_eq!((b.ct(), b.cs()), (1, 1));
+        assert_eq!(interned, ["X"]);
+    }
+
+    #[test]
+    fn tiny_block_pair_with_dead_source_keeps_its_target() {
+        let (b, _) = split_one(&["x"], &["1"], &scale());
+        let one = ids(0..1);
+        assert_eq!(
+            b.blocks().collect::<Vec<_>>(),
+            [Block {
+                src: &[],
+                tgt: &one
+            }]
+        );
+        assert_eq!(b.dead_src(), &[RecordId(0)]);
+        assert_eq!((b.ct(), b.cs()), (1, 1));
     }
 }

@@ -178,11 +178,7 @@ impl AffidavitConfig {
     }
 }
 
-/// The most worker threads (or worker processes) any parallelism knob —
-/// `threads`, `--threads`, `--workers` — may request. A fixed ceiling,
-/// not a setting: it exists so a mistyped or hostile count is a typed
-/// error instead of an allocation or thread spawn with no bound.
-pub const MAX_THREADS: usize = 1024;
+pub use affidavit_table::MAX_THREADS;
 
 /// A configuration value outside its domain — what
 /// [`AffidavitConfig::validate`] and [`check_threads`] reject.

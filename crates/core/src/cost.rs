@@ -39,28 +39,27 @@ pub fn cf(assignments: &[Assignment]) -> u64 {
         .sum()
 }
 
-/// The `max(ct, cs − Δ)` lower bound on `|T^E+|`, clamped at 0.
-pub fn record_bound(blocking: &Blocking, delta: i64) -> u64 {
-    let ct = blocking.ct() as i64;
-    let cs = blocking.cs() as i64;
-    ct.max(cs - delta).max(0) as u64
+/// The `max(ct, cs − Δ)` lower bound on `|T^E+|`, clamped at 0, from a
+/// blocking's `(ct, cs)` surplus sums.
+pub fn record_bound((ct, cs): (u64, u64), delta: i64) -> u64 {
+    (ct as i64).max(cs as i64 - delta).max(0) as u64
 }
 
 /// Cost of the child that extends `parent` by assigning a function with
-/// description length `func_psi` to a previously *open* attribute, over
-/// the child's `blocking`. Computed incrementally from the parent's
-/// assignments (`cf(child) = cf(parent) + ψ(f)` since an open attribute
-/// contributes no ψ) — avoids cloning the assignment vector on the
-/// extension hot path.
+/// description length `func_psi` to a previously *open* attribute, from
+/// the `(ct, cs)` `bound` of the child's blocking. Computed incrementally
+/// from the parent's assignments (`cf(child) = cf(parent) + ψ(f)` since an
+/// open attribute contributes no ψ) — avoids cloning the assignment vector
+/// on the extension hot path.
 pub fn child_state_cost(
     parent: &[Assignment],
     func_psi: u64,
-    blocking: &Blocking,
+    bound: (u64, u64),
     delta: i64,
     alpha: f64,
     arity: usize,
 ) -> f64 {
-    let records = record_bound(blocking, delta) as f64;
+    let records = record_bound(bound, delta) as f64;
     let funcs = (cf(parent) + func_psi) as f64;
     2.0 * alpha * (arity as f64) * records + 2.0 * (1.0 - alpha) * funcs
 }
@@ -73,7 +72,7 @@ pub fn state_cost(
     alpha: f64,
     arity: usize,
 ) -> f64 {
-    let records = record_bound(blocking, delta) as f64;
+    let records = record_bound((blocking.ct(), blocking.cs()), delta) as f64;
     let funcs = cf(assignments) as f64;
     2.0 * alpha * (arity as f64) * records + 2.0 * (1.0 - alpha) * funcs
 }
@@ -114,17 +113,17 @@ mod tests {
         assert_eq!(b.ct(), 2);
         assert_eq!(b.cs(), 3);
         // Δ = 0: |T^E+| = |S^E−| − Δ = cs ⇒ bound = max(2, 3) = 3.
-        assert_eq!(record_bound(&b, 0), 3);
+        assert_eq!(record_bound((b.ct(), b.cs()), 0), 3);
         // Δ = 3 (S three records larger): bound = max(2, 0) = 2.
-        assert_eq!(record_bound(&b, 3), 2);
+        assert_eq!(record_bound((b.ct(), b.cs()), 3), 2);
         // Δ = −5: cs − Δ = 8.
-        assert_eq!(record_bound(&b, -5), 8);
+        assert_eq!(record_bound((b.ct(), b.cs()), -5), 8);
     }
 
     #[test]
     fn dead_sources_tighten_cs() {
         let b = blocking(&[(1, 1)], 2);
-        assert_eq!(record_bound(&b, 0), 2);
+        assert_eq!(record_bound((b.ct(), b.cs()), 0), 2);
     }
 
     #[test]

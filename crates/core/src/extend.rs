@@ -47,7 +47,7 @@ use affidavit_table::{AttrId, RecordId};
 use crate::cost::child_state_cost;
 use crate::induction::{induce_candidates, InductionParams};
 use crate::ranking::rank_candidates;
-use crate::search::{Ctx, SearchCtx, SearchStats};
+use crate::search::{Ctx, SearchCtx, SearchStats, WorkerScratch};
 use crate::state::{Assignment, SearchState};
 use crate::trace::TraceNode;
 
@@ -82,7 +82,8 @@ pub(crate) fn make_child(
             &mut ctx.instance.pool,
         )
     };
-    let cost = child_cost(ctx.search_ctx().cost_params(), state, &func, &blocking);
+    let bound = (blocking.ct(), blocking.cs());
+    let cost = child_cost(ctx.search_ctx().cost_params(), state, &func, bound);
     register_child(ctx, state, attr, func, blocking, cost)
 }
 
@@ -106,54 +107,50 @@ impl SearchCtx<'_> {
 }
 
 /// Cost of the child of `state` assigning `func` to a previously open
-/// attribute, over `blocking`. ψ of a function does not read the pool, so
-/// this is valid for functions still carrying scratch symbols, and it is
-/// computed incrementally — no assignment-vector clone.
+/// attribute, whose blocking has the `(ct, cs)` surplus `bound`. ψ of a
+/// function does not read the pool, so this is valid for functions still
+/// carrying scratch symbols, and it is computed incrementally — no
+/// assignment-vector clone.
 fn child_cost(
     params: CostParams,
     state: &SearchState,
     func: &AttrFunction,
-    blocking: &Blocking,
+    bound: (u64, u64),
 ) -> f64 {
     child_state_cost(
         &state.assignments,
         func.psi(),
-        blocking,
+        bound,
         params.delta,
         params.alpha,
         params.arity,
     )
 }
 
-/// Driver-side: materialize a child state from already-computed parts,
-/// assigning its id and recording trace/stat bookkeeping. This is the
-/// single point where extension results enter shared search state, and it
-/// runs in deterministic merge order.
-fn register_child(
+/// Driver-side: assign the next id to the child of `state` that assigns
+/// `func` to `attr`, and record its trace node and `states_generated`
+/// count. Every generated child passes through here, in deterministic
+/// merge order, whether or not it is kept.
+fn record_child(
     ctx: &mut Ctx<'_>,
     state: &SearchState,
     attr: usize,
-    func: AttrFunction,
-    blocking: Blocking,
+    func: &AttrFunction,
     cost: f64,
-) -> SearchState {
+) -> usize {
     // `cost` was computed incrementally as cf(parent) + ψ(func), which is
     // only valid when the attribute was previously open (contributing 0).
     debug_assert!(
         state.assignments[attr].is_open(),
         "extensions must target open attributes"
     );
-    let mut assignments = state.assignments.clone();
-    assignments[attr] = Assignment::Assigned(func.clone());
     let id = ctx.next_id();
     ctx.stats.states_generated += 1;
     if let Some(trace) = ctx.trace.as_mut() {
         let name = ctx.instance.schema().name(AttrId(attr as u32)).to_owned();
         let label = format!("{} ← {}", name, func.display(&ctx.instance.pool));
-        let level = assignments
-            .iter()
-            .filter(|a| matches!(a, Assignment::Assigned(_)))
-            .count();
+        let assigned = |a: &Assignment| matches!(a, Assignment::Assigned(_));
+        let level = state.assignments.iter().filter(|a| assigned(a)).count() + 1;
         trace.add(TraceNode {
             id,
             parent: Some(state.id),
@@ -162,11 +159,25 @@ fn register_child(
             label,
             polled_order: None,
             kept: false,
-            end: assignments
-                .iter()
-                .all(|a| matches!(a, Assignment::Assigned(_))),
+            end: level == state.assignments.len(),
         });
     }
+    id
+}
+
+/// Driver-side: [`record_child`], then materialize the child state over
+/// its already-refined `blocking`.
+fn register_child(
+    ctx: &mut Ctx<'_>,
+    state: &SearchState,
+    attr: usize,
+    func: AttrFunction,
+    blocking: Blocking,
+    cost: f64,
+) -> SearchState {
+    let id = record_child(ctx, state, attr, &func, cost);
+    let mut assignments = state.assignments.clone();
+    assignments[attr] = Assignment::Assigned(func);
     SearchState {
         assignments,
         blocking: Arc::new(blocking),
@@ -209,15 +220,16 @@ pub(crate) fn order_by_indeterminacy(
 }
 
 /// One candidate child computed by a worker: function (possibly carrying
-/// scratch symbols), refined blocking and cost. Blockings store only
-/// record ids, so they are valid globally as-is.
+/// scratch symbols) and cost, plus the refined blocking if it was kept.
+/// Blockings store only record ids, so they are valid globally as-is.
 struct CandChild {
     func: AttrFunction,
-    blocking: Blocking,
     cost: f64,
-    /// Beat the greedy benchmark (only such children enter the frontier;
-    /// the rest still get trace nodes, as in the sequential engine).
-    kept: bool,
+    /// Built only for a child that beat the greedy benchmark: only such
+    /// children enter the frontier. The rest are costed from the bound
+    /// pass alone and still get ids and trace nodes, as in the sequential
+    /// engine.
+    blocking: Option<Blocking>,
 }
 
 /// Everything one worker produced for one attribute.
@@ -227,7 +239,7 @@ struct AttrExpansion {
     base_len: usize,
     /// Strings the worker interned, in interning order.
     new_strings: Vec<Arc<str>>,
-    /// The greedy-map benchmark child `Hд`.
+    /// The greedy-map benchmark child `Hд` (never kept).
     greedy: CandChild,
     /// All ranked candidates, in rank order (kept and rejected).
     ranked: Vec<CandChild>,
@@ -236,12 +248,42 @@ struct AttrExpansion {
 impl AttrExpansion {
     /// Whether some candidate beat the greedy benchmark.
     fn any_kept(&self) -> bool {
-        self.ranked.iter().any(|c| c.kept)
+        self.ranked.iter().any(|c| c.blocking.is_some())
     }
+}
+
+/// The `(ct, cs)` of refining `state`'s blocking on `attr` with `func`,
+/// from the bound pass on the worker's scratch. Debug builds check it
+/// against a full refine.
+fn bound_of(
+    sctx: &SearchCtx<'_>,
+    state: &SearchState,
+    attr: AttrId,
+    func: &AttrFunction,
+    ws: &mut WorkerScratch<'_>,
+) -> (u64, u64) {
+    let (source, target) = (sctx.source, sctx.target);
+    let bound =
+        state
+            .blocking
+            .refine_bound(attr, func, &mut ws.apply, source, target, &mut ws.pool);
+    #[cfg(debug_assertions)]
+    {
+        let full = state
+            .blocking
+            .refine(attr, func, &mut ws.apply, source, target, &mut ws.pool);
+        debug_assert_eq!(bound, (full.ct(), full.cs()), "bound pass of {func:?}");
+    }
+    bound
 }
 
 /// Phase 1 worker: expand one attribute against the frozen context.
 /// Shares nothing mutable; deterministic given `(cfg.seed, state.id, attr)`.
+///
+/// Every child is costed from [`Blocking::refine_bound`]; only a kept one
+/// is then refined into a blocking. The second pass interns nothing new
+/// (the bound pass already interned every transformed value, in the same
+/// order), so the worker's new strings are those of one refine per child.
 fn expand_attr(
     sctx: &SearchCtx<'_>,
     state: &SearchState,
@@ -250,25 +292,22 @@ fn expand_attr(
 ) -> AttrExpansion {
     let mut ws = sctx.scratch_for(state.id, attr);
     let params = sctx.cost_params();
+    let attr_id = AttrId(attr as u32);
 
     // The greedy-map benchmark Hд. An empty map (every aligned value
     // already agrees) is the identity — normalize so explanations never
     // show `map{}`.
-    let gmap = greedy_map_from_alignment(alignment, AttrId(attr as u32), sctx.source, sctx.target);
+    let gmap = {
+        let _span = affidavit_obs::span("search.greedy_map");
+        greedy_map_from_alignment(alignment, attr_id, sctx.source, sctx.target)
+    };
     let g_func = if gmap.is_empty() {
         AttrFunction::Identity
     } else {
         AttrFunction::Map(gmap)
     };
-    let g_blocking = state.blocking.refine(
-        AttrId(attr as u32),
-        &g_func,
-        &mut ws.apply,
-        sctx.source,
-        sctx.target,
-        &mut ws.pool,
-    );
-    let g_cost = child_cost(params, state, &g_func, &g_blocking);
+    let g_bound = bound_of(sctx, state, attr_id, &g_func, &mut ws);
+    let g_cost = child_cost(params, state, &g_func, g_bound);
 
     // Induce and rank candidates for this attribute.
     let induction = InductionParams {
@@ -279,7 +318,7 @@ fn expand_attr(
     };
     let cands = induce_candidates(
         &state.blocking,
-        AttrId(attr as u32),
+        attr_id,
         sctx.source,
         sctx.target,
         &mut ws.pool,
@@ -289,7 +328,7 @@ fn expand_attr(
     );
     let ranked = rank_candidates(
         &state.blocking,
-        AttrId(attr as u32),
+        attr_id,
         cands.into_iter().map(|c| c.func).collect(),
         sctx.source,
         sctx.target,
@@ -301,20 +340,22 @@ fn expand_attr(
 
     let mut children = Vec::new();
     for rc in ranked {
-        let blocking = state.blocking.refine(
-            AttrId(attr as u32),
-            &rc.func,
-            &mut ws.apply,
-            sctx.source,
-            sctx.target,
-            &mut ws.pool,
-        );
-        let cost = child_cost(params, state, &rc.func, &blocking);
+        let bound = bound_of(sctx, state, attr_id, &rc.func, &mut ws);
+        let cost = child_cost(params, state, &rc.func, bound);
+        let blocking = (cost < g_cost).then(|| {
+            state.blocking.refine(
+                attr_id,
+                &rc.func,
+                &mut ws.apply,
+                sctx.source,
+                sctx.target,
+                &mut ws.pool,
+            )
+        });
         children.push(CandChild {
             func: rc.func,
-            blocking,
             cost,
-            kept: cost < g_cost,
+            blocking,
         });
     }
 
@@ -324,9 +365,8 @@ fn expand_attr(
         new_strings: ws.pool.take_new_strings(),
         greedy: CandChild {
             func: g_func,
-            blocking: g_blocking,
             cost: g_cost,
-            kept: false,
+            blocking: None,
         },
         ranked: children,
     }
@@ -528,27 +568,21 @@ fn consume_state_expansion(
     let mut ext: Vec<SearchState> = Vec::new();
     for part in exp.parts {
         let remap = ctx.instance.pool.absorb(part.base_len, &part.new_strings);
-        // Register the greedy benchmark child (id + trace parity with
-        // the historical sequential engine; never kept).
-        let _hg = register_child(
-            ctx,
-            state,
-            part.attr,
-            part.greedy.func.remap(&remap),
-            part.greedy.blocking,
-            part.greedy.cost,
-        );
+        // Record the greedy benchmark child (id + trace parity with the
+        // historical sequential engine; never kept).
+        let greedy = part.greedy.func.remap(&remap);
+        record_child(ctx, state, part.attr, &greedy, part.greedy.cost);
         for cand in part.ranked {
-            let child = register_child(
-                ctx,
-                state,
-                part.attr,
-                cand.func.remap(&remap),
-                cand.blocking,
-                cand.cost,
-            );
-            if cand.kept {
-                ext.push(child);
+            let func = cand.func.remap(&remap);
+            match cand.blocking {
+                Some(blocking) => {
+                    ext.push(register_child(
+                        ctx, state, part.attr, func, blocking, cand.cost,
+                    ));
+                }
+                None => {
+                    record_child(ctx, state, part.attr, &func, cand.cost);
+                }
             }
         }
         // Map-marking is implicit: attrs with no kept candidate stay ∗.

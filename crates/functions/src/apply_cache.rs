@@ -83,6 +83,11 @@ impl ApplyScratch {
     /// functions.
     #[inline]
     pub fn apply<I: Interner>(&mut self, func: &AttrFunction, x: Sym, pool: &mut I) -> Option<Sym> {
+        // Nothing to save on a function that only returns a symbol it
+        // holds: it never interns, so skipping the memo changes no pool.
+        if matches!(func, AttrFunction::Identity | AttrFunction::Constant(_)) {
+            return func.apply(x, pool);
+        }
         if let Some(&cached) = self.memo.get(&x) {
             return cached;
         }
@@ -162,6 +167,23 @@ mod tests {
         assert_eq!(out[0], out[3]);
         // Memo keyed per column: 3 distinct inputs, one application each.
         assert_eq!(scratch.memo_len(), 3);
+    }
+
+    #[test]
+    fn symbol_returning_functions_bypass_the_memo() {
+        let mut pool = ValuePool::new();
+        let (x, c) = (pool.intern("x"), pool.intern("c"));
+        let mut scratch = ApplyScratch::new();
+        assert_eq!(
+            scratch.apply(&AttrFunction::Identity, x, &mut pool),
+            Some(x)
+        );
+        assert_eq!(
+            scratch.apply(&AttrFunction::Constant(c), x, &mut pool),
+            Some(c)
+        );
+        assert_eq!(scratch.memo_len(), 0);
+        assert_eq!(pool.len(), 2);
     }
 
     #[test]

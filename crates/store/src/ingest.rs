@@ -26,7 +26,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use affidavit_table::csv::{header_schema, parse_rows_at, CsvChunk, CsvOptions, RowChunker};
-use affidavit_table::{Interner, PoolReader, ScratchPool, Sym, Table, TableError, ValuePool};
+use affidavit_table::{
+    Interner, PoolReader, ScratchPool, Sym, Table, TableError, ValuePool, MAX_THREADS,
+};
 use rayon::prelude::*;
 
 /// Options for streaming ingestion.
@@ -39,7 +41,7 @@ pub struct IngestOptions {
     /// either way.
     pub chunk_rows: usize,
     /// Worker threads: `1` = serial (default), `0` = one per hardware
-    /// thread, `N` = exactly N.
+    /// thread, `N` = exactly N, up to [`MAX_THREADS`].
     pub threads: usize,
 }
 
@@ -115,12 +117,19 @@ fn effective_threads(n: usize) -> usize {
 /// Memory stays bounded by `threads × chunk_rows` records (plus the
 /// longest single record); the result is byte-identical to
 /// [`csv::read_str`](affidavit_table::csv::read_str) on the same bytes.
+/// A thread count above [`MAX_THREADS`] is
+/// [`TableError::TooManyThreads`], before any thread is spawned.
 pub fn read_stream<R: BufRead>(
     reader: R,
     pool: &mut ValuePool,
     opts: &IngestOptions,
 ) -> Result<Table, TableError> {
     let _span = affidavit_obs::span("ingest.stream");
+    if opts.threads > MAX_THREADS {
+        return Err(TableError::TooManyThreads {
+            requested: opts.threads,
+        });
+    }
     let threads = effective_threads(opts.threads);
     if threads <= 1 {
         // The serial case *is* the table crate's streaming reader; one
@@ -389,6 +398,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn thread_count_above_the_ceiling_is_a_typed_error() {
+        let opts = IngestOptions {
+            threads: usize::MAX,
+            ..IngestOptions::default()
+        };
+        let mut pool = ValuePool::new();
+        let err = read_stream("a\n1\n".as_bytes(), &mut pool, &opts).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TableError::TooManyThreads {
+                    requested: usize::MAX
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(pool.len(), 0, "nothing is read before the check");
     }
 
     #[test]

@@ -49,6 +49,11 @@ pub enum TableError {
         /// Description of the mismatch.
         detail: String,
     },
+    /// An ingest thread count above [`MAX_THREADS`](crate::MAX_THREADS).
+    TooManyThreads {
+        /// The rejected count.
+        requested: usize,
+    },
 }
 
 impl fmt::Display for TableError {
@@ -80,6 +85,11 @@ impl fmt::Display for TableError {
                 "CSV header repeats column {name:?} (columns {first} and {second})"
             ),
             TableError::SchemaMismatch { detail } => write!(f, "schema mismatch: {detail}"),
+            TableError::TooManyThreads { requested } => write!(
+                f,
+                "ingest threads {requested} is above the ceiling of {}",
+                crate::MAX_THREADS
+            ),
         }
     }
 }

@@ -2,8 +2,8 @@
 //! independence, lower-bound correctness, alignment discipline, and a
 //! differential battery pinning the flat refinement to a nested-`Vec`
 //! reference oracle (block order, record order, dead sources and pool
-//! strings, serial and parallel), plus the pruned indeterminacy against an
-//! exhaustive count.
+//! strings, serial and parallel), the count-only bound pass against the
+//! same oracle, plus the pruned indeterminacy against an exhaustive count.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -84,17 +84,23 @@ fn function(i: u8, pool: &mut ValuePool) -> AttrFunction {
 /// marks a record that starts out dead.
 const BLOCKS: u8 = 5;
 
-/// The start blocking: source `i` goes to block `src_slot[i]` (or is dead
-/// at slot [`BLOCKS`]), target `j` to block `tgt_slot[j]`. With ≤ 25
-/// records over five slots this yields empty, source-only, target-only and
-/// mixed blocks. Sources are listed in descending id order so record order
-/// inside a block is not simply ascending.
-fn start_blocking(s: &Table, t: &Table, src_slot: &[u8], tgt_slot: &[u8]) -> Blocking {
-    let mut blocks = vec![(Vec::new(), Vec::new()); BLOCKS as usize];
+/// Number of blocks in a start blocking of mostly singleton and 1:1
+/// blocks: ≤ 25 records a side over this many slots.
+const TINY_BLOCKS: u8 = 32;
+
+/// The start blocking of `blocks` blocks: source `i` goes to block
+/// `src_slot[i]` (or is dead at slot `blocks`), target `j` to block
+/// `tgt_slot[j]`. With ≤ 25 records over five slots this yields empty,
+/// source-only, target-only and mixed blocks. Sources are listed in
+/// descending id order so record order inside a block is not simply
+/// ascending.
+fn start_blocking(s: &Table, t: &Table, src_slot: &[u8], tgt_slot: &[u8], blocks: u8) -> Blocking {
+    let dead_slot = blocks;
+    let mut blocks = vec![(Vec::new(), Vec::new()); blocks as usize];
     let mut dead = Vec::new();
     for sid in (0..s.len() as u32).rev().map(RecordId) {
         match src_slot[sid.index()] {
-            BLOCKS => dead.push(sid),
+            b if b == dead_slot => dead.push(sid),
             b => blocks[b as usize].0.push(sid),
         }
     }
@@ -167,6 +173,23 @@ fn oracle_refine(
 
 fn pool_strings(pool: &ValuePool) -> Vec<String> {
     pool.iter().map(|(_, v)| v.to_owned()).collect()
+}
+
+/// `(ct, cs)` of a nested blocking: surplus targets, and surplus plus dead
+/// sources.
+fn nested_bound(b: &NestedBlocking) -> (u64, u64) {
+    let surplus = |x: usize, y: usize| x.saturating_sub(y) as u64;
+    let ct = b
+        .blocks
+        .iter()
+        .map(|(s, t)| surplus(t.len(), s.len()))
+        .sum();
+    let cs: u64 = b
+        .blocks
+        .iter()
+        .map(|(s, t)| surplus(s.len(), t.len()))
+        .sum();
+    (ct, cs + b.dead_src.len() as u64)
 }
 
 /// Exhaustive indeterminacy: the largest distinct-source-value count over
@@ -323,7 +346,7 @@ proptest! {
         let mut pool = ValuePool::new();
         let s = build_mixed(&src, &mut pool);
         let t = build_mixed(&tgt, &mut pool);
-        let mut flat = start_blocking(&s, &t, &src_slot, &tgt_slot);
+        let mut flat = start_blocking(&s, &t, &src_slot, &tgt_slot, BLOCKS);
         let mut oracle = nested(&flat);
         let mut oracle_pool = pool.clone();
         // One scratch across steps, as the search reuses a worker's memo.
@@ -353,6 +376,50 @@ proptest! {
         }
     }
 
+    /// The bound pass gives the `(ct, cs)` of the oracle's refinement and
+    /// leaves the pool's strings, in interning order, exactly as `refine`
+    /// does. Start blockings of mostly singleton and 1:1 blocks reach every
+    /// tiny-block case: a matching and a mismatched pair, a pair whose
+    /// source dies, a lone source kept or dying, a lone target and an
+    /// empty block. The diagonal layout (source `i` and target `i` share
+    /// block `i`) holds every case at once.
+    #[test]
+    fn refine_bound_matches_refine(
+        (src, tgt) in mixed_table_pair(),
+        (src_slot, tgt_slot) in (
+            prop::collection::vec(0u8..TINY_BLOCKS + 1, 25),
+            prop::collection::vec(0u8..TINY_BLOCKS, 25),
+        ),
+        steps in prop::collection::vec((0u32..3, 0u8..5), 1..4),
+    ) {
+        let mut base_pool = ValuePool::new();
+        let s = build_mixed(&src, &mut base_pool);
+        let t = build_mixed(&tgt, &mut base_pool);
+        let diagonal: Vec<u8> = src_slot
+            .iter()
+            .zip(0u8..)
+            .map(|(&slot, i)| if slot == TINY_BLOCKS { slot } else { i })
+            .collect();
+        let ascending: Vec<u8> = (0..25).collect();
+        for start in [
+            start_blocking(&s, &t, &src_slot, &tgt_slot, TINY_BLOCKS),
+            start_blocking(&s, &t, &diagonal, &ascending, TINY_BLOCKS),
+        ] {
+            let (mut flat, mut pool) = (start, base_pool.clone());
+            let mut scratch = ApplyScratch::new();
+            for &(attr, f) in &steps {
+                let (attr, func) = (AttrId(attr), function(f, &mut pool));
+                let mut bound_pool = pool.clone();
+                let bound = flat.refine_bound(attr, &func, &mut scratch, &s, &t, &mut bound_pool);
+                let oracle = oracle_refine(&nested(&flat), attr, &func, &s, &t, &mut pool.clone());
+                prop_assert_eq!(bound, nested_bound(&oracle), "{:?} on {:?}", func, attr);
+                flat = flat.refine(attr, &func, &mut scratch, &s, &t, &mut pool);
+                prop_assert_eq!(nested(&flat), oracle);
+                prop_assert_eq!(pool_strings(&bound_pool), pool_strings(&pool));
+            }
+        }
+    }
+
     /// The pruned indeterminacy (skipping blocks too small to raise the
     /// maximum) equals an exhaustive count over every mixed block.
     #[test]
@@ -367,7 +434,7 @@ proptest! {
         let mut pool = ValuePool::new();
         let s = build_mixed(&src, &mut pool);
         let t = build_mixed(&tgt, &mut pool);
-        let start = start_blocking(&s, &t, &src_slot, &tgt_slot);
+        let start = start_blocking(&s, &t, &src_slot, &tgt_slot, BLOCKS);
         let func = function(f, &mut pool);
         let refined =
             start.refine(AttrId(refine_attr), &func, &mut ApplyScratch::new(), &s, &t, &mut pool);

@@ -242,6 +242,36 @@ fn the_event_stream_is_schema_valid_nested_and_monotonic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The extension hot path is spanned piece by piece: the bound pass that
+/// costs every child, the worker-side greedy map inside an expansion, and
+/// the overlap start-state scan under the `Hs` configuration.
+#[test]
+fn the_expansion_pieces_have_their_own_spans() {
+    let _guard = serial();
+    let dir = std::env::temp_dir().join("affidavit-obs-expansion-spans");
+    std::fs::remove_dir_all(&dir).ok();
+    let (src, tgt) = write_pair(&dir);
+    for name in ["id", "overlap"] {
+        explain_fingerprint(&src, &tgt, &config(name, 1));
+        let (events, dropped) = affidavit_obs::drain();
+        assert_eq!(dropped, 0, "this run fits the recorder buffer");
+        let named = |n: &'static str| {
+            events
+                .iter()
+                .filter(move |e| e.name == n && e.kind == KIND_BEGIN)
+        };
+        assert!(named("blocking.bound").count() > 0, "{name}: no bound pass");
+        let expands: Vec<u64> = named("search.expand").map(|e| e.span).collect();
+        assert!(
+            named("search.greedy_map").any(|e| e.parent.is_some_and(|p| expands.contains(&p))),
+            "{name}: no greedy map inside an expansion"
+        );
+        let overlap_scans = named("search.overlap_start").count();
+        assert_eq!(overlap_scans, usize::from(name == "overlap"), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn the_registry_mirrors_search_stats_exactly() {
     let _guard = serial();
