@@ -152,6 +152,7 @@ fn bench_induction_and_ranking(c: &mut Criterion) {
         },
         &mut rng,
     )
+    .candidates
     .into_iter()
     .map(|c| c.func)
     .collect();

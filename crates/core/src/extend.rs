@@ -243,6 +243,10 @@ struct AttrExpansion {
     greedy: CandChild,
     /// All ranked candidates, in rank order (kept and rejected).
     ranked: Vec<CandChild>,
+    /// Distinct examples induction induced.
+    induction_examples: usize,
+    /// Images ranking computed.
+    rank_applications: usize,
 }
 
 impl AttrExpansion {
@@ -316,7 +320,7 @@ fn expand_attr(
         max_examples_per_target: sctx.cfg.max_examples_per_target,
         use_corpus: sctx.cfg.use_corpus,
     };
-    let cands = induce_candidates(
+    let induced = induce_candidates(
         &state.blocking,
         attr_id,
         sctx.source,
@@ -326,10 +330,10 @@ fn expand_attr(
         induction,
         &mut ws.rng,
     );
-    let ranked = rank_candidates(
+    let ranking = rank_candidates(
         &state.blocking,
         attr_id,
-        cands.into_iter().map(|c| c.func).collect(),
+        induced.candidates.into_iter().map(|c| c.func).collect(),
         sctx.source,
         sctx.target,
         &mut ws.pool,
@@ -339,7 +343,7 @@ fn expand_attr(
     );
 
     let mut children = Vec::new();
-    for rc in ranked {
+    for rc in ranking.ranked {
         let bound = bound_of(sctx, state, attr_id, &rc.func, &mut ws);
         let cost = child_cost(params, state, &rc.func, bound);
         let blocking = (cost < g_cost).then(|| {
@@ -369,6 +373,8 @@ fn expand_attr(
             blocking: None,
         },
         ranked: children,
+        induction_examples: induced.examples,
+        rank_applications: ranking.applications,
     }
 }
 
@@ -388,6 +394,10 @@ impl StateExpansion {
     fn tally(&self, stats: &mut SearchStats) {
         stats.attr_expansions += self.parts.len() + self.discarded;
         stats.attr_expansions_discarded += self.discarded;
+        for part in &self.parts {
+            stats.induction_examples += part.induction_examples;
+            stats.rank_applications += part.rank_applications;
+        }
     }
 }
 

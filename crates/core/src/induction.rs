@@ -7,10 +7,18 @@
 //! target records whose examples generated it; candidates below the
 //! significance threshold (`min_support`, the `P(X ≥ 5)` target of the
 //! binomial sizing) are filtered.
+//!
+//! Sampled targets of one block share its source values, so the same
+//! `(source value, target value)` example recurs within a call. Each
+//! distinct example is induced once; its functions are kept as dense ids,
+//! and support is counted per id with a stamp of the last target that
+//! counted it. First-seen examples are induced in the order the sampled
+//! targets visit them, so the pool interns the same strings in the same
+//! order as inducing every example afresh.
 
-use affidavit_blocking::Blocking;
+use affidavit_blocking::{Block, Blocking};
 use affidavit_functions::{induce_from_example, AttrFunction, Registry};
-use affidavit_table::{AttrId, FxHashMap, FxHashSet, Interner, Sym, Table};
+use affidavit_table::{AttrId, FxHashMap, FxHashSet, Interner, RecordId, Sym, Table};
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 
@@ -21,6 +29,17 @@ pub struct Candidate {
     pub func: AttrFunction,
     /// Number of sampled target records that generated it.
     pub support: u32,
+}
+
+/// The result of [`induce_candidates`]: the surviving candidates and the
+/// work done to find them.
+#[derive(Debug, Clone, Default)]
+pub struct Induction {
+    /// Candidates at or above the support threshold, by support
+    /// descending, then structural function order.
+    pub candidates: Vec<Candidate>,
+    /// Distinct `(source value, target value)` examples induced.
+    pub examples: usize,
 }
 
 /// Parameters of the induction sampling.
@@ -37,6 +56,41 @@ pub struct InductionParams {
     pub use_corpus: bool,
 }
 
+/// Draw up to `k` records uniformly without replacement from one side of
+/// the mixed blocks, as `(block index, offset within that side)`, in draw
+/// order. `side` gives a block's record count on the sampled side. The
+/// draws index the records of all mixed blocks laid end to end, found
+/// through prefix sums of the block sizes. `None`, without a draw, when
+/// the mixed blocks hold no record on that side.
+pub(crate) fn sample_mixed(
+    blocking: &Blocking,
+    side: impl Fn(&Block<'_>) -> usize,
+    k: usize,
+    rng: &mut StdRng,
+) -> Option<Vec<(usize, usize)>> {
+    // (block index, exclusive end of its records in the laid-out order)
+    let mut ends: Vec<(usize, usize)> = Vec::new();
+    let mut total = 0;
+    for (bi, block) in blocking.blocks().enumerate() {
+        if block.is_mixed() {
+            total += side(&block);
+            ends.push((bi, total));
+        }
+    }
+    if total == 0 {
+        return None;
+    }
+    let picks = index_sample(rng, total, k.min(total))
+        .into_iter()
+        .map(|i| {
+            let j = ends.partition_point(|&(_, end)| end <= i);
+            let start = if j == 0 { 0 } else { ends[j - 1].1 };
+            (ends[j].0, i - start)
+        })
+        .collect();
+    Some(picks)
+}
+
 /// Induce and filter candidate functions for `attr` under a blocking
 /// result. Deterministic given the RNG state.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
@@ -49,35 +103,34 @@ pub fn induce_candidates<I: Interner>(
     registry: &Registry,
     params: InductionParams,
     rng: &mut StdRng,
-) -> Vec<Candidate> {
+) -> Induction {
     let _span = affidavit_obs::span("induce.candidates");
-    // Enumerate targets living in mixed blocks (block index, target id).
-    let mut mixed_targets: Vec<(usize, affidavit_table::RecordId)> = Vec::new();
-    for (bi, block) in blocking.blocks().enumerate() {
-        if block.is_mixed() {
-            mixed_targets.extend(block.tgt.iter().map(|&tid| (bi, tid)));
-        }
+    let mut chosen: Vec<(usize, RecordId)> = sample_mixed(blocking, |b| b.tgt.len(), params.k, rng)
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(bi, off)| (bi, blocking.block(bi).tgt[off]))
+        .collect();
+    if chosen.is_empty() {
+        return Induction::default();
     }
-    if mixed_targets.is_empty() {
-        return Vec::new();
-    }
-
-    let k = params.k.min(mixed_targets.len());
-    let mut chosen: Vec<(usize, affidavit_table::RecordId)> =
-        index_sample(rng, mixed_targets.len(), k)
-            .into_iter()
-            .map(|i| mixed_targets[i])
-            .collect();
+    let k = chosen.len();
     // Group by block so distinct source values are computed once per block.
     chosen.sort_by_key(|&(bi, tid)| (bi, tid));
 
-    let mut counts: FxHashMap<AttrFunction, u32> = FxHashMap::default();
-    let mut per_target: FxHashSet<AttrFunction> = FxHashSet::default();
+    // Every distinct function seen, by dense id, with its support and the
+    // last sampled target that counted it.
+    let mut ids: FxHashMap<AttrFunction, u32> = FxHashMap::default();
+    let mut support: Vec<u32> = Vec::new();
+    let mut stamp: Vec<usize> = Vec::new();
+    // Each distinct example's functions: a range of `induced`.
+    let mut examples: FxHashMap<(Sym, Sym), (u32, u32)> = FxHashMap::default();
+    let mut induced: Vec<u32> = Vec::new();
+
     let mut src_values: Vec<Sym> = Vec::new();
     let mut seen_vals: FxHashSet<Sym> = FxHashSet::default();
     let mut current_block = usize::MAX;
 
-    for (bi, tid) in chosen {
+    for (ti, (bi, tid)) in chosen.into_iter().enumerate() {
         if bi != current_block {
             current_block = bi;
             src_values.clear();
@@ -93,30 +146,49 @@ pub fn induce_candidates<I: Interner>(
             }
         }
         let t_val = target.value(tid, attr);
-        per_target.clear();
         for &s_val in &src_values {
-            for f in induce_from_example(s_val, t_val, pool, registry) {
-                per_target.insert(f);
-            }
-            if params.use_corpus {
-                for f in affidavit_functions::corpus_candidates(s_val, t_val, pool) {
-                    per_target.insert(f);
+            let (start, end) = *examples.entry((s_val, t_val)).or_insert_with(|| {
+                let start = induced.len() as u32;
+                let mut found = induce_from_example(s_val, t_val, pool, registry);
+                if params.use_corpus {
+                    found.extend(affidavit_functions::corpus_candidates(s_val, t_val, pool));
+                }
+                for f in found {
+                    let next = support.len() as u32;
+                    let id = *ids.entry(f).or_insert(next);
+                    if id == next {
+                        support.push(0);
+                        stamp.push(usize::MAX);
+                    }
+                    induced.push(id);
+                }
+                (start, induced.len() as u32)
+            });
+            for &id in &induced[start as usize..end as usize] {
+                let id = id as usize;
+                if stamp[id] != ti {
+                    stamp[id] = ti;
+                    support[id] += 1;
                 }
             }
         }
-        for f in per_target.drain() {
-            *counts.entry(f).or_default() += 1;
-        }
     }
 
-    let mut out: Vec<Candidate> = counts
+    let threshold = params.min_support.min(k as u32);
+    let mut candidates: Vec<Candidate> = ids
         .into_iter()
-        .filter(|&(_, n)| n >= params.min_support.min(k as u32))
-        .map(|(func, support)| Candidate { func, support })
+        .map(|(func, id)| Candidate {
+            func,
+            support: support[id as usize],
+        })
+        .filter(|c| c.support >= threshold)
         .collect();
     // Deterministic order: support desc, then structural function order.
-    out.sort_by(|a, b| b.support.cmp(&a.support).then_with(|| a.func.cmp(&b.func)));
-    out
+    candidates.sort_by(|a, b| b.support.cmp(&a.support).then_with(|| a.func.cmp(&b.func)));
+    Induction {
+        candidates,
+        examples: examples.len(),
+    }
 }
 
 #[cfg(test)]
@@ -171,7 +243,8 @@ mod tests {
             &Registry::default(),
             params(),
             &mut rng,
-        );
+        )
+        .candidates;
         assert!(!cands.is_empty());
         // x/1000 must be among the survivors, with high support.
         let scale = cands
@@ -196,7 +269,8 @@ mod tests {
             &Registry::default(),
             params(),
             &mut rng,
-        );
+        )
+        .candidates;
         assert!(
             !cands
                 .iter()
@@ -229,7 +303,8 @@ mod tests {
             &Registry::default(),
             params(),
             &mut rng,
-        );
+        )
+        .candidates;
         assert!(cands.is_empty());
     }
 
@@ -248,6 +323,7 @@ mod tests {
                 params(),
                 &mut rng,
             )
+            .candidates
             .into_iter()
             .map(|c| (c.func, c.support))
             .collect::<Vec<_>>()
@@ -290,7 +366,8 @@ mod tests {
             &Registry::default(),
             params(),
             &mut rng,
-        );
+        )
+        .candidates;
         assert!(cands
             .iter()
             .any(|c| matches!(&c.func, AttrFunction::Scale(r) if r.den() == 1000)));

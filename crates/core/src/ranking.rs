@@ -8,12 +8,22 @@
 //! value of the block and the resulting histogram is intersected with the
 //! block's target-value histogram. The score is total overlap minus the
 //! candidate's description length.
+//!
+//! Every distinct value of the evaluated blocks gets a dense id, and each
+//! candidate one flat image array indexed by it, so a candidate transforms
+//! a value at most once per call. Images are computed on first use: blocks
+//! ascending, candidates in input order, a block's distinct source values
+//! in the order its source histogram map visits them. That is the order
+//! in which a per-candidate memo fed block by block would apply them, so
+//! the pool interns the same strings in the same order. `Constant` and
+//! `Identity` never intern, and their overlap has a closed form.
 
 use affidavit_blocking::Blocking;
-use affidavit_functions::{AppliedFunction, AttrFunction};
-use affidavit_table::{AttrId, FxHashMap, FxHashSet, Interner, Sym, Table};
+use affidavit_functions::AttrFunction;
+use affidavit_table::{AttrId, FxHashMap, Interner, Sym, Table};
 use rand::rngs::StdRng;
-use rand::seq::index::sample as index_sample;
+
+use crate::induction::sample_mixed;
 
 /// A ranked candidate: function plus its estimated alignment overlap.
 #[derive(Debug, Clone)]
@@ -24,6 +34,74 @@ pub struct RankedCandidate {
     pub overlap: u64,
     /// Ranking score: overlap − ψ.
     pub score: i64,
+}
+
+/// The result of [`rank_candidates`]: the best candidates and the work
+/// done to rank them.
+#[derive(Debug, Clone, Default)]
+pub struct Ranking {
+    /// At most `beta` candidates, by score descending, then structural
+    /// function order.
+    pub ranked: Vec<RankedCandidate>,
+    /// Function applications: images computed for the first time.
+    pub applications: usize,
+}
+
+/// An image slot whose function fails on the value, or whose image is no
+/// value of the evaluated blocks (so it matches no target). Any other slot
+/// holds the image's dense id plus one.
+const MISS: u32 = 0;
+
+/// Where one evaluated block's data ends in the flat per-call arrays.
+struct BlockLayout {
+    runs_end: usize,
+    first_end: usize,
+    tgts_end: usize,
+    /// Source records in the block.
+    sources: u32,
+}
+
+/// How a candidate's overlap is computed.
+enum Plan {
+    /// `Constant(c)`: every source becomes `c`; `c`'s dense id, if any.
+    Constant(Option<usize>),
+    /// `Identity`: every source keeps its value.
+    Identity,
+    /// Anything else: apply it, through the image array at this offset.
+    Apply(usize),
+}
+
+/// Overlap of one block's output histogram with its target histogram,
+/// from the images of its source values. `out_count` is all zeros on entry
+/// and on return.
+fn image_overlap(
+    image: &[u32],
+    runs: &[(u32, u32)],
+    tgt_count: &[u32],
+    out_count: &mut [u32],
+    touched: &mut Vec<usize>,
+) -> u64 {
+    // One distinct source value: its image is the whole output.
+    if let [(v, n)] = *runs {
+        return match image[v as usize] {
+            MISS => 0,
+            w => n.min(tgt_count[w as usize - 1]) as u64,
+        };
+    }
+    for &(v, n) in runs {
+        let w = image[v as usize];
+        if w != MISS && tgt_count[w as usize - 1] > 0 {
+            let w = w as usize - 1;
+            if out_count[w] == 0 {
+                touched.push(w);
+            }
+            out_count[w] += n;
+        }
+    }
+    touched
+        .drain(..)
+        .map(|w| std::mem::take(&mut out_count[w]).min(tgt_count[w]) as u64)
+        .sum()
 }
 
 /// Rank `candidates` for `attr`, returning the best `beta` in descending
@@ -39,66 +117,123 @@ pub fn rank_candidates<I: Interner>(
     k_prime: usize,
     beta: usize,
     rng: &mut StdRng,
-) -> Vec<RankedCandidate> {
+) -> Ranking {
     let _span = affidavit_obs::span("rank.candidates");
     if candidates.is_empty() || beta == 0 {
-        return Vec::new();
+        return Ranking::default();
     }
     // Sample k' source records from mixed blocks; evaluate each containing
     // block once.
-    let mut mixed_sources: Vec<usize> = Vec::new(); // block indices, one per source record
-    for (bi, block) in blocking.blocks().enumerate() {
-        if block.is_mixed() {
-            mixed_sources.extend(std::iter::repeat_n(bi, block.src.len()));
-        }
-    }
-    if mixed_sources.is_empty() {
-        return Vec::new();
-    }
-    let k = k_prime.min(mixed_sources.len());
-    let mut blocks_to_eval: Vec<usize> = index_sample(rng, mixed_sources.len(), k)
-        .into_iter()
-        .map(|i| mixed_sources[i])
-        .collect();
+    let Some(picks) = sample_mixed(blocking, |b| b.src.len(), k_prime, rng) else {
+        return Ranking::default();
+    };
+    let mut blocks_to_eval: Vec<usize> = picks.into_iter().map(|(bi, _)| bi).collect();
     blocks_to_eval.sort_unstable();
     blocks_to_eval.dedup();
 
-    let mut applied: Vec<AppliedFunction> = candidates
-        .iter()
-        .cloned()
-        .map(AppliedFunction::new)
-        .collect();
-    let mut overlaps = vec![0u64; applied.len()];
-
+    // Lay out the evaluated blocks by dense value id. Per block: its
+    // distinct source values with their counts, in histogram visiting
+    // order; those of them that no earlier block has as a source value, in
+    // the same order; and the value of each of its targets.
+    let mut dense: FxHashMap<Sym, u32> = FxHashMap::default();
+    let mut values: Vec<Sym> = Vec::new();
+    let mut dense_id = |v: Sym| {
+        *dense.entry(v).or_insert_with(|| {
+            values.push(v);
+            values.len() as u32 - 1
+        })
+    };
     let mut src_hist: FxHashMap<Sym, u32> = FxHashMap::default();
-    let mut tgt_hist: FxHashMap<Sym, u32> = FxHashMap::default();
-    let mut out_hist: FxHashMap<Sym, u32> = FxHashMap::default();
-
+    let mut src_runs: Vec<(u32, u32)> = Vec::new();
+    let mut seen_as_src: Vec<bool> = Vec::new();
+    let mut first_src: Vec<u32> = Vec::new();
+    let mut tgt_ids: Vec<u32> = Vec::new();
+    let mut layout: Vec<BlockLayout> = Vec::with_capacity(blocks_to_eval.len());
     for &bi in &blocks_to_eval {
         let block = blocking.block(bi);
         src_hist.clear();
         for &sid in block.src {
             *src_hist.entry(source.value(sid, attr)).or_default() += 1;
         }
-        tgt_hist.clear();
-        for &tid in block.tgt {
-            *tgt_hist.entry(target.value(tid, attr)).or_default() += 1;
-        }
-        for (fi, func) in applied.iter_mut().enumerate() {
-            out_hist.clear();
-            for (&v, &n) in &src_hist {
-                if let Some(w) = func.apply(v, pool) {
-                    *out_hist.entry(w).or_default() += n;
-                }
+        for (&v, &n) in &src_hist {
+            let v = dense_id(v);
+            src_runs.push((v, n));
+            let v = v as usize;
+            if v >= seen_as_src.len() {
+                seen_as_src.resize(v + 1, false);
             }
-            let mut overlap = 0u64;
-            for (&w, &n) in &out_hist {
-                if let Some(&m) = tgt_hist.get(&w) {
-                    overlap += n.min(m) as u64;
-                }
+            if !std::mem::replace(&mut seen_as_src[v], true) {
+                first_src.push(v as u32);
             }
-            overlaps[fi] += overlap;
         }
+        tgt_ids.extend(
+            block
+                .tgt
+                .iter()
+                .map(|&tid| dense_id(target.value(tid, attr))),
+        );
+        layout.push(BlockLayout {
+            runs_end: src_runs.len(),
+            first_end: first_src.len(),
+            tgts_end: tgt_ids.len(),
+            sources: block.src.len() as u32,
+        });
+    }
+    let n_values = values.len();
+
+    let mut n_images = 0;
+    let plans: Vec<Plan> = candidates
+        .iter()
+        .map(|func| match func {
+            AttrFunction::Constant(c) => Plan::Constant(dense.get(c).map(|&c| c as usize)),
+            AttrFunction::Identity => Plan::Identity,
+            _ => {
+                n_images += 1;
+                Plan::Apply((n_images - 1) * n_values)
+            }
+        })
+        .collect();
+    let mut images = vec![MISS; n_images * n_values];
+    let mut applications = 0;
+
+    let mut overlaps = vec![0u64; candidates.len()];
+    // This block's count of each target value; per-candidate output counts
+    // restricted to target values, with the values they touched.
+    let mut tgt_count = vec![0u32; n_values];
+    let mut out_count = vec![0u32; n_values];
+    let mut touched: Vec<usize> = Vec::new();
+    let (mut runs_start, mut first_start, mut tgts_start) = (0, 0, 0);
+    for block in &layout {
+        let runs = &src_runs[runs_start..block.runs_end];
+        let first = &first_src[first_start..block.first_end];
+        let tgts = &tgt_ids[tgts_start..block.tgts_end];
+        for &t in tgts {
+            tgt_count[t as usize] += 1;
+        }
+        for ((func, plan), overlap) in candidates.iter().zip(&plans).zip(&mut overlaps) {
+            *overlap += match *plan {
+                Plan::Constant(c) => c.map_or(0, |c| block.sources.min(tgt_count[c]) as u64),
+                Plan::Identity => runs
+                    .iter()
+                    .map(|&(v, n)| n.min(tgt_count[v as usize]) as u64)
+                    .sum(),
+                Plan::Apply(base) => {
+                    let image = &mut images[base..base + n_values];
+                    for &v in first {
+                        applications += 1;
+                        image[v as usize] = func
+                            .apply(values[v as usize], pool)
+                            .and_then(|w| dense.get(&w))
+                            .map_or(MISS, |&w| w + 1);
+                    }
+                    image_overlap(image, runs, &tgt_count, &mut out_count, &mut touched)
+                }
+            };
+        }
+        for &t in tgts {
+            tgt_count[t as usize] = 0;
+        }
+        (runs_start, first_start, tgts_start) = (block.runs_end, block.first_end, block.tgts_end);
     }
 
     let mut ranked: Vec<RankedCandidate> = candidates
@@ -115,18 +250,10 @@ pub fn rank_candidates<I: Interner>(
         .collect();
     ranked.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.func.cmp(&b.func)));
     ranked.truncate(beta);
-    ranked
-}
-
-/// Dedupe helper used by the extender: candidates surviving induction may
-/// contain semantically identical functions reached via different examples;
-/// structural equality already dedupes them, this guards the Vec path.
-pub fn dedupe_functions(funcs: Vec<AttrFunction>) -> Vec<AttrFunction> {
-    let mut seen: FxHashSet<AttrFunction> = FxHashSet::default();
-    funcs
-        .into_iter()
-        .filter(|f| seen.insert(f.clone()))
-        .collect()
+    Ranking {
+        ranked,
+        applications,
+    }
 }
 
 #[cfg(test)]
@@ -180,7 +307,8 @@ mod tests {
             139,
             2,
             &mut rng,
-        );
+        )
+        .ranked;
         assert_eq!(ranked.len(), 2);
         assert!(
             matches!(ranked[0].func, AttrFunction::Scale(_)),
@@ -210,7 +338,8 @@ mod tests {
             139,
             1,
             &mut rng,
-        );
+        )
+        .ranked;
         assert_eq!(ranked.len(), 1);
         assert!(matches!(ranked[0].func, AttrFunction::Scale(_)));
     }
@@ -242,18 +371,9 @@ mod tests {
             139,
             2,
             &mut rng,
-        );
+        )
+        .ranked;
         assert!(ranked[0].func.is_identity()); // ψ 0 beats ψ 1
         assert_eq!(ranked[0].overlap, ranked[1].overlap);
-    }
-
-    #[test]
-    fn dedupe() {
-        let funcs = vec![
-            AttrFunction::Identity,
-            AttrFunction::Identity,
-            AttrFunction::Uppercase,
-        ];
-        assert_eq!(dedupe_functions(funcs).len(), 2);
     }
 }

@@ -46,6 +46,14 @@ pub struct SearchStats {
     /// which the driver dropped unabsorbed — at most `threads − 1` per
     /// state expansion, always `0` on one worker.
     pub attr_expansions_discarded: usize,
+    /// Distinct `(source value, target value)` examples candidate
+    /// induction induced, summed over the merged attribute expansions
+    /// only, so it is the same at every thread count.
+    pub induction_examples: usize,
+    /// Function applications candidate ranking computed (each candidate
+    /// transforms a value at most once per ranking), summed like
+    /// `induction_examples`.
+    pub rank_applications: usize,
 }
 
 impl SearchStats {
@@ -62,6 +70,8 @@ impl SearchStats {
             "search_attr_expansions_discarded",
             self.attr_expansions_discarded as u64,
         );
+        m.set_counter("search_induction_examples", self.induction_examples as u64);
+        m.set_counter("search_rank_applications", self.rank_applications as u64);
         m.set_gauge("search_end_state_cost", self.end_state_cost);
         m.set_gauge(
             "search_hit_expansion_limit",

@@ -114,6 +114,8 @@ struct Fingerprint {
     expansions: usize,
     states_generated: usize,
     hit_expansion_limit: bool,
+    induction_examples: usize,
+    rank_applications: usize,
 }
 
 /// Run one search and describe its outcome exhaustively enough that any
@@ -136,6 +138,8 @@ fn fingerprint_of(cfg: AffidavitConfig, seed: u64, mut inst: ProblemInstance) ->
         expansions: out.stats.expansions,
         states_generated: out.stats.states_generated,
         hit_expansion_limit: out.stats.hit_expansion_limit,
+        induction_examples: out.stats.induction_examples,
+        rank_applications: out.stats.rank_applications,
     }
 }
 

@@ -304,6 +304,14 @@ fn the_registry_mirrors_search_stats_exactly() {
         outcome.stats.attr_expansions_discarded as u64
     );
     assert_eq!(
+        m.counter("search_induction_examples"),
+        outcome.stats.induction_examples as u64
+    );
+    assert_eq!(
+        m.counter("search_rank_applications"),
+        outcome.stats.rank_applications as u64
+    );
+    assert_eq!(
         m.gauge("search_end_state_cost"),
         Some(outcome.stats.end_state_cost)
     );
