@@ -87,10 +87,12 @@ SEARCH FLAGS (explain, apply, profile):
   --seed N                 RNG seed; every sample the search draws is
                            deterministic given the seed (default: 3988201504
                            = 0xEDB72020).
-  --threads N              Worker threads for the candidate-generation phase;
-                           0 = one per hardware thread (default: 1; at most
-                           1024). Results are byte-identical at every
-                           thread count.
+  --threads N              Worker threads for each search's attribute scan
+                           and refinements, and for ingestion; 0 = one per
+                           hardware thread (default: 1; at most 1024).
+                           profile also runs table pairs concurrently, one
+                           per hardware thread, whatever --threads is.
+                           Results are byte-identical at every thread count.
   --trace                  Record and print the search tree (default: off).
   --corpus                 Also draw candidates from the built-in function
                            corpus (default: off; induction only).

@@ -14,17 +14,17 @@
 //!
 //! # Two-phase structure
 //!
-//! **Phase 1 (ordered scan, read-only):** workers claim the next index of
-//! the indeterminacy order from a shared cursor and expand that attribute
-//! against the *frozen* shared state (`SearchCtx`): greedy benchmark,
-//! candidate induction, ranking and child blocking/cost all run on a
-//! per-attribute `WorkerScratch` — an interning overlay over the frozen
-//! pool plus a per-attribute seeded RNG. Workers share nothing mutable
-//! but the claim book. The first attribute at index `i` whose candidates
-//! beat the greedy map sets the stop index `max(i, β − 1)` — exactly the
-//! last index the serial β-then-one-at-a-time loop expands — and no index
-//! past it is claimed any more. A worker may run at most `workers − 1`
-//! indices ahead of the lowest unfinished one, so at most `workers − 1`
+//! **Phase 1 (ordered scan, read-only):** one `rayon::ordered_scan` over
+//! the indeterminacy order. Its workers claim the next index from the
+//! shim's claim book and expand that attribute against the *frozen* shared
+//! state (`SearchCtx`): greedy benchmark, candidate induction, ranking and
+//! child blocking/cost all run on a per-attribute `WorkerScratch` — an
+//! interning overlay over the frozen pool plus a per-attribute seeded RNG.
+//! Workers share nothing mutable but the claim book. The first attribute
+//! at index `i` whose candidates beat the greedy map reports the stop index
+//! `max(i, β − 1)` — exactly the last index the serial β-then-one-at-a-time
+//! loop expands — and no index past it is claimed any more. The book's
+//! run-ahead window is the worker count, so at most `workers − 1`
 //! expansions past the stop are ever computed; they are dropped.
 //!
 //! **Phase 2 (sequential merge):** the driver walks the expansions up to
@@ -36,8 +36,7 @@
 //! thread count.
 
 use rayon::prelude::*;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use affidavit_blocking::{greedy_map_from_alignment, sample_random_alignment, Blocking};
@@ -401,116 +400,6 @@ impl StateExpansion {
     }
 }
 
-/// The claim book of one ordered attribute scan over `len` attributes.
-///
-/// Indices are claimed in increasing order. A kept attribute at index `i`
-/// lowers `stop` to `max(i, floor)`; nothing past `stop` is claimed after
-/// that. A claim must also lie within `window` of the lowest unfinished
-/// index, which bounds the run-ahead past the final stop by `window − 1`:
-/// until the attribute that sets the final stop finishes, the lowest
-/// unfinished index is at most that stop.
-struct AttrScan {
-    floor: usize,
-    window: usize,
-    book: Mutex<ScanBook>,
-    progress: Condvar,
-}
-
-struct ScanBook {
-    /// Next index to claim.
-    next: usize,
-    /// Last index to expand; `len − 1` until an attribute is kept.
-    stop: usize,
-    /// Lowest index not yet finished.
-    low: usize,
-    finished: Vec<bool>,
-    /// Workers blocked in `claim`; wake-ups are skipped while it is zero.
-    waiting: usize,
-    /// A worker panicked: claim nothing more, so no sibling waits forever.
-    aborted: bool,
-}
-
-impl AttrScan {
-    fn new(len: usize, floor: usize, window: usize) -> AttrScan {
-        AttrScan {
-            floor,
-            window,
-            book: Mutex::new(ScanBook {
-                next: 0,
-                stop: len - 1,
-                low: 0,
-                finished: vec![false; len],
-                waiting: 0,
-                aborted: false,
-            }),
-            progress: Condvar::new(),
-        }
-    }
-
-    /// The next index to expand, or `None` once the scan is past its stop.
-    /// Blocks while the index would run `window` or more ahead of the
-    /// lowest unfinished one.
-    fn claim(&self) -> Option<usize> {
-        let mut book = self.book.lock().expect("scan book lock");
-        loop {
-            if book.aborted || book.next > book.stop {
-                return None;
-            }
-            if book.next < book.low + self.window {
-                book.next += 1;
-                return Some(book.next - 1);
-            }
-            book.waiting += 1;
-            book = self.progress.wait(book).expect("scan book wait");
-            book.waiting -= 1;
-        }
-    }
-
-    fn finish(&self, index: usize, kept: bool) {
-        let mut book = self.book.lock().expect("scan book lock");
-        book.finished[index] = true;
-        while book.finished.get(book.low) == Some(&true) {
-            book.low += 1;
-        }
-        if kept {
-            book.stop = book.stop.min(index.max(self.floor));
-        }
-        if book.waiting > 0 {
-            self.progress.notify_all();
-        }
-    }
-
-    fn abort(&self) {
-        let mut book = self.book.lock().expect("scan book lock");
-        book.aborted = true;
-        if book.waiting > 0 {
-            self.progress.notify_all();
-        }
-    }
-
-    fn stop(&self) -> usize {
-        self.book.lock().expect("scan book lock").stop
-    }
-
-    /// One worker's loop: claim, expand, report, until the scan ends.
-    fn work(&self, expand: impl Fn(usize) -> AttrExpansion) -> Vec<(usize, AttrExpansion)> {
-        let mut done = Vec::new();
-        while let Some(index) = self.claim() {
-            match catch_unwind(AssertUnwindSafe(|| expand(index))) {
-                Ok(exp) => {
-                    self.finish(index, exp.any_kept());
-                    done.push((index, exp));
-                }
-                Err(panic) => {
-                    self.abort();
-                    resume_unwind(panic);
-                }
-            }
-        }
-        done
-    }
-}
-
 /// Phase 1 for a whole state: order the undecided attributes, then run the
 /// ordered attribute scan against the frozen context — one worker per
 /// thread of the installed pool when the state is large enough to fan
@@ -526,34 +415,16 @@ fn expand_state(
     let parallel = sctx.fans_out(&state.blocking);
     let astar = order_by_indeterminacy(sctx.source, state, parallel);
     debug_assert!(!astar.is_empty(), "expand_state called on an end state");
-    let workers = if parallel {
-        rayon::current_num_threads()
-            .min(sctx.threads)
-            .min(astar.len())
-    } else {
-        1
-    };
-    let scan = AttrScan::new(astar.len(), sctx.cfg.beta.max(1) - 1, workers);
-    // A one-item fan-out runs inline on the calling thread.
-    let done: Vec<Vec<(usize, AttrExpansion)>> = (0..workers)
-        .into_par_iter()
-        .map(|_| scan.work(|i| expand_attr(sctx, state, astar[i], alignment)))
-        .collect();
-
-    let stop = scan.stop();
-    let mut slots: Vec<Option<AttrExpansion>> = Vec::new();
-    slots.resize_with(stop + 1, || None);
-    let mut discarded = 0;
-    for (index, exp) in done.into_iter().flatten() {
-        match slots.get_mut(index) {
-            Some(slot) => *slot = Some(exp),
-            None => discarded += 1,
-        }
-    }
-    let parts: Vec<AttrExpansion> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every index up to the stop is expanded"))
-        .collect();
+    // The serial loop expands the whole β batch `0..β`, then stops at the
+    // first attribute with a kept candidate: a keeper at `i` stops at
+    // `max(i, β − 1)`.
+    let floor = sctx.cfg.beta.max(1) - 1;
+    let workers = if parallel { sctx.threads } else { 1 };
+    let (parts, discarded) = rayon::ordered_scan(astar.len(), workers, |i| {
+        let exp = expand_attr(sctx, state, astar[i], alignment);
+        let stop = exp.any_kept().then_some(i.max(floor));
+        (exp, stop)
+    });
     let any_kept = parts.iter().any(AttrExpansion::any_kept);
     StateExpansion {
         parts,
@@ -684,16 +555,22 @@ mod tests {
         // The two-phase engine must produce identical children (functions,
         // costs, ids) at any thread count.
         let describe = |threads: usize| {
-            let mut inst = instance();
-            let mut cfg = AffidavitConfig::paper_id().with_threads(threads);
-            cfg.parallel_min_records = 0; // force the fan-out path even on this tiny instance
-            let mut ctx = Ctx::new(&mut inst, &cfg);
-            let root = ctx.root_state();
-            let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
-            extensions(&mut ctx, &start)
-                .iter()
-                .map(|e| (e.id, e.cost, format!("{:?}", e.assignments)))
-                .collect::<Vec<_>>()
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let mut inst = instance();
+                let mut cfg = AffidavitConfig::paper_id().with_threads(threads);
+                cfg.parallel_min_records = 0; // force the fan-out path even on this tiny instance
+                let mut ctx = Ctx::new(&mut inst, &cfg);
+                let root = ctx.root_state();
+                let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
+                extensions(&mut ctx, &start)
+                    .iter()
+                    .map(|e| (e.id, e.cost, format!("{:?}", e.assignments)))
+                    .collect::<Vec<_>>()
+            })
         };
         let seq = describe(1);
         let par = describe(4);

@@ -330,11 +330,12 @@ pub fn paired_csv_stems(source_dir: &Path, target_dir: &Path) -> Result<Vec<Pair
 /// Profile two snapshot directories: every `<name>.csv` present in either
 /// directory becomes one [`TableProfile`], paired by file stem.
 ///
-/// Table pairs are profiled in parallel (each has its own pool and RNG
+/// Table pairs are profiled concurrently, one per hardware thread whatever
+/// `opts.config.threads` is; that count sizes each pair's own search, and
+/// `opts.ingest.threads` its ingestion. Each pair has its own pool and RNG
 /// seeded from the configuration, so the result is deterministic and
 /// identical to a sequential run — parallelism across *independent*
-/// instances is the same trick the evaluation harness uses, and the
-/// natural use of the paper's 24-core evaluation machine).
+/// instances is the same trick the evaluation harness uses.
 pub fn profile_dirs(
     source_dir: &Path,
     target_dir: &Path,
