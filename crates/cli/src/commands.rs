@@ -68,8 +68,8 @@ USAGE:
   affidavit apply   <source.csv> <target.csv> <unseen.csv> [SEARCH] [--out FILE]
   affidavit apply   --explanation F.json <unseen.csv> [--out FILE]
   affidavit gen     <dataset> [--eta F] [--tau F] [--rows N] [--seed N] --out-dir DIR
-  affidavit profile <source_dir> <target_dir> [SEARCH] [INGESTION] [DISTRIBUTED]
-                    [INCREMENTAL] [--align] [--json FILE] [--stable]
+  affidavit profile <source_dir> <target_dir> [SEARCH] [INGESTION] [INCREMENTAL]
+                    [--align] [--json FILE] [--stable]
   affidavit serve   [--listen ADDR] [--sessions N] [--max-inflight N]
                     [--request-deadline-secs N]
   affidavit client  --connect HOST:PORT <source.csv> <target.csv> [SEARCH]
@@ -122,25 +122,7 @@ INCREMENTAL FLAGS (explain, profile, client):
                            <target_dir>/.affidavit-delta.json for
                            profile).
 
-DISTRIBUTED FLAGS (profile):
-  --workers N              Fan table pairs out to N affidavit-worker child
-                           processes that steal them from this process
-                           over TCP (default: 0 = profile in-process). The
-                           report is byte-identical at every worker count.
-                           Extra workers on any machine can join the run
-                           with `affidavit-worker --connect HOST:PORT`.
-  --listen ADDR            Bind address of the coordinator's listener
-                           (default: 127.0.0.1:0 = loopback with an
-                           OS-chosen port). Bind a routable address to
-                           accept workers from other machines — trusted
-                           networks only: the protocol carries no
-                           authentication yet.
-  --steal-timeout-secs N   Re-publish a worker's claimed job for others to
-                           steal if no result arrives within N seconds;
-                           the wait doubles on every retry of the same job
-                           (default: 30 seconds).
-  --deadline-secs N        Abort the distributed run after N seconds
-                           (default: 86400 = 24 h).
+OUTPUT FLAGS (explain, profile, client):
   --stable                 Zero wall-clock timings in the output so two
                            runs can be compared byte for byte
                            (default: off).
@@ -206,7 +188,6 @@ OBSERVABILITY FLAGS (all commands):
 const SEARCH_FLAGS: &[&str] = &["config", "seed", "threads", "trace", "corpus", "extended"];
 const INGESTION_FLAGS: &[&str] = &["ingest-chunk-rows"];
 const INCREMENTAL_FLAGS: &[&str] = &["delta", "delta-state"];
-const DISTRIBUTED_FLAGS: &[&str] = &["workers", "listen", "steal-timeout-secs", "deadline-secs"];
 const OBSERVABILITY_FLAGS: &[&str] = &["obs-out", "obs-summary"];
 
 /// The flags `command` accepts: exactly what its USAGE line documents,
@@ -225,7 +206,6 @@ fn accepted_flags(command: &str) -> Vec<&'static str> {
         "profile" => &[
             SEARCH_FLAGS,
             INGESTION_FLAGS,
-            DISTRIBUTED_FLAGS,
             INCREMENTAL_FLAGS,
             &["align", "json", "stable"],
         ],
@@ -367,20 +347,6 @@ fn build_ingest(p: &Parsed<'_>, threads: usize) -> Result<IngestOptions, String>
     Ok(ingest_opts)
 }
 
-/// A worker-count flag (`--threads`, `--workers`): a count up to
-/// [`MAX_THREADS`], so a typo cannot spawn threads or processes without
-/// bound.
-fn count_flag(p: &Parsed<'_>, name: &str, zero: &str) -> Result<Option<usize>, String> {
-    let Some(v) = p.flag_value(name) else {
-        return Ok(None);
-    };
-    v.parse()
-        .ok()
-        .filter(|&n| affidavit_core::check_threads(n).is_ok())
-        .map(Some)
-        .ok_or_else(|| format!("bad --{name} {v:?} (a count up to {MAX_THREADS}, {zero})"))
-}
-
 fn build_config(p: &Parsed<'_>) -> Result<AffidavitConfig, String> {
     let mut cfg = match p.flag_value("config").unwrap_or("id") {
         "id" => AffidavitConfig::paper_id(),
@@ -390,8 +356,16 @@ fn build_config(p: &Parsed<'_>) -> Result<AffidavitConfig, String> {
     if let Some(seed) = p.flag_value("seed") {
         cfg.seed = seed.parse().map_err(|_| format!("bad --seed {seed:?}"))?;
     }
-    if let Some(threads) = count_flag(p, "threads", "or 0 for auto")? {
-        cfg.threads = threads;
+    // A count up to MAX_THREADS, so a typo cannot spawn threads
+    // without bound.
+    if let Some(v) = p.flag_value("threads") {
+        cfg.threads = v
+            .parse()
+            .ok()
+            .filter(|&n| affidavit_core::check_threads(n).is_ok())
+            .ok_or_else(|| {
+                format!("bad --threads {v:?} (a count up to {MAX_THREADS}, or 0 for auto)")
+            })?;
     }
     if p.has("trace") {
         cfg.trace = true;
@@ -537,8 +511,7 @@ pub fn explain(args: &[String]) -> Result<(), String> {
 }
 
 /// `affidavit profile`: explain every table pair in two snapshot
-/// directories (paired by file stem) — in-process by default, or fanned
-/// out to `affidavit-worker` child processes with `--workers N`.
+/// directories (paired by file stem).
 pub fn profile(args: &[String]) -> Result<(), String> {
     let p = parse("profile", args)?;
     let [src_dir, tgt_dir] = p.positional[..] else {
@@ -552,80 +525,24 @@ pub fn profile(args: &[String]) -> Result<(), String> {
         ingest: ingest_opts,
         ..Default::default()
     };
-    let workers = count_flag(&p, "workers", "0 = in-process")?.unwrap_or(0);
-    let secs_flag = |name: &str, default: u64| -> Result<std::time::Duration, String> {
-        match p.flag_value(name) {
-            None => Ok(std::time::Duration::from_secs(default)),
-            Some(v) => v
-                .parse()
-                .map(std::time::Duration::from_secs)
-                .map_err(|_| format!("bad --{name} {v:?} (seconds)")),
-        }
-    };
     if p.has("delta-state") && !p.has("delta") {
         return Err("--delta-state requires --delta".to_owned());
     }
-    if p.has("delta") && workers > 0 {
-        return Err(
-            "--delta does not combine with --workers (incremental state is per-process)".to_owned(),
-        );
-    }
-    let mut profile = if workers == 0 {
-        for flag in ["listen", "steal-timeout-secs", "deadline-secs"] {
-            if p.has(flag) {
-                return Err(format!(
-                    "--{flag} only applies to distributed runs; add --workers N"
-                ));
-            }
-        }
-        if p.has("delta") {
-            let state = match p.flag_value("delta-state") {
-                Some(dir) => Path::new(dir).join("profile.affidavit-delta.json"),
-                None => affidavit_core::delta::default_profile_state(Path::new(tgt_dir)),
-            };
-            let (profile, stats) = affidavit_core::delta::profile_dirs_delta(
-                Path::new(src_dir),
-                Path::new(tgt_dir),
-                &opts,
-                &state,
-            )?;
-            affidavit_obs::diag("delta", &stats.summary());
-            profile
-        } else {
-            affidavit_core::profiling::profile_dirs(Path::new(src_dir), Path::new(tgt_dir), &opts)?
-        }
-    } else {
-        let backend = affidavit_dist::DistBackend::Tcp {
-            listen: p.flag_value("listen").map(str::to_owned),
-            worker_bin: None,
+    let mut profile = if p.has("delta") {
+        let state = match p.flag_value("delta-state") {
+            Some(dir) => Path::new(dir).join("profile.affidavit-delta.json"),
+            None => affidavit_core::delta::default_profile_state(Path::new(tgt_dir)),
         };
-        let dopts = affidavit_dist::DistOptions {
-            workers,
-            backend,
-            steal_timeout: secs_flag("steal-timeout-secs", 30)?,
-            deadline: secs_flag("deadline-secs", 86_400)?,
-            ..affidavit_dist::DistOptions::default()
-        };
-        let (profile, stats) = affidavit_dist::profile_dirs_distributed(
+        let (profile, stats) = affidavit_core::delta::profile_dirs_delta(
             Path::new(src_dir),
             Path::new(tgt_dir),
             &opts,
-            &dopts,
+            &state,
         )?;
-        affidavit_obs::diag(
-            "distributed",
-            &format!(
-                "{} jobs over {} workers — {} steals, {} stragglers requeued, \
-                 {} duplicates discarded, {} conflicts",
-                stats.jobs,
-                stats.workers,
-                stats.steals,
-                stats.stragglers_requeued,
-                stats.duplicates_discarded,
-                stats.conflicts
-            ),
-        );
+        affidavit_obs::diag("delta", &stats.summary());
         profile
+    } else {
+        affidavit_core::profiling::profile_dirs(Path::new(src_dir), Path::new(tgt_dir), &opts)?
     };
     if p.has("stable") {
         profile.strip_timing();
@@ -694,14 +611,14 @@ pub fn serve(args: &[String]) -> Result<(), String> {
 /// `affidavit client`: run one request against a resident daemon. The
 /// human-format stdout of an explain is byte-identical to the one-shot
 /// `affidavit explain` under the same flags; an unreachable daemon
-/// exits with code 3 (the broker-lost convention).
+/// exits with code 3 ([`affidavit_serve::LOST_EXIT_CODE`]).
 pub fn client(args: &[String]) -> Result<(), crate::Failure> {
     use affidavit_serve::{ClientError, ServeClient};
     let plain = crate::Failure::from;
     let p = parse("client", args).map_err(plain)?;
     let fail = |e: ClientError| crate::Failure {
         code: if matches!(e, ClientError::Lost(_)) {
-            affidavit_dist::BROKER_LOST_EXIT_CODE
+            affidavit_serve::LOST_EXIT_CODE
         } else {
             1
         },
@@ -1119,10 +1036,6 @@ mod tests {
         let huge = "99999999999";
         let err = build_config(&parse("explain", &argv(&["--threads", huge])).unwrap());
         assert!(err.unwrap_err().starts_with("bad --threads"));
-        // Rejected at parse time: no child process is ever spawned.
-        let d = std::env::temp_dir().to_string_lossy().into_owned();
-        let err = profile(&argv(&[&d, &d, "--workers", huge])).unwrap_err();
-        assert!(err.starts_with("bad --workers"), "{err}");
 
         let dir = std::env::temp_dir().join(format!("affidavit-gen-bad-{}", std::process::id()));
         let out = dir.to_string_lossy().into_owned();
@@ -1244,11 +1157,8 @@ mod tests {
         "--ingest-chunk-rows",
         "--delta",
         "--delta-state",
-        "--workers",
-        "--listen",
-        "--steal-timeout-secs",
-        "--deadline-secs",
         "--stable",
+        "--listen",
         "--sessions",
         "--max-inflight",
         "--request-deadline-secs",
@@ -1270,7 +1180,7 @@ mod tests {
     #[test]
     fn every_documented_flag_has_a_default_in_help() {
         // The flag audit: each tunable introduced by the parallel search,
-        // streaming ingestion and distribution work must be
+        // streaming ingestion and service work must be
         // described in USAGE with its default spelled out.
         for flag in DOCUMENTED_FLAGS {
             let line_start = USAGE
@@ -1339,7 +1249,6 @@ mod tests {
                 &["explain", "s.csv", "t.csv", "--seed", "--stable"],
                 "--seed",
             ),
-            (&["profile", "a", "b", "--workers"], "--workers"),
             (&["client", "s.csv", "t.csv", "--connect"], "--connect"),
         ] {
             let err = crate::run(&argv(case)).unwrap_err();
@@ -1412,15 +1321,17 @@ mod tests {
             ],
             &["serve", "--expansion-workers", "2"],
             &["profile", "a", "b", concat!("--trans", "port"), "tcp"],
+            &["profile", "a", "b", concat!("--bro", "ker"), "d"],
+            &["profile", "a", "b", concat!("--work", "ers"), "2"],
+            &["profile", "a", "b", "--listen", "127.0.0.1:0"],
             &[
                 "profile",
                 "a",
                 "b",
-                "--workers",
-                "2",
-                concat!("--bro", "ker"),
-                "d",
+                concat!("--steal", "-timeout-secs"),
+                "30",
             ],
+            &["profile", "a", "b", concat!("--deadline", "-secs"), "60"],
             &["client", "--connect", "127.0.0.1:1", "--ping", "--pong"],
             &[
                 "explain",
@@ -1464,7 +1375,7 @@ mod tests {
             ],
             // A flag documented for one command is unknown to another.
             &["diff", "s.csv", "t.csv", "--key", "k", "--threads", "2"],
-            &["gen", "iris", "--out-dir", "d", "--workers", "2"],
+            &["gen", "iris", "--out-dir", "d", "--listen", "127.0.0.1:0"],
         ];
         for case in cases {
             let flag = case
@@ -1479,6 +1390,12 @@ mod tests {
                 err.message
             );
         }
+        // The daemon's bind flag is still the daemon's.
+        let args = argv(&["--listen", "127.0.0.1:0"]);
+        assert_eq!(
+            parse("serve", &args).unwrap().flag_value("listen"),
+            Some("127.0.0.1:0")
+        );
     }
 
     #[test]
@@ -1540,7 +1457,7 @@ mod tests {
         client(&argv(&["--connect", &addr, "--shutdown"])).unwrap();
         daemon.wait();
         let lost = client(&argv(&["--connect", &addr, "--ping"])).unwrap_err();
-        assert_eq!(lost.code, affidavit_dist::BROKER_LOST_EXIT_CODE);
+        assert_eq!(lost.code, affidavit_serve::LOST_EXIT_CODE);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1551,22 +1468,6 @@ mod tests {
         assert!(serve(&argv(&["--listen", "not-an-address"])).is_err());
         assert!(serve(&argv(&["--max-inflight", "many"])).is_err());
         assert!(serve(&argv(&["--request-deadline-secs", "soon"])).is_err());
-    }
-
-    #[test]
-    fn profile_rejects_bad_distribution_flags() {
-        let dir = std::env::temp_dir().join("affidavit-cli-distflags-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let d = dir.to_str().unwrap();
-        let err = profile(&argv(&[d, d, "--workers", "many"])).unwrap_err();
-        assert!(err.contains("--workers"), "{err}");
-        // Fleet flags without a distributed run fail with a pointer to
-        // --workers.
-        for flag in ["--listen", "--steal-timeout-secs", "--deadline-secs"] {
-            let err = profile(&argv(&[d, d, flag, "1"])).unwrap_err();
-            assert!(err.contains("add --workers N"), "{flag}: {err}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1584,8 +1485,6 @@ mod tests {
         assert!(err.contains("--trace"), "{err}");
         let err = explain(&argv(&[s, t, "--delta-state", "/tmp/x"])).unwrap_err();
         assert!(err.contains("requires --delta"), "{err}");
-        let err = profile(&argv(&[s, t, "--delta", "--workers", "2"])).unwrap_err();
-        assert!(err.contains("--workers"), "{err}");
         // A run then a re-run: the manifest lands in --delta-state.
         let state = dir.join("state");
         let state_s = state.to_str().unwrap().to_owned();

@@ -21,10 +21,10 @@ pub use commands::USAGE;
 
 /// A failed invocation: the message plus the process exit code.
 ///
-/// Code `1` covers usage and fatal errors; code `3` means "the serve
-/// daemon is unreachable" (`affidavit client`), mirroring
-/// [`affidavit_dist::BROKER_LOST_EXIT_CODE`] so scripts can tell a lost
-/// server from a bad request the same way worker supervisors do.
+/// Code `1` covers usage and fatal errors; code `3`
+/// ([`affidavit_serve::LOST_EXIT_CODE`]) means "the serve daemon is
+/// unreachable" (`affidavit client`), so scripts can tell a lost server
+/// from a bad request.
 #[derive(Debug)]
 pub struct Failure {
     /// Human-readable reason, printed to stderr.

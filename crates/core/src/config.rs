@@ -229,10 +229,10 @@ pub fn check_threads(requested: usize) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Resolve a `0 = autosize` parallelism knob (`--threads 0`,
-/// `--workers 0`) to [`std::thread::available_parallelism`], falling back
-/// to `1` when the hardware cannot be queried.
-pub fn resolve_parallelism(requested: usize) -> usize {
+/// Resolve a `0 = autosize` parallelism knob (`--threads 0`) to
+/// [`std::thread::available_parallelism`], falling back to `1` when the
+/// hardware cannot be queried.
+fn resolve_parallelism(requested: usize) -> usize {
     if requested != 0 {
         return requested;
     }

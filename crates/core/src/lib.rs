@@ -54,9 +54,7 @@ pub mod state;
 pub mod stats;
 pub mod trace;
 
-pub use config::{
-    check_threads, resolve_parallelism, AffidavitConfig, ConfigError, InitStrategy, MAX_THREADS,
-};
+pub use config::{check_threads, AffidavitConfig, ConfigError, InitStrategy, MAX_THREADS};
 pub use explanation::Explanation;
 pub use instance::ProblemInstance;
 pub use search::{Affidavit, DeadlineExceeded, SearchOutcome};

@@ -124,8 +124,7 @@ impl SnapshotProfile {
     /// Zero every wall-clock field (`millis`) so two profiles of the same
     /// snapshots can be compared byte for byte. Search timings are the only
     /// nondeterministic part of a profile; everything else is invariant
-    /// under thread count, worker count and — for
-    /// distributed runs — whether the workers are threads or processes.
+    /// under thread count, chunking and the incremental (`--delta`) path.
     pub fn strip_timing(&mut self) {
         for t in &mut self.tables {
             if let TableOutcome::Explained { millis, .. } = &mut t.outcome {
@@ -184,8 +183,8 @@ impl SnapshotProfile {
 
 /// Stage a table pair for the search: repair schema drift (when
 /// [`ProfileOptions::align`] is set) and bundle the snapshots into a
-/// [`ProblemInstance`]. This is the last step before an instance either
-/// enters the local search or is serialized for a remote worker.
+/// [`ProblemInstance`]. This is the last step before an instance enters
+/// the search.
 pub fn stage_tables(
     mut source: Table,
     mut target: Table,
@@ -233,9 +232,8 @@ pub fn stage_snapshot_pair(
 }
 
 /// Ingest and stage one table pair from its CSV files — everything the
-/// local profiler does before the search, shared with the distributed
-/// coordinator and the resident service so failure messages are
-/// identical in all modes.
+/// local profiler does before the search, shared with the incremental
+/// profiler so failure messages are identical in both modes.
 pub fn stage_file_pair(
     src_path: &Path,
     tgt_path: &Path,
@@ -246,8 +244,8 @@ pub fn stage_file_pair(
 }
 
 /// Fold a finished search into the per-table summary row. Shared by the
-/// local profiler and the distributed coordinator so both render the same
-/// bytes for the same explanation.
+/// local and the incremental profiler so both render the same bytes for
+/// the same explanation.
 pub fn outcome_for(
     explanation: &Explanation,
     instance: &ProblemInstance,
@@ -300,7 +298,7 @@ fn csv_stems(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
 
 /// Enumerate every `<name>.csv` present in either snapshot directory,
 /// paired by file stem and sorted by name — the job list of a profiling
-/// run, shared by [`profile_dirs`] and the distributed coordinator.
+/// run, shared by [`profile_dirs`] and the incremental profiler.
 pub fn paired_csv_stems(source_dir: &Path, target_dir: &Path) -> Result<Vec<PairedStem>, String> {
     let mut by_name: std::collections::BTreeMap<String, PairedStem> =
         std::collections::BTreeMap::new();

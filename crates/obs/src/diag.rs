@@ -1,7 +1,7 @@
 //! Unified stderr diagnostics.
 //!
 //! Every informational line the engine prints to stderr — delta reuse,
-//! distributed-run summaries, serve totals — goes through [`diag`], so
+//! serve totals — goes through [`diag`], so
 //! one process-wide switch decides the wire format: human text
 //! (`event: detail`) or the NDJSON diagnostic object already specified
 //! for `affidavit client --format json`

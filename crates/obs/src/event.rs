@@ -24,7 +24,7 @@ pub struct Event {
     pub ts_micros: u64,
     /// `"begin"`, `"end"` or `"point"`.
     pub kind: String,
-    /// Phase name, dotted by subsystem (`search.expand`, `dist.claim`).
+    /// Phase name, dotted by subsystem (`search.expand`, `serve.request`).
     pub name: String,
     /// Span id; `begin`/`end` pairs share it, points get their own.
     pub span: u64,

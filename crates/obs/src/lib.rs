@@ -1,7 +1,7 @@
 //! Unified tracing, metrics and phase-profiling for the affidavit engine.
 //!
 //! Every subsystem — ingestion, blocking, the best-first search, the
-//! distributed broker, the resident service — reports into this one
+//! resident service — reports into this one
 //! crate through three primitives:
 //!
 //! * **Spans** ([`span`]): scoped wall-clock guards with parent/child
@@ -99,7 +99,7 @@ thread_local! {
 /// `AFFIDAVIT_OBS` environment variable (any non-empty value other than
 /// `"0"` enables), so batteries run with `AFFIDAVIT_OBS=1` record
 /// without code changes.
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     match ENABLED.load(Ordering::Relaxed) {
         1 => true,
         2 => false,

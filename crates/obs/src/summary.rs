@@ -102,7 +102,7 @@ mod tests {
             event(KIND_END, "search.expand", 600, Some(500)),
             event(KIND_BEGIN, "search.expand", 200, None),
             event(KIND_END, "search.expand", 900, Some(700)),
-            event(KIND_POINT, "worker.heartbeat", 300, None),
+            event(KIND_POINT, "serve.session", 300, None),
         ];
         let table = render_phase_summary(&events, 0);
         let expand = table
@@ -114,7 +114,7 @@ mod tests {
         assert!(expand.contains("1.200"), "{expand}");
         assert!(expand.contains("0.800"), "{expand}");
         assert!(expand.contains("0.700"), "{expand}");
-        assert!(table.contains("worker.heartbeat"));
+        assert!(table.contains("serve.session"));
         assert!(!table.contains("dropped"));
     }
 

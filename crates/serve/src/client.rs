@@ -3,17 +3,23 @@
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 
-use affidavit_dist::{configure_stream, read_frame, write_frame, FrameConfig, FrameRead};
-
+use crate::frame::{
+    configure_stream, read_frame, write_frame, FrameConfig, FrameRead, MAX_FRAME_BYTES,
+};
 use crate::protocol::{ClientRequest, ClientResponse, ExplainSpec, ReportReply, ServeStats};
+
+/// Exit code of a command whose daemon could not be reached
+/// ([`ClientError::Lost`]). It is distinct from `1`, the usage and
+/// fatal-error code, so scripts can tell "start the daemon and retry"
+/// from "the request is wrong".
+pub const LOST_EXIT_CODE: u8 = 3;
 
 /// Why a client operation failed — the split the CLI's exit codes are
 /// built on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
     /// The daemon could not be reached, or the connection died and a
-    /// fresh dial failed too (CLI exit code 3, mirroring the worker's
-    /// broker-lost semantics).
+    /// fresh dial failed too (CLI exit code [`LOST_EXIT_CODE`]).
     Lost(String),
     /// The daemon answered, rejecting the request.
     Rejected(String),
@@ -109,10 +115,10 @@ impl ServeClient {
         }
     }
 
-    /// One exchange over the persistent connection, with the same
-    /// stale-keep-alive recovery as the worker transport: a failure on
-    /// the cached socket drops it and retries once on a fresh dial;
-    /// fresh-dial failures are [`ClientError::Lost`].
+    /// One exchange over the persistent connection, with stale
+    /// keep-alive recovery: a failure on the cached socket drops it and
+    /// retries once on a fresh dial; fresh-dial failures are
+    /// [`ClientError::Lost`].
     fn call(&self, request: &ClientRequest) -> Result<ClientResponse, ClientError> {
         let encoded = serde_json::to_string(request).expect("requests are serializable");
         let mut conn = self
@@ -145,16 +151,17 @@ fn unexpected(op: &str, response: &ClientResponse) -> ClientError {
     ClientError::Protocol(format!("unexpected {op} response {response:?}"))
 }
 
-/// One framed request/response on an established connection. A client
-/// awaiting its response treats an idle stall window as an error — only
-/// servers park on idle.
+/// One framed request/response on an established connection. Replies
+/// are read under [`MAX_FRAME_BYTES`], the wide bound: they carry whole
+/// reports. A client awaiting its response treats an idle stall window
+/// as an error — only servers park on idle.
 fn exchange(
     stream: &mut TcpStream,
     encoded: &str,
     cfg: &FrameConfig,
 ) -> Result<ClientResponse, String> {
     write_frame(stream, encoded, cfg)?;
-    match read_frame(stream, cfg)? {
+    match read_frame(stream, cfg, MAX_FRAME_BYTES)? {
         FrameRead::Frame(text) => {
             serde_json::from_str::<ClientResponse>(&text).map_err(|e| e.to_string())
         }

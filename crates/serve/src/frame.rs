@@ -1,34 +1,38 @@
-//! Length-prefixed frame codec shared by every socket protocol.
+//! Length-prefixed frame codec of the client API.
 //!
 //! One frame is a 4-byte big-endian length followed by that many bytes of
-//! UTF-8 (JSON, for both vocabularies built on top: the steal-loop
-//! request/response enums in [`crate::tcp`] and the client-API enums of
-//! the `affidavit-serve` crate). Oversized or malformed frames fail the
-//! exchange, never the process.
+//! UTF-8 (the JSON request/response enums of [`crate::protocol`]).
+//! Oversized or malformed frames fail the exchange, never the process.
+//!
+//! # Read bounds
+//!
+//! The reader passes [`read_frame`] the largest frame it will accept, and
+//! a header announcing more fails before one body byte is read. The
+//! daemon reads requests under
+//! [`MAX_REQUEST_BYTES`](crate::protocol::MAX_REQUEST_BYTES) (a request
+//! is paths plus a configuration); the client reads replies, which carry
+//! whole rendered reports, under the wider [`MAX_FRAME_BYTES`].
 //!
 //! # Progress-based timeouts
 //!
-//! A frame may legitimately be up to [`MAX_FRAME_BYTES`] (serialized
-//! whole-snapshot instances), so a fixed whole-frame deadline would
-//! misclassify a slow-but-progressing peer as dead — and on the steal
-//! loop that means requeuing its job as a straggler and paying duplicate
-//! work. Instead, both loops here are **progress-based**: the stall
-//! clock ([`FrameConfig::stall_timeout`]) applies to each chunk of bytes
-//! individually and is reset by any chunk that advances, so a throttled
-//! peer moving 1 byte per second finishes its gigabyte eventually, while
-//! a peer that stops moving for a whole stall window is reported dead.
-//! `read_frame` additionally distinguishes a peer that stalls *between*
-//! frames ([`FrameRead::Idle`] — a parked keep-alive connection, not an
-//! error) from one that stalls *inside* a frame (an error).
+//! A reply may legitimately be large (a report over a wide, heavily
+//! edited table), so a fixed whole-frame deadline would misclassify a
+//! slow-but-progressing peer as dead. Instead, both loops here are
+//! **progress-based**: the stall clock ([`FrameConfig::stall_timeout`])
+//! applies to each chunk of bytes individually and is reset by any chunk
+//! that advances, so a throttled peer moving 1 byte per second finishes
+//! its frame eventually, while a peer that stops moving for a whole stall
+//! window is reported dead. `read_frame` additionally distinguishes a
+//! peer that stalls *between* frames ([`FrameRead::Idle`] — a parked
+//! keep-alive connection, not an error) from one that stalls *inside* a
+//! frame (an error).
 //!
-//! # Listeners
+//! # Listener
 //!
-//! Both listeners built on the codec — the job store's
-//! [`TcpServer`](crate::tcp::TcpServer) and the serve daemon — accept
-//! with [`spawn_accept_loop`]: one thread per keep-alive connection,
-//! tracked in a [`ConnRegistry`] so that shutting the listener down
-//! severs parked peers instead of leaving their threads answering for a
-//! listener that no longer exists.
+//! The daemon accepts with [`spawn_accept_loop`]: one thread per
+//! keep-alive connection, tracked in a [`ConnRegistry`] so that shutting
+//! the listener down severs parked peers instead of leaving their threads
+//! answering for a listener that no longer exists.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -38,9 +42,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Upper bound on a single frame. Job envelopes carry whole serialized
-/// snapshots, so this is generous; anything larger is a protocol error,
-/// not a payload.
+/// Upper bound on any frame written, and on a reply the client reads.
+/// Replies carry whole rendered reports, so this is generous; anything
+/// larger is a protocol error, not a payload.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 
 /// Frame I/O tuning knobs.
@@ -132,8 +136,14 @@ fn write_progress(
     Ok(())
 }
 
-/// Read one frame (see [`FrameRead`] for the three outcomes).
-pub fn read_frame(stream: &mut TcpStream, cfg: &FrameConfig) -> Result<FrameRead, String> {
+/// Read one frame of at most `max_bytes` (see [`FrameRead`] for the
+/// three outcomes). A header announcing more is an error before any of
+/// the body is read.
+pub fn read_frame(
+    stream: &mut TcpStream,
+    cfg: &FrameConfig,
+    max_bytes: u32,
+) -> Result<FrameRead, String> {
     let mut len = [0u8; 4];
     match read_progress(stream, &mut len) {
         Ok(()) => {}
@@ -142,8 +152,10 @@ pub fn read_frame(stream: &mut TcpStream, cfg: &FrameConfig) -> Result<FrameRead
         Err(end) => return Err(end.message(cfg)),
     }
     let len = u32::from_be_bytes(len);
-    if len > MAX_FRAME_BYTES {
-        return Err(format!("incoming frame of {len} bytes exceeds the limit"));
+    if len > max_bytes {
+        return Err(format!(
+            "incoming frame of {len} bytes exceeds the limit of {max_bytes}"
+        ));
     }
     // Grow the buffer as bytes actually arrive instead of trusting the
     // untrusted header with one up-front allocation — a peer announcing
@@ -323,17 +335,17 @@ mod tests {
         configure_stream(&rx, &cfg).unwrap();
         write_frame(&mut tx, "hello", &cfg).unwrap();
         write_frame(&mut tx, "", &cfg).unwrap();
-        match read_frame(&mut rx, &cfg).unwrap() {
+        match read_frame(&mut rx, &cfg, MAX_FRAME_BYTES).unwrap() {
             FrameRead::Frame(text) => assert_eq!(text, "hello"),
             other => panic!("expected frame, got {other:?}"),
         }
-        match read_frame(&mut rx, &cfg).unwrap() {
+        match read_frame(&mut rx, &cfg, MAX_FRAME_BYTES).unwrap() {
             FrameRead::Frame(text) => assert_eq!(text, ""),
             other => panic!("expected empty frame, got {other:?}"),
         }
         drop(tx);
         assert!(matches!(
-            read_frame(&mut rx, &cfg).unwrap(),
+            read_frame(&mut rx, &cfg, MAX_FRAME_BYTES).unwrap(),
             FrameRead::Closed
         ));
     }
@@ -346,17 +358,32 @@ mod tests {
         // A hand-rolled header announcing 2 GiB: the reader must refuse
         // before buffering anything.
         tx.write_all(&(2u32 << 30).to_be_bytes()).unwrap();
-        assert!(read_frame(&mut rx, &cfg)
+        assert!(read_frame(&mut rx, &cfg, MAX_FRAME_BYTES)
             .unwrap_err()
             .contains("exceeds the limit"));
+        // The caller's bound is what counts: one byte over it fails just
+        // the same, and a frame at the bound is read whole.
+        let (mut tx, mut rx) = pair();
+        configure_stream(&rx, &cfg).unwrap();
+        tx.write_all(&17u32.to_be_bytes()).unwrap();
+        assert!(read_frame(&mut rx, &cfg, 16)
+            .unwrap_err()
+            .contains("exceeds the limit of 16"));
+        let (mut tx, mut rx) = pair();
+        configure_stream(&rx, &cfg).unwrap();
+        write_frame(&mut tx, "sixteen bytes!!!", &cfg).unwrap();
+        assert!(matches!(
+            read_frame(&mut rx, &cfg, 16).unwrap(),
+            FrameRead::Frame(text) if text.len() == 16
+        ));
     }
 
     #[test]
     fn throttled_peer_finishes_a_frame_far_slower_than_the_stall_window() {
-        // Satellite regression: the whole transfer takes many multiples
+        // Regression: the whole transfer takes many multiples
         // of the stall timeout, but every chunk advances, so the
         // progress-based clock never fires. A fixed whole-frame deadline
-        // would fail this and requeue the peer's job as a straggler.
+        // would fail this and drop a peer that is still sending.
         let cfg = FrameConfig {
             stall_timeout: Duration::from_millis(80),
         };
@@ -366,7 +393,7 @@ mod tests {
         let payload = "x".repeat(4096);
         let reader = std::thread::spawn({
             let expect = payload.clone();
-            move || match read_frame(&mut rx, &cfg).unwrap() {
+            move || match read_frame(&mut rx, &cfg, MAX_FRAME_BYTES).unwrap() {
                 FrameRead::Frame(text) => assert_eq!(text, expect),
                 other => panic!("expected frame, got {other:?}"),
             }
@@ -392,13 +419,15 @@ mod tests {
         configure_stream(&rx, &cfg).unwrap();
         // No bytes at all: idle, not an error (keep-alive parking).
         assert!(matches!(
-            read_frame(&mut rx, &cfg).unwrap(),
+            read_frame(&mut rx, &cfg, MAX_FRAME_BYTES).unwrap(),
             FrameRead::Idle
         ));
         // Half a header then silence: a mid-frame stall is fatal.
         tx.write_all(&[0, 0]).unwrap();
         tx.flush().unwrap();
-        assert!(read_frame(&mut rx, &cfg).unwrap_err().contains("stalled"));
+        assert!(read_frame(&mut rx, &cfg, MAX_FRAME_BYTES)
+            .unwrap_err()
+            .contains("stalled"));
     }
 
     fn wait_until(what: &str, done: impl Fn() -> bool) {
@@ -421,7 +450,7 @@ mod tests {
                 return;
             }
             loop {
-                match read_frame(&mut stream, &cfg) {
+                match read_frame(&mut stream, &cfg, MAX_FRAME_BYTES) {
                     Ok(FrameRead::Frame(text)) => {
                         if write_frame(&mut stream, &text, &cfg).is_err() {
                             return;
@@ -439,7 +468,7 @@ mod tests {
             configure_stream(&peer, &cfg).unwrap();
             write_frame(&mut peer, &format!("hello {i}"), &cfg).unwrap();
             assert!(matches!(
-                read_frame(&mut peer, &cfg).unwrap(),
+                read_frame(&mut peer, &cfg, MAX_FRAME_BYTES).unwrap(),
                 FrameRead::Frame(_)
             ));
         }
@@ -452,7 +481,10 @@ mod tests {
         accept.join().unwrap();
         for peer in &mut peers {
             configure_stream(peer, &cfg).unwrap();
-            assert!(!matches!(read_frame(peer, &cfg), Ok(FrameRead::Frame(_))));
+            assert!(!matches!(
+                read_frame(peer, &cfg, MAX_FRAME_BYTES),
+                Ok(FrameRead::Frame(_))
+            ));
         }
         wait_until("severed connections are freed", || conns.live() == 0);
     }

@@ -1,8 +1,8 @@
-//! Seeded mutation fuzzing of framed listeners — the one engine behind
-//! the fail-closed tests of both socket protocols (this crate's steal
-//! loop and the `affidavit-serve` client API).
+//! Seeded mutation fuzzing of a framed listener — the engine behind the
+//! daemon's fail-closed test (`mutated_client_frames_fail_closed` in
+//! `tests/properties_serve.rs`).
 //!
-//! Both vocabularies are JSON objects tagged by `op`. [`mutants`] turns
+//! Requests are JSON objects tagged by `op`. [`mutants`] turns
 //! valid request frames into ones that are invalid by construction: a
 //! truncated object or frame, a flipped structural byte, a tag naming no
 //! operation, a field value the listener must refuse (an out-of-domain
@@ -16,7 +16,7 @@
 use std::io::Write as _;
 use std::net::TcpStream;
 
-use crate::frame::{configure_stream, read_frame, FrameConfig, FrameRead};
+use crate::frame::{configure_stream, read_frame, FrameConfig, FrameRead, MAX_FRAME_BYTES};
 
 /// SplitMix64 — a seeded, dependency-free stream, so every run sends
 /// the same mutants.
@@ -185,7 +185,7 @@ pub fn exchange(addr: &str, mutant: &Mutant, cfg: &FrameConfig) -> Result<FrameR
     if mutant.len > mutant.body.len() {
         let _ = stream.shutdown(std::net::Shutdown::Write);
     }
-    Ok(read_frame(&mut stream, cfg).unwrap_or(FrameRead::Closed))
+    Ok(read_frame(&mut stream, cfg, MAX_FRAME_BYTES).unwrap_or(FrameRead::Closed))
 }
 
 /// Check the fail-closed contract for every mutant: whole UTF-8 frames

@@ -6,9 +6,13 @@
 //! long-lived daemon:
 //!
 //! * [`protocol`] — the tagged client-API request/response vocabulary
-//!   (`Ping` / `Explain` / `Stats` / `Shutdown`), carried as
-//!   length-prefixed JSON frames over the codec shared with the
-//!   work-stealing transport ([`affidavit_dist::frame`]).
+//!   (`Ping` / `Explain` / `Pin` / `Stats` / `Metrics` / `Shutdown`),
+//!   carried as length-prefixed JSON frames.
+//! * [`frame`] — the frame codec under it: per-call read bounds,
+//!   progress-based stall timeouts, and the connection registry and
+//!   accept loop of the listener.
+//! * [`fuzz`] — seeded mutation of valid request frames, the engine of
+//!   the daemon's fail-closed test.
 //! * [`server`] — the daemon: an accept loop multiplexing concurrent
 //!   requests (one thread per keep-alive connection), with ingested
 //!   snapshot pairs pinned in a [`SessionLru`](affidavit_store::SessionLru)
@@ -17,7 +21,8 @@
 //!   pairs stay pinned.
 //! * [`client`] — one persistent framed connection with
 //!   reconnect-on-error; an unreachable daemon is
-//!   [`ClientError::Lost`], which the CLI maps to exit code 3.
+//!   [`ClientError::Lost`], which the CLI maps to exit code
+//!   [`LOST_EXIT_CODE`] (3).
 //!
 //! Determinism: each request runs a fresh search
 //! ([`Affidavit::new`](affidavit_core::Affidavit) per request) over a
@@ -53,9 +58,14 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod frame;
+pub mod fuzz;
 pub mod protocol;
 pub mod server;
 
-pub use client::{ClientError, ServeClient};
-pub use protocol::{ClientRequest, ClientResponse, ExplainSpec, ReportReply, ServeStats};
+pub use client::{ClientError, ServeClient, LOST_EXIT_CODE};
+pub use frame::FrameConfig;
+pub use protocol::{
+    ClientRequest, ClientResponse, ExplainSpec, ReportReply, ServeStats, MAX_REQUEST_BYTES,
+};
 pub use server::{serve, ServeHandle, ServeOptions};

@@ -1,15 +1,17 @@
 //! The client-API request/response vocabulary.
 //!
-//! Same wire shape as the steal-loop vocabulary in
-//! [`affidavit_dist::tcp`]: length-prefixed JSON frames carrying tagged
-//! enums (`op` on requests, `status` on responses), over the shared
-//! codec in `affidavit_dist::frame`. The two vocabularies stay separate
-//! on purpose — a worker cannot accidentally talk to a serve daemon or
-//! vice versa; a mismatched peer gets a clean `Error` frame, not a
-//! protocol wedge.
+//! Length-prefixed JSON frames ([`crate::frame`]) carrying tagged enums
+//! (`op` on requests, `status` on responses). A frame that decodes to no
+//! request gets a clean `Error` frame, not a protocol wedge.
 
 use affidavit_core::AffidavitConfig;
 use serde::{Deserialize, Serialize};
+
+/// Upper bound on a request frame the daemon reads. A request is a pair
+/// of paths plus a search configuration, a few kilobytes at most, so a
+/// header announcing more is refused before any of its body is read and
+/// one connection cannot make the daemon buffer more than this.
+pub const MAX_REQUEST_BYTES: u32 = 1 << 20;
 
 /// One explain request: a snapshot pair on the **server's** filesystem
 /// plus the full search configuration. Carrying [`AffidavitConfig`]
@@ -182,8 +184,7 @@ mod tests {
         };
         let json = serde_json::to_string(&resp).unwrap();
         assert!(json.contains("\"status\":\"error\""), "{json}");
-        // A steal-loop frame ("op":"claim") is NOT part of this
-        // vocabulary: a worker dialing a serve daemon fails cleanly.
+        // A tag naming no operation is refused, not guessed at.
         assert!(serde_json::from_str::<ClientRequest>(r#"{"op":"claim","worker":"w"}"#).is_err());
     }
 }

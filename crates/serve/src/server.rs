@@ -9,13 +9,15 @@ use std::time::{Duration, Instant};
 use affidavit_core::profiling::{stage_snapshot_pair, ProfileOptions};
 use affidavit_core::report::render_report;
 use affidavit_core::{Affidavit, DeadlineExceeded};
-use affidavit_dist::{
+use affidavit_store::{ingest_pair, IngestOptions, PoolConfig, SessionKey, SessionLru};
+
+use crate::frame::{
     configure_stream, read_frame, spawn_accept_loop, write_frame, ConnRegistry, FrameConfig,
     FrameRead,
 };
-use affidavit_store::{ingest_pair, IngestOptions, PoolConfig, SessionKey, SessionLru};
-
-use crate::protocol::{ClientRequest, ClientResponse, ExplainSpec, ReportReply, ServeStats};
+use crate::protocol::{
+    ClientRequest, ClientResponse, ExplainSpec, ReportReply, ServeStats, MAX_REQUEST_BYTES,
+};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -213,13 +215,15 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeHandle, String> {
 /// Serve framed client-API requests on one accepted connection until
 /// the peer closes it (or asks for shutdown). Parked keep-alive clients
 /// idle between requests; an idle stall window is normal, not a hangup.
+/// A frame announcing more than [`MAX_REQUEST_BYTES`] ends the
+/// connection before its body is read.
 fn serve_connection(mut stream: TcpStream, shared: &ServeShared) {
     let cfg = shared.frame;
     if configure_stream(&stream, &cfg).is_err() {
         return;
     }
     loop {
-        let text = match read_frame(&mut stream, &cfg) {
+        let text = match read_frame(&mut stream, &cfg, MAX_REQUEST_BYTES) {
             Ok(FrameRead::Frame(text)) => text,
             Ok(FrameRead::Idle) if !shared.conns.is_closed() => continue,
             Ok(FrameRead::Idle | FrameRead::Closed) | Err(_) => return,

@@ -58,8 +58,8 @@ pub use schema::{AttrId, Attribute, Schema};
 pub use table::{Column, ColumnsView, RecordRef, Table};
 pub use value::{Interner, PoolReader, ScratchPool, Sym, SymRemap, ValuePool};
 
-/// The most worker threads (or worker processes) any parallelism knob —
-/// ingest threads, `threads`, `--threads`, `--workers` — may request. A
+/// The most worker threads any parallelism knob — ingest threads,
+/// `threads`, `--threads` — may request. A
 /// fixed ceiling, not a setting: it exists so a mistyped or hostile count
 /// is a typed error instead of an allocation or thread spawn with no
 /// bound.

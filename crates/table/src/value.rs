@@ -39,15 +39,6 @@ impl ValuePool {
         ValuePool::default()
     }
 
-    /// Create a pool with pre-reserved capacity for `n` distinct values.
-    pub fn with_capacity(n: usize) -> ValuePool {
-        ValuePool {
-            map: FxHashMap::with_capacity_and_hasher(n, Default::default()),
-            strings: Vec::with_capacity(n),
-            numeric: Vec::with_capacity(n),
-        }
-    }
-
     /// Intern `s`, returning its symbol. Idempotent.
     pub fn intern(&mut self, s: &str) -> Sym {
         if let Some(&sym) = self.map.get(s) {
@@ -117,22 +108,7 @@ impl ValuePool {
     /// past it. Interning is idempotent, so strings discovered by several
     /// workers collapse onto one symbol.
     pub fn absorb(&mut self, scratch_base_len: usize, new_strings: &[Arc<str>]) -> SymRemap {
-        self.absorb_strs(scratch_base_len, new_strings.iter().map(|s| s.as_ref()))
-    }
-
-    /// [`ValuePool::absorb`] over borrowed strings. This is the merge used
-    /// across *process* boundaries: a remote worker ships back the strings
-    /// it interned past the serialized pool prefix (its pool behaves like a
-    /// [`ScratchPool`] overlay frozen at `scratch_base_len`), and the
-    /// coordinator absorbs them in the worker's interning order so symbols
-    /// in the worker's results can be rewritten through the returned
-    /// [`SymRemap`].
-    pub fn absorb_strs<'s>(
-        &mut self,
-        scratch_base_len: usize,
-        new_strings: impl IntoIterator<Item = &'s str>,
-    ) -> SymRemap {
-        let mapping = new_strings.into_iter().map(|s| self.intern(s)).collect();
+        let mapping = new_strings.iter().map(|s| self.intern(s)).collect();
         SymRemap {
             base_len: scratch_base_len,
             mapping,
@@ -434,21 +410,21 @@ mod tests {
     }
 
     #[test]
-    fn absorb_strs_merges_a_remote_pool_suffix() {
-        // A "remote" pool built from the same prefix diverges only past
-        // base_len; absorbing its suffix strings remaps its symbols.
-        let mut local = ValuePool::new();
-        local.intern("shared");
-        let base_len = local.len();
-        let mut remote = local.clone();
-        let novel = remote.intern("remote-only");
+    fn absorb_remaps_a_scratch_frozen_before_the_pool_grew() {
+        // The scratch diverges only past its base_len; the pool grew
+        // differently in the meantime, so its new symbol must move.
+        let mut pool = ValuePool::new();
+        pool.intern("shared");
+        let (base_len, news, novel) = {
+            let mut s = ScratchPool::new(pool.reader());
+            let sym = s.intern("scratch-only");
+            (s.base_len(), s.take_new_strings(), sym)
+        };
         assert_eq!(novel.index(), base_len);
-        local.intern("local-only"); // local grew differently in the meantime
-        let suffix: Vec<String> = (base_len..remote.len())
-            .map(|i| remote.get(Sym(i as u32)).to_owned())
-            .collect();
-        let remap = local.absorb_strs(base_len, suffix.iter().map(String::as_str));
-        assert_eq!(local.get(remap.remap(novel)), "remote-only");
+        pool.intern("pool-only");
+        let remap = pool.absorb(base_len, &news);
+        assert_eq!(pool.get(remap.remap(novel)), "scratch-only");
+        assert_ne!(remap.remap(novel), novel);
         assert_eq!(remap.remap(Sym(0)), Sym(0));
     }
 

@@ -11,10 +11,9 @@
 //! * [`core`] — the Affidavit search algorithm (Algorithm 1), plus
 //!   incremental re-profiling (`core::delta`: fingerprinted block
 //!   reuse with from-scratch byte identity).
-//! * [`dist`] — distributed work-stealing profiling over serialized
-//!   problem instances (job queue, TCP worker processes).
 //! * [`serve`] — the resident explain daemon: framed client API over
-//!   pinned, fingerprint-keyed snapshot sessions.
+//!   pinned, fingerprint-keyed snapshot sessions, and the frame codec
+//!   and mutation fuzzer under it.
 //! * [`obs`] — unified tracing, metrics and phase profiling: a pure
 //!   side channel (output bytes are identical with it on or off).
 //! * [`datagen`] — the §5.1 synthetic problem-instance protocol.
@@ -43,7 +42,6 @@ pub use affidavit_blocking as blocking;
 pub use affidavit_core as core;
 pub use affidavit_datagen as datagen;
 pub use affidavit_datasets as datasets;
-pub use affidavit_dist as dist;
 pub use affidavit_functions as functions;
 pub use affidavit_obs as obs;
 pub use affidavit_serve as serve;

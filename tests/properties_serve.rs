@@ -8,17 +8,19 @@
 //! (via the daemon's counters) that warm repeats perform zero ingestion
 //! work. A seeded mutation fuzz then sends malformed and out-of-domain
 //! request frames to a live daemon: each must be refused with an
-//! `Error` frame or a closed connection, never a dead daemon.
+//! `Error` frame or a closed connection, never a dead daemon. A header
+//! announcing an over-bound request is refused before its body is read.
 
 use std::path::{Path, PathBuf};
 
 use affidavit_core::profiling::{stage_file_pair, ProfileOptions};
 use affidavit_core::report::render_report;
 use affidavit_core::{Affidavit, AffidavitConfig};
-use affidavit_dist::fuzz::{check_fail_closed, exchange, mutants, with_value, Mutant, Vocabulary};
-use affidavit_dist::{FrameConfig, FrameRead};
+use affidavit_serve::frame::{configure_stream, read_frame, FrameRead, MAX_FRAME_BYTES};
+use affidavit_serve::fuzz::{check_fail_closed, exchange, mutants, with_value, Mutant, Vocabulary};
 use affidavit_serve::{
-    serve, ClientRequest, ClientResponse, ExplainSpec, ServeClient, ServeOptions,
+    serve, ClientRequest, ClientResponse, ExplainSpec, FrameConfig, ServeClient, ServeOptions,
+    MAX_REQUEST_BYTES,
 };
 use affidavit_store::IngestOptions;
 
@@ -492,6 +494,44 @@ fn mutated_client_frames_fail_closed() {
     client.shutdown().unwrap();
     daemon.wait();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A header announcing one byte more than [`MAX_REQUEST_BYTES`] ends
+/// its connection at once: the daemon neither waits for nor buffers the
+/// body. A daemon that read on would sit in its stall window, which is
+/// far longer than the client's.
+#[test]
+fn an_over_bound_request_header_is_refused_before_its_body() {
+    use std::io::Write as _;
+    use std::time::Duration;
+
+    let opts = ServeOptions {
+        frame: FrameConfig {
+            stall_timeout: Duration::from_secs(60),
+        },
+        ..ServeOptions::default()
+    };
+    let mut daemon = serve(&opts).unwrap();
+    let addr = daemon.local_addr().to_string();
+    let quick = FrameConfig {
+        stall_timeout: Duration::from_secs(5),
+    };
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    configure_stream(&stream, &quick).unwrap();
+    stream
+        .write_all(&(MAX_REQUEST_BYTES + 1).to_be_bytes())
+        .unwrap();
+    // The write half stays open: only the daemon can end this exchange.
+    let answer = read_frame(&mut stream, &quick, MAX_FRAME_BYTES);
+    assert!(
+        matches!(answer, Ok(FrameRead::Closed)),
+        "expected the daemon to close the connection, got {answer:?}"
+    );
+
+    let ping = serde_json::to_string(&ClientRequest::Ping).unwrap();
+    assert!(matches!(send(&addr, &ping), Some(ClientResponse::Pong)));
+    ServeClient::new(addr).shutdown().unwrap();
+    daemon.wait();
 }
 
 #[test]
