@@ -4,10 +4,11 @@ use std::path::Path;
 
 use affidavit_core::apply::transform_table;
 use affidavit_core::portable::PortableExplanation;
+use affidavit_core::profiling::{stage_file_pair, ProfileOptions};
 use affidavit_core::report::{render_report, to_sql};
 use affidavit_core::{Affidavit, AffidavitConfig, ProblemInstance, MAX_THREADS};
 use affidavit_datagen::blueprint::{Blueprint, BlueprintError, GenConfig};
-use affidavit_store::{ingest, IngestOptions};
+use affidavit_store::IngestOptions;
 use affidavit_table::{csv, AttrId, Table, TableError, ValuePool};
 
 /// `println!` for command output: a failed write — typically a reader
@@ -313,23 +314,8 @@ impl<'a> Parsed<'a> {
     }
 }
 
-fn load_instance(src: &str, tgt: &str) -> Result<ProblemInstance, String> {
-    let mut pool = ValuePool::new();
-    let source = read_csv(src, &mut pool)?;
-    let target = read_csv(tgt, &mut pool)?;
-    ProblemInstance::new(source, target, pool).map_err(|e| e.to_string())
-}
-
 fn read_csv(path: &str, pool: &mut ValuePool) -> Result<Table, String> {
     csv::read_path(path, pool, csv::CsvOptions::default()).map_err(|e| format!("{path}: {e}"))
-}
-
-fn read_csv_streaming(
-    path: &str,
-    pool: &mut ValuePool,
-    opts: &IngestOptions,
-) -> Result<Table, String> {
-    ingest::read_path(path, pool, opts).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Ingestion flags shared by `explain`, `profile` and `client`.
@@ -379,14 +365,27 @@ fn build_config(p: &Parsed<'_>) -> Result<AffidavitConfig, String> {
     Ok(cfg)
 }
 
+/// The search, `--align` and ingestion flags shared by `explain`,
+/// `profile` and `apply`, as the options every pair is staged under.
+fn build_profile_options(p: &Parsed<'_>) -> Result<ProfileOptions, String> {
+    let config = build_config(p)?;
+    let ingest = build_ingest(p, config.threads)?;
+    Ok(ProfileOptions {
+        config,
+        align: p.has("align"),
+        ingest,
+        ..ProfileOptions::default()
+    })
+}
+
 /// `affidavit explain`: learn the transformation and alignment.
 pub fn explain(args: &[String]) -> Result<(), String> {
     let p = parse("explain", args)?;
     let [src, tgt] = p.positional[..] else {
         return Err(format!("explain needs two CSV paths\n{USAGE}"));
     };
-    let cfg = build_config(&p)?;
-    let ingest_opts = build_ingest(&p, cfg.threads)?;
+    let (src, tgt) = (Path::new(src), Path::new(tgt));
+    let opts = build_profile_options(&p)?;
     if p.has("delta-state") && !p.has("delta") {
         return Err("--delta-state requires --delta".to_owned());
     }
@@ -400,101 +399,30 @@ pub fn explain(args: &[String]) -> Result<(), String> {
                 ));
             }
         }
-        let opts = affidavit_core::profiling::ProfileOptions {
-            config: cfg,
-            align: p.has("align"),
-            ingest: ingest_opts,
-            ..Default::default()
-        };
         let state = match p.flag_value("delta-state") {
             Some(dir) => Path::new(dir).join("explain.affidavit-delta.json"),
-            None => affidavit_core::delta::default_explain_state(Path::new(tgt)),
+            None => affidavit_core::delta::default_explain_state(tgt),
         };
-        let outcome =
-            affidavit_core::delta::explain_delta(Path::new(src), Path::new(tgt), &opts, &state)?;
+        let outcome = affidavit_core::delta::explain_delta(src, tgt, &opts, &state)?;
         affidavit_obs::diag("delta", &outcome.stats.summary());
-        say!("{}", outcome.report)?;
-        let duration = if p.has("stable") {
-            std::time::Duration::ZERO
-        } else {
-            outcome.duration
-        };
-        say!(
-            "search: {} states polled, {} generated, {duration:?}",
+        return say_report(
+            &outcome.report,
             outcome.polled,
-            outcome.generated
-        )?;
-        return Ok(());
-    }
-    let mut pool = ValuePool::new();
-    let mut instance = if p.has("align") {
-        // §6 future work: align renamed/reordered target columns by
-        // content before explaining; with unequal arity, first look for
-        // merged/split columns and normalize.
-        let mut source = read_csv_streaming(src, &mut pool, &ingest_opts)?;
-        let mut target = read_csv_streaming(tgt, &mut pool, &ingest_opts)?;
-        if source.schema().arity() != target.schema().arity() {
-            let Some((s2, t2, applied)) =
-                affidavit_core::restructure::normalize_arity(&source, &target, &mut pool)
-            else {
-                return Err(
-                    "--align: column counts differ and no merge/split evidence was found"
-                        .to_owned(),
-                );
-            };
-            for r in &applied {
-                match r {
-                    affidavit_core::restructure::Restructure::Merge {
-                        target, left, right, sep, score,
-                    } => eprintln!(
-                        "detected merge: source {:?} ◦ {sep:?} ◦ {:?} → target {:?} (score {score:.2})",
-                        source.schema().name(*left),
-                        source.schema().name(*right),
-                        t2.schema().name(*target),
-                    ),
-                    affidavit_core::restructure::Restructure::Split {
-                        source: col, left, right, sep, score,
-                    } => eprintln!(
-                        "detected split: source {:?} → target {:?} ◦ {sep:?} ◦ {:?} (score {score:.2})",
-                        source.schema().name(*col),
-                        target.schema().name(*left),
-                        target.schema().name(*right),
-                    ),
-                }
-            }
-            source = s2;
-            target = t2;
-        }
-        let alignment = affidavit_core::schema_align::align_schemas(&source, &target, &pool);
-        let pairs: Vec<String> = alignment
-            .pairs()
-            .map(|(i, j)| format!("{} ← {}", source.schema().name(i), target.schema().name(j)))
-            .collect();
-        eprintln!(
-            "schema alignment (min confidence {:.2}): {}",
-            alignment.min_confidence(),
-            pairs.join(", ")
+            outcome.generated,
+            outcome.duration,
+            p.has("stable"),
         );
-        let target = alignment.reorder_target(&target, source.schema());
-        ProblemInstance::new(source, target, pool).map_err(|e| e.to_string())?
-    } else {
-        let source = read_csv_streaming(src, &mut pool, &ingest_opts)?;
-        let target = read_csv_streaming(tgt, &mut pool, &ingest_opts)?;
-        ProblemInstance::new(source, target, pool).map_err(|e| e.to_string())?
-    };
-    let outcome = Affidavit::new(cfg).explain(&mut instance);
-    say!("{}", render_report(&outcome.explanation, &instance))?;
-    // --stable zeroes the one nondeterministic byte sequence on stdout,
-    // so two runs (or a run and a served client) diff clean.
-    let duration = if p.has("stable") {
-        std::time::Duration::ZERO
-    } else {
-        outcome.stats.duration
-    };
-    say!(
-        "search: {} states polled, {} generated, {duration:?}",
-        outcome.stats.polled,
-        outcome.stats.states_generated
+    }
+    // With --align, staging first repairs schema drift (§6 future work):
+    // merged/split columns, then renamed/reordered ones.
+    let mut instance = stage_file_pair(src, tgt, &opts)?;
+    let outcome = Affidavit::new(opts.config).explain(&mut instance);
+    say_report(
+        &render_report(&outcome.explanation, &instance),
+        outcome.stats.polled as u64,
+        outcome.stats.states_generated as u64,
+        outcome.stats.duration,
+        p.has("stable"),
     )?;
     if let Some(trace) = outcome.trace {
         say!("\nsearch tree:\n{}", trace.render())?;
@@ -510,6 +438,26 @@ pub fn explain(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Print an explain report and its search line — the stdout of
+/// `explain`, `explain --delta` and a human-format `client` explain.
+/// `--stable` zeroes the one nondeterministic byte sequence, so two runs
+/// (or a run and a served client) diff clean.
+fn say_report(
+    report: &str,
+    polled: u64,
+    generated: u64,
+    duration: std::time::Duration,
+    stable: bool,
+) -> Result<(), String> {
+    say!("{report}")?;
+    let duration = if stable {
+        std::time::Duration::ZERO
+    } else {
+        duration
+    };
+    say!("search: {polled} states polled, {generated} generated, {duration:?}")
+}
+
 /// `affidavit profile`: explain every table pair in two snapshot
 /// directories (paired by file stem).
 pub fn profile(args: &[String]) -> Result<(), String> {
@@ -517,14 +465,7 @@ pub fn profile(args: &[String]) -> Result<(), String> {
     let [src_dir, tgt_dir] = p.positional[..] else {
         return Err(format!("profile needs two directories\n{USAGE}"));
     };
-    let config = build_config(&p)?;
-    let ingest_opts = build_ingest(&p, config.threads)?;
-    let opts = affidavit_core::profiling::ProfileOptions {
-        config,
-        align: p.has("align"),
-        ingest: ingest_opts,
-        ..Default::default()
-    };
+    let opts = build_profile_options(&p)?;
     if p.has("delta-state") && !p.has("delta") {
         return Err("--delta-state requires --delta".to_owned());
     }
@@ -750,18 +691,13 @@ pub fn client(args: &[String]) -> Result<(), crate::Failure> {
             serde_json::to_string(&reply).expect("replies serialize")
         )?;
     } else {
-        // Exactly the one-shot `affidavit explain` stdout: the rendered
-        // report, then the search line (timing zeroed under --stable).
-        say!("{}", reply.report)?;
-        let duration = if p.has("stable") {
-            std::time::Duration::ZERO
-        } else {
-            std::time::Duration::from_millis(reply.millis)
-        };
-        say!(
-            "search: {} states polled, {} generated, {duration:?}",
+        // Exactly the one-shot `affidavit explain` stdout.
+        say_report(
+            &reply.report,
             reply.polled,
-            reply.generated
+            reply.generated,
+            std::time::Duration::from_millis(reply.millis),
+            p.has("stable"),
         )?;
     }
     Ok(())
@@ -795,7 +731,7 @@ pub fn diff(args: &[String]) -> Result<(), String> {
     let keys = p
         .flag_value("key")
         .ok_or_else(|| "diff requires --key COL[,COL...]".to_owned())?;
-    let instance = load_instance(src, tgt)?;
+    let instance = stage_file_pair(Path::new(src), Path::new(tgt), &ProfileOptions::default())?;
     let key_attrs: Vec<AttrId> = keys
         .split(',')
         .map(|name| {
@@ -895,7 +831,8 @@ pub fn apply(args: &[String]) -> Result<(), String> {
     let [src, tgt, unseen_path] = p.positional[..] else {
         return Err(format!("apply needs three CSV paths\n{USAGE}"));
     };
-    let mut instance = load_instance(src, tgt)?;
+    let opts = build_profile_options(&p)?;
+    let mut instance = stage_file_pair(Path::new(src), Path::new(tgt), &opts)?;
     let unseen = {
         let mut pool_ref = std::mem::take(&mut instance.pool);
         let t = read_csv(unseen_path, &mut pool_ref)?;
@@ -905,8 +842,7 @@ pub fn apply(args: &[String]) -> Result<(), String> {
     if unseen.schema() != instance.schema() {
         return Err("unseen table schema differs from the snapshots".to_owned());
     }
-    let cfg = build_config(&p)?;
-    let outcome = Affidavit::new(cfg).explain(&mut instance);
+    let outcome = Affidavit::new(opts.config).explain(&mut instance);
     let (transformed, failed) = transform_table(&outcome.explanation, &unseen, &mut instance.pool);
     eprintln!(
         "learned explanation (core {}, cost {}); transformed {} records, {} untransformable",
@@ -1510,6 +1446,30 @@ mod tests {
         // Without --delta-state the manifest is a sibling of the target.
         explain(&argv(&[s, t, "--delta"])).unwrap();
         assert!(dir.join("t.csv.affidavit-delta.json").is_file());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn explain_and_explain_delta_word_an_unreadable_pair_alike() {
+        let dir = std::env::temp_dir().join("affidavit-cli-delta-missing-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let present = dir.join("t.csv");
+        std::fs::write(&present, "k,v\na,1\n").unwrap();
+        let missing = dir.join("x.csv");
+        let state = dir.join("state");
+        let (p, m, st) = (
+            present.to_str().unwrap(),
+            missing.to_str().unwrap(),
+            state.to_str().unwrap(),
+        );
+        for pair in [[m, p], [p, m]] {
+            let plain = explain(&argv(&pair)).unwrap_err();
+            assert!(plain.starts_with(&format!("{m}: I/O error: ")), "{plain}");
+            let delta =
+                explain(&argv(&[pair[0], pair[1], "--delta", "--delta-state", st])).unwrap_err();
+            assert_eq!(delta, plain, "--delta must fail as a from-scratch run does");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,9 +5,16 @@
 //! persists a compact *manifest* next to each run — per-pair raw file
 //! fingerprints, the final function assignment, the induced block-group
 //! fingerprints of [`affidavit_blocking::delta`], the per-group partition
-//! of the explanation, and the rendered report — and on a re-run splices
-//! prior results for clean pairs while only dirty pairs re-enter the
-//! search.
+//! of the explanation, the rendered report and the summary row — and on a
+//! re-run splices prior results for clean pairs while only dirty pairs
+//! re-enter the search.
+//!
+//! `explain --delta` and `profile --delta` share everything but their
+//! manifest I/O: one manifest shape ([`DeltaManifest`], format v2 — an
+//! explain manifest is a profile manifest with a single entry), one
+//! loader, and one per-pair routine that decides between the two splice
+//! tiers and a redo. [`explain_delta_with`] and [`profile_dirs_delta`]
+//! are thin callers around it.
 //!
 //! Reuse is **per pair, all or nothing**. The search itself is a
 //! best-first exploration whose polled/generated trajectory feeds user
@@ -19,15 +26,19 @@
 //! Two splice tiers:
 //!
 //! 1. **Raw tier** — the source and target file fingerprints and the
-//!    config fingerprint match the manifest: the stored report is the
-//!    answer, zero ingestion.
+//!    config fingerprint match the manifest: the stored report and
+//!    summary row are the answer, zero ingestion.
 //! 2. **Staged tier** — the raw bytes differ but, after ingest and
 //!    staging, the header fingerprint and *every* block-group fingerprint
 //!    match (a CRLF or quoting no-op rewrite): the stored explanation is
 //!    reassembled from the per-group partition, [`Explanation::validate`]d
 //!    against the freshly staged instance, re-rendered, and compared
-//!    against the stored report byte for byte. Any mismatch at any step
-//!    falls back to a full redo on a pristine re-staged instance.
+//!    against the stored report byte for byte and against the stored
+//!    summary row. Any mismatch at any step falls back to a full redo on
+//!    a pristine re-staged instance.
+//!
+//! A file that cannot be fingerprinted skips the raw tier; staging then
+//! reports the failure with the message a from-scratch run gives.
 //!
 //! The load-bearing invariant — proven by the delta-fuzz battery in
 //! `tests/properties_delta.rs` — is that for every input and every edit
@@ -41,7 +52,7 @@ use std::time::{Duration, Instant};
 use affidavit_blocking::delta::{
     final_blocking, group_fingerprints, group_records, header_fingerprint,
 };
-use affidavit_store::{fingerprint_file, manifest, Fingerprint};
+use affidavit_store::{fingerprint_file, manifest};
 use affidavit_table::{RecordId, ScratchPool};
 use serde::{Deserialize, Serialize};
 
@@ -54,11 +65,11 @@ use crate::profiling::{
     TableProfile,
 };
 use crate::report::render_report;
-use crate::search::Affidavit;
+use crate::search::{Affidavit, SearchOutcome};
 
 /// Manifest format version. Bumped on any incompatible change so stale
 /// manifests fall back to a full redo instead of misparsing.
-pub const DELTA_FORMAT_VERSION: u32 = 1;
+pub const DELTA_FORMAT_VERSION: u32 = 2;
 
 /// One fingerprint group's slice of the stored explanation. Core pairs
 /// are parallel arrays (`core_src[i]` aligns with `core_tgt[i]`); groups
@@ -80,9 +91,10 @@ pub struct GroupRecord {
 /// Everything needed to splice one table pair without re-searching.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PairRecord {
-    /// Raw content fingerprint of the source CSV file.
+    /// Raw content fingerprint of the source CSV file; empty when the
+    /// file could not be fingerprinted, which no raw tier ever matches.
     pub source_fp: String,
-    /// Raw content fingerprint of the target CSV file.
+    /// Raw content fingerprint of the target CSV file (empty likewise).
     pub target_fp: String,
     /// [`header_fingerprint`] of the staged pair's final blocking.
     pub header_fp: String,
@@ -93,6 +105,8 @@ pub struct PairRecord {
     pub groups: Vec<GroupRecord>,
     /// The rendered report at record time.
     pub report: String,
+    /// The summary row at record time.
+    pub outcome: TableOutcome,
     /// Search states polled at record time.
     pub polled: u64,
     /// Search states generated at record time.
@@ -101,32 +115,21 @@ pub struct PairRecord {
     pub millis: u64,
 }
 
-/// The persisted state of an `explain --delta` run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExplainManifest {
-    /// [`DELTA_FORMAT_VERSION`] at write time.
-    pub version: u32,
-    /// [`config_fingerprint`] at write time.
-    pub config_fp: String,
-    /// The single explained pair.
-    pub pair: PairRecord,
-}
-
-/// One table's entry in a [`ProfileManifest`], keyed by file stem.
+/// One table's entry in a [`DeltaManifest`], keyed by file stem.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TableRecord {
     /// Table name (file stem), the pairing key across runs.
     pub stem: String,
-    /// The summary row recorded for this pair.
-    pub outcome: TableOutcome,
     /// The splice state for this pair.
     pub pair: PairRecord,
 }
 
-/// The persisted state of a `profile --delta` run. Tables that failed or
-/// were missing in one snapshot carry no record and always re-derive.
+/// The persisted state of a `--delta` run. A `profile` manifest holds
+/// one entry per explained table (tables that failed or were missing in
+/// one snapshot carry none and always re-derive); an `explain` manifest
+/// holds the single explained pair, keyed by its target's file stem.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProfileManifest {
+pub struct DeltaManifest {
     /// [`DELTA_FORMAT_VERSION`] at write time.
     pub version: u32,
     /// [`config_fingerprint`] at write time.
@@ -192,6 +195,19 @@ impl DeltaStats {
             self.pairs_redone
         )
     }
+
+    /// Count one finished pair of `record.groups.len()` groups.
+    fn count(&mut self, record: &PairRecord, spliced: bool) {
+        let n = record.groups.len() as u64;
+        self.blocks_total += n;
+        if spliced {
+            self.blocks_reused += n;
+            self.pairs_spliced += 1;
+        } else {
+            self.blocks_redone += n;
+            self.pairs_redone += 1;
+        }
+    }
 }
 
 /// The result of an `explain --delta` run.
@@ -251,25 +267,17 @@ pub fn default_profile_state(target_dir: &Path) -> PathBuf {
     target_dir.join(".affidavit-delta.json")
 }
 
-fn file_fp(path: &Path) -> Result<Fingerprint, String> {
-    fingerprint_file(path).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Record the splice state of a finished pair. Blocking is derived on a
-/// scratch overlay so the instance pool is left untouched — the redo
+/// Record the splice state of a finished search. Blocking is derived on
+/// a scratch overlay so the instance pool is left untouched — the redo
 /// path's pool bytes are compared against from-scratch runs by the fuzz
 /// battery.
-#[allow(clippy::too_many_arguments)]
 fn record_pair(
-    raw_src: &Fingerprint,
-    raw_tgt: &Fingerprint,
-    explanation: &Explanation,
-    report: &str,
+    (source_fp, target_fp): (String, String),
+    outcome: &SearchOutcome,
     instance: &ProblemInstance,
-    polled: u64,
-    generated: u64,
     millis: u64,
 ) -> PairRecord {
+    let explanation = &outcome.explanation;
     let mut scratch = ScratchPool::new(instance.pool.reader());
     let blocking = final_blocking(
         &explanation.functions,
@@ -306,8 +314,8 @@ fn record_pair(
             .push(tid.0);
     }
     PairRecord {
-        source_fp: raw_src.to_string(),
-        target_fp: raw_tgt.to_string(),
+        source_fp,
+        target_fp,
         header_fp: header.to_string(),
         functions: explanation
             .functions
@@ -315,9 +323,10 @@ fn record_pair(
             .map(|f| PortableFunction::from_attr(f, &instance.pool))
             .collect(),
         groups,
-        report: report.to_owned(),
-        polled,
-        generated,
+        report: render_report(explanation, instance),
+        outcome: outcome_for(explanation, instance, millis),
+        polled: outcome.stats.polled as u64,
+        generated: outcome.stats.states_generated as u64,
         millis,
     }
 }
@@ -383,12 +392,13 @@ fn check_blocks(pair: &PairRecord, instance: &ProblemInstance) -> BlockCheck {
 }
 
 /// Reassemble the stored explanation against a freshly staged instance,
-/// validate it, re-render the report and require it to match the stored
-/// bytes. On success the stored report *is* the from-scratch answer.
+/// validate it, re-render the report and the summary row, and require
+/// both to match the stored ones. On success the stored record *is* the
+/// from-scratch answer.
 ///
 /// Interns into `instance.pool` (function constants, validation images);
 /// on `Err` the caller must re-stage before redoing.
-fn splice_pair(pair: &PairRecord, instance: &mut ProblemInstance) -> Result<Explanation, String> {
+fn splice_pair(pair: &PairRecord, instance: &mut ProblemInstance) -> Result<(), String> {
     let functions = pair
         .functions
         .iter()
@@ -430,85 +440,156 @@ fn splice_pair(pair: &PairRecord, instance: &mut ProblemInstance) -> Result<Expl
     inserted.sort_unstable();
     let explanation = Explanation::new(functions, deleted, inserted, core);
     explanation.validate(instance)?;
-    let rendered = render_report(&explanation, instance);
-    if rendered != pair.report {
+    if render_report(&explanation, instance) != pair.report {
         return Err("stored report does not match the reassembled explanation".to_owned());
     }
-    Ok(explanation)
+    if outcome_for(&explanation, instance, pair.millis) != pair.outcome {
+        return Err("stored outcome does not match".to_owned());
+    }
+    Ok(())
 }
 
-fn load_explain_manifest(
-    state: &Path,
-    config_fp: &str,
+/// How [`delta_pair`] answered one table pair.
+enum Answer {
+    /// The raw fingerprints matched: the stored record, untouched.
+    Raw,
+    /// Every staged group fingerprint matched and the splice checked
+    /// out: the stored record with refreshed raw fingerprints.
+    Staged,
+    /// A fresh search over the staged instance.
+    Redo {
+        /// The instance the search ran on.
+        instance: Box<ProblemInstance>,
+        /// The search's own wall time.
+        duration: Duration,
+    },
+}
+
+/// The one splice-or-redo routine behind every `--delta` path: answer
+/// one table pair from its `prior` record on the raw tier, else stage it
+/// (through `stage`, which runs once, or twice after a rejected
+/// staged-tier splice) and answer on the staged tier, else search. The
+/// returned record is what the next run's manifest stores for the pair;
+/// `Err` is a staging failure, worded as a from-scratch run words it.
+fn delta_pair(
+    prior: Option<&PairRecord>,
+    source: &Path,
+    target: &Path,
+    opts: &ProfileOptions,
+    stage: &mut dyn FnMut() -> Result<ProblemInstance, String>,
     stats: &mut DeltaStats,
-) -> Option<ExplainManifest> {
-    let text = load_state_text(state, stats)?;
-    match serde_json::from_str::<ExplainManifest>(&text) {
-        Ok(m) if m.version == DELTA_FORMAT_VERSION && m.config_fp == config_fp => Some(m),
-        Ok(_) => {
-            stats.fallbacks += 1;
-            affidavit_obs::diag(
-                "delta.fallback",
-                &format!("{}: version or config mismatch, full redo", state.display()),
-            );
-            None
-        }
-        Err(e) => {
-            stats.fallbacks += 1;
-            affidavit_obs::diag(
-                "delta.fallback",
-                &format!("{}: unparsable manifest ({e}), full redo", state.display()),
-            );
-            None
+) -> Result<(PairRecord, Answer), String> {
+    let name = target.file_stem().unwrap_or_default().to_string_lossy();
+    // An unreadable file skips the raw tier; staging reports it below.
+    let raw_fp = |path: &Path| fingerprint_file(path).ok().map(|fp| fp.to_string());
+    let (raw_src, raw_tgt) = (raw_fp(source), raw_fp(target));
+
+    if let Some(rec) = prior {
+        let raw_clean = {
+            let _s = affidavit_obs::span("delta.diff");
+            raw_src.as_ref() == Some(&rec.source_fp) && raw_tgt.as_ref() == Some(&rec.target_fp)
+        };
+        if raw_clean {
+            let _s = affidavit_obs::span("delta.splice");
+            stats.count(rec, true);
+            return Ok((rec.clone(), Answer::Raw));
         }
     }
-}
+    let raw = (raw_src.unwrap_or_default(), raw_tgt.unwrap_or_default());
 
-fn load_profile_manifest(
-    state: &Path,
-    config_fp: &str,
-    stats: &mut DeltaStats,
-) -> Option<ProfileManifest> {
-    let text = load_state_text(state, stats)?;
-    match serde_json::from_str::<ProfileManifest>(&text) {
-        Ok(m) if m.version == DELTA_FORMAT_VERSION && m.config_fp == config_fp => Some(m),
-        Ok(_) => {
-            stats.fallbacks += 1;
-            affidavit_obs::diag(
-                "delta.fallback",
-                &format!("{}: version or config mismatch, full redo", state.display()),
-            );
-            None
-        }
-        Err(e) => {
-            stats.fallbacks += 1;
-            affidavit_obs::diag(
-                "delta.fallback",
-                &format!("{}: unparsable manifest ({e}), full redo", state.display()),
-            );
-            None
+    let mut instance = stage()?;
+    if let Some(rec) = prior {
+        let check = {
+            let _s = affidavit_obs::span("delta.diff");
+            check_blocks(rec, &instance)
+        };
+        match check {
+            BlockCheck::Clean => {
+                let _s = affidavit_obs::span("delta.splice");
+                match splice_pair(rec, &mut instance) {
+                    Ok(()) => {
+                        stats.count(rec, true);
+                        // Refresh the raw fingerprints so the next run of
+                        // this byte-form takes the raw tier.
+                        let refreshed = PairRecord {
+                            source_fp: raw.0,
+                            target_fp: raw.1,
+                            ..rec.clone()
+                        };
+                        return Ok((refreshed, Answer::Staged));
+                    }
+                    Err(reason) => {
+                        stats.fallbacks += 1;
+                        affidavit_obs::diag(
+                            "delta.fallback",
+                            &format!("{name}: splice rejected ({reason}), full redo"),
+                        );
+                        // The splice attempt interned into the pool.
+                        instance = stage()?;
+                    }
+                }
+            }
+            BlockCheck::Dirty { dirty, total } => {
+                affidavit_obs::diag(
+                    "delta.diff",
+                    &format!("{name}: {dirty}/{total} groups dirty, redo"),
+                );
+            }
+            BlockCheck::Broken(reason) => {
+                stats.fallbacks += 1;
+                affidavit_obs::diag("delta.fallback", &format!("{name}: {reason}, full redo"));
+            }
         }
     }
+
+    let _s = affidavit_obs::span("delta.redo");
+    let started = Instant::now();
+    let outcome = Affidavit::new(opts.config.clone()).explain(&mut instance);
+    let millis = started.elapsed().as_millis() as u64;
+    let record = record_pair(raw, &outcome, &instance, millis);
+    stats.count(&record, false);
+    let answer = Answer::Redo {
+        instance: Box::new(instance),
+        duration: outcome.stats.duration,
+    };
+    Ok((record, answer))
 }
 
-fn load_state_text(state: &Path, stats: &mut DeltaStats) -> Option<String> {
-    match manifest::load_string(state) {
-        Ok(text) => text, // None = first run, not a fallback
-        Err(e) => {
-            stats.fallbacks += 1;
-            affidavit_obs::diag(
-                "delta.fallback",
-                &format!("{}: {e}, full redo", state.display()),
-            );
-            None
-        }
-    }
+/// Load the manifest at `state` if this format version wrote it under
+/// this configuration. A missing file is a first run; any other unusable
+/// state counts a fallback and yields no records.
+fn load_manifest(state: &Path, config_fp: &str, stats: &mut DeltaStats) -> Vec<TableRecord> {
+    let loaded = match manifest::load_string(state) {
+        Ok(None) => return Vec::new(),
+        Ok(Some(text)) => serde_json::from_str::<DeltaManifest>(&text)
+            .map_err(|e| format!("unparsable manifest ({e})"))
+            .and_then(|m| {
+                (m.version == DELTA_FORMAT_VERSION && m.config_fp == config_fp)
+                    .then_some(m.tables)
+                    .ok_or_else(|| "version or config mismatch".to_owned())
+            }),
+        Err(e) => Err(e.to_string()),
+    };
+    loaded.unwrap_or_else(|reason| {
+        stats.fallbacks += 1;
+        affidavit_obs::diag(
+            "delta.fallback",
+            &format!("{}: {reason}, full redo", state.display()),
+        );
+        Vec::new()
+    })
 }
 
-/// A manifest-save failure must not fail the run — delta is an
+/// Save the manifest. A save failure must not fail the run — delta is an
 /// optimization; the report is already correct.
-fn save_state(state: &Path, json: &str) {
-    if let Err(e) = manifest::save_atomic(state, json) {
+fn save_manifest(state: &Path, config_fp: String, tables: Vec<TableRecord>) {
+    let json = serde_json::to_string(&DeltaManifest {
+        version: DELTA_FORMAT_VERSION,
+        config_fp,
+        tables,
+    })
+    .expect("manifests are serializable");
+    if let Err(e) = manifest::save_atomic(state, &json) {
         affidavit_obs::diag(
             "delta.state",
             &format!("{}: could not save manifest: {e}", state.display()),
@@ -532,7 +613,9 @@ pub fn explain_delta(
 /// `explain --delta` with a caller-supplied staging hook — the resident
 /// service stages through its pinned-session LRU instead of a cold
 /// ingest. The hook may run zero times (raw-tier splice), once, or twice
-/// (re-stage after a failed staged-tier splice).
+/// (re-stage after a failed staged-tier splice). The manifest holds the
+/// pair under its target's file stem and is rewritten unless the raw
+/// tier answered.
 pub fn explain_delta_with(
     source: &Path,
     target: &Path,
@@ -541,133 +624,40 @@ pub fn explain_delta_with(
     stage: &mut dyn FnMut() -> Result<ProblemInstance, String>,
 ) -> Result<DeltaReport, String> {
     let config_fp = config_fingerprint(&opts.config, opts.align);
+    let stem = target
+        .file_stem()
+        .unwrap_or_default()
+        .to_string_lossy()
+        .into_owned();
     let mut stats = DeltaStats::default();
-    let prior = load_explain_manifest(state, &config_fp, &mut stats);
-    let raw_src = file_fp(source)?;
-    let raw_tgt = file_fp(target)?;
-
-    if let Some(m) = &prior {
-        let raw_clean = {
-            let _s = affidavit_obs::span("delta.diff");
-            m.pair.source_fp == raw_src.to_string() && m.pair.target_fp == raw_tgt.to_string()
-        };
-        if raw_clean {
-            let _s = affidavit_obs::span("delta.splice");
-            let n = m.pair.groups.len() as u64;
-            stats.blocks_total += n;
-            stats.blocks_reused += n;
-            stats.pairs_spliced += 1;
-            stats.publish();
-            return Ok(DeltaReport {
-                report: m.pair.report.clone(),
-                polled: m.pair.polled,
-                generated: m.pair.generated,
-                duration: Duration::from_millis(m.pair.millis),
-                spliced: true,
-                stats,
-                instance: None,
-            });
-        }
+    let prior = load_manifest(state, &config_fp, &mut stats)
+        .into_iter()
+        .find(|t| t.stem == stem);
+    let (record, answer) = delta_pair(
+        prior.as_ref().map(|t| &t.pair),
+        source,
+        target,
+        opts,
+        stage,
+        &mut stats,
+    )?;
+    if !matches!(answer, Answer::Raw) {
+        let pair = record.clone();
+        save_manifest(state, config_fp, vec![TableRecord { stem, pair }]);
     }
-
-    let mut instance = stage()?;
-    let mut restage = false;
-    if let Some(m) = &prior {
-        let check = {
-            let _s = affidavit_obs::span("delta.diff");
-            check_blocks(&m.pair, &instance)
-        };
-        match check {
-            BlockCheck::Clean => {
-                let _s = affidavit_obs::span("delta.splice");
-                match splice_pair(&m.pair, &mut instance) {
-                    Ok(_) => {
-                        let n = m.pair.groups.len() as u64;
-                        stats.blocks_total += n;
-                        stats.blocks_reused += n;
-                        stats.pairs_spliced += 1;
-                        // Refresh the raw fingerprints so the next run of
-                        // this byte-form takes the raw tier.
-                        let mut refreshed = m.clone();
-                        refreshed.pair.source_fp = raw_src.to_string();
-                        refreshed.pair.target_fp = raw_tgt.to_string();
-                        save_state(
-                            state,
-                            &serde_json::to_string(&refreshed).expect("manifests are serializable"),
-                        );
-                        stats.publish();
-                        return Ok(DeltaReport {
-                            report: m.pair.report.clone(),
-                            polled: m.pair.polled,
-                            generated: m.pair.generated,
-                            duration: Duration::from_millis(m.pair.millis),
-                            spliced: true,
-                            stats,
-                            instance: None,
-                        });
-                    }
-                    Err(reason) => {
-                        stats.fallbacks += 1;
-                        affidavit_obs::diag(
-                            "delta.fallback",
-                            &format!("splice rejected ({reason}), full redo"),
-                        );
-                        restage = true; // the splice attempt interned into the pool
-                    }
-                }
-            }
-            BlockCheck::Dirty { dirty, total } => {
-                affidavit_obs::diag("delta.diff", &format!("{dirty}/{total} groups dirty, redo"));
-            }
-            BlockCheck::Broken(reason) => {
-                stats.fallbacks += 1;
-                affidavit_obs::diag("delta.fallback", &format!("{reason}, full redo"));
-            }
-        }
-    }
-    if restage {
-        instance = stage()?;
-    }
-
-    let _s = affidavit_obs::span("delta.redo");
-    let started = Instant::now();
-    let outcome = Affidavit::new(opts.config.clone()).explain(&mut instance);
-    let millis = started.elapsed().as_millis() as u64;
-    let report = render_report(&outcome.explanation, &instance);
-    let polled = outcome.stats.polled as u64;
-    let generated = outcome.stats.states_generated as u64;
-    let pair = record_pair(
-        &raw_src,
-        &raw_tgt,
-        &outcome.explanation,
-        &report,
-        &instance,
-        polled,
-        generated,
-        millis,
-    );
-    let n = pair.groups.len() as u64;
-    stats.blocks_total += n;
-    stats.blocks_redone += n;
-    stats.pairs_redone += 1;
-    save_state(
-        state,
-        &serde_json::to_string(&ExplainManifest {
-            version: DELTA_FORMAT_VERSION,
-            config_fp,
-            pair,
-        })
-        .expect("manifests are serializable"),
-    );
     stats.publish();
+    let (duration, instance) = match answer {
+        Answer::Redo { instance, duration } => (duration, Some(*instance)),
+        Answer::Raw | Answer::Staged => (Duration::from_millis(record.millis), None),
+    };
     Ok(DeltaReport {
-        report,
-        polled,
-        generated,
-        duration: outcome.stats.duration,
-        spliced: false,
+        report: record.report,
+        polled: record.polled,
+        generated: record.generated,
+        duration,
+        spliced: instance.is_none(),
         stats,
-        instance: Some(instance),
+        instance,
     })
 }
 
@@ -686,41 +676,42 @@ pub fn profile_dirs_delta(
 
     let config_fp = config_fingerprint(&opts.config, opts.align);
     let mut stats = DeltaStats::default();
-    let prior = load_profile_manifest(state, &config_fp, &mut stats);
-    let prior_by_stem: HashMap<&str, &TableRecord> = prior
-        .iter()
-        .flat_map(|m| m.tables.iter())
-        .map(|t| (t.stem.as_str(), t))
-        .collect();
+    let prior = load_manifest(state, &config_fp, &mut stats);
+    let prior_by_stem: HashMap<&str, &PairRecord> =
+        prior.iter().map(|t| (t.stem.as_str(), &t.pair)).collect();
 
     let pairs = paired_csv_stems(source_dir, target_dir)?;
     let results: Vec<(TableProfile, Option<TableRecord>, DeltaStats)> = pairs
         .par_iter()
-        .map(|pair| match (&pair.source, &pair.target) {
-            (Some(src), Some(tgt)) => delta_table(
-                &pair.name,
-                src,
-                tgt,
-                opts,
-                prior_by_stem.get(pair.name.as_str()).copied(),
-            ),
-            (Some(_), None) => (
-                TableProfile {
-                    name: pair.name.clone(),
-                    outcome: TableOutcome::MissingInTarget,
+        .map(|pair| {
+            let mut table_stats = DeltaStats::default();
+            let (outcome, record) = match (&pair.source, &pair.target) {
+                (Some(src), Some(tgt)) => match delta_pair(
+                    prior_by_stem.get(pair.name.as_str()).copied(),
+                    src,
+                    tgt,
+                    opts,
+                    &mut || stage_file_pair(src, tgt, opts),
+                    &mut table_stats,
+                ) {
+                    Ok((record, _)) => (
+                        record.outcome.clone(),
+                        Some(TableRecord {
+                            stem: pair.name.clone(),
+                            pair: record,
+                        }),
+                    ),
+                    Err(reason) => (TableOutcome::Failed { reason }, None),
                 },
-                None,
-                DeltaStats::default(),
-            ),
-            (None, Some(_)) => (
-                TableProfile {
-                    name: pair.name.clone(),
-                    outcome: TableOutcome::MissingInSource,
-                },
-                None,
-                DeltaStats::default(),
-            ),
-            (None, None) => unreachable!("a paired stem exists in at least one snapshot"),
+                (Some(_), None) => (TableOutcome::MissingInTarget, None),
+                (None, Some(_)) => (TableOutcome::MissingInSource, None),
+                (None, None) => unreachable!("a paired stem exists in at least one snapshot"),
+            };
+            let profile = TableProfile {
+                name: pair.name.clone(),
+                outcome,
+            };
+            (profile, record, table_stats)
         })
         .collect();
 
@@ -731,173 +722,9 @@ pub fn profile_dirs_delta(
         tables.push(profile);
         records.extend(record);
     }
-    save_state(
-        state,
-        &serde_json::to_string(&ProfileManifest {
-            version: DELTA_FORMAT_VERSION,
-            config_fp,
-            tables: records,
-        })
-        .expect("manifests are serializable"),
-    );
+    save_manifest(state, config_fp, records);
     stats.publish();
     Ok((SnapshotProfile { tables }, stats))
-}
-
-/// One table pair of a delta profiling run: raw-tier splice, staged-tier
-/// splice, or redo — mirroring [`explain_delta_with`] but folding into a
-/// [`TableOutcome`] row and a fresh [`TableRecord`].
-fn delta_table(
-    stem: &str,
-    src: &Path,
-    tgt: &Path,
-    opts: &ProfileOptions,
-    prior: Option<&TableRecord>,
-) -> (TableProfile, Option<TableRecord>, DeltaStats) {
-    let mut stats = DeltaStats::default();
-    let raw_src = fingerprint_file(src).ok();
-    let raw_tgt = fingerprint_file(tgt).ok();
-
-    if let (Some(rec), Some(rs), Some(rt)) = (prior, &raw_src, &raw_tgt) {
-        let raw_clean = {
-            let _s = affidavit_obs::span("delta.diff");
-            rec.pair.source_fp == rs.to_string() && rec.pair.target_fp == rt.to_string()
-        };
-        if raw_clean {
-            let _s = affidavit_obs::span("delta.splice");
-            let n = rec.pair.groups.len() as u64;
-            stats.blocks_total += n;
-            stats.blocks_reused += n;
-            stats.pairs_spliced += 1;
-            return (
-                TableProfile {
-                    name: stem.to_owned(),
-                    outcome: rec.outcome.clone(),
-                },
-                Some(rec.clone()),
-                stats,
-            );
-        }
-    }
-
-    let failed = |reason: String, stats: DeltaStats| {
-        (
-            TableProfile {
-                name: stem.to_owned(),
-                outcome: TableOutcome::Failed { reason },
-            },
-            None,
-            stats,
-        )
-    };
-    let mut instance = match stage_file_pair(src, tgt, opts) {
-        Ok(instance) => instance,
-        Err(reason) => return failed(reason, stats),
-    };
-
-    let mut restage = false;
-    if let Some(rec) = prior {
-        let check = {
-            let _s = affidavit_obs::span("delta.diff");
-            check_blocks(&rec.pair, &instance)
-        };
-        match check {
-            BlockCheck::Clean => {
-                let _s = affidavit_obs::span("delta.splice");
-                let spliced = splice_pair(&rec.pair, &mut instance).and_then(|explanation| {
-                    // The stored summary row must match the reassembled
-                    // explanation too, not just the report.
-                    let outcome = outcome_for(&explanation, &instance, rec.pair.millis);
-                    let same = serde_json::to_string(&outcome).ok()
-                        == serde_json::to_string(&rec.outcome).ok();
-                    same.then_some(outcome)
-                        .ok_or_else(|| "stored outcome does not match".to_owned())
-                });
-                match spliced {
-                    Ok(outcome) => {
-                        let n = rec.pair.groups.len() as u64;
-                        stats.blocks_total += n;
-                        stats.blocks_reused += n;
-                        stats.pairs_spliced += 1;
-                        let mut refreshed = rec.clone();
-                        if let (Some(rs), Some(rt)) = (&raw_src, &raw_tgt) {
-                            refreshed.pair.source_fp = rs.to_string();
-                            refreshed.pair.target_fp = rt.to_string();
-                        }
-                        return (
-                            TableProfile {
-                                name: stem.to_owned(),
-                                outcome,
-                            },
-                            Some(refreshed),
-                            stats,
-                        );
-                    }
-                    Err(reason) => {
-                        stats.fallbacks += 1;
-                        affidavit_obs::diag(
-                            "delta.fallback",
-                            &format!("{stem}: splice rejected ({reason}), full redo"),
-                        );
-                        restage = true;
-                    }
-                }
-            }
-            BlockCheck::Dirty { dirty, total } => {
-                affidavit_obs::diag(
-                    "delta.diff",
-                    &format!("{stem}: {dirty}/{total} groups dirty, redo"),
-                );
-            }
-            BlockCheck::Broken(reason) => {
-                stats.fallbacks += 1;
-                affidavit_obs::diag("delta.fallback", &format!("{stem}: {reason}, full redo"));
-            }
-        }
-    }
-    if restage {
-        instance = match stage_file_pair(src, tgt, opts) {
-            Ok(instance) => instance,
-            Err(reason) => return failed(reason, stats),
-        };
-    }
-
-    let _s = affidavit_obs::span("delta.redo");
-    let started = Instant::now();
-    let outcome = Affidavit::new(opts.config.clone()).explain(&mut instance);
-    let millis = started.elapsed().as_millis() as u64;
-    let table_outcome = outcome_for(&outcome.explanation, &instance, millis);
-    let record = if let (Some(rs), Some(rt)) = (&raw_src, &raw_tgt) {
-        let report = render_report(&outcome.explanation, &instance);
-        let pair = record_pair(
-            rs,
-            rt,
-            &outcome.explanation,
-            &report,
-            &instance,
-            outcome.stats.polled as u64,
-            outcome.stats.states_generated as u64,
-            millis,
-        );
-        stats.blocks_total += pair.groups.len() as u64;
-        stats.blocks_redone += pair.groups.len() as u64;
-        Some(TableRecord {
-            stem: stem.to_owned(),
-            outcome: table_outcome.clone(),
-            pair,
-        })
-    } else {
-        None
-    };
-    stats.pairs_redone += 1;
-    (
-        TableProfile {
-            name: stem.to_owned(),
-            outcome: table_outcome,
-        },
-        record,
-        stats,
-    )
 }
 
 #[cfg(test)]
@@ -981,6 +808,37 @@ mod tests {
         assert_eq!(report.report, scratch_report(&s, &t, &opts));
         // The redo rewrote a valid manifest; the next run splices again.
         assert!(explain_delta(&s, &t, &opts, &state).unwrap().spliced);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn explain_staged_tier_checks_the_stored_outcome() {
+        let root = std::env::temp_dir().join("affidavit-delta-outcome-test");
+        std::fs::remove_dir_all(&root).ok();
+        let (s, t) = write_pair(&root, "k,v\nk0,1000\nk1,2000\n", "k,v\nk0,1\nk1,2\n");
+        let opts = ProfileOptions::default();
+        let state = root.join("state.json");
+        explain_delta(&s, &t, &opts, &state).unwrap();
+
+        // An explain manifest is the one manifest shape with one entry,
+        // keyed by the target's stem. Tamper with its summary row only.
+        let mut manifest: DeltaManifest =
+            serde_json::from_str(&std::fs::read_to_string(&state).unwrap()).unwrap();
+        assert_eq!(manifest.tables.len(), 1);
+        assert_eq!(manifest.tables[0].stem, "tgt");
+        manifest.tables[0].pair.outcome = TableOutcome::Failed {
+            reason: "tampered".to_owned(),
+        };
+        std::fs::write(&state, serde_json::to_string(&manifest).unwrap()).unwrap();
+
+        // The raw tier still answers from the stored report...
+        assert!(explain_delta(&s, &t, &opts, &state).unwrap().spliced);
+        // ... but the staged tier rejects the splice and redoes.
+        std::fs::write(&t, "k,v\r\nk0,1\r\nk1,2\r\n").unwrap();
+        let crlf = explain_delta(&s, &t, &opts, &state).unwrap();
+        assert!(!crlf.spliced);
+        assert_eq!(crlf.stats.fallbacks, 1);
+        assert_eq!(crlf.report, scratch_report(&s, &t, &opts));
         std::fs::remove_dir_all(&root).ok();
     }
 

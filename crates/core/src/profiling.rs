@@ -11,7 +11,12 @@
 //! unequal arity goes through [`crate::restructure::normalize_arity`]
 //! (merged/split columns), renamed or reordered columns through
 //! [`crate::schema_align::align_schemas`] — both opt-in via
-//! [`ProfileOptions::align`].
+//! [`ProfileOptions::align`], and both reported on stderr as `align`
+//! diagnostics by [`stage_tables`]. Every command that reads a snapshot
+//! pair (`explain`, `diff`, `apply`, `profile`, both `--delta` paths, the
+//! resident service) stages it through [`stage_file_pair`] or
+//! [`stage_snapshot_pair`], so a pair is repaired and reported alike
+//! whichever command read it.
 //!
 //! Re-profiling the same directories after a small edit can skip the
 //! clean pairs entirely: [`crate::delta::profile_dirs_delta`] splices
@@ -28,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::AffidavitConfig;
 use crate::explanation::Explanation;
 use crate::instance::ProblemInstance;
-use crate::restructure::normalize_arity;
+use crate::restructure::{normalize_arity, Restructure};
 use crate::schema_align::align_schemas;
 use crate::search::Affidavit;
 
@@ -39,7 +44,8 @@ pub struct ProfileOptions {
     /// Search configuration used for every table.
     pub config: AffidavitConfig,
     /// Repair schema drift (renamed/reordered/merged/split columns) before
-    /// the search instead of failing the table.
+    /// the search instead of failing the table. Each repair is reported
+    /// as an `align` diagnostic on stderr (see [`stage_tables`]).
     pub align: bool,
     /// Streaming-ingestion options for reading each table pair's CSVs
     /// (chunk size, worker threads).
@@ -50,7 +56,7 @@ pub struct ProfileOptions {
 }
 
 /// The per-table result of a profiling run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(tag = "status", rename_all = "snake_case")]
 pub enum TableOutcome {
     /// The search produced an explanation.
@@ -184,7 +190,12 @@ impl SnapshotProfile {
 /// Stage a table pair for the search: repair schema drift (when
 /// [`ProfileOptions::align`] is set) and bundle the snapshots into a
 /// [`ProblemInstance`]. This is the last step before an instance enters
-/// the search.
+/// the search, shared by every command that reads a pair.
+///
+/// Each repair is reported on stderr as an `align` diagnostic
+/// ([`affidavit_obs::diag()`]): one `detected merge`/`detected split` line
+/// per restructure applied to unequal arities, then the `schema
+/// alignment` line pairing every source column with its target column.
 pub fn stage_tables(
     mut source: Table,
     mut target: Table,
@@ -193,30 +204,58 @@ pub fn stage_tables(
 ) -> Result<ProblemInstance, String> {
     if opts.align {
         if source.schema().arity() != target.schema().arity() {
-            let (s2, t2, _) = normalize_arity(&source, &target, &mut pool).ok_or_else(|| {
-                "column counts differ and no merge/split evidence was found".to_owned()
-            })?;
+            let (s2, t2, applied) =
+                normalize_arity(&source, &target, &mut pool).ok_or_else(|| {
+                    "column counts differ and no merge/split evidence was found".to_owned()
+                })?;
+            for r in &applied {
+                let line = match r {
+                    Restructure::Merge {
+                        target: merged,
+                        left,
+                        right,
+                        sep,
+                        score,
+                    } => format!(
+                        "detected merge: source {:?} ◦ {sep:?} ◦ {:?} → target {:?} (score {score:.2})",
+                        source.schema().name(*left),
+                        source.schema().name(*right),
+                        t2.schema().name(*merged),
+                    ),
+                    Restructure::Split {
+                        source: split,
+                        left,
+                        right,
+                        sep,
+                        score,
+                    } => format!(
+                        "detected split: source {:?} → target {:?} ◦ {sep:?} ◦ {:?} (score {score:.2})",
+                        source.schema().name(*split),
+                        target.schema().name(*left),
+                        target.schema().name(*right),
+                    ),
+                };
+                affidavit_obs::diag("align", &line);
+            }
             source = s2;
             target = t2;
         }
         let alignment = align_schemas(&source, &target, &pool);
+        let pairs: Vec<String> = alignment
+            .pairs()
+            .map(|(i, j)| format!("{} ← {}", source.schema().name(i), target.schema().name(j)))
+            .collect();
+        affidavit_obs::diag(
+            "align",
+            &format!(
+                "schema alignment (min confidence {:.2}): {}",
+                alignment.min_confidence(),
+                pairs.join(", ")
+            ),
+        );
         target = alignment.reorder_target(&target, source.schema());
     }
     ProblemInstance::new(source, target, pool).map_err(|e| e.to_string())
-}
-
-/// Explain one table pair already loaded into a shared pool.
-pub fn profile_tables(
-    source: Table,
-    target: Table,
-    pool: ValuePool,
-    opts: &ProfileOptions,
-) -> Result<(Explanation, ProblemInstance, u64), String> {
-    let mut instance = stage_tables(source, target, pool, opts)?;
-    let started = std::time::Instant::now();
-    let outcome = Affidavit::new(opts.config.clone()).explain(&mut instance);
-    let millis = started.elapsed().as_millis() as u64;
-    Ok((outcome.explanation, instance, millis))
 }
 
 /// Stage an already-ingested snapshot pair — the hot path of a resident

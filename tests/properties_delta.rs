@@ -342,7 +342,9 @@ fn the_manifest_is_portable_across_byte_transparent_knobs() {
 
 /// Directory-level sweep: `profile --delta` renders byte-identically
 /// (timing stripped) to `profile_dirs` across both paper configurations
-/// × two ingest chunkings, redoing exactly the edited table.
+/// × two ingest chunkings — redoing exactly the edited table, splicing a
+/// CRLF-rewritten one on the staged tier, and falling back to a full redo
+/// on a corrupted manifest.
 #[test]
 fn profile_delta_matches_from_scratch_across_the_matrix() {
     let canonical = |mut p: SnapshotProfile| {
@@ -384,6 +386,38 @@ fn profile_delta_matches_from_scratch_across_the_matrix() {
         assert_eq!(stats.pairs_redone, 1);
         assert_eq!(stats.pairs_spliced, 2);
         assert_eq!(stats.fallbacks, 0);
+
+        // A CRLF rewrite of one table: new raw bytes, identical records —
+        // every pair splices (that one on the staged tier).
+        let crlf_path = after.join("table2.csv");
+        let text = std::fs::read_to_string(&crlf_path).unwrap();
+        std::fs::write(&crlf_path, apply_edit(5, seed, &text)).unwrap();
+        let expected = canonical(profile_dirs(&before, &after, &opts).unwrap());
+        let (crlf, stats) = profile_dirs_delta(&before, &after, &opts, &state).unwrap();
+        assert_eq!(canonical(crlf), expected, "CRLF divergence at seed {seed}");
+        assert_eq!(
+            (stats.pairs_spliced, stats.pairs_redone, stats.fallbacks),
+            (3, 0, 0),
+            "a CRLF rewrite must splice at seed {seed}"
+        );
+
+        // A corrupted manifest falls back to a full, correct redo that
+        // rewrites the manifest, so the next run splices every table.
+        std::fs::write(&state, "{not json").unwrap();
+        let (redone, stats) = profile_dirs_delta(&before, &after, &opts, &state).unwrap();
+        assert_eq!(
+            canonical(redone),
+            expected,
+            "fallback divergence at seed {seed}"
+        );
+        assert_eq!(stats.fallbacks, 1);
+        assert_eq!(stats.pairs_redone, 3);
+        let (warm, stats) = profile_dirs_delta(&before, &after, &opts, &state).unwrap();
+        assert_eq!(canonical(warm), expected);
+        assert_eq!(
+            (stats.pairs_spliced, stats.pairs_redone, stats.fallbacks),
+            (3, 0, 0)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
