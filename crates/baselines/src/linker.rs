@@ -8,8 +8,9 @@
 //! transformation learning fixes (§2: linking "purely based on a fuzzy
 //! notion of similarity").
 
+use affidavit_blocking::OverlapIndex;
 use affidavit_core::instance::ProblemInstance;
-use affidavit_table::{FxHashMap, RecordId, Sym};
+use affidavit_table::RecordId;
 
 /// Result of the similarity-only linker.
 #[derive(Debug, Clone, Default)]
@@ -35,44 +36,22 @@ impl LinkerResult {
 }
 
 /// Link records by exact-match attribute overlap. `max_pairs_per_value`
-/// bounds the blocking fan-out exactly like the `Hs` matcher.
+/// bounds the blocking fan-out exactly like the `Hs` matcher: both walk
+/// the same budgeted [`OverlapIndex`].
 pub fn similarity_link(instance: &ProblemInstance, max_pairs_per_value: usize) -> LinkerResult {
-    let arity = instance.arity();
-    let mut scores: FxHashMap<(RecordId, RecordId), u32> = FxHashMap::default();
-    let mut tgt_index: FxHashMap<Sym, Vec<RecordId>> = FxHashMap::default();
-    let mut src_count: FxHashMap<Sym, usize> = FxHashMap::default();
-
-    for a in 0..arity {
-        tgt_index.clear();
-        src_count.clear();
-        for (tid, rec) in instance.target.iter() {
-            tgt_index.entry(rec.get(a)).or_default().push(tid);
-        }
-        for (_, rec) in instance.source.iter() {
-            *src_count.entry(rec.get(a)).or_default() += 1;
-        }
-        for (sid, rec) in instance.source.iter() {
-            let v = rec.get(a);
-            let Some(tids) = tgt_index.get(&v) else {
-                continue;
-            };
-            if src_count[&v] * tids.len() > max_pairs_per_value {
-                continue;
-            }
-            for &tid in tids {
-                *scores.entry((sid, tid)).or_default() += 1;
-            }
-        }
-    }
+    let index = OverlapIndex::build(&instance.source, &instance.target, max_pairs_per_value);
+    let mut ranked: Vec<(RecordId, RecordId, u32)> = Vec::new();
+    index.score_sources(|sid, touched, scores| {
+        ranked.extend(touched.iter().map(|&tid| (sid, tid, scores[tid.index()])));
+    });
 
     // Greedy best-first matching with uniqueness (stable order: score
     // desc, then ids asc for determinism).
-    let mut ranked: Vec<((RecordId, RecordId), u32)> = scores.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
     let mut used_s = vec![false; instance.source.len()];
     let mut used_t = vec![false; instance.target.len()];
     let mut out = LinkerResult::default();
-    for ((sid, tid), _) in ranked {
+    for (sid, tid, _) in ranked {
         if !used_s[sid.index()] && !used_t[tid.index()] {
             used_s[sid.index()] = true;
             used_t[tid.index()] = true;

@@ -43,4 +43,4 @@ pub mod overlap;
 pub use alignment::{greedy_map_from_alignment, sample_random_alignment};
 pub use blocking::{Block, Blocking};
 pub use delta::{final_blocking, group_fingerprints, group_records, header_fingerprint};
-pub use overlap::{overlap_start_attrs, OverlapConfig};
+pub use overlap::{overlap_start_attrs, OverlapConfig, OverlapIndex};

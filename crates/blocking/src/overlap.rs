@@ -9,12 +9,30 @@
 //! the mode of the pair overlap scores) are assigned `id` in the start
 //! state.
 //!
-//! To avoid a quadratic record comparison, scores are only accumulated for
-//! pairs that share at least one value, and a value is skipped entirely when
-//! it would generate more than `max_pairs_per_value` pairs — precisely the
-//! behaviour that makes `Hs` collapse on low-distinctness tables like
-//! *chess* or *nursery* in Table 2 (every informative value is too frequent,
-//! leaving only the misleading artificial primary key).
+//! A value is skipped entirely when it would pair more than
+//! `max_pairs_per_value` records (source count × target count) — precisely
+//! the behaviour that makes `Hs` collapse on low-distinctness tables like
+//! *chess* or *nursery* in Table 2 (every informative value is too
+//! frequent, leaving only the misleading artificial primary key).
+//!
+//! **The kernel: one budgeted value index, one dense pass.**
+//! [`OverlapIndex::build`] counting-sorts each attribute's target records
+//! by value, so every distinct target value owns one contiguous run of
+//! ascending target ids, and gives each source cell the run of its value,
+//! or an empty run when the value has no target record or is over the
+//! budget. It hashes each cell once, never a pair.
+//! [`OverlapIndex::score_sources`] then walks the source records in id
+//! order: each adds 1 per target id of its runs into one dense `u32` score
+//! array of length |T|, noting the slots it touches, hands those to the
+//! caller, and zeroes only them. Scoring therefore costs O(accepted pairs)
+//! array increments with no hash per pair, in O(cells + |T|) memory: one
+//! target id per target cell, one run per source cell and the score array.
+//! The similarity-linker baseline walks the same index, so the budget rule
+//! lives here only.
+//!
+//! Only order-independent counts (the `k'` mode and the per-attribute
+//! agreement) are taken over the pairs, so the chosen attributes do not
+//! depend on the order the pairs are formed in.
 
 use affidavit_table::{AttrId, FxHashMap, RecordId, Sym, Table};
 
@@ -34,6 +52,132 @@ impl Default for OverlapConfig {
     }
 }
 
+/// The budgeted value index of a table pair: for every source cell, the
+/// target records that carry the same value on the same attribute, or none
+/// when that value would pair more than the budget.
+#[derive(Debug, Clone)]
+pub struct OverlapIndex {
+    arity: usize,
+    target_len: usize,
+    /// Target record ids grouped by attribute, then by value: attribute
+    /// `a` owns `tgt_ids[a * target_len..(a + 1) * target_len]`, and each
+    /// of its distinct values one contiguous, ascending run in there.
+    tgt_ids: Vec<RecordId>,
+    /// Per source cell, row-major (`sid * arity + a`): the `[start, end)`
+    /// run of its value within attribute `a`'s segment of `tgt_ids`;
+    /// empty when the value is absent from the target or over budget.
+    runs: Vec<(u32, u32)>,
+}
+
+impl OverlapIndex {
+    /// Index `source` against `target` attribute by attribute (both tables
+    /// have the source's arity), keeping a value only when its
+    /// `source count × target count` is at most `max_pairs_per_value`.
+    pub fn build(source: &Table, target: &Table, max_pairs_per_value: usize) -> OverlapIndex {
+        const ABSENT: u32 = u32::MAX;
+        let arity = source.schema().arity();
+        let (source_len, target_len) = (source.len(), target.len());
+        let mut tgt_ids = vec![RecordId(0); arity * target_len];
+        let mut runs = vec![(0u32, 0u32); arity * source_len];
+        // Per attribute: value → dense group id, the group of every target
+        // and source record, and per group its target count, source count
+        // and scatter cursor.
+        let mut group_of: FxHashMap<Sym, u32> = FxHashMap::default();
+        let mut tgt_group: Vec<u32> = Vec::with_capacity(target_len);
+        let mut src_group: Vec<u32> = Vec::with_capacity(source_len);
+        let mut tgt_count: Vec<u32> = Vec::new();
+        let mut src_count: Vec<u32> = Vec::new();
+        let mut cursor: Vec<u32> = Vec::new();
+        for a in 0..arity {
+            let attr = AttrId(a as u32);
+            group_of.clear();
+            tgt_group.clear();
+            tgt_count.clear();
+            for &v in target.column(attr) {
+                let fresh = tgt_count.len() as u32;
+                let g = *group_of.entry(v).or_insert(fresh);
+                if g == fresh {
+                    tgt_count.push(0);
+                }
+                tgt_count[g as usize] += 1;
+                tgt_group.push(g);
+            }
+            // Counting sort: group g's run starts where the groups before
+            // it end; scattering in target order keeps each run ascending.
+            cursor.clear();
+            let mut end = 0u32;
+            for &n in &tgt_count {
+                cursor.push(end);
+                end += n;
+            }
+            let segment = &mut tgt_ids[a * target_len..(a + 1) * target_len];
+            for (t, &g) in tgt_group.iter().enumerate() {
+                segment[cursor[g as usize] as usize] = RecordId(t as u32);
+                cursor[g as usize] += 1;
+            }
+            // `cursor[g]` is now the end of group g's run.
+            src_count.clear();
+            src_count.resize(tgt_count.len(), 0);
+            src_group.clear();
+            for v in source.column(attr) {
+                let g = group_of.get(v).copied().unwrap_or(ABSENT);
+                if g != ABSENT {
+                    src_count[g as usize] += 1;
+                }
+                src_group.push(g);
+            }
+            for (i, &g) in src_group.iter().enumerate() {
+                if g == ABSENT {
+                    continue;
+                }
+                let (n_src, n_tgt) = (src_count[g as usize], tgt_count[g as usize]);
+                if n_src as usize * n_tgt as usize > max_pairs_per_value {
+                    continue; // too frequent to be informative
+                }
+                let end = cursor[g as usize];
+                runs[i * arity + a] = (end - n_tgt, end);
+            }
+        }
+        OverlapIndex {
+            arity,
+            target_len,
+            tgt_ids,
+            runs,
+        }
+    }
+
+    /// Score every source record against the target records it shares
+    /// kept values with, in source id order. `visit(sid, touched, scores)`
+    /// gets the targets with a nonzero score in first-touch order and the
+    /// dense score array indexed by target id (one point per shared
+    /// attribute). A source record that shares no kept value is skipped.
+    pub fn score_sources(&self, mut visit: impl FnMut(RecordId, &[RecordId], &[u32])) {
+        if self.arity == 0 {
+            return;
+        }
+        let mut scores = vec![0u32; self.target_len];
+        let mut touched: Vec<RecordId> = Vec::new();
+        for (i, row) in self.runs.chunks_exact(self.arity).enumerate() {
+            for (a, &(start, end)) in row.iter().enumerate() {
+                let base = a * self.target_len;
+                for &tid in &self.tgt_ids[base + start as usize..base + end as usize] {
+                    let slot = &mut scores[tid.index()];
+                    if *slot == 0 {
+                        touched.push(tid);
+                    }
+                    *slot += 1;
+                }
+            }
+            if !touched.is_empty() {
+                visit(RecordId(i as u32), &touched, &scores);
+                for tid in touched.drain(..) {
+                    scores[tid.index()] = 0;
+                }
+            }
+        }
+    }
+}
+
 /// Compute the attribute set `A_id` for the `Hs` start state. The returned
 /// attributes should be assigned `id`; an empty result means no informative
 /// overlap was found (the caller falls back to `H^∅` semantics).
@@ -44,71 +188,35 @@ pub fn overlap_start_attrs(source: &Table, target: &Table, cfg: OverlapConfig) -
         return Vec::new();
     }
 
-    // Per attribute: value -> target records carrying it.
-    // Score accumulation: (source record -> (target record -> score)).
-    let mut scores: FxHashMap<RecordId, FxHashMap<RecordId, u32>> = FxHashMap::default();
-    let mut tgt_index: FxHashMap<Sym, Vec<RecordId>> = FxHashMap::default();
-    let mut src_count: FxHashMap<Sym, usize> = FxHashMap::default();
-
-    for a in 0..arity {
-        let attr = AttrId(a as u32);
-        tgt_index.clear();
-        src_count.clear();
-        // One contiguous column slice per table and attribute; record ids
-        // are the slice positions, so iteration order (and with it every
-        // downstream tie-break) is unchanged.
-        let src_col = source.column(attr);
-        let tgt_col = target.column(attr);
-        for (t, &v) in tgt_col.iter().enumerate() {
-            tgt_index.entry(v).or_default().push(RecordId(t as u32));
-        }
-        for &v in src_col {
-            *src_count.entry(v).or_default() += 1;
-        }
-        for (i, &v) in src_col.iter().enumerate() {
-            let sid = RecordId(i as u32);
-            let Some(tids) = tgt_index.get(&v) else {
-                continue;
-            };
-            let n_pairs = src_count.get(&v).copied().unwrap_or(0) * tids.len();
-            if n_pairs > cfg.max_pairs_per_value {
-                continue; // too frequent to be informative
-            }
-            let entry = scores.entry(sid).or_default();
-            for &tid in tids {
-                *entry.entry(tid).or_default() += 1;
+    // Best target per source record (highest score, ties towards the
+    // smaller record id for determinism), forming the a-priori alignment.
+    // A score counts shared attributes, so it is at most `arity`.
+    let index = OverlapIndex::build(source, target, cfg.max_pairs_per_value);
+    let mut pairs: Vec<(RecordId, RecordId)> = Vec::new();
+    let mut score_freq = vec![0usize; arity + 1];
+    index.score_sources(|sid, touched, scores| {
+        let mut best = touched[0];
+        for &tid in &touched[1..] {
+            let (score, top) = (scores[tid.index()], scores[best.index()]);
+            if score > top || (score == top && tid < best) {
+                best = tid;
             }
         }
-    }
-
-    // Best target per source record (ties towards the smaller record id for
-    // determinism), forming the a-priori alignment.
-    let mut pairs: Vec<(RecordId, RecordId, u32)> = Vec::with_capacity(scores.len());
-    for (sid, tmap) in &scores {
-        let best = tmap
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-            .map(|(tid, score)| (*tid, *score))
-            .expect("score map entries are non-empty");
-        pairs.push((*sid, best.0, best.1));
-    }
+        score_freq[scores[best.index()] as usize] += 1;
+        pairs.push((sid, best));
+    });
     if pairs.is_empty() {
         return Vec::new();
     }
 
-    // k' = the most frequent overlap score among the chosen pairs.
-    let mut score_freq: FxHashMap<u32, usize> = FxHashMap::default();
-    for &(_, _, score) in &pairs {
-        *score_freq.entry(score).or_default() += 1;
-    }
+    // k' = the most frequent overlap score among the chosen pairs (ties
+    // towards the higher score); every pair scores at least 1.
     let k_prime = score_freq
         .iter()
-        .max_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(b.0)))
-        .map(|(score, _)| *score as usize)
+        .enumerate()
+        .max_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(&b.0)))
+        .map(|(score, _)| score)
         .unwrap_or(0);
-    if k_prime == 0 {
-        return Vec::new();
-    }
 
     // Rank attributes by how often their values agree on the pairs.
     let mut agree = vec![0usize; arity];
@@ -117,7 +225,7 @@ pub fn overlap_start_attrs(source: &Table, target: &Table, cfg: OverlapConfig) -
         let attr = AttrId(a as u32);
         let src_col = source.column(attr);
         let tgt_col = target.column(attr);
-        for &(sid, tid, _) in &pairs {
+        for &(sid, tid) in &pairs {
             if src_col[sid.index()] == tgt_col[tid.index()] {
                 agree[a] += 1;
             }

@@ -61,8 +61,8 @@ use crate::explanation::Explanation;
 use crate::instance::ProblemInstance;
 use crate::portable::PortableFunction;
 use crate::profiling::{
-    outcome_for, paired_csv_stems, stage_file_pair, ProfileOptions, SnapshotProfile, TableOutcome,
-    TableProfile,
+    outcome_for, paired_csv_stems, stage_file_pair, table_stem, ProfileOptions, SnapshotProfile,
+    TableOutcome, TableProfile,
 };
 use crate::report::render_report;
 use crate::search::{Affidavit, SearchOutcome};
@@ -479,7 +479,7 @@ fn delta_pair(
     stage: &mut dyn FnMut() -> Result<ProblemInstance, String>,
     stats: &mut DeltaStats,
 ) -> Result<(PairRecord, Answer), String> {
-    let name = target.file_stem().unwrap_or_default().to_string_lossy();
+    let name = table_stem(target);
     // An unreadable file skips the raw tier; staging reports it below.
     let raw_fp = |path: &Path| fingerprint_file(path).ok().map(|fp| fp.to_string());
     let (raw_src, raw_tgt) = (raw_fp(source), raw_fp(target));
@@ -624,11 +624,7 @@ pub fn explain_delta_with(
     stage: &mut dyn FnMut() -> Result<ProblemInstance, String>,
 ) -> Result<DeltaReport, String> {
     let config_fp = config_fingerprint(&opts.config, opts.align);
-    let stem = target
-        .file_stem()
-        .unwrap_or_default()
-        .to_string_lossy()
-        .into_owned();
+    let stem = table_stem(target);
     let mut stats = DeltaStats::default();
     let prior = load_manifest(state, &config_fp, &mut stats)
         .into_iter()

@@ -14,9 +14,9 @@
 //! [`ProfileOptions::align`], and both reported on stderr as `align`
 //! diagnostics by [`stage_tables`]. Every command that reads a snapshot
 //! pair (`explain`, `diff`, `apply`, `profile`, both `--delta` paths, the
-//! resident service) stages it through [`stage_file_pair`] or
-//! [`stage_snapshot_pair`], so a pair is repaired and reported alike
-//! whichever command read it.
+//! resident service) stages it through [`stage_tables`], directly or via
+//! [`stage_file_pair`], under its [`table_stem`], so a pair is repaired
+//! and reported alike whichever command read it.
 //!
 //! Re-profiling the same directories after a small edit can skip the
 //! clean pairs entirely: [`crate::delta::profile_dirs_delta`] splices
@@ -187,99 +187,134 @@ impl SnapshotProfile {
     }
 }
 
-/// Stage a table pair for the search: repair schema drift (when
+/// The name a table pair goes by: its target file's stem. It is the
+/// pair's row in a profile (both files share the stem there), its key in
+/// an `explain --delta` manifest and the table its `align` diagnostics
+/// name.
+pub fn table_stem(path: &Path) -> String {
+    path.file_stem()
+        .unwrap_or_default()
+        .to_string_lossy()
+        .into_owned()
+}
+
+/// Stage the table pair `name` for the search: repair schema drift (when
 /// [`ProfileOptions::align`] is set) and bundle the snapshots into a
 /// [`ProblemInstance`]. This is the last step before an instance enters
 /// the search, shared by every command that reads a pair.
 ///
 /// Each repair is reported on stderr as an `align` diagnostic
-/// ([`affidavit_obs::diag()`]): one `detected merge`/`detected split` line
-/// per restructure applied to unequal arities, then the `schema
-/// alignment` line pairing every source column with its target column.
+/// ([`affidavit_obs::diag()`]) that starts with the table name, so the
+/// lines of pairs staged concurrently (`profile --align`) can be told
+/// apart: one `detected merge`/`detected split` line per restructure
+/// applied to unequal arities, then the `schema alignment` line pairing
+/// every source column with its target column.
 pub fn stage_tables(
-    mut source: Table,
-    mut target: Table,
+    name: &str,
+    source: Table,
+    target: Table,
     mut pool: ValuePool,
     opts: &ProfileOptions,
 ) -> Result<ProblemInstance, String> {
-    if opts.align {
-        if source.schema().arity() != target.schema().arity() {
-            let (s2, t2, applied) =
-                normalize_arity(&source, &target, &mut pool).ok_or_else(|| {
-                    "column counts differ and no merge/split evidence was found".to_owned()
-                })?;
-            for r in &applied {
-                let line = match r {
-                    Restructure::Merge {
-                        target: merged,
-                        left,
-                        right,
-                        sep,
-                        score,
-                    } => format!(
-                        "detected merge: source {:?} ◦ {sep:?} ◦ {:?} → target {:?} (score {score:.2})",
-                        source.schema().name(*left),
-                        source.schema().name(*right),
-                        t2.schema().name(*merged),
-                    ),
-                    Restructure::Split {
-                        source: split,
-                        left,
-                        right,
-                        sep,
-                        score,
-                    } => format!(
-                        "detected split: source {:?} → target {:?} ◦ {sep:?} ◦ {:?} (score {score:.2})",
-                        source.schema().name(*split),
-                        target.schema().name(*left),
-                        target.schema().name(*right),
-                    ),
-                };
-                affidavit_obs::diag("align", &line);
-            }
-            source = s2;
-            target = t2;
+    let (source, target) = if opts.align {
+        let (source, target, lines) = repair_schema(name, source, target, &mut pool)?;
+        for line in &lines {
+            affidavit_obs::diag("align", line);
         }
-        let alignment = align_schemas(&source, &target, &pool);
-        let pairs: Vec<String> = alignment
-            .pairs()
-            .map(|(i, j)| format!("{} ← {}", source.schema().name(i), target.schema().name(j)))
-            .collect();
-        affidavit_obs::diag(
-            "align",
-            &format!(
-                "schema alignment (min confidence {:.2}): {}",
-                alignment.min_confidence(),
-                pairs.join(", ")
-            ),
-        );
-        target = alignment.reorder_target(&target, source.schema());
-    }
+        (source, target)
+    } else {
+        (source, target)
+    };
     ProblemInstance::new(source, target, pool).map_err(|e| e.to_string())
 }
 
-/// Stage an already-ingested snapshot pair — the hot path of a resident
-/// service, where the pair is a clone of a pinned session rather than a
-/// fresh ingestion. Staging from a pinned clone produces exactly the
-/// instance a cold [`stage_file_pair`] would, so warm results stay
-/// byte-identical to the one-shot CLI.
+/// Repair the schema drift of table pair `name`: merged or split columns
+/// when the arities differ, then renamed or reordered columns. Returns the
+/// repaired tables and one diagnostic line per repair, each led by `name`.
+fn repair_schema(
+    name: &str,
+    mut source: Table,
+    mut target: Table,
+    pool: &mut ValuePool,
+) -> Result<(Table, Table, Vec<String>), String> {
+    let mut lines = Vec::new();
+    if source.schema().arity() != target.schema().arity() {
+        let (s2, t2, applied) = normalize_arity(&source, &target, pool).ok_or_else(|| {
+            "column counts differ and no merge/split evidence was found".to_owned()
+        })?;
+        for r in &applied {
+            lines.push(match r {
+                Restructure::Merge {
+                    target: merged,
+                    left,
+                    right,
+                    sep,
+                    score,
+                } => format!(
+                    "{name}: detected merge: source {:?} ◦ {sep:?} ◦ {:?} → target {:?} (score {score:.2})",
+                    source.schema().name(*left),
+                    source.schema().name(*right),
+                    t2.schema().name(*merged),
+                ),
+                Restructure::Split {
+                    source: split,
+                    left,
+                    right,
+                    sep,
+                    score,
+                } => format!(
+                    "{name}: detected split: source {:?} → target {:?} ◦ {sep:?} ◦ {:?} (score {score:.2})",
+                    source.schema().name(*split),
+                    target.schema().name(*left),
+                    target.schema().name(*right),
+                ),
+            });
+        }
+        source = s2;
+        target = t2;
+    }
+    let alignment = align_schemas(&source, &target, pool);
+    let pairs: Vec<String> = alignment
+        .pairs()
+        .map(|(i, j)| format!("{} ← {}", source.schema().name(i), target.schema().name(j)))
+        .collect();
+    lines.push(format!(
+        "{name}: schema alignment (min confidence {:.2}): {}",
+        alignment.min_confidence(),
+        pairs.join(", ")
+    ));
+    let target = alignment.reorder_target(&target, source.schema());
+    Ok((source, target, lines))
+}
+
+/// Stage an already-ingested snapshot pair that comes with no file name;
+/// its `align` lines name the table `snapshot`. Kept for the benchmark
+/// harness, which names it; the resident service stages its pinned
+/// clones through [`stage_tables`] under the request's [`table_stem`].
 pub fn stage_snapshot_pair(
     pair: SnapshotPair,
     opts: &ProfileOptions,
 ) -> Result<ProblemInstance, String> {
-    stage_tables(pair.source, pair.target, pair.pool, opts)
+    stage_tables("snapshot", pair.source, pair.target, pair.pool, opts)
 }
 
 /// Ingest and stage one table pair from its CSV files — everything the
 /// local profiler does before the search, shared with the incremental
-/// profiler so failure messages are identical in both modes.
+/// profiler so failure messages are identical in both modes. The pair is
+/// named by its target file ([`table_stem`]).
 pub fn stage_file_pair(
     src_path: &Path,
     tgt_path: &Path,
     opts: &ProfileOptions,
 ) -> Result<ProblemInstance, String> {
     let pair = ingest_pair(src_path, tgt_path, &opts.ingest, &PoolConfig)?;
-    stage_snapshot_pair(pair, opts)
+    stage_tables(
+        &table_stem(tgt_path),
+        pair.source,
+        pair.target,
+        pair.pool,
+        opts,
+    )
 }
 
 /// Fold a finished search into the per-table summary row. Shared by the
@@ -533,6 +568,66 @@ mod tests {
             aligned.tables[0].outcome
         );
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Two drifted tables, repaired as `profile --align` repairs each
+    /// pair: every diagnostic line starts with its own table's name, so
+    /// lines of pairs staged concurrently can be told apart.
+    #[test]
+    fn align_lines_name_their_table() {
+        use affidavit_table::Schema;
+
+        // people: first/last merged into one target column.
+        let mut people_pool = ValuePool::new();
+        let (mut people_s, mut people_t) = (Vec::new(), Vec::new());
+        for i in 0..20 {
+            let f = format!("{}{i}", ["ada", "max", "eva", "kim"][i % 4]);
+            let l = ["doe", "ray", "lin", "fox"][(i * 3) % 4];
+            people_s.push(vec![f.clone(), l.to_owned(), format!("o{}", i % 3)]);
+            people_t.push(vec![format!("{f} {l}"), format!("o{}", i % 3)]);
+        }
+        let people = (
+            Table::from_rows(
+                Schema::new(["first", "last", "org"]),
+                &mut people_pool,
+                people_s,
+            ),
+            Table::from_rows(Schema::new(["name", "org"]), &mut people_pool, people_t),
+        );
+        // orders: columns renamed and reordered.
+        let mut orders_pool = ValuePool::new();
+        let (mut orders_s, mut orders_t) = (Vec::new(), Vec::new());
+        for i in 0..20 {
+            let city = ["rome", "oslo", "lima"][i % 3].to_owned();
+            orders_s.push(vec![format!("id{i}"), format!("{}", i * 7), city.clone()]);
+            orders_t.push(vec![city, format!("id{i}"), format!("{}", i * 7)]);
+        }
+        let orders = (
+            Table::from_rows(
+                Schema::new(["id", "amount", "city"]),
+                &mut orders_pool,
+                orders_s,
+            ),
+            Table::from_rows(
+                Schema::new(["town", "order", "amt"]),
+                &mut orders_pool,
+                orders_t,
+            ),
+        );
+
+        let (_, _, people_lines) =
+            repair_schema("people", people.0, people.1, &mut people_pool).unwrap();
+        let (_, _, orders_lines) =
+            repair_schema("orders", orders.0, orders.1, &mut orders_pool).unwrap();
+        assert_eq!(people_lines.len(), 2, "{people_lines:?}");
+        assert!(people_lines[0].starts_with("people: detected merge: "));
+        assert!(people_lines[1].starts_with("people: schema alignment "));
+        assert_eq!(orders_lines.len(), 1, "{orders_lines:?}");
+        assert!(orders_lines[0].starts_with("orders: schema alignment "));
+        assert!(
+            orders_lines[0].contains("id ← order") && orders_lines[0].contains("city ← town"),
+            "{orders_lines:?}"
+        );
     }
 
     #[test]

@@ -6,10 +6,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use affidavit_core::profiling::{stage_snapshot_pair, ProfileOptions};
+use affidavit_core::instance::ProblemInstance;
+use affidavit_core::profiling::{stage_tables, table_stem, ProfileOptions};
 use affidavit_core::report::render_report;
 use affidavit_core::{Affidavit, DeadlineExceeded};
-use affidavit_store::{ingest_pair, IngestOptions, PoolConfig, SessionKey, SessionLru};
+use affidavit_store::{
+    ingest_pair, IngestOptions, PoolConfig, SessionKey, SessionLru, SnapshotPair,
+};
 
 use crate::frame::{
     configure_stream, read_frame, spawn_accept_loop, write_frame, ConnRegistry, FrameConfig,
@@ -311,10 +314,7 @@ fn explain(spec: &ExplainSpec, shared: &ServeShared) -> Result<ReportReply, Stri
         .request_deadline
         .map(|budget| Instant::now() + budget);
     let (pair, warm, opts) = staged_pair(spec, shared)?;
-    let mut instance = {
-        let _span = affidavit_obs::span("serve.stage");
-        stage_snapshot_pair(pair, &opts)?
-    };
+    let mut instance = stage(spec, pair, &opts)?;
     let started = Instant::now();
     let outcome = {
         let _span = affidavit_obs::span("serve.search");
@@ -366,8 +366,7 @@ fn explain_delta_served(spec: &ExplainSpec, shared: &ServeShared) -> Result<Repo
         &mut || {
             let (pair, warm, sopts) = staged_pair(spec, shared)?;
             warm_session.set(warm);
-            let _span = affidavit_obs::span("serve.stage");
-            stage_snapshot_pair(pair, &sopts)
+            stage(spec, pair, &sopts)
         },
     )?;
     affidavit_obs::diag("delta", &outcome.stats.summary());
@@ -389,15 +388,20 @@ fn pin(spec: &ExplainSpec, shared: &ServeShared) -> Result<bool, String> {
 
 /// The session hot path shared by `Explain` and `Pin`: key the pair by
 /// file content and pin-or-reuse it. `warm` is true when the request
-/// performed zero ingestion work.
+/// performed zero ingestion work. A pair that cannot be keyed (a missing,
+/// unreadable or special file) skips the cache and goes straight to
+/// ingestion, so the request fails with the one-shot `explain` message.
 fn staged_pair(
     spec: &ExplainSpec,
     shared: &ServeShared,
-) -> Result<(affidavit_store::SnapshotPair, bool, ProfileOptions), String> {
+) -> Result<(SnapshotPair, bool, ProfileOptions), String> {
     let opts = profile_options(spec);
     let src = Path::new(&spec.source);
     let tgt = Path::new(&spec.target);
-    let key = SessionKey::for_files(src, tgt)?;
+    let Ok(key) = SessionKey::for_files(src, tgt) else {
+        let pair = ingest_pair(src, tgt, &opts.ingest, &PoolConfig)?;
+        return Ok((pair, false, opts));
+    };
     let (pair, warm) = {
         let mut sessions = shared
             .sessions
@@ -410,6 +414,18 @@ fn staged_pair(
     };
     affidavit_obs::point("serve.session", vec![("warm".to_owned(), warm.to_string())]);
     Ok((pair, warm, opts))
+}
+
+/// Stage a pinned pair for the search under the request's table name
+/// (its target file's stem), as the one-shot `explain` names it.
+fn stage(
+    spec: &ExplainSpec,
+    pair: SnapshotPair,
+    opts: &ProfileOptions,
+) -> Result<ProblemInstance, String> {
+    let _span = affidavit_obs::span("serve.stage");
+    let name = table_stem(Path::new(&spec.target));
+    stage_tables(&name, pair.source, pair.target, pair.pool, opts)
 }
 
 /// Translate a wire spec into the staging options the profiling layer

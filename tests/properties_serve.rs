@@ -413,6 +413,50 @@ fn a_special_file_snapshot_is_an_error_and_the_daemon_stays_up() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A request for a pair with a missing file fails with the one-shot
+/// message, word for word (`<path>: I/O error: …`), on the plain, `--delta`
+/// and pin paths alike, and pins nothing.
+#[test]
+fn an_unreadable_pair_is_worded_as_the_one_shot_path_words_it() {
+    let dir = std::env::temp_dir().join("affidavit-serve-missing-file");
+    std::fs::remove_dir_all(&dir).ok();
+    let (src, tgt) = write_pair(&dir);
+    let missing = dir.join("missing.csv");
+    let mut daemon = serve(&ServeOptions::default()).unwrap();
+    let client = ServeClient::new(daemon.local_addr().to_string());
+
+    for (s, t) in [(&missing, &tgt), (&src, &missing)] {
+        let spec = spec_for(s, t, "overlap", 1);
+        let one_shot =
+            stage_file_pair(s, t, &ProfileOptions::default()).expect_err("the pair is unreadable");
+        assert!(
+            one_shot.starts_with(&format!("{}: I/O error: ", missing.display())),
+            "{one_shot}"
+        );
+        let delta_spec = ExplainSpec {
+            delta: true,
+            delta_state: Some(dir.join("state").to_str().unwrap().to_owned()),
+            ..spec.clone()
+        };
+        for served in [
+            client.explain(&spec).map(|_| ()),
+            client.explain(&delta_spec).map(|_| ()),
+            client.pin(&spec).map(|_| ()),
+        ] {
+            match served.expect_err("the pair is unreadable") {
+                affidavit_serve::ClientError::Rejected(message) => assert_eq!(message, one_shot),
+                other => panic!("expected a rejection, got {other:?}"),
+            }
+        }
+    }
+    let stats = daemon.stats();
+    assert_eq!((stats.ingests, stats.sessions), (0, 0));
+
+    client.shutdown().unwrap();
+    daemon.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn mutated_client_frames_fail_closed() {
     use std::time::Duration;
