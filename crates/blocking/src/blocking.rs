@@ -8,11 +8,10 @@
 //! it, and dropping a discarded child, costs a constant number of
 //! allocations rather than two per block.
 
-use std::sync::Arc;
-
 use affidavit_functions::{ApplyScratch, AttrFunction};
 use affidavit_table::{
-    AttrId, FxHashMap, FxHashSet, Interner, RecordId, ScratchPool, Sym, Table, ValuePool,
+    AttrId, FxHashMap, FxHashSet, Interner, NewStrings, RecordId, ScratchPool, Sym, Table,
+    ValuePool,
 };
 use rayon::prelude::*;
 
@@ -458,8 +457,7 @@ impl Blocking {
         let _span = affidavit_obs::span("blocking.refine");
         struct ChunkSplit {
             blocking: Blocking,
-            base_len: usize,
-            new_strings: Vec<Arc<str>>,
+            new_strings: NewStrings,
         }
         // One contiguous chunk of blocks per worker (not one block per work
         // item): each chunk shares a single scratch overlay, apply memo and
@@ -494,7 +492,6 @@ impl Blocking {
                     }
                     ChunkSplit {
                         blocking,
-                        base_len: ws.base_len(),
                         new_strings: ws.take_new_strings(),
                     }
                 })
@@ -505,7 +502,7 @@ impl Blocking {
             // Replay the pool side effect in block order: the serial path
             // interns every transformed source value as it groups, and
             // later symbol assignment must not depend on which path ran.
-            let _ = pool.absorb(split.base_len, &split.new_strings);
+            let _ = pool.absorb(&split.new_strings);
             out.append(split.blocking);
         }
         out

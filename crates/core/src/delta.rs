@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use affidavit_blocking::delta::{
     final_blocking, group_fingerprints, group_records, header_fingerprint,
 };
-use affidavit_store::{fingerprint_file, manifest};
+use affidavit_store::{fingerprint_file, manifest, SessionKey};
 use affidavit_table::{RecordId, ScratchPool};
 use serde::{Deserialize, Serialize};
 
@@ -465,10 +465,15 @@ enum Answer {
     },
 }
 
+/// A staging hook: stages the pair, given its content fingerprints as a
+/// [`SessionKey`] (`None` when a file could not be fingerprinted).
+pub type StageHook<'a> = dyn FnMut(Option<SessionKey>) -> Result<ProblemInstance, String> + 'a;
+
 /// The one splice-or-redo routine behind every `--delta` path: answer
 /// one table pair from its `prior` record on the raw tier, else stage it
 /// (through `stage`, which runs once, or twice after a rejected
-/// staged-tier splice) and answer on the staged tier, else search. The
+/// staged-tier splice) and answer on the staged tier, else search. Each
+/// file is fingerprinted once; `stage` receives those fingerprints. The
 /// returned record is what the next run's manifest stores for the pair;
 /// `Err` is a staging failure, worded as a from-scratch run words it.
 fn delta_pair(
@@ -476,13 +481,17 @@ fn delta_pair(
     source: &Path,
     target: &Path,
     opts: &ProfileOptions,
-    stage: &mut dyn FnMut() -> Result<ProblemInstance, String>,
+    stage: &mut StageHook<'_>,
     stats: &mut DeltaStats,
 ) -> Result<(PairRecord, Answer), String> {
     let name = table_stem(target);
     // An unreadable file skips the raw tier; staging reports it below.
-    let raw_fp = |path: &Path| fingerprint_file(path).ok().map(|fp| fp.to_string());
-    let (raw_src, raw_tgt) = (raw_fp(source), raw_fp(target));
+    let (src_fp, tgt_fp) = (fingerprint_file(source).ok(), fingerprint_file(target).ok());
+    let key = src_fp
+        .zip(tgt_fp)
+        .map(|(source, target)| SessionKey { source, target });
+    let raw_src = src_fp.map(|fp| fp.to_string());
+    let raw_tgt = tgt_fp.map(|fp| fp.to_string());
 
     if let Some(rec) = prior {
         let raw_clean = {
@@ -497,7 +506,7 @@ fn delta_pair(
     }
     let raw = (raw_src.unwrap_or_default(), raw_tgt.unwrap_or_default());
 
-    let mut instance = stage()?;
+    let mut instance = stage(key)?;
     if let Some(rec) = prior {
         let check = {
             let _s = affidavit_obs::span("delta.diff");
@@ -525,7 +534,7 @@ fn delta_pair(
                             &format!("{name}: splice rejected ({reason}), full redo"),
                         );
                         // The splice attempt interned into the pool.
-                        instance = stage()?;
+                        instance = stage(key)?;
                     }
                 }
             }
@@ -605,23 +614,24 @@ pub fn explain_delta(
     opts: &ProfileOptions,
     state: &Path,
 ) -> Result<DeltaReport, String> {
-    explain_delta_with(source, target, opts, state, &mut || {
+    explain_delta_with(source, target, opts, state, &mut |_| {
         stage_file_pair(source, target, opts)
     })
 }
 
 /// `explain --delta` with a caller-supplied staging hook — the resident
 /// service stages through its pinned-session LRU instead of a cold
-/// ingest. The hook may run zero times (raw-tier splice), once, or twice
-/// (re-stage after a failed staged-tier splice). The manifest holds the
-/// pair under its target's file stem and is rewritten unless the raw
-/// tier answered.
+/// ingest, keyed by the fingerprints the hook is handed, so no file is
+/// fingerprinted twice. The hook may run zero times (raw-tier splice),
+/// once, or twice (re-stage after a failed staged-tier splice). The
+/// manifest holds the pair under its target's file stem and is rewritten
+/// unless the raw tier answered.
 pub fn explain_delta_with(
     source: &Path,
     target: &Path,
     opts: &ProfileOptions,
     state: &Path,
-    stage: &mut dyn FnMut() -> Result<ProblemInstance, String>,
+    stage: &mut StageHook<'_>,
 ) -> Result<DeltaReport, String> {
     let config_fp = config_fingerprint(&opts.config, opts.align);
     let stem = table_stem(target);
@@ -687,7 +697,7 @@ pub fn profile_dirs_delta(
                     src,
                     tgt,
                     opts,
-                    &mut || stage_file_pair(src, tgt, opts),
+                    &mut |_| stage_file_pair(src, tgt, opts),
                     &mut table_stats,
                 ) {
                     Ok((record, _)) => (
@@ -785,6 +795,35 @@ mod tests {
         assert!(!edited.spliced);
         assert_eq!(edited.stats.fallbacks, 0, "data dirt is not a fallback");
         assert_eq!(edited.report, scratch_report(&s, &t, &opts));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn the_staging_hook_is_handed_the_raw_tier_fingerprints() {
+        let root = std::env::temp_dir().join("affidavit-delta-hook-key-test");
+        std::fs::remove_dir_all(&root).ok();
+        let (s, t) = write_pair(&root, "k,v\nk0,1\n", "k,v\nk0,2\n");
+        let opts = ProfileOptions::default();
+        let state = root.join("explain.affidavit-delta.json");
+        let mut keys = Vec::new();
+        explain_delta_with(&s, &t, &opts, &state, &mut |key| {
+            keys.push(key);
+            stage_file_pair(&s, &t, &opts)
+        })
+        .unwrap();
+        assert_eq!(keys, [Some(SessionKey::for_files(&s, &t).unwrap())]);
+        // A file that cannot be fingerprinted hands over no key; staging
+        // then fails with its own wording.
+        let missing = root.join("missing.csv");
+        let mut keys = Vec::new();
+        let Err(err) = explain_delta_with(&s, &missing, &opts, &state, &mut |key| {
+            keys.push(key);
+            stage_file_pair(&s, &missing, &opts)
+        }) else {
+            panic!("a missing target must fail");
+        };
+        assert_eq!(keys, [None]);
+        assert!(err.contains("missing.csv: I/O error"), "{err}");
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use affidavit_blocking::{greedy_map_from_alignment, sample_random_alignment, Blocking};
 use affidavit_functions::AttrFunction;
-use affidavit_table::{AttrId, RecordId};
+use affidavit_table::{AttrId, NewStrings, RecordId};
 
 use crate::cost::child_state_cost;
 use crate::induction::{induce_candidates, InductionParams};
@@ -234,10 +234,8 @@ struct CandChild {
 /// Everything one worker produced for one attribute.
 struct AttrExpansion {
     attr: usize,
-    /// Pool length the worker's scratch was frozen at.
-    base_len: usize,
     /// Strings the worker interned, in interning order.
-    new_strings: Vec<Arc<str>>,
+    new_strings: NewStrings,
     /// The greedy-map benchmark child `Hд` (never kept).
     greedy: CandChild,
     /// All ranked candidates, in rank order (kept and rejected).
@@ -364,7 +362,6 @@ fn expand_attr(
 
     AttrExpansion {
         attr,
-        base_len: ws.pool.base_len(),
         new_strings: ws.pool.take_new_strings(),
         greedy: CandChild {
             func: g_func,
@@ -448,7 +445,7 @@ fn consume_state_expansion(
     let _span = affidavit_obs::span("search.consume");
     let mut ext: Vec<SearchState> = Vec::new();
     for part in exp.parts {
-        let remap = ctx.instance.pool.absorb(part.base_len, &part.new_strings);
+        let remap = ctx.instance.pool.absorb(&part.new_strings);
         // Record the greedy benchmark child (id + trace parity with the
         // historical sequential engine; never kept).
         let greedy = part.greedy.func.remap(&remap);

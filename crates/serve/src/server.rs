@@ -313,7 +313,7 @@ fn explain(spec: &ExplainSpec, shared: &ServeShared) -> Result<ReportReply, Stri
     let deadline = shared
         .request_deadline
         .map(|budget| Instant::now() + budget);
-    let (pair, warm, opts) = staged_pair(spec, shared)?;
+    let (pair, warm, opts) = staged_pair(spec, shared, session_key(spec))?;
     let mut instance = stage(spec, pair, &opts)?;
     let started = Instant::now();
     let outcome = {
@@ -363,8 +363,8 @@ fn explain_delta_served(spec: &ExplainSpec, shared: &ServeShared) -> Result<Repo
         Path::new(&spec.target),
         &opts,
         &state,
-        &mut || {
-            let (pair, warm, sopts) = staged_pair(spec, shared)?;
+        &mut |key| {
+            let (pair, warm, sopts) = staged_pair(spec, shared, key)?;
             warm_session.set(warm);
             stage(spec, pair, &sopts)
         },
@@ -382,23 +382,31 @@ fn explain_delta_served(spec: &ExplainSpec, shared: &ServeShared) -> Result<Repo
 /// Pre-warm the session cache: ingest and pin without searching.
 /// Returns whether the pair was already pinned.
 fn pin(spec: &ExplainSpec, shared: &ServeShared) -> Result<bool, String> {
-    let (_pair, warm, _opts) = staged_pair(spec, shared)?;
+    let (_pair, warm, _opts) = staged_pair(spec, shared, session_key(spec))?;
     Ok(warm)
 }
 
-/// The session hot path shared by `Explain` and `Pin`: key the pair by
-/// file content and pin-or-reuse it. `warm` is true when the request
-/// performed zero ingestion work. A pair that cannot be keyed (a missing,
-/// unreadable or special file) skips the cache and goes straight to
-/// ingestion, so the request fails with the one-shot `explain` message.
+/// Key a request's pair by file content: `None` when a file cannot be
+/// fingerprinted (a missing, unreadable or special file).
+fn session_key(spec: &ExplainSpec) -> Option<SessionKey> {
+    SessionKey::for_files(Path::new(&spec.source), Path::new(&spec.target)).ok()
+}
+
+/// The session hot path shared by `Explain`, `Pin` and the delta path's
+/// staging hook: pin-or-reuse the pair under `key`, its content
+/// fingerprints. `warm` is true when the request performed zero
+/// ingestion work. A pair with no key skips the cache and goes straight
+/// to ingestion, so the request fails with the one-shot `explain`
+/// message.
 fn staged_pair(
     spec: &ExplainSpec,
     shared: &ServeShared,
+    key: Option<SessionKey>,
 ) -> Result<(SnapshotPair, bool, ProfileOptions), String> {
     let opts = profile_options(spec);
     let src = Path::new(&spec.source);
     let tgt = Path::new(&spec.target);
-    let Ok(key) = SessionKey::for_files(src, tgt) else {
+    let Some(key) = key else {
         let pair = ingest_pair(src, tgt, &opts.ingest, &PoolConfig)?;
         return Ok((pair, false, opts));
     };

@@ -1,11 +1,11 @@
 //! Streaming snapshot ingestion with parallel interning.
 //!
-//! The serial CSV readers intern row by row into one pool — fine for the
-//! running example, a bottleneck at the paper's "hundreds of tables"
+//! The serial CSV readers intern chunk by chunk into one pool — fine for
+//! the running example, a bottleneck at the paper's "hundreds of tables"
 //! operating point. This module splits the byte stream into chunks of
 //! complete records ([`RowChunker`], quote/CRLF-aware, bounded memory),
-//! fans a window of chunks out over the rayon pool — each worker parses
-//! and interns its chunk into a private
+//! fans a window of chunks out over the rayon pool — each worker runs the
+//! chunk kernel ([`RowScanner::intern_records`]) into a private
 //! [`ScratchPool`] overlay over the frozen
 //! pool — and then absorbs worker results **in chunk order** via
 //! [`ValuePool::absorb`] + [`SymRemap`](affidavit_table::SymRemap).
@@ -23,11 +23,10 @@
 
 use std::io::BufRead;
 use std::path::Path;
-use std::sync::Arc;
 
-use affidavit_table::csv::{header_schema, parse_rows_at, CsvChunk, CsvOptions, RowChunker};
+use affidavit_table::csv::{CsvChunk, CsvOptions, RowChunker, RowScanner};
 use affidavit_table::{
-    Interner, PoolReader, ScratchPool, Sym, Table, TableError, ValuePool, MAX_THREADS,
+    NewStrings, PoolReader, ScratchPool, Sym, Table, TableError, ValuePool, MAX_THREADS,
 };
 use rayon::prelude::*;
 
@@ -55,16 +54,17 @@ impl Default for IngestOptions {
     }
 }
 
-/// Phase-1 output of one chunk worker: rows as scratch symbols plus the
-/// overlay's new strings, ready for in-order absorption.
+/// Phase-1 output of one chunk worker: the chunk's records as scratch
+/// symbols, column by column, plus the overlay's new strings, ready for
+/// in-order absorption.
 struct ChunkOut {
-    rows: Vec<Vec<Sym>>,
-    base_len: usize,
-    new_strings: Vec<Arc<str>>,
+    columns: Vec<Vec<Sym>>,
+    rows: usize,
+    new_strings: NewStrings,
     /// First error in the chunk; for `ArityMismatch` the `row` is
     /// chunk-local (1-based) and offset to a whole-stream index during the
-    /// merge. Rows past the error are neither parsed into `rows` nor
-    /// interned, matching the serial reader's stopping point.
+    /// merge. Records past the error are neither scanned nor interned,
+    /// matching the serial reader's stopping point.
     err: Option<TableError>,
 }
 
@@ -75,31 +75,13 @@ fn process_chunk(
     csv: CsvOptions,
 ) -> ChunkOut {
     let mut scratch = ScratchPool::new(reader);
-    let mut rows_out: Vec<Vec<Sym>> = Vec::new();
-    let mut err = None;
-    match parse_rows_at(&chunk.text, csv, chunk.first_line) {
-        Err(e) => err = Some(e),
-        Ok(rows) => {
-            for row in rows {
-                if row.fields.len() != arity {
-                    err = Some(TableError::ArityMismatch {
-                        line: row.line,
-                        row: rows_out.len() + 1,
-                        expected: arity,
-                        found: row.fields.len(),
-                    });
-                    break;
-                }
-                rows_out.push(row.fields.iter().map(|f| scratch.intern(f)).collect());
-            }
-        }
-    }
-    let base_len = scratch.base_len();
-    let new_strings = scratch.take_new_strings();
+    let mut columns = vec![Vec::new(); arity];
+    let (rows, err) = RowScanner::new(&chunk.text, csv, chunk.first_line)
+        .intern_records(&mut scratch, &mut columns);
     ChunkOut {
-        rows: rows_out,
-        base_len,
-        new_strings,
+        columns,
+        rows,
+        new_strings: scratch.take_new_strings(),
         err,
     }
 }
@@ -171,24 +153,15 @@ fn ingest<R: BufRead>(
     let csv = opts.csv;
     let chunk_rows = opts.chunk_rows.max(1);
     let mut chunker = RowChunker::new(reader, csv);
-    let (schema, arity) = loop {
-        let Some(chunk) = chunker.next_chunk(1)? else {
-            return Err(TableError::EmptyInput);
-        };
-        let mut rows = parse_rows_at(&chunk.text, csv, chunk.first_line)?;
-        if rows.is_empty() {
-            continue; // blank-line-only chunk before the header
-        }
-        let header = rows.remove(0);
-        let arity = header.fields.len();
-        break (header_schema(header.fields)?, arity);
-    };
+    let schema = chunker.header()?;
+    let arity = schema.arity();
     let mut table = Table::new(schema);
     let mut rows_done = 0usize;
     loop {
         // One window of chunks per iteration: enough to feed every worker,
         // small enough to bound memory to `threads × chunk_rows` records.
-        // A chunker error (unterminated quote at EOF) is *behind* every
+        // A chunker error (an unterminated quote at EOF, invalid UTF-8) is
+        // *behind* every
         // chunk already handed out, so it is held back until the batch's
         // records have been validated — errors surface in stream order at
         // every thread count and chunk size.
@@ -227,32 +200,22 @@ fn ingest<R: BufRead>(
         // strings, rewrite its rows through the remap, append.
         let _span = affidavit_obs::span("ingest.absorb");
         for out in outs {
-            let chunk_row_base = rows_done;
-            let remap = pool.absorb(out.base_len, &out.new_strings);
-            // Column-wise absorb: one linear append per attribute, rows
-            // rewritten through the remap as they transpose in. The remap
-            // is a pure lookup, so the traversal order is free to be
-            // column-major without touching pool evolution.
-            table.extend_columnwise(out.rows.len(), |attr, buf| {
-                buf.extend(out.rows.iter().map(|syms| remap.remap(syms[attr.index()])));
+            let remap = pool.absorb(&out.new_strings);
+            // Column-wise absorb: one linear append per attribute, each
+            // symbol rewritten through the remap. The remap is a pure
+            // lookup, so the column-major traversal leaves pool evolution
+            // alone.
+            table.extend_columnwise(out.rows, |attr, buf| {
+                buf.extend(
+                    out.columns[attr.index()]
+                        .iter()
+                        .map(|&sym| remap.remap(sym)),
+                );
             });
-            rows_done += out.rows.len();
             if let Some(err) = out.err {
-                return Err(match err {
-                    TableError::ArityMismatch {
-                        line,
-                        row,
-                        expected,
-                        found,
-                    } => TableError::ArityMismatch {
-                        line,
-                        row: chunk_row_base + row,
-                        expected,
-                        found,
-                    },
-                    other => other,
-                });
+                return Err(err.after_rows(rows_done));
             }
+            rows_done += out.rows;
         }
         if let Some(err) = pending {
             return Err(err);

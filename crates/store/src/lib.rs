@@ -6,7 +6,9 @@
 //! * [`ingest`] — chunked streaming CSV ingestion. A
 //!   [`RowChunker`](affidavit_table::csv::RowChunker) splits the byte
 //!   stream into chunks of complete records in bounded memory; chunks fan
-//!   out over worker threads, each interning into a private
+//!   out over worker threads, each running the table crate's chunk kernel
+//!   ([`RowScanner::intern_records`](affidavit_table::csv::RowScanner::intern_records))
+//!   into a private
 //!   [`ScratchPool`](affidavit_table::ScratchPool) overlay; the driver
 //!   merges worker results in chunk order via
 //!   [`ValuePool::absorb`](affidavit_table::ValuePool::absorb). Because

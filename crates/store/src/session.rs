@@ -6,10 +6,11 @@
 //! tables sharing one sealed [`ValuePool`]), and the [`SessionLru`] pins
 //! the pair under a [`SessionKey`] — the **content fingerprints** of both
 //! files — so every later request against the same bytes skips ingestion
-//! entirely and starts from a cheap clone (tables are column-`Arc`-backed,
-//! pool strings are `Arc<str>`). Keying by content rather than path means
-//! a rewritten file re-ingests and an identical copy under another name
-//! hits. The LRU bounds how many pairs stay pinned.
+//! entirely and starts from a clone (tables are column-`Arc`-backed; the
+//! pool is an arena of a few flat buffers, copied). Keying by content
+//! rather than path means a rewritten file re-ingests and an identical
+//! copy under another name hits. The LRU bounds how many pairs stay
+//! pinned.
 //!
 //! Determinism corollary: a clone of a pinned pair is byte-identical to
 //! a fresh ingestion of the same files (chunked ingestion is
@@ -26,8 +27,10 @@ use crate::fingerprint::{fingerprint_file, Fingerprint};
 use crate::{ingest, IngestOptions, PoolConfig};
 
 /// An ingested snapshot pair: two tables interned into one shared pool —
-/// exactly what the profiler stages into a search instance. Cloning is
-/// cheap and yields a fully independent view (column and string `Arc`s).
+/// exactly what the profiler stages into a search instance. A clone is a
+/// fully independent view: it shares the tables' column `Arc`s and
+/// copies the pool's arena (its string bytes, offsets, hashes, decimals
+/// and slot table — a few flat buffers, no per-string allocation).
 #[derive(Debug, Clone)]
 pub struct SnapshotPair {
     /// The source (before) snapshot.

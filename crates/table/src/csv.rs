@@ -4,13 +4,16 @@
 //! and newlines inside quotes, `\r\n` and `\n` line endings, a UTF-8 BOM,
 //! and a configurable separator. The first row is the header (schema).
 //!
-//! Two reading disciplines share one grammar:
+//! One grammar, [`RowScanner`], scans text record by record and yields
+//! each field as a `&str` borrowed from the text; its chunk kernel,
+//! [`RowScanner::intern_records`], interns the fields straight into
+//! per-column symbol buffers. Two reading disciplines run it:
 //!
-//! * [`read_str`] parses an in-memory string in one pass.
+//! * [`read_str`] scans an in-memory string in one pass.
 //! * [`read`] / [`read_path`] stream from any reader through a
 //!   [`RowChunker`], which splits the byte stream into chunks of *complete
 //!   records* (quote- and CRLF-aware, so a chunk boundary can never fall
-//!   inside a quoted field) and parses chunk by chunk in bounded memory.
+//!   inside a quoted field) and scans chunk by chunk in bounded memory.
 //!   The `affidavit-store` crate fans the same chunks out over worker
 //!   threads for parallel interning.
 //!
@@ -22,7 +25,7 @@ use std::path::Path;
 use crate::error::TableError;
 use crate::schema::Schema;
 use crate::table::Table;
-use crate::value::{Sym, ValuePool};
+use crate::value::{Interner, Sym, ValuePool};
 
 /// CSV parsing options.
 #[derive(Debug, Clone, Copy)]
@@ -40,174 +43,288 @@ impl Default for CsvOptions {
 /// Records per chunk used by the serial streaming reader ([`read`]).
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
 
-/// A parsed CSV record together with the physical line it starts on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsvRow {
-    /// 1-based physical line of the record's first byte (embedded newlines
-    /// in earlier quoted fields are counted).
-    pub line: usize,
-    /// The record's fields.
-    pub fields: Vec<String>,
+/// Where one field of the current record lives: a byte range of the text
+/// being scanned, or of the scanner's owned buffer once a piece arrives
+/// that does not continue the field in the text (a `""` escape, a
+/// dropped `\r`, text after a closing quote).
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    owned: bool,
+    start: usize,
+    end: usize,
 }
 
-/// Parse raw CSV text into rows of fields.
-pub fn parse_rows(input: &str, opts: CsvOptions) -> Result<Vec<Vec<String>>, TableError> {
-    Ok(parse_rows_at(input, opts, 1)?
-        .into_iter()
-        .map(|r| r.fields)
-        .collect())
-}
+impl Span {
+    const EMPTY: Span = Span {
+        owned: false,
+        start: 0,
+        end: 0,
+    };
 
-/// Parse raw CSV text into rows with line positions, treating the input's
-/// first byte as sitting on (1-based) `first_line`. Chunked readers pass
-/// the chunk's absolute starting line so errors and [`CsvRow::line`] carry
-/// whole-stream positions.
-pub fn parse_rows_at(
-    input: &str,
-    opts: CsvOptions,
-    first_line: usize,
-) -> Result<Vec<CsvRow>, TableError> {
-    let (rows, trailing) = parse_rows_trailing(input, opts, first_line);
-    match trailing {
-        Some(err) => Err(err),
-        None => Ok(rows),
+    /// An owned span is never empty.
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// Append `text[a..b]` to the field.
+    #[inline]
+    fn append(&mut self, text: &str, owned: &mut String, a: usize, b: usize) {
+        if a == b {
+            return;
+        }
+        if self.owned {
+            owned.push_str(&text[a..b]);
+            self.end = owned.len();
+        } else if self.is_empty() {
+            (self.start, self.end) = (a, b);
+        } else if self.end == a {
+            self.end = b;
+        } else {
+            let start = owned.len();
+            owned.push_str(&text[self.start..self.end]);
+            owned.push_str(&text[a..b]);
+            *self = Span {
+                owned: true,
+                start,
+                end: owned.len(),
+            };
+        }
     }
 }
 
-/// Core parser: complete rows plus an optional *trailing* error. An
-/// unterminated quote consumes the rest of the input, so every complete
-/// row precedes it in stream order; returning the rows alongside the
-/// error lets readers validate them first and report whichever error
-/// comes first in the stream — the discipline all reading paths share,
-/// so serial and chunked reads fail identically at any chunk size.
-fn parse_rows_trailing(
-    input: &str,
-    opts: CsvOptions,
-    first_line: usize,
-) -> (Vec<CsvRow>, Option<TableError>) {
-    let bytes = input.as_bytes();
-    let mut rows: Vec<CsvRow> = Vec::new();
-    let mut fields: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut i = 0usize;
-    let mut line = first_line;
-    let mut col = 1usize;
-    let mut in_quotes = false;
-    let mut quote_line = first_line;
-    let mut quote_col = 1usize;
-    let mut row_started = false;
-    let mut row_line = first_line;
+/// The one CSV grammar: a record-at-a-time scanner over a chunk of text
+/// that yields each field as a `&str` borrowed from the text.
+///
+/// Only a field whose bytes are not contiguous in the text — one with a
+/// `""` escape, a dropped `\r`, or text after its closing quote — is
+/// copied, into one owned buffer reused from record to record. The
+/// grammar: a `"` opens a quoted field only at a field's start (elsewhere
+/// it is literal); inside quotes `""` is one quote and separators,
+/// newlines and `\r` are content; outside quotes every `\r` is dropped; a
+/// line that holds nothing but `\r`s is blank and skipped.
+///
+/// [`RowScanner::intern_records`] is the chunk kernel every reader runs:
+/// [`read_str`] over its whole input, [`read_buffered_with`] and
+/// `affidavit-store`'s parallel ingestion over each [`CsvChunk`].
+#[derive(Debug)]
+pub struct RowScanner<'t> {
+    text: &'t str,
+    separator: u8,
+    /// The bytes that end a run of plain field text outside quotes: `"`,
+    /// `\r`, `\n` and the separator.
+    special: [bool; 256],
+    pos: usize,
+    /// Physical line of `pos`, and the offset that line starts at.
+    line: usize,
+    line_start: usize,
+    spans: Vec<Span>,
+    owned: String,
+}
 
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_quotes {
-            match b {
-                b'"' => {
-                    if i + 1 < bytes.len() && bytes[i + 1] == b'"' {
-                        field.push('"');
-                        i += 2;
-                        col += 2;
-                    } else {
-                        in_quotes = false;
-                        i += 1;
-                        col += 1;
+impl<'t> RowScanner<'t> {
+    /// A scanner over `text`, whose first byte sits on (1-based) line
+    /// `first_line` — chunked readers pass the chunk's absolute starting
+    /// line so errors carry whole-stream positions.
+    pub fn new(text: &'t str, opts: CsvOptions, first_line: usize) -> RowScanner<'t> {
+        let mut special = [false; 256];
+        for b in [b'"', b'\r', b'\n', opts.separator] {
+            special[b as usize] = true;
+        }
+        RowScanner {
+            text,
+            separator: opts.separator,
+            special,
+            pos: 0,
+            line: first_line,
+            line_start: 0,
+            spans: Vec::new(),
+            owned: String::new(),
+        }
+    }
+
+    /// Scan the next record: `Ok(Some(line))` names the physical line it
+    /// starts on (its fields are then [`field`](Self::field)`(0..arity)`),
+    /// `Ok(None)` is the end of the text. An unterminated quote is an
+    /// error that consumes the rest of the text, so every complete record
+    /// precedes it.
+    pub fn next_row(&mut self) -> Result<Option<usize>, TableError> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        let n = bytes.len();
+        let sep = self.separator;
+        self.spans.clear();
+        self.owned.clear();
+        let mut i = self.pos;
+        // Blank lines (nothing but `\r`s) start no record.
+        loop {
+            if i >= n {
+                self.pos = n;
+                return Ok(None);
+            }
+            match bytes[i] {
+                b'\n' => {
+                    i += 1;
+                    self.line += 1;
+                    self.line_start = i;
+                }
+                b'\r' => i += 1,
+                _ => break,
+            }
+        }
+        let row_line = self.line;
+        let mut field = Span::EMPTY;
+        let mut piece = i;
+        loop {
+            if i >= n {
+                field.append(text, &mut self.owned, piece, i);
+                self.spans.push(field);
+                break;
+            }
+            let b = bytes[i];
+            if b == b'"' && piece == i && field.is_empty() {
+                let (quote_line, quote_col) = (self.line, i - self.line_start + 1);
+                i += 1;
+                piece = i;
+                loop {
+                    if i >= n {
+                        self.pos = n;
+                        return Err(TableError::UnterminatedQuote {
+                            line: quote_line,
+                            column: quote_col,
+                        });
+                    }
+                    match bytes[i] {
+                        b'"' if bytes.get(i + 1) == Some(&b'"') => {
+                            // Keep the first quote of the pair.
+                            field.append(text, &mut self.owned, piece, i + 1);
+                            i += 2;
+                            piece = i;
+                        }
+                        b'"' => {
+                            field.append(text, &mut self.owned, piece, i);
+                            i += 1;
+                            piece = i;
+                            break;
+                        }
+                        b'\n' => {
+                            i += 1;
+                            self.line += 1;
+                            self.line_start = i;
+                        }
+                        _ => {
+                            i += 1;
+                            while i < n && bytes[i] != b'"' && bytes[i] != b'\n' {
+                                i += 1;
+                            }
+                        }
                     }
                 }
-                b'\n' => {
-                    field.push('\n');
-                    line += 1;
-                    col = 1;
+            } else if b == b'\r' {
+                field.append(text, &mut self.owned, piece, i);
+                i += 1;
+                piece = i;
+            } else if b == b'\n' {
+                field.append(text, &mut self.owned, piece, i);
+                self.spans.push(field);
+                i += 1;
+                self.line += 1;
+                self.line_start = i;
+                break;
+            } else if b == sep {
+                field.append(text, &mut self.owned, piece, i);
+                self.spans.push(field);
+                field = Span::EMPTY;
+                i += 1;
+                piece = i;
+            } else {
+                i += 1;
+                while i < n && !self.special[bytes[i] as usize] {
                     i += 1;
                 }
-                _ => {
-                    // Copy a full UTF-8 code point.
-                    let ch_len = utf8_len(b);
-                    field.push_str(&input[i..i + ch_len]);
-                    i += ch_len;
-                    col += ch_len;
-                }
-            }
-            continue;
-        }
-        match b {
-            b'"' if field.is_empty() => {
-                in_quotes = true;
-                quote_line = line;
-                quote_col = col;
-                if !row_started {
-                    row_started = true;
-                    row_line = line;
-                }
-                i += 1;
-                col += 1;
-            }
-            b'\r' => {
-                i += 1; // handled by the following \n (or stripped bare)
-                col += 1;
-            }
-            b'\n' => {
-                line += 1;
-                col = 1;
-                i += 1;
-                if row_started || !field.is_empty() || !fields.is_empty() {
-                    fields.push(std::mem::take(&mut field));
-                    rows.push(CsvRow {
-                        line: row_line,
-                        fields: std::mem::take(&mut fields),
-                    });
-                    row_started = false;
-                }
-            }
-            _ if b == opts.separator => {
-                fields.push(std::mem::take(&mut field));
-                if !row_started {
-                    row_started = true;
-                    row_line = line;
-                }
-                i += 1;
-                col += 1;
-            }
-            _ => {
-                let ch_len = utf8_len(b);
-                field.push_str(&input[i..i + ch_len]);
-                if !row_started {
-                    row_started = true;
-                    row_line = line;
-                }
-                i += ch_len;
-                col += ch_len;
             }
         }
+        self.pos = i;
+        Ok(Some(row_line))
     }
-    if in_quotes {
-        // The unterminated tail is not a row; report it after the
-        // complete rows that precede it.
-        return (
-            rows,
-            Some(TableError::UnterminatedQuote {
-                line: quote_line,
-                column: quote_col,
-            }),
-        );
+
+    /// Number of fields in the current record.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.spans.len()
     }
-    if row_started || !field.is_empty() || !fields.is_empty() {
-        fields.push(field);
-        rows.push(CsvRow {
-            line: row_line,
-            fields,
-        });
+
+    /// Field `k` of the current record.
+    #[inline]
+    pub fn field(&self, k: usize) -> &str {
+        let span = self.spans[k];
+        let from = if span.owned { &self.owned } else { self.text };
+        &from[span.start..span.end]
     }
-    (rows, None)
+
+    /// The schema the first record names (see [`header_schema`]), or
+    /// `None` when the text holds no record.
+    pub fn header(&mut self) -> Result<Option<Schema>, TableError> {
+        if self.next_row()?.is_none() {
+            return Ok(None);
+        }
+        let names = (0..self.arity()).map(|k| self.field(k).to_owned());
+        header_schema(names.collect()).map(Some)
+    }
+
+    /// The chunk kernel: scan the remaining records, check each one's
+    /// arity against `columns.len()`, and intern its fields left to right
+    /// (first-appearance order) into `columns`, one buffer per attribute.
+    /// Returns the number of records interned and the first error: an
+    /// [`TableError::ArityMismatch`] whose `row` counts from 1 at this
+    /// call's first record (see [`TableError::after_rows`]), or an
+    /// unterminated quote. Nothing past an arity error is scanned.
+    pub fn intern_records<I: Interner>(
+        &mut self,
+        pool: &mut I,
+        columns: &mut [Vec<Sym>],
+    ) -> (usize, Option<TableError>) {
+        let arity = columns.len();
+        let mut rows = 0usize;
+        loop {
+            match self.next_row() {
+                Ok(None) => return (rows, None),
+                Err(err) => return (rows, Some(err)),
+                Ok(Some(line)) => {
+                    if self.arity() != arity {
+                        let err = TableError::ArityMismatch {
+                            line,
+                            row: rows + 1,
+                            expected: arity,
+                            found: self.arity(),
+                        };
+                        return (rows, Some(err));
+                    }
+                    for (k, column) in columns.iter_mut().enumerate() {
+                        column.push(pool.intern(self.field(k)));
+                    }
+                    rows += 1;
+                }
+            }
+        }
+    }
 }
 
-#[inline]
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+/// The end of the last complete (newline-terminated) record of `text`,
+/// which starts on a record boundary; 0 if there is none.
+fn complete_records_end(text: &str, opts: CsvOptions) -> usize {
+    let mut scanner = RowScanner::new(text, opts, 1);
+    let mut end = 0;
+    while let Ok(Some(_)) = scanner.next_row() {
+        if text.as_bytes()[scanner.pos - 1] == b'\n' {
+            end = scanner.pos;
+        }
     }
+    end
+}
+
+fn count_newlines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
 /// A chunk of complete CSV records cut from a byte stream.
@@ -217,7 +334,7 @@ pub struct CsvChunk {
     /// parses independently of its neighbours.
     pub text: String,
     /// 1-based physical line number of the chunk's first byte within the
-    /// whole stream — pass it to [`parse_rows_at`].
+    /// whole stream — pass it to [`RowScanner::new`].
     pub first_line: usize,
 }
 
@@ -247,7 +364,7 @@ pub struct RowChunker<R> {
     /// split point), and the line number there.
     boundary: usize,
     boundary_line: usize,
-    // Scanner state at `pos`, mirroring `parse_rows_at`.
+    // Scanner state at `pos`, mirroring `RowScanner`.
     line: usize,
     col: usize,
     in_quotes: bool,
@@ -327,9 +444,13 @@ impl<R: BufRead> RowChunker<R> {
                             self.pos += 1;
                         }
                         _ => {
+                            let run = self.buf[self.pos..]
+                                .iter()
+                                .position(|&b| b == b'"' || b == b'\n')
+                                .unwrap_or(self.buf.len() - self.pos);
                             self.field_empty = false;
-                            self.pos += 1;
-                            self.col += 1;
+                            self.pos += run;
+                            self.col += run;
                         }
                     }
                     continue;
@@ -363,10 +484,17 @@ impl<R: BufRead> RowChunker<R> {
                         }
                     }
                     _ => {
-                        self.field_empty = b == self.opts.separator;
+                        // A run of field text up to the next `"`, `\r` or
+                        // `\n`; only its last byte decides whether a quote
+                        // right after it opens a field.
+                        let run = 1 + self.buf[self.pos + 1..]
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\r' || b == b'\n')
+                            .unwrap_or(self.buf.len() - self.pos - 1);
+                        self.pos += run;
+                        self.col += run;
+                        self.field_empty = self.buf[self.pos - 1] == self.opts.separator;
                         self.row_started = true;
-                        self.pos += 1;
-                        self.col += 1;
                     }
                 }
             }
@@ -408,15 +536,24 @@ impl<R: BufRead> RowChunker<R> {
         Ok(())
     }
 
+    /// Cut `buf[..end]` off as the next chunk. A chunk that is not valid
+    /// UTF-8 is cut short instead (see [`split_before_invalid`]).
+    ///
+    /// [`split_before_invalid`]: Self::split_before_invalid
     fn emit(&mut self, end: usize) -> Result<CsvChunk, TableError> {
-        let bytes: Vec<u8> = self.buf.drain(..end).collect();
+        let rest = self.buf.split_off(end);
+        let bytes = std::mem::replace(&mut self.buf, rest);
+        let text = match String::from_utf8(bytes) {
+            Ok(text) => text,
+            Err(err) => {
+                let valid = err.utf8_error().valid_up_to();
+                let mut bytes = err.into_bytes();
+                bytes.extend_from_slice(&self.buf);
+                self.buf = bytes;
+                return self.split_before_invalid(valid);
+            }
+        };
         self.pos -= end;
-        let text = String::from_utf8(bytes).map_err(|e| {
-            TableError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("CSV stream is not valid UTF-8: {e}"),
-            ))
-        })?;
         let first_line = self.start_line;
         // A split exactly at the last record boundary (the deferred-error
         // path) leaves the scan frontier beyond the emitted region, so the
@@ -429,6 +566,54 @@ impl<R: BufRead> RowChunker<R> {
         self.boundary = self.boundary.saturating_sub(end);
         self.records = 0;
         Ok(CsvChunk { text, first_line })
+    }
+
+    /// The buffer is not valid UTF-8 from byte `valid` on. Emit the
+    /// complete records ahead of the one holding that byte, and rescan
+    /// from there; with none ahead, the record itself is
+    /// [`TableError::InvalidUtf8`]. Readers so see every record before the
+    /// bad one — in stream order, at any chunk size, as with an
+    /// unterminated quote.
+    fn split_before_invalid(&mut self, valid: usize) -> Result<CsvChunk, TableError> {
+        let prefix = std::str::from_utf8(&self.buf[..valid]).unwrap_or_default();
+        let end = complete_records_end(prefix, self.opts);
+        if end == 0 {
+            return Err(TableError::InvalidUtf8 {
+                line: self.start_line + count_newlines(&self.buf[..valid]),
+            });
+        }
+        let rest = self.buf.split_off(end);
+        let text = String::from_utf8(std::mem::replace(&mut self.buf, rest))
+            .expect("a prefix of the valid bytes");
+        let first_line = self.start_line;
+        self.start_line += count_newlines(text.as_bytes());
+        // Rescan the rest from its first byte, a record boundary.
+        self.pos = 0;
+        self.line = self.start_line;
+        self.col = 1;
+        self.in_quotes = false;
+        self.field_empty = true;
+        self.row_started = false;
+        self.boundary = 0;
+        self.boundary_line = self.start_line;
+        self.records = 0;
+        Ok(CsvChunk { text, first_line })
+    }
+
+    /// Read the header: the schema the stream's first record names.
+    pub fn header(&mut self) -> Result<Schema, TableError> {
+        loop {
+            let Some(chunk) = self.next_chunk(1)? else {
+                return Err(TableError::EmptyInput);
+            };
+            // A 1-record chunk holds at most the header; a blank-only one
+            // holds nothing.
+            if let Some(schema) =
+                RowScanner::new(&chunk.text, self.opts, chunk.first_line).header()?
+            {
+                return Ok(schema);
+            }
+        }
     }
 }
 
@@ -457,33 +642,12 @@ pub fn header_schema(fields: Vec<String>) -> Result<Schema, TableError> {
 /// UTF-8 BOM is stripped.
 pub fn read_str(input: &str, pool: &mut ValuePool, opts: CsvOptions) -> Result<Table, TableError> {
     let input = input.strip_prefix('\u{feff}').unwrap_or(input);
-    let (rows, trailing) = parse_rows_trailing(input, opts, 1);
-    let mut rows = rows.into_iter();
-    let Some(header) = rows.next() else {
-        return Err(trailing.unwrap_or(TableError::EmptyInput));
-    };
-    let arity = header.fields.len();
-    let schema = header_schema(header.fields)?;
-    let mut table = Table::with_capacity(schema, rows.len());
-    let mut syms: Vec<Sym> = Vec::new();
-    for (idx, row) in rows.enumerate() {
-        if row.fields.len() != arity {
-            return Err(TableError::ArityMismatch {
-                line: row.line,
-                row: idx + 1,
-                expected: arity,
-                found: row.fields.len(),
-            });
-        }
-        // Interning stays row-major (first-appearance order); the table
-        // transposes the row into its columns at this edge.
-        syms.clear();
-        syms.extend(row.fields.iter().map(|v| pool.intern(v)));
-        table.push_row(&syms);
-    }
-    match trailing {
-        Some(err) => Err(err),
-        None => Ok(table),
+    let mut scanner = RowScanner::new(input, opts, 1);
+    let schema = scanner.header()?.ok_or(TableError::EmptyInput)?;
+    let mut columns = vec![Vec::new(); schema.arity()];
+    match scanner.intern_records(pool, &mut columns) {
+        (_, Some(err)) => Err(err),
+        (_, None) => Ok(Table::from_columns(schema, columns)),
     }
 }
 
@@ -518,42 +682,18 @@ pub fn read_buffered_with<R: BufRead>(
     chunk_rows: usize,
 ) -> Result<Table, TableError> {
     let mut chunker = RowChunker::new(reader, opts);
-    let (schema, arity) = loop {
-        let Some(chunk) = chunker.next_chunk(1)? else {
-            return Err(TableError::EmptyInput);
-        };
-        let mut rows = parse_rows_at(&chunk.text, opts, chunk.first_line)?;
-        if rows.is_empty() {
-            continue; // blank-line-only chunk before the header
-        }
-        let header = rows.remove(0);
-        debug_assert!(
-            rows.is_empty(),
-            "a 1-record chunk parses to at most one row"
-        );
-        let arity = header.fields.len();
-        break (header_schema(header.fields)?, arity);
-    };
-    let mut table = Table::new(schema);
-    let mut syms: Vec<Sym> = Vec::new();
-    let mut row_idx = 0usize;
+    let schema = chunker.header()?;
+    let mut columns = vec![Vec::new(); schema.arity()];
+    let mut rows_done = 0usize;
     while let Some(chunk) = chunker.next_chunk(chunk_rows)? {
-        for row in parse_rows_at(&chunk.text, opts, chunk.first_line)? {
-            row_idx += 1;
-            if row.fields.len() != arity {
-                return Err(TableError::ArityMismatch {
-                    line: row.line,
-                    row: row_idx,
-                    expected: arity,
-                    found: row.fields.len(),
-                });
-            }
-            syms.clear();
-            syms.extend(row.fields.iter().map(|v| pool.intern(v)));
-            table.push_row(&syms);
+        let mut scanner = RowScanner::new(&chunk.text, opts, chunk.first_line);
+        let (rows, err) = scanner.intern_records(pool, &mut columns);
+        if let Some(err) = err {
+            return Err(err.after_rows(rows_done));
         }
+        rows_done += rows;
     }
-    Ok(table)
+    Ok(Table::from_columns(schema, columns))
 }
 
 /// Open a snapshot file for reading. Anything but a regular file — a
@@ -646,6 +786,35 @@ mod tests {
 
     fn opts() -> CsvOptions {
         CsvOptions::default()
+    }
+
+    /// Every record of `input` as owned fields.
+    fn parse_rows(input: &str, opts: CsvOptions) -> Result<Vec<Vec<String>>, TableError> {
+        let mut scanner = RowScanner::new(input, opts, 1);
+        let mut rows = Vec::new();
+        while scanner.next_row()?.is_some() {
+            rows.push(
+                (0..scanner.arity())
+                    .map(|k| scanner.field(k).to_owned())
+                    .collect(),
+            );
+        }
+        Ok(rows)
+    }
+
+    #[test]
+    fn grammar_quirks() {
+        let rows = |t: &str| parse_rows(t, opts()).unwrap();
+        // A quote opens a quoted field only at a field's start.
+        assert_eq!(rows("a\"b,\"c\"d\n"), vec![vec!["a\"b", "cd"]]);
+        // A bare `\r` outside quotes is dropped wherever it occurs; inside
+        // quotes it is content.
+        assert_eq!(rows("a\rb,\r\"q\r\"\r\n"), vec![vec!["ab", "q\r"]]);
+        // A line holding only `\r` is blank; a line holding only `""` is a
+        // one-field row.
+        assert_eq!(rows("x\n\r\n\"\"\n"), vec![vec!["x"], vec![""]]);
+        // Escapes and text after a closing quote take the owned path.
+        assert_eq!(rows("\"a\"\"b\"c,d\n"), vec![vec!["a\"bc", "d"]]);
     }
 
     #[test]
@@ -790,6 +959,28 @@ mod tests {
             matches!(err, TableError::UnterminatedQuote { line: 2, column: 3 }),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn invalid_utf8_surfaces_after_the_records_ahead_of_it() {
+        let bytes: &[u8] = b"a\n1\n\n2\n3\xff\n4\n";
+        for chunk_rows in [1, 2, 4096] {
+            let mut chunker = RowChunker::new(bytes, opts());
+            assert_eq!(chunker.header().unwrap().arity(), 1);
+            let mut text = String::new();
+            let err = loop {
+                match chunker.next_chunk(chunk_rows) {
+                    Ok(Some(chunk)) => text.push_str(&chunk.text),
+                    Ok(None) => panic!("chunk_rows={chunk_rows}: no error"),
+                    Err(err) => break err,
+                }
+            };
+            assert_eq!(text, "1\n\n2\n", "chunk_rows={chunk_rows}");
+            assert!(
+                matches!(err, TableError::InvalidUtf8 { line: 5 }),
+                "chunk_rows={chunk_rows}: {err:?}"
+            );
+        }
     }
 
     #[test]

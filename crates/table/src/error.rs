@@ -33,6 +33,11 @@ pub enum TableError {
         /// 1-based byte column of the opening quote on that line.
         column: usize,
     },
+    /// The byte stream is not valid UTF-8.
+    InvalidUtf8 {
+        /// 1-based physical line of the first invalid byte.
+        line: usize,
+    },
     /// The input contained no header row.
     EmptyInput,
     /// The CSV header names the same column twice.
@@ -75,6 +80,9 @@ impl fmt::Display for TableError {
                     "unterminated quoted CSV field starting at line {line}, column {column}"
                 )
             }
+            TableError::InvalidUtf8 { line } => {
+                write!(f, "CSV stream is not valid UTF-8 (line {line})")
+            }
             TableError::EmptyInput => write!(f, "CSV input is empty (no header row)"),
             TableError::DuplicateColumn {
                 name,
@@ -90,6 +98,28 @@ impl fmt::Display for TableError {
                 "ingest threads {requested} is above the ceiling of {}",
                 crate::MAX_THREADS
             ),
+        }
+    }
+}
+
+impl TableError {
+    /// This error as seen from the whole stream when it was found in a
+    /// chunk that `rows_before` records precede: an arity mismatch's
+    /// chunk-local `row` is shifted, anything else passes through.
+    pub fn after_rows(self, rows_before: usize) -> TableError {
+        match self {
+            TableError::ArityMismatch {
+                line,
+                row,
+                expected,
+                found,
+            } => TableError::ArityMismatch {
+                line,
+                row: rows_before + row,
+                expected,
+                found,
+            },
+            other => other,
         }
     }
 }

@@ -56,7 +56,7 @@ pub use rational::Rational;
 pub use record::{Record, RecordId};
 pub use schema::{AttrId, Attribute, Schema};
 pub use table::{Column, ColumnsView, RecordRef, Table};
-pub use value::{Interner, PoolReader, ScratchPool, Sym, SymRemap, ValuePool};
+pub use value::{Interner, NewStrings, PoolReader, ScratchPool, Sym, SymRemap, ValuePool};
 
 /// The most worker threads any parallelism knob — ingest threads,
 /// `threads`, `--threads` — may request. A
