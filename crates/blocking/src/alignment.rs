@@ -17,6 +17,8 @@ use crate::blocking::Blocking;
 /// Sample a random alignment of source and target records that respects the
 /// blocking result: only records in the same block are paired, and each
 /// record is used at most once (`min(|φ_S|, |φ_T|)` pairs per block).
+/// Visits only the mixed blocks of the blocking's
+/// [`MixedIndex`](crate::MixedIndex), in block order.
 pub fn sample_random_alignment(blocking: &Blocking, rng: &mut StdRng) -> Vec<(RecordId, RecordId)> {
     let mut pairs = Vec::new();
     let mut src_buf: Vec<RecordId> = Vec::new();

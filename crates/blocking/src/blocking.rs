@@ -7,6 +7,14 @@
 //! blocking is four allocations however many blocks it has, so refining
 //! it, and dropping a discarded child, costs a constant number of
 //! allocations rather than two per block.
+//!
+//! Every per-state query of the search (the indeterminacy order, the
+//! induction and ranking samples, random alignments and the `(ct, cs)`
+//! bound) reads one [`MixedIndex`] instead of walking every block. It is
+//! built on the first such query and at most once per blocking, so a
+//! child that is never polled never pays for it.
+
+use std::sync::OnceLock;
 
 use affidavit_functions::{ApplyScratch, AttrFunction};
 use affidavit_table::{
@@ -43,6 +51,94 @@ impl Block<'_> {
     }
 }
 
+/// One mixed block in a [`MixedIndex`]: its block index and the running
+/// source and target counts of the mixed blocks up to and including it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MixedBlock {
+    /// Index of the block in block order.
+    pub block: u32,
+    /// Sources in this and every earlier mixed block.
+    pub src_end: u32,
+    /// Targets in this and every earlier mixed block.
+    pub tgt_end: u32,
+}
+
+/// What the per-state queries need of a [`Blocking`], from one walk over
+/// its blocks: the mixed blocks with running counts (for the samples and
+/// alignments), the mixed blocks with at least two sources widest first
+/// (for the indeterminacy), and the `(ct, cs)` surplus sums.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MixedIndex {
+    /// The mixed blocks in block order.
+    mixed: Vec<MixedBlock>,
+    /// `(sources, block index)` of every mixed block with at least two
+    /// sources, by sources descending, then block index ascending.
+    widest: Vec<(u32, u32)>,
+    /// Target surplus summed over all blocks.
+    ct: u64,
+    /// Source surplus summed over all blocks (without the dead sources).
+    cs: u64,
+}
+
+impl MixedIndex {
+    fn build(blocking: &Blocking) -> MixedIndex {
+        let mut index = MixedIndex::default();
+        let (mut src_end, mut tgt_end) = (0u32, 0u32);
+        for (bi, block) in blocking.blocks().enumerate() {
+            index.ct += block.target_surplus();
+            index.cs += block.source_surplus();
+            if block.is_mixed() {
+                // Within `u32`: `push_end` bounds each side's total.
+                src_end += block.src.len() as u32;
+                tgt_end += block.tgt.len() as u32;
+                let block_id = bi as u32;
+                index.mixed.push(MixedBlock {
+                    block: block_id,
+                    src_end,
+                    tgt_end,
+                });
+                if block.src.len() >= 2 {
+                    index.widest.push((block.src.len() as u32, block_id));
+                }
+            }
+        }
+        index
+            .widest
+            .sort_unstable_by_key(|&(sources, bi)| (std::cmp::Reverse(sources), bi));
+        index
+    }
+
+    /// The mixed blocks in block order, with running record counts.
+    pub fn mixed(&self) -> &[MixedBlock] {
+        &self.mixed
+    }
+
+    /// `(sources, block index)` of the mixed blocks with at least two
+    /// sources, widest first, ties towards the lower block index.
+    pub fn widest(&self) -> &[(u32, u32)] {
+        &self.widest
+    }
+
+    /// The `(ct, cs)` surplus sums over all blocks, without dead sources.
+    pub fn surplus(&self) -> (u64, u64) {
+        (self.ct, self.cs)
+    }
+}
+
+/// The lazily built [`MixedIndex`] of a blocking. It is derived data, so
+/// it never takes part in equality, and every change to the blocks resets
+/// it.
+#[derive(Debug, Clone, Default)]
+struct IndexCell(OnceLock<MixedIndex>);
+
+impl PartialEq for IndexCell {
+    fn eq(&self, _: &IndexCell) -> bool {
+        true
+    }
+}
+
+impl Eq for IndexCell {}
+
 /// The blocking result Φ^H of a search state.
 ///
 /// Blocks are kept in deterministic (parent-order, first-seen) order.
@@ -59,6 +155,8 @@ pub struct Blocking {
     ends: Vec<(u32, u32)>,
     /// Source records excluded by partial function application.
     dead_src: Vec<RecordId>,
+    /// The mixed-block index, built on first use.
+    index: IndexCell,
 }
 
 /// Group id of a source record the function was inapplicable to.
@@ -134,6 +232,7 @@ impl SplitOut for Blocking {
         }
         // Every cursor now sits at its group's end.
         self.ends.extend_from_slice(&splitter.cursors);
+        self.index.0.take();
     }
 }
 
@@ -271,6 +370,7 @@ impl Blocking {
             tgt: target.record_ids().collect(),
             ends: Vec::with_capacity(1),
             dead_src: Vec::new(),
+            index: IndexCell::default(),
         };
         root.push_end();
         root
@@ -307,6 +407,7 @@ impl Blocking {
             |len: usize| u32::try_from(len).expect("a blocking holds < 2^32 records per side");
         self.ends
             .push((offset(self.src.len()), offset(self.tgt.len())));
+        self.index.0.take();
     }
 
     /// Block `i`, in block order.
@@ -346,6 +447,7 @@ impl Blocking {
             tgt: Vec::with_capacity(self.tgt.len()),
             ends: Vec::with_capacity(self.ends.len()),
             dead_src: self.dead_src.clone(),
+            index: IndexCell::default(),
         }
     }
 
@@ -357,6 +459,7 @@ impl Blocking {
         self.src.extend_from_slice(&chunk.src);
         self.tgt.extend_from_slice(&chunk.tgt);
         self.dead_src.extend_from_slice(&chunk.dead_src);
+        self.index.0.take();
     }
 
     /// Refine on a newly assigned attribute: every block splits by the
@@ -508,22 +611,33 @@ impl Blocking {
         out
     }
 
+    /// The mixed-block index, built by the first caller (concurrent first
+    /// callers wait for that one build).
+    pub fn mixed_index(&self) -> &MixedIndex {
+        self.index.0.get_or_init(|| MixedIndex::build(self))
+    }
+
     /// Lower bound on inserted targets from this blocking alone:
     /// `ct(H) = Σ_{|φ_T| > |φ_S|} (|φ_T| − |φ_S|)` (§4.5).
     pub fn ct(&self) -> u64 {
-        self.blocks().map(|b| b.target_surplus()).sum()
+        let ct = self.mixed_index().ct;
+        debug_assert_eq!(ct, self.blocks().map(|b| b.target_surplus()).sum());
+        ct
     }
 
     /// Lower bound on deleted sources:
     /// `cs(H) = Σ_{|φ_S| > |φ_T|} (|φ_S| − |φ_T|)` plus the dead sources.
     pub fn cs(&self) -> u64 {
-        let surplus: u64 = self.blocks().map(|b| b.source_surplus()).sum();
+        let surplus = self.mixed_index().cs;
+        debug_assert_eq!(surplus, self.blocks().map(|b| b.source_surplus()).sum());
         surplus + self.dead_src.len() as u64
     }
 
-    /// Iterate over the mixed blocks (both sides non-empty).
+    /// Iterate over the mixed blocks (both sides non-empty), in block
+    /// order, from the index.
     pub fn mixed_blocks(&self) -> impl Iterator<Item = Block<'_>> + '_ {
-        self.blocks().filter(Block::is_mixed)
+        let mixed = self.mixed_index().mixed();
+        mixed.iter().map(|m| self.block(m.block as usize))
     }
 
     /// Number of blocks.
@@ -539,19 +653,43 @@ impl Blocking {
     /// Indeterminacy estimate of an attribute under this blocking (§4.3):
     /// the maximum number of distinct *source* values of `attr` over all
     /// mixed blocks — an upper bound for how many source values compete as
-    /// the origin of a target value. A block with no more sources than the
-    /// running maximum cannot raise it and is skipped unread.
+    /// the origin of a target value. Any mixed block gives at least 1; the
+    /// index's blocks of two or more sources are read widest first, up to
+    /// the first one with no more sources than the running maximum, which
+    /// no later block can beat.
     pub fn indeterminacy(&self, attr: AttrId, source: &Table) -> usize {
+        let index = self.mixed_index();
         let col = source.column(attr);
         let mut distinct: FxHashSet<Sym> = FxHashSet::default();
-        let mut max = 0usize;
-        for block in self.mixed_blocks() {
-            if block.src.len() <= max {
-                continue;
+        let mut max = usize::from(!index.mixed.is_empty());
+        for &(sources, bi) in &index.widest {
+            if sources as usize <= max {
+                break;
             }
             distinct.clear();
-            distinct.extend(block.src.iter().map(|sid| col[sid.index()]));
+            distinct.extend(
+                self.block(bi as usize)
+                    .src
+                    .iter()
+                    .map(|sid| col[sid.index()]),
+            );
             max = max.max(distinct.len());
+        }
+        #[cfg(debug_assertions)]
+        {
+            let walked = self
+                .blocks()
+                .filter(Block::is_mixed)
+                .map(|b| {
+                    b.src
+                        .iter()
+                        .map(|sid| col[sid.index()])
+                        .collect::<FxHashSet<_>>()
+                        .len()
+                })
+                .max()
+                .unwrap_or(0);
+            debug_assert_eq!(max, walked, "indeterminacy of {attr:?}");
         }
         max
     }

@@ -16,7 +16,7 @@
 //! targets visit them, so the pool interns the same strings in the same
 //! order as inducing every example afresh.
 
-use affidavit_blocking::{Block, Blocking};
+use affidavit_blocking::{Block, Blocking, MixedBlock};
 use affidavit_functions::{induce_from_example, AttrFunction, Registry};
 use affidavit_table::{AttrId, FxHashMap, FxHashSet, Interner, RecordId, Sym, Table};
 use rand::rngs::StdRng;
@@ -56,39 +56,81 @@ pub struct InductionParams {
     pub use_corpus: bool,
 }
 
+/// A side of the mixed blocks to sample records from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    Source,
+    Target,
+}
+
+impl Side {
+    /// The running record count of this side in a mixed-index entry.
+    fn end(self, m: &MixedBlock) -> usize {
+        match self {
+            Side::Source => m.src_end as usize,
+            Side::Target => m.tgt_end as usize,
+        }
+    }
+
+    /// The records of this side in a block.
+    fn of<'a>(self, block: &Block<'a>) -> &'a [RecordId] {
+        match self {
+            Side::Source => block.src,
+            Side::Target => block.tgt,
+        }
+    }
+}
+
 /// Draw up to `k` records uniformly without replacement from one side of
 /// the mixed blocks, as `(block index, offset within that side)`, in draw
-/// order. `side` gives a block's record count on the sampled side. The
-/// draws index the records of all mixed blocks laid end to end, found
-/// through prefix sums of the block sizes. `None`, without a draw, when
-/// the mixed blocks hold no record on that side.
+/// order. The draws index the records of all mixed blocks laid end to
+/// end, found through the running counts of the blocking's
+/// [`MixedIndex`](affidavit_blocking::MixedIndex). `None`, without a draw,
+/// when there is no mixed block. Debug builds check every pick against a
+/// walk over all blocks.
 pub(crate) fn sample_mixed(
     blocking: &Blocking,
-    side: impl Fn(&Block<'_>) -> usize,
+    side: Side,
     k: usize,
     rng: &mut StdRng,
 ) -> Option<Vec<(usize, usize)>> {
-    // (block index, exclusive end of its records in the laid-out order)
+    let mixed = blocking.mixed_index().mixed();
+    let total = mixed.last().map_or(0, |m| side.end(m));
+    if total == 0 {
+        return None;
+    }
+    let draws: Vec<usize> = index_sample(rng, total, k.min(total)).into_iter().collect();
+    let picks: Vec<(usize, usize)> = draws
+        .iter()
+        .map(|&i| {
+            let j = mixed.partition_point(|m| side.end(m) <= i);
+            let start = if j == 0 { 0 } else { side.end(&mixed[j - 1]) };
+            (mixed[j].block as usize, i - start)
+        })
+        .collect();
+    debug_assert_eq!(picks, walked_picks(blocking, side, &draws));
+    Some(picks)
+}
+
+/// `(block index, offset)` of each draw, from prefix sums of one side of
+/// the mixed blocks built by walking every block.
+fn walked_picks(blocking: &Blocking, side: Side, draws: &[usize]) -> Vec<(usize, usize)> {
     let mut ends: Vec<(usize, usize)> = Vec::new();
     let mut total = 0;
     for (bi, block) in blocking.blocks().enumerate() {
         if block.is_mixed() {
-            total += side(&block);
+            total += side.of(&block).len();
             ends.push((bi, total));
         }
     }
-    if total == 0 {
-        return None;
-    }
-    let picks = index_sample(rng, total, k.min(total))
-        .into_iter()
-        .map(|i| {
+    draws
+        .iter()
+        .map(|&i| {
             let j = ends.partition_point(|&(_, end)| end <= i);
             let start = if j == 0 { 0 } else { ends[j - 1].1 };
             (ends[j].0, i - start)
         })
-        .collect();
-    Some(picks)
+        .collect()
 }
 
 /// Induce and filter candidate functions for `attr` under a blocking
@@ -105,7 +147,7 @@ pub fn induce_candidates<I: Interner>(
     rng: &mut StdRng,
 ) -> Induction {
     let _span = affidavit_obs::span("induce.candidates");
-    let mut chosen: Vec<(usize, RecordId)> = sample_mixed(blocking, |b| b.tgt.len(), params.k, rng)
+    let mut chosen: Vec<(usize, RecordId)> = sample_mixed(blocking, Side::Target, params.k, rng)
         .unwrap_or_default()
         .into_iter()
         .map(|(bi, off)| (bi, blocking.block(bi).tgt[off]))
@@ -227,6 +269,88 @@ mod tests {
             min_support: 5,
             max_examples_per_target: 1000,
             use_corpus: false,
+        }
+    }
+
+    /// The walk `sample_mixed` replaced: prefix sums of one side of the
+    /// mixed blocks, rebuilt from every block on each call.
+    fn walk_sample_mixed(
+        blocking: &Blocking,
+        side: impl Fn(&Block<'_>) -> usize,
+        k: usize,
+        rng: &mut StdRng,
+    ) -> Option<Vec<(usize, usize)>> {
+        let mut ends: Vec<(usize, usize)> = Vec::new();
+        let mut total = 0;
+        for (bi, block) in blocking.blocks().enumerate() {
+            if block.is_mixed() {
+                total += side(&block);
+                ends.push((bi, total));
+            }
+        }
+        if total == 0 {
+            return None;
+        }
+        let picks = index_sample(rng, total, k.min(total))
+            .into_iter()
+            .map(|i| {
+                let j = ends.partition_point(|&(_, end)| end <= i);
+                let start = if j == 0 { 0 } else { ends[j - 1].1 };
+                (ends[j].0, i - start)
+            })
+            .collect();
+        Some(picks)
+    }
+
+    /// `sample_mixed` picks what the walk picks and leaves the RNG where
+    /// the walk leaves it, seed for seed, on blockings of empty,
+    /// one-sided, 1:1 and wide blocks, for samples below, at and above
+    /// the record count.
+    #[test]
+    fn sample_mixed_matches_the_block_walk() {
+        use rand::{Rng, RngCore};
+        let mut shapes = StdRng::seed_from_u64(3);
+        for case in 0..200 {
+            let blocks = shapes.gen_range(0..12usize);
+            let sizes: Vec<(u32, u32)> = (0..blocks)
+                .map(|_| match shapes.gen_range(0..5) {
+                    0 => (0, 0),
+                    1 => (shapes.gen_range(1..4), 0),
+                    2 => (0, shapes.gen_range(1..4)),
+                    3 => (1, 1),
+                    _ => (shapes.gen_range(1..9), shapes.gen_range(1..9)),
+                })
+                .collect();
+            let (mut next_src, mut next_tgt) = (0, 0);
+            let mut records = Vec::new();
+            for &(ns, nt) in &sizes {
+                let src: Vec<RecordId> = (next_src..next_src + ns).map(RecordId).collect();
+                let tgt: Vec<RecordId> = (next_tgt..next_tgt + nt).map(RecordId).collect();
+                (next_src, next_tgt) = (next_src + ns, next_tgt + nt);
+                records.push((src, tgt));
+            }
+            let blocking = Blocking::from_blocks(
+                records.iter().map(|(src, tgt)| Block { src, tgt }),
+                Vec::new(),
+            );
+            for k in [0, 1, 3, 10, 100] {
+                for (side, len) in [
+                    (
+                        Side::Source,
+                        (|b: &Block<'_>| b.src.len()) as fn(&Block<'_>) -> usize,
+                    ),
+                    (Side::Target, |b: &Block<'_>| b.tgt.len()),
+                ] {
+                    let seed = case * 101 + k as u64;
+                    let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    assert_eq!(
+                        sample_mixed(&blocking, side, k, &mut a),
+                        walk_sample_mixed(&blocking, len, k, &mut b),
+                        "case {case} k {k} {side:?}"
+                    );
+                    assert_eq!(a.next_u64(), b.next_u64(), "next draw, case {case}");
+                }
+            }
         }
     }
 

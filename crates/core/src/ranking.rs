@@ -23,7 +23,7 @@ use affidavit_functions::AttrFunction;
 use affidavit_table::{AttrId, FxHashMap, Interner, Sym, Table};
 use rand::rngs::StdRng;
 
-use crate::induction::sample_mixed;
+use crate::induction::{sample_mixed, Side};
 
 /// A ranked candidate: function plus its estimated alignment overlap.
 #[derive(Debug, Clone)]
@@ -124,7 +124,7 @@ pub fn rank_candidates<I: Interner>(
     }
     // Sample k' source records from mixed blocks; evaluate each containing
     // block once.
-    let Some(picks) = sample_mixed(blocking, |b| b.src.len(), k_prime, rng) else {
+    let Some(picks) = sample_mixed(blocking, Side::Source, k_prime, rng) else {
         return Ranking::default();
     };
     let mut blocks_to_eval: Vec<usize> = picks.into_iter().map(|(bi, _)| bi).collect();

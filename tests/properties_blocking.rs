@@ -3,11 +3,14 @@
 //! differential battery pinning the flat refinement to a nested-`Vec`
 //! reference oracle (block order, record order, dead sources and pool
 //! strings, serial and parallel), the count-only bound pass against the
-//! same oracle, plus the pruned indeterminacy against an exhaustive count.
+//! same oracle, plus the pruned indeterminacy against an exhaustive count
+//! and the mixed-block index against a walk over every block.
 
 use std::collections::{BTreeSet, HashMap};
 
-use affidavit::blocking::{sample_random_alignment, Block, Blocking};
+use std::sync::{Arc, Barrier};
+
+use affidavit::blocking::{sample_random_alignment, Block, Blocking, MixedBlock, MixedIndex};
 use affidavit::functions::{ApplyScratch, AttrFunction};
 use affidavit::table::{
     AttrId, Decimal, Rational, Record, RecordId, Schema, Sym, Table, ValuePool,
@@ -205,6 +208,51 @@ fn exhaustive_indeterminacy(b: &Blocking, attr: AttrId, source: &Table) -> usize
         })
         .max()
         .unwrap_or(0)
+}
+
+/// A mixed-block index as a walk finds it: mixed blocks with running
+/// counts, the widest-first `(sources, block)` of those with two or more
+/// sources, and the `(ct, cs)` surplus sums.
+type WalkedIndex = (Vec<MixedBlock>, Vec<(u32, u32)>, (u64, u64));
+
+/// The mixed-block index of `b`, rebuilt by walking every block.
+fn walked_index(b: &Blocking) -> WalkedIndex {
+    let (mut mixed, mut widest, mut surplus) = (Vec::new(), Vec::new(), (0, 0));
+    let (mut src_end, mut tgt_end) = (0, 0);
+    for (bi, blk) in b.blocks().enumerate() {
+        surplus.0 += blk.target_surplus();
+        surplus.1 += blk.source_surplus();
+        if !blk.src.is_empty() && !blk.tgt.is_empty() {
+            src_end += blk.src.len() as u32;
+            tgt_end += blk.tgt.len() as u32;
+            mixed.push(MixedBlock {
+                block: bi as u32,
+                src_end,
+                tgt_end,
+            });
+            if blk.src.len() >= 2 {
+                widest.push((blk.src.len() as u32, bi as u32));
+            }
+        }
+    }
+    widest.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    (mixed, widest, surplus)
+}
+
+/// Check `b`'s index, its `(ct, cs)` and its mixed blocks against a walk.
+fn check_index(b: &Blocking) -> Result<(), TestCaseError> {
+    let (mixed, widest, surplus) = walked_index(b);
+    let index = b.mixed_index();
+    prop_assert_eq!(index.mixed(), &mixed[..]);
+    prop_assert_eq!(index.widest(), &widest[..]);
+    prop_assert_eq!(index.surplus(), surplus);
+    prop_assert_eq!(
+        (b.ct(), b.cs()),
+        (surplus.0, surplus.1 + b.dead_src().len() as u64)
+    );
+    let walked: Vec<Block> = b.blocks().filter(Block::is_mixed).collect();
+    prop_assert_eq!(b.mixed_blocks().collect::<Vec<_>>(), walked);
+    Ok(())
 }
 
 proptest! {
@@ -443,5 +491,114 @@ proptest! {
                 prop_assert_eq!(b.indeterminacy(attr, &s), exhaustive_indeterminacy(b, attr, &s));
             }
         }
+    }
+
+    /// The mixed-block index equals a walk over every block, for blockings
+    /// built every way there is: the root, `from_blocks` over empty,
+    /// source-only, target-only, 1:1 and wide blocks, `refine`, and
+    /// `refine_parallel` at 1, 2 and 4 threads. A block pushed after a
+    /// query is in the next answer: the index is never stale.
+    #[test]
+    fn mixed_index_matches_a_full_walk(
+        (src, tgt) in mixed_table_pair(),
+        (src_slot, tgt_slot) in (
+            prop::collection::vec(0u8..BLOCKS + 1, 25),
+            prop::collection::vec(0u8..BLOCKS, 25),
+        ),
+        tiny_slots in (
+            prop::collection::vec(0u8..TINY_BLOCKS + 1, 25),
+            prop::collection::vec(0u8..TINY_BLOCKS, 25),
+        ),
+        (refine_attr, f) in (0u32..3, 0u8..5),
+        pushed in prop::collection::vec((0usize..4, 0usize..4), 1..4),
+    ) {
+        let mut pool = ValuePool::new();
+        let s = build_mixed(&src, &mut pool);
+        let t = build_mixed(&tgt, &mut pool);
+        let func = function(f, &mut pool);
+        let attr = AttrId(refine_attr);
+        let mut blockings = vec![
+            Blocking::root(&s, &t),
+            start_blocking(&s, &t, &src_slot, &tgt_slot, BLOCKS),
+            start_blocking(&s, &t, &tiny_slots.0, &tiny_slots.1, TINY_BLOCKS),
+        ];
+        for start in blockings.clone() {
+            let mut serial_pool = pool.clone();
+            let serial =
+                start.refine(attr, &func, &mut ApplyScratch::new(), &s, &t, &mut serial_pool);
+            for threads in [1usize, 2, 4] {
+                let mut par_pool = pool.clone();
+                let handle = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let parallel =
+                    handle.install(|| start.refine_parallel(attr, &func, &s, &t, &mut par_pool));
+                check_index(&parallel)?;
+            }
+            blockings.push(serial);
+        }
+        let (all_src, all_tgt): (Vec<_>, Vec<_>) = (s.record_ids().collect(), t.record_ids().collect());
+        for mut b in blockings {
+            check_index(&b)?;
+            for &(ns, nt) in &pushed {
+                let (ns, nt) = (ns.min(all_src.len()), nt.min(all_tgt.len()));
+                b.push_block(Block { src: &all_src[..ns], tgt: &all_tgt[..nt] });
+                check_index(&b)?;
+                for a in (0..3).map(AttrId) {
+                    prop_assert_eq!(b.indeterminacy(a, &s), exhaustive_indeterminacy(&b, a, &s));
+                }
+            }
+        }
+    }
+}
+
+/// Four pool threads query the index of one fresh blocking at the same
+/// moment — the first-use race of the parallel order and scan paths. All
+/// four see the one index that was built, with equal answers.
+#[test]
+fn concurrent_first_queries_share_one_index() {
+    let mut pool = ValuePool::new();
+    let rows: Vec<[u8; 3]> = (0..200u32)
+        .map(|i| [(i % 4) as u8, (i % 7 % 4) as u8, 0])
+        .collect();
+    let (s, t) = (build(&rows, &mut pool), build(&rows[50..], &mut pool));
+    let base = Blocking::root(&s, &t).refine(
+        AttrId(0),
+        &AttrFunction::Identity,
+        &mut ApplyScratch::new(),
+        &s,
+        &t,
+        &mut pool,
+    );
+    use rayon::prelude::*;
+    let handle = rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .unwrap();
+    for _ in 0..20 {
+        // `base` is never queried, so each clone starts without an index.
+        let fresh = Arc::new(base.clone());
+        let barrier = Barrier::new(4);
+        let answers: Vec<(usize, MixedIndex, (u64, u64), usize)> = handle.install(|| {
+            (0..4)
+                .into_par_iter()
+                .map(|_| {
+                    barrier.wait();
+                    let index = fresh.mixed_index();
+                    let at = index as *const MixedIndex as usize;
+                    (
+                        at,
+                        index.clone(),
+                        (fresh.ct(), fresh.cs()),
+                        fresh.indeterminacy(AttrId(1), &s),
+                    )
+                })
+                .collect()
+        });
+        for answer in &answers[1..] {
+            assert_eq!(answer, &answers[0], "the four first queries disagree");
+        }
+        assert_eq!(
+            answers[0].3,
+            exhaustive_indeterminacy(&fresh, AttrId(1), &s)
+        );
     }
 }
