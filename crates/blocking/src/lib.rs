@@ -37,10 +37,8 @@
 
 pub mod alignment;
 pub mod blocking;
-pub mod delta;
 pub mod overlap;
 
 pub use alignment::{greedy_map_from_alignment, sample_random_alignment};
 pub use blocking::{Block, Blocking, MixedBlock, MixedIndex};
-pub use delta::{final_blocking, group_fingerprints, group_records, header_fingerprint};
 pub use overlap::{overlap_start_attrs, OverlapConfig, OverlapIndex};

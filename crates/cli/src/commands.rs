@@ -399,10 +399,8 @@ pub fn explain(args: &[String]) -> Result<(), String> {
                 ));
             }
         }
-        let state = match p.flag_value("delta-state") {
-            Some(dir) => Path::new(dir).join("explain.affidavit-delta.json"),
-            None => affidavit_core::delta::default_explain_state(tgt),
-        };
+        let state =
+            affidavit_core::delta::explain_state(tgt, p.flag_value("delta-state").map(Path::new));
         let outcome = affidavit_core::delta::explain_delta(src, tgt, &opts, &state)?;
         affidavit_obs::diag("delta", &outcome.stats.summary());
         return say_report(

@@ -1,16 +1,14 @@
-//! Incremental re-profiling (`--delta`): fingerprinted block reuse.
+//! Incremental re-profiling (`--delta`): one staged fingerprint per pair.
 //!
 //! A profiling run spends almost all of its time re-deriving answers for
 //! table pairs that did not change since the previous run. This module
-//! persists a compact *manifest* next to each run — per-pair raw file
-//! fingerprints, the final function assignment, the induced block-group
-//! fingerprints of [`affidavit_blocking::delta`], the per-group partition
-//! of the explanation, the rendered report and the summary row — and on a
-//! re-run splices prior results for clean pairs while only dirty pairs
-//! re-enter the search.
+//! persists a compact *manifest* next to each run — per pair the raw file
+//! fingerprints, one [`staged_fingerprint`] of the staged instance, the
+//! rendered report and the summary row — and on a re-run splices prior
+//! results for clean pairs while only dirty pairs re-enter the search.
 //!
 //! `explain --delta` and `profile --delta` share everything but their
-//! manifest I/O: one manifest shape ([`DeltaManifest`], format v2 — an
+//! manifest I/O: one manifest shape ([`DeltaManifest`], format v3 — an
 //! explain manifest is a profile manifest with a single entry), one
 //! loader, and one per-pair routine that decides between the two splice
 //! tiers and a redo. [`explain_delta_with`] and [`profile_dirs_delta`]
@@ -19,26 +17,26 @@
 //! Reuse is **per pair, all or nothing**. The search itself is a
 //! best-first exploration whose polled/generated trajectory feeds user
 //! output; warm-starting it from partial prior state would change those
-//! bytes. So a pair is either *spliced* (its stored result provably still
-//! applies) or fully *redone* — the group fingerprints exist to make the
-//! "provably" cheap and to resolve reuse counters at sub-pair granularity.
+//! bytes. So a pair is either *spliced* (its stored result still applies)
+//! or fully *redone*.
 //!
-//! Two splice tiers:
+//! Two splice tiers, each plain equality under an equal config
+//! fingerprint:
 //!
-//! 1. **Raw tier** — the source and target file fingerprints and the
-//!    config fingerprint match the manifest: the stored report and
-//!    summary row are the answer, zero ingestion.
+//! 1. **Raw tier** — the source and target file fingerprints match the
+//!    manifest: the stored report and summary row are the answer, zero
+//!    ingestion.
 //! 2. **Staged tier** — the raw bytes differ but, after ingest and
-//!    staging, the header fingerprint and *every* block-group fingerprint
-//!    match (a CRLF or quoting no-op rewrite): the stored explanation is
-//!    reassembled from the per-group partition, [`Explanation::validate`]d
-//!    against the freshly staged instance, re-rendered, and compared
-//!    against the stored report byte for byte and against the stored
-//!    summary row. Any mismatch at any step falls back to a full redo on
-//!    a pristine re-staged instance.
+//!    staging, the [`staged_fingerprint`] matches (a CRLF or quoting
+//!    no-op rewrite): the stored record with refreshed raw fingerprints,
+//!    so the next run of this byte form takes the raw tier.
 //!
-//! A file that cannot be fingerprinted skips the raw tier; staging then
-//! reports the failure with the message a from-scratch run gives.
+//! The staged tier trusts its fingerprint exactly as the raw tier trusts
+//! the file fingerprints: the search is deterministic in (staged pair,
+//! config), so equal staged pairs under an equal config produce the
+//! stored bytes. A file that cannot be fingerprinted skips the raw tier;
+//! staging then reports the failure with the message a from-scratch run
+//! gives.
 //!
 //! The load-bearing invariant — proven by the delta-fuzz battery in
 //! `tests/properties_delta.rs` — is that for every input and every edit
@@ -49,44 +47,27 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use affidavit_blocking::delta::{
-    final_blocking, group_fingerprints, group_records, header_fingerprint,
-};
-use affidavit_store::{fingerprint_file, manifest, SessionKey};
-use affidavit_table::{RecordId, ScratchPool};
+use affidavit_store::{fingerprint_file, manifest, Fingerprint, Fnv, SessionKey};
 use serde::{Deserialize, Serialize};
 
 use crate::config::AffidavitConfig;
-use crate::explanation::Explanation;
 use crate::instance::ProblemInstance;
-use crate::portable::PortableFunction;
 use crate::profiling::{
     outcome_for, paired_csv_stems, stage_file_pair, table_stem, ProfileOptions, SnapshotProfile,
     TableOutcome, TableProfile,
 };
 use crate::report::render_report;
-use crate::search::{Affidavit, SearchOutcome};
+use crate::search::Affidavit;
 
 /// Manifest format version. Bumped on any incompatible change so stale
 /// manifests fall back to a full redo instead of misparsing.
-pub const DELTA_FORMAT_VERSION: u32 = 2;
+pub const DELTA_FORMAT_VERSION: u32 = 3;
 
-/// One fingerprint group's slice of the stored explanation. Core pairs
-/// are parallel arrays (`core_src[i]` aligns with `core_tgt[i]`); groups
-/// are keyed by position, matching the group-fingerprint vector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GroupRecord {
-    /// The group fingerprint at record time (`Display` form).
-    pub fp: String,
-    /// Source ids of core pairs whose source record lives in this group.
-    pub core_src: Vec<u32>,
-    /// Target ids parallel to `core_src`.
-    pub core_tgt: Vec<u32>,
-    /// Deleted source ids in this group.
-    pub deleted: Vec<u32>,
-    /// Inserted target ids in this group.
-    pub inserted: Vec<u32>,
-}
+/// Largest manifest file the loader reads, in bytes. A manifest holds
+/// about 1 KB per pair, most of it the rendered report, so this is far
+/// above any real one; a larger file is a typed I/O error and a fallback
+/// redo.
+pub const MAX_MANIFEST_BYTES: u64 = 64 << 20;
 
 /// Everything needed to splice one table pair without re-searching.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -96,13 +77,8 @@ pub struct PairRecord {
     pub source_fp: String,
     /// Raw content fingerprint of the target CSV file (empty likewise).
     pub target_fp: String,
-    /// [`header_fingerprint`] of the staged pair's final blocking.
-    pub header_fp: String,
-    /// The final function assignment, in interning-independent form.
-    pub functions: Vec<PortableFunction>,
-    /// Per-group fingerprints and explanation slices (dead-source
-    /// pseudo-group last, mirroring [`group_fingerprints`]).
-    pub groups: Vec<GroupRecord>,
+    /// [`staged_fingerprint`] of the staged pair.
+    pub staged_fp: String,
     /// The rendered report at record time.
     pub report: String,
     /// The summary row at record time.
@@ -138,20 +114,12 @@ pub struct DeltaManifest {
     pub tables: Vec<TableRecord>,
 }
 
-/// Reuse counters for one delta run. Block counts are in fingerprint
-/// groups (see [`affidavit_blocking::delta::MAX_GROUPS`]); a spliced pair
-/// reuses all of its groups, a redone pair redoes all of them.
+/// Reuse counters for one delta run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Fingerprint groups seen across all processed pairs.
-    pub blocks_total: u64,
-    /// Groups whose pair was spliced from the manifest.
-    pub blocks_reused: u64,
-    /// Groups whose pair re-entered the search.
-    pub blocks_redone: u64,
-    /// Broken-manifest events (unparsable, version or config mismatch,
-    /// failed validation) that forced a full redo. Plain data dirt is
-    /// *not* a fallback.
+    /// Broken-manifest events (unreadable or unparsable, version or
+    /// config mismatch) that forced a full redo. Plain data dirt is *not*
+    /// a fallback.
     pub fallbacks: u64,
     /// Pairs spliced without a search.
     pub pairs_spliced: u64,
@@ -162,22 +130,16 @@ pub struct DeltaStats {
 impl DeltaStats {
     /// Fold another run's counters into this one.
     pub fn merge(&mut self, other: DeltaStats) {
-        self.blocks_total += other.blocks_total;
-        self.blocks_reused += other.blocks_reused;
-        self.blocks_redone += other.blocks_redone;
         self.fallbacks += other.fallbacks;
         self.pairs_spliced += other.pairs_spliced;
         self.pairs_redone += other.pairs_redone;
     }
 
     /// Publish the counters to the process-global metrics registry
-    /// (`delta_blocks_reused_total` …), where the resident service's
+    /// (`delta_pairs_spliced_total` …), where the resident service's
     /// metrics endpoint renders them.
     pub fn publish(&self) {
         let m = affidavit_obs::metrics();
-        m.add_counter("delta_blocks_total", self.blocks_total);
-        m.add_counter("delta_blocks_reused_total", self.blocks_reused);
-        m.add_counter("delta_blocks_redone_total", self.blocks_redone);
         m.add_counter("delta_fallbacks_total", self.fallbacks);
         m.add_counter("delta_pairs_spliced_total", self.pairs_spliced);
         m.add_counter("delta_pairs_redone_total", self.pairs_redone);
@@ -186,27 +148,9 @@ impl DeltaStats {
     /// One-line human summary for stderr diagnostics.
     pub fn summary(&self) -> String {
         format!(
-            "{}/{} blocks reused, {} redone, {} fallbacks ({} pairs spliced, {} redone)",
-            self.blocks_reused,
-            self.blocks_total,
-            self.blocks_redone,
-            self.fallbacks,
-            self.pairs_spliced,
-            self.pairs_redone
+            "{} pairs spliced, {} redone, {} fallbacks",
+            self.pairs_spliced, self.pairs_redone, self.fallbacks
         )
-    }
-
-    /// Count one finished pair of `record.groups.len()` groups.
-    fn count(&mut self, record: &PairRecord, spliced: bool) {
-        let n = record.groups.len() as u64;
-        self.blocks_total += n;
-        if spliced {
-            self.blocks_reused += n;
-            self.pairs_spliced += 1;
-        } else {
-            self.blocks_redone += n;
-            self.pairs_redone += 1;
-        }
     }
 }
 
@@ -242,16 +186,47 @@ pub fn config_fingerprint(config: &AffidavitConfig, align: bool) -> String {
         parallel_min_records: defaults.parallel_min_records,
         ..config.clone()
     };
-    let mut fnv = affidavit_store::Fnv::new();
+    let mut fnv = Fnv::new();
     fnv.update_str(&serde_json::to_string(&shaping).expect("configs are serializable"));
     fnv.update(&[u8::from(align)]);
     fnv.update_u64(u64::from(DELTA_FORMAT_VERSION));
     fnv.finish().to_string()
 }
 
-/// Default manifest path for `explain --delta`: a sibling of the target
-/// CSV named `<target>.affidavit-delta.json`.
-pub fn default_explain_state(target: &Path) -> PathBuf {
+/// Fingerprint a staged pair: FNV-1a over the schema names, both row
+/// counts, and every cell's resolved string, column by column (source
+/// first). It hashes strings, never `Sym` values, so it does not depend
+/// on interning order (a warm session and a cold ingest agree); and it
+/// hashes cells in record order, so a row reorder changes it even when
+/// the multiset of rows is unchanged. Equal fingerprints therefore mean,
+/// up to a 64-bit hash collision, that the staged tables are equal as
+/// indexed sequences.
+pub fn staged_fingerprint(instance: &ProblemInstance) -> Fingerprint {
+    let mut fnv = Fnv::new();
+    let schema = instance.schema();
+    fnv.update_u64(schema.arity() as u64);
+    for name in schema.names() {
+        fnv.update_str(name);
+    }
+    fnv.update_u64(instance.source.len() as u64);
+    fnv.update_u64(instance.target.len() as u64);
+    for table in [&instance.source, &instance.target] {
+        for column in table.columns().iter() {
+            for &sym in column {
+                fnv.update_str(instance.pool.get(sym));
+            }
+        }
+    }
+    fnv.finish()
+}
+
+/// Manifest path for `explain --delta`: `DIR/explain.affidavit-delta.json`
+/// under a `--delta-state DIR`, else a sibling of the target CSV named
+/// `<target>.affidavit-delta.json`.
+pub fn explain_state(target: &Path, state_dir: Option<&Path>) -> PathBuf {
+    if let Some(dir) = state_dir {
+        return dir.join("explain.affidavit-delta.json");
+    }
     let mut name = target
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
@@ -267,194 +242,12 @@ pub fn default_profile_state(target_dir: &Path) -> PathBuf {
     target_dir.join(".affidavit-delta.json")
 }
 
-/// Record the splice state of a finished search. Blocking is derived on
-/// a scratch overlay so the instance pool is left untouched — the redo
-/// path's pool bytes are compared against from-scratch runs by the fuzz
-/// battery.
-fn record_pair(
-    (source_fp, target_fp): (String, String),
-    outcome: &SearchOutcome,
-    instance: &ProblemInstance,
-    millis: u64,
-) -> PairRecord {
-    let explanation = &outcome.explanation;
-    let mut scratch = ScratchPool::new(instance.pool.reader());
-    let blocking = final_blocking(
-        &explanation.functions,
-        &instance.source,
-        &instance.target,
-        &mut scratch,
-    );
-    let fps = group_fingerprints(&blocking, &instance.source, &instance.target, &scratch);
-    let header = header_fingerprint(&blocking, &instance.source, &instance.target);
-    let map = group_records(&blocking, instance.source.len(), instance.target.len());
-    let mut groups: Vec<GroupRecord> = fps
-        .iter()
-        .map(|fp| GroupRecord {
-            fp: fp.to_string(),
-            core_src: Vec::new(),
-            core_tgt: Vec::new(),
-            deleted: Vec::new(),
-            inserted: Vec::new(),
-        })
-        .collect();
-    for &(sid, tid) in explanation.core_pairs() {
-        let g = map.src_group[sid.index()] as usize;
-        groups[g].core_src.push(sid.0);
-        groups[g].core_tgt.push(tid.0);
-    }
-    for &sid in &explanation.deleted {
-        groups[map.src_group[sid.index()] as usize]
-            .deleted
-            .push(sid.0);
-    }
-    for &tid in &explanation.inserted {
-        groups[map.tgt_group[tid.index()] as usize]
-            .inserted
-            .push(tid.0);
-    }
-    PairRecord {
-        source_fp,
-        target_fp,
-        header_fp: header.to_string(),
-        functions: explanation
-            .functions
-            .iter()
-            .map(|f| PortableFunction::from_attr(f, &instance.pool))
-            .collect(),
-        groups,
-        report: render_report(explanation, instance),
-        outcome: outcome_for(explanation, instance, millis),
-        polled: outcome.stats.polled as u64,
-        generated: outcome.stats.states_generated as u64,
-        millis,
-    }
-}
-
-/// The outcome of checking a staged instance against a stored pair.
-enum BlockCheck {
-    /// Header and every group fingerprint match: the staged pair is
-    /// identical (as indexed sequences) to the recorded one.
-    Clean,
-    /// Data changed; `dirty` of `total` groups differ.
-    Dirty {
-        /// Differing group count, for diagnostics.
-        dirty: usize,
-        /// Total group count of the staged instance.
-        total: usize,
-    },
-    /// The manifest cannot be interpreted against this instance.
-    Broken(String),
-}
-
-/// Re-derive the final blocking from the stored functions on a scratch
-/// overlay and compare fingerprints against the stored groups.
-fn check_blocks(pair: &PairRecord, instance: &ProblemInstance) -> BlockCheck {
-    let mut scratch = ScratchPool::new(instance.pool.reader());
-    let functions: Vec<_> = match pair
-        .functions
-        .iter()
-        .map(|f| f.to_attr_in(&mut scratch))
-        .collect::<Result<_, _>>()
-    {
-        Ok(fns) => fns,
-        Err(e) => return BlockCheck::Broken(format!("manifest functions: {e}")),
-    };
-    if functions.len() != instance.arity() {
-        return BlockCheck::Broken(format!(
-            "manifest has {} functions for arity {}",
-            functions.len(),
-            instance.arity()
-        ));
-    }
-    let blocking = final_blocking(&functions, &instance.source, &instance.target, &mut scratch);
-    let fps = group_fingerprints(&blocking, &instance.source, &instance.target, &scratch);
-    let total = fps.len();
-    if header_fingerprint(&blocking, &instance.source, &instance.target).to_string()
-        != pair.header_fp
-        || total != pair.groups.len()
-    {
-        return BlockCheck::Dirty {
-            dirty: total,
-            total,
-        };
-    }
-    let dirty = fps
-        .iter()
-        .zip(&pair.groups)
-        .filter(|(fp, g)| fp.to_string() != g.fp)
-        .count();
-    if dirty == 0 {
-        BlockCheck::Clean
-    } else {
-        BlockCheck::Dirty { dirty, total }
-    }
-}
-
-/// Reassemble the stored explanation against a freshly staged instance,
-/// validate it, re-render the report and the summary row, and require
-/// both to match the stored ones. On success the stored record *is* the
-/// from-scratch answer.
-///
-/// Interns into `instance.pool` (function constants, validation images);
-/// on `Err` the caller must re-stage before redoing.
-fn splice_pair(pair: &PairRecord, instance: &mut ProblemInstance) -> Result<(), String> {
-    let functions = pair
-        .functions
-        .iter()
-        .map(|f| f.to_attr(&mut instance.pool))
-        .collect::<Result<Vec<_>, _>>()?;
-    let n_src = instance.source.len() as u32;
-    let n_tgt = instance.target.len() as u32;
-    let mut core = Vec::new();
-    let mut deleted = Vec::new();
-    let mut inserted = Vec::new();
-    for g in &pair.groups {
-        if g.core_src.len() != g.core_tgt.len() {
-            return Err("manifest group has unpaired core ids".to_owned());
-        }
-        for (&s, &t) in g.core_src.iter().zip(&g.core_tgt) {
-            if s >= n_src || t >= n_tgt {
-                return Err("manifest core id out of range".to_owned());
-            }
-            core.push((RecordId(s), RecordId(t)));
-        }
-        for &s in &g.deleted {
-            if s >= n_src {
-                return Err("manifest deleted id out of range".to_owned());
-            }
-            deleted.push(RecordId(s));
-        }
-        for &t in &g.inserted {
-            if t >= n_tgt {
-                return Err("manifest inserted id out of range".to_owned());
-            }
-            inserted.push(RecordId(t));
-        }
-    }
-    // `Explanation::from_functions` emits core ascending by source id,
-    // deleted ascending and inserted sorted; restore that order after the
-    // per-group concatenation so rendering matches byte for byte.
-    core.sort_unstable_by_key(|&(s, _)| s);
-    deleted.sort_unstable();
-    inserted.sort_unstable();
-    let explanation = Explanation::new(functions, deleted, inserted, core);
-    explanation.validate(instance)?;
-    if render_report(&explanation, instance) != pair.report {
-        return Err("stored report does not match the reassembled explanation".to_owned());
-    }
-    if outcome_for(&explanation, instance, pair.millis) != pair.outcome {
-        return Err("stored outcome does not match".to_owned());
-    }
-    Ok(())
-}
-
 /// How [`delta_pair`] answered one table pair.
 enum Answer {
     /// The raw fingerprints matched: the stored record, untouched.
     Raw,
-    /// Every staged group fingerprint matched and the splice checked
-    /// out: the stored record with refreshed raw fingerprints.
+    /// The staged fingerprint matched: the stored record with refreshed
+    /// raw fingerprints.
     Staged,
     /// A fresh search over the staged instance.
     Redo {
@@ -471,11 +264,11 @@ pub type StageHook<'a> = dyn FnMut(Option<SessionKey>) -> Result<ProblemInstance
 
 /// The one splice-or-redo routine behind every `--delta` path: answer
 /// one table pair from its `prior` record on the raw tier, else stage it
-/// (through `stage`, which runs once, or twice after a rejected
-/// staged-tier splice) and answer on the staged tier, else search. Each
-/// file is fingerprinted once; `stage` receives those fingerprints. The
-/// returned record is what the next run's manifest stores for the pair;
-/// `Err` is a staging failure, worded as a from-scratch run words it.
+/// (through `stage`, which runs at most once) and answer on the staged
+/// tier, else search. Each file is fingerprinted once; `stage` receives
+/// those fingerprints. The returned record is what the next run's
+/// manifest stores for the pair; `Err` is a staging failure, worded as a
+/// from-scratch run words it.
 fn delta_pair(
     prior: Option<&PairRecord>,
     source: &Path,
@@ -484,79 +277,63 @@ fn delta_pair(
     stage: &mut StageHook<'_>,
     stats: &mut DeltaStats,
 ) -> Result<(PairRecord, Answer), String> {
-    let name = table_stem(target);
     // An unreadable file skips the raw tier; staging reports it below.
     let (src_fp, tgt_fp) = (fingerprint_file(source).ok(), fingerprint_file(target).ok());
     let key = src_fp
         .zip(tgt_fp)
         .map(|(source, target)| SessionKey { source, target });
-    let raw_src = src_fp.map(|fp| fp.to_string());
-    let raw_tgt = tgt_fp.map(|fp| fp.to_string());
+    let source_fp = src_fp.map(|fp| fp.to_string()).unwrap_or_default();
+    let target_fp = tgt_fp.map(|fp| fp.to_string()).unwrap_or_default();
 
     if let Some(rec) = prior {
         let raw_clean = {
             let _s = affidavit_obs::span("delta.diff");
-            raw_src.as_ref() == Some(&rec.source_fp) && raw_tgt.as_ref() == Some(&rec.target_fp)
+            key.is_some() && source_fp == rec.source_fp && target_fp == rec.target_fp
         };
         if raw_clean {
             let _s = affidavit_obs::span("delta.splice");
-            stats.count(rec, true);
+            stats.pairs_spliced += 1;
             return Ok((rec.clone(), Answer::Raw));
         }
     }
-    let raw = (raw_src.unwrap_or_default(), raw_tgt.unwrap_or_default());
 
     let mut instance = stage(key)?;
+    let staged_fp = {
+        let _s = affidavit_obs::span("delta.diff");
+        staged_fingerprint(&instance).to_string()
+    };
     if let Some(rec) = prior {
-        let check = {
-            let _s = affidavit_obs::span("delta.diff");
-            check_blocks(rec, &instance)
-        };
-        match check {
-            BlockCheck::Clean => {
-                let _s = affidavit_obs::span("delta.splice");
-                match splice_pair(rec, &mut instance) {
-                    Ok(()) => {
-                        stats.count(rec, true);
-                        // Refresh the raw fingerprints so the next run of
-                        // this byte-form takes the raw tier.
-                        let refreshed = PairRecord {
-                            source_fp: raw.0,
-                            target_fp: raw.1,
-                            ..rec.clone()
-                        };
-                        return Ok((refreshed, Answer::Staged));
-                    }
-                    Err(reason) => {
-                        stats.fallbacks += 1;
-                        affidavit_obs::diag(
-                            "delta.fallback",
-                            &format!("{name}: splice rejected ({reason}), full redo"),
-                        );
-                        // The splice attempt interned into the pool.
-                        instance = stage(key)?;
-                    }
-                }
-            }
-            BlockCheck::Dirty { dirty, total } => {
-                affidavit_obs::diag(
-                    "delta.diff",
-                    &format!("{name}: {dirty}/{total} groups dirty, redo"),
-                );
-            }
-            BlockCheck::Broken(reason) => {
-                stats.fallbacks += 1;
-                affidavit_obs::diag("delta.fallback", &format!("{name}: {reason}, full redo"));
-            }
+        if staged_fp == rec.staged_fp {
+            let _s = affidavit_obs::span("delta.splice");
+            stats.pairs_spliced += 1;
+            let refreshed = PairRecord {
+                source_fp,
+                target_fp,
+                ..rec.clone()
+            };
+            return Ok((refreshed, Answer::Staged));
         }
+        affidavit_obs::diag(
+            "delta.diff",
+            &format!("{}: staged pair changed, redo", table_stem(target)),
+        );
     }
 
     let _s = affidavit_obs::span("delta.redo");
     let started = Instant::now();
     let outcome = Affidavit::new(opts.config.clone()).explain(&mut instance);
     let millis = started.elapsed().as_millis() as u64;
-    let record = record_pair(raw, &outcome, &instance, millis);
-    stats.count(&record, false);
+    stats.pairs_redone += 1;
+    let record = PairRecord {
+        source_fp,
+        target_fp,
+        staged_fp,
+        report: render_report(&outcome.explanation, &instance),
+        outcome: outcome_for(&outcome.explanation, &instance, millis),
+        polled: outcome.stats.polled as u64,
+        generated: outcome.stats.states_generated as u64,
+        millis,
+    };
     let answer = Answer::Redo {
         instance: Box::new(instance),
         duration: outcome.stats.duration,
@@ -566,9 +343,10 @@ fn delta_pair(
 
 /// Load the manifest at `state` if this format version wrote it under
 /// this configuration. A missing file is a first run; any other unusable
-/// state counts a fallback and yields no records.
+/// state (unreadable, over [`MAX_MANIFEST_BYTES`], unparsable, stale)
+/// counts a fallback and yields no records.
 fn load_manifest(state: &Path, config_fp: &str, stats: &mut DeltaStats) -> Vec<TableRecord> {
-    let loaded = match manifest::load_string(state) {
+    let loaded = match manifest::load_string(state, MAX_MANIFEST_BYTES) {
         Ok(None) => return Vec::new(),
         Ok(Some(text)) => serde_json::from_str::<DeltaManifest>(&text)
             .map_err(|e| format!("unparsable manifest ({e})"))
@@ -622,10 +400,9 @@ pub fn explain_delta(
 /// `explain --delta` with a caller-supplied staging hook — the resident
 /// service stages through its pinned-session LRU instead of a cold
 /// ingest, keyed by the fingerprints the hook is handed, so no file is
-/// fingerprinted twice. The hook may run zero times (raw-tier splice),
-/// once, or twice (re-stage after a failed staged-tier splice). The
-/// manifest holds the pair under its target's file stem and is rewritten
-/// unless the raw tier answered.
+/// fingerprinted twice. The hook runs zero times (raw-tier splice) or
+/// once. The manifest holds the pair under its target's file stem and is
+/// rewritten unless the raw tier answered.
 pub fn explain_delta_with(
     source: &Path,
     target: &Path,
@@ -759,24 +536,32 @@ mod tests {
         let src = "k,v\nk0,1000\nk1,2000\nk2,3000\n";
         let (s, t) = write_pair(&root, src, "k,v\nk0,1\nk1,2\nk2,3\n");
         let opts = ProfileOptions::default();
-        let state = default_explain_state(&t);
+        let state = explain_state(&t, None);
         assert!(state.ends_with("tgt.csv.affidavit-delta.json"));
+        assert_eq!(
+            explain_state(&t, Some(&root)),
+            root.join("explain.affidavit-delta.json")
+        );
 
         let first = explain_delta(&s, &t, &opts, &state).unwrap();
         assert!(!first.spliced);
-        assert_eq!(first.stats.pairs_redone, 1);
-        assert_eq!(first.stats.blocks_redone, first.stats.blocks_total);
+        assert_eq!(
+            (first.stats.pairs_redone, first.stats.pairs_spliced),
+            (1, 0)
+        );
         assert_eq!(first.report, scratch_report(&s, &t, &opts));
 
         // Unchanged inputs: raw-tier splice, byte-identical report.
         let second = explain_delta(&s, &t, &opts, &state).unwrap();
         assert!(second.spliced);
-        assert_eq!(second.stats.pairs_spliced, 1);
-        assert_eq!(second.stats.blocks_reused, second.stats.blocks_total);
+        assert_eq!(
+            (second.stats.pairs_spliced, second.stats.pairs_redone),
+            (1, 0)
+        );
         assert_eq!(second.report, first.report);
 
         // A CRLF rewrite dirties the raw tier but splices on the staged
-        // tier (every group fingerprint still matches).
+        // tier (the staged fingerprint still matches).
         std::fs::write(&t, "k,v\r\nk0,1\r\nk1,2\r\nk2,3\r\n").unwrap();
         let crlf = explain_delta(&s, &t, &opts, &state).unwrap();
         assert!(
@@ -804,7 +589,7 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
         let (s, t) = write_pair(&root, "k,v\nk0,1\n", "k,v\nk0,2\n");
         let opts = ProfileOptions::default();
-        let state = root.join("explain.affidavit-delta.json");
+        let state = explain_state(&t, Some(&root));
         let mut keys = Vec::new();
         explain_delta_with(&s, &t, &opts, &state, &mut |key| {
             keys.push(key);
@@ -847,8 +632,31 @@ mod tests {
     }
 
     #[test]
-    fn explain_staged_tier_checks_the_stored_outcome() {
-        let root = std::env::temp_dir().join("affidavit-delta-outcome-test");
+    fn an_over_bound_manifest_falls_back_to_a_correct_redo() {
+        let root = std::env::temp_dir().join("affidavit-delta-over-bound-test");
+        std::fs::remove_dir_all(&root).ok();
+        let (s, t) = write_pair(&root, "a\n1\n2\n", "a\n1\n3\n");
+        let opts = ProfileOptions::default();
+        let state = root.join("state.json");
+        explain_delta(&s, &t, &opts, &state).unwrap();
+
+        // A sparse file one byte over the bound: no disk blocks, and the
+        // loader rejects it without reading it.
+        let file = std::fs::File::create(&state).unwrap();
+        file.set_len(MAX_MANIFEST_BYTES + 1).unwrap();
+        drop(file);
+        let report = explain_delta(&s, &t, &opts, &state).unwrap();
+        assert!(!report.spliced);
+        assert_eq!(report.stats.fallbacks, 1);
+        assert_eq!(report.report, scratch_report(&s, &t, &opts));
+        // The redo replaced it with a valid manifest.
+        assert!(explain_delta(&s, &t, &opts, &state).unwrap().spliced);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_changed_staged_fingerprint_redoes_from_scratch() {
+        let root = std::env::temp_dir().join("affidavit-delta-staged-fp-test");
         std::fs::remove_dir_all(&root).ok();
         let (s, t) = write_pair(&root, "k,v\nk0,1000\nk1,2000\n", "k,v\nk0,1\nk1,2\n");
         let opts = ProfileOptions::default();
@@ -856,25 +664,52 @@ mod tests {
         explain_delta(&s, &t, &opts, &state).unwrap();
 
         // An explain manifest is the one manifest shape with one entry,
-        // keyed by the target's stem. Tamper with its summary row only.
+        // keyed by the target's stem. Tamper with its staged fingerprint.
         let mut manifest: DeltaManifest =
             serde_json::from_str(&std::fs::read_to_string(&state).unwrap()).unwrap();
         assert_eq!(manifest.tables.len(), 1);
         assert_eq!(manifest.tables[0].stem, "tgt");
-        manifest.tables[0].pair.outcome = TableOutcome::Failed {
-            reason: "tampered".to_owned(),
-        };
+        manifest.tables[0].pair.staged_fp = "0000000000000000-0".to_owned();
         std::fs::write(&state, serde_json::to_string(&manifest).unwrap()).unwrap();
 
         // The raw tier still answers from the stored report...
         assert!(explain_delta(&s, &t, &opts, &state).unwrap().spliced);
-        // ... but the staged tier rejects the splice and redoes.
+        // ... but after a CRLF rewrite the staged tier sees a changed
+        // pair: a plain redo (data dirt, not a fallback).
         std::fs::write(&t, "k,v\r\nk0,1\r\nk1,2\r\n").unwrap();
         let crlf = explain_delta(&s, &t, &opts, &state).unwrap();
         assert!(!crlf.spliced);
-        assert_eq!(crlf.stats.fallbacks, 1);
+        assert_eq!((crlf.stats.pairs_redone, crlf.stats.fallbacks), (1, 0));
         assert_eq!(crlf.report, scratch_report(&s, &t, &opts));
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn the_staged_fingerprint_ignores_interning_order_and_sees_reorders() {
+        use affidavit_table::{Schema, Table, ValuePool};
+        let instance = |decoy: bool, rows: &[[&str; 2]]| {
+            let mut pool = ValuePool::new();
+            if decoy {
+                pool.intern("decoy"); // shift every Sym
+            }
+            let rows: Vec<Vec<&str>> = rows.iter().map(|r| r.to_vec()).collect();
+            let s = Table::from_rows(Schema::new(["k", "v"]), &mut pool, rows.clone());
+            let t = Table::from_rows(Schema::new(["k", "v"]), &mut pool, rows);
+            ProblemInstance::new(s, t, pool).unwrap()
+        };
+        let base = staged_fingerprint(&instance(false, &[["a", "1"], ["b", "2"]]));
+        assert_eq!(
+            base,
+            staged_fingerprint(&instance(true, &[["a", "1"], ["b", "2"]]))
+        );
+        for changed in [
+            &[["b", "2"], ["a", "1"]][..],
+            &[["a", "1"], ["b", "9"]],
+            &[["a", "1"]],
+            &[["a", "1"], ["b", "2"], ["c", "3"]],
+        ] {
+            assert_ne!(base, staged_fingerprint(&instance(false, changed)));
+        }
     }
 
     #[test]
@@ -928,7 +763,7 @@ mod tests {
         // Clean re-run: everything splices, nothing redone.
         let (second, s2) = profile_dirs_delta(&src, &tgt, &opts, &state).unwrap();
         assert_eq!(s2.pairs_spliced, 4);
-        assert_eq!(s2.blocks_redone, 0);
+        assert_eq!(s2.pairs_redone, 0);
         assert_eq!(strip(second), baseline);
 
         // Edit one table: exactly one pair redone, profile still matches

@@ -213,17 +213,6 @@ impl PortableFunction {
     /// Convert back into an interned function. Fails on malformed numeric
     /// parameters (hand-edited files).
     pub fn to_attr(&self, pool: &mut ValuePool) -> Result<AttrFunction, String> {
-        self.to_attr_in(pool)
-    }
-
-    /// [`to_attr`](PortableFunction::to_attr) against any
-    /// [`Interner`](affidavit_table::Interner) —
-    /// the delta layer interns into a `ScratchPool` overlay here, so
-    /// checking a manifest's functions never mutates the instance pool.
-    pub fn to_attr_in<I: affidavit_table::Interner>(
-        &self,
-        pool: &mut I,
-    ) -> Result<AttrFunction, String> {
         Ok(match self {
             PortableFunction::Identity => AttrFunction::Identity,
             PortableFunction::Uppercase => AttrFunction::Uppercase,

@@ -70,8 +70,12 @@ mod tests {
     #[test]
     fn human_lines_are_event_colon_detail() {
         assert_eq!(
-            render_diag(DiagFormat::Human, "delta", "3/4 blocks reused, 1 redone"),
-            "delta: 3/4 blocks reused, 1 redone"
+            render_diag(
+                DiagFormat::Human,
+                "delta",
+                "3 pairs spliced, 1 redone, 0 fallbacks"
+            ),
+            "delta: 3 pairs spliced, 1 redone, 0 fallbacks"
         );
     }
 

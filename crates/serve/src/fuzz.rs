@@ -73,7 +73,7 @@ impl Mutant {
 /// Byte offsets of the JSON structure (braces, brackets, colons, commas
 /// and string delimiters) outside string contents: changing any one of
 /// them leaves text that is not a request.
-fn structural_offsets(json: &[u8]) -> Vec<usize> {
+pub fn structural_offsets(json: &[u8]) -> Vec<usize> {
     let (mut offsets, mut in_string, mut escaped) = (Vec::new(), false, false);
     for (i, &b) in json.iter().enumerate() {
         if in_string {

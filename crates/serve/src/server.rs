@@ -342,10 +342,10 @@ fn explain(spec: &ExplainSpec, shared: &ServeShared) -> Result<ReportReply, Stri
 
 /// The incremental explain path (`spec.delta`): the one-shot
 /// `explain --delta` routine ([`explain_delta_with`]: same manifest,
-/// same tiers, same stored-report and summary-row checks), with the
-/// pinned-session cache as its staging hook, so the pair is staged only
-/// when the raw tier misses. A spliced reply is always `warm` (zero
-/// search work); a redo is `warm` exactly when the session cache was.
+/// same tiers), with the pinned-session cache as its staging hook, so
+/// the pair is staged only when the raw tier misses. A spliced reply is
+/// always `warm` (zero search work); a redo is `warm` exactly when the
+/// session cache was.
 /// The request deadline is deliberately not enforced here: a dirty
 /// pair's redo must stay byte-identical to the one-shot `--delta` CLI,
 /// which has no deadline.
@@ -353,10 +353,10 @@ fn explain(spec: &ExplainSpec, shared: &ServeShared) -> Result<ReportReply, Stri
 /// [`explain_delta_with`]: affidavit_core::delta::explain_delta_with
 fn explain_delta_served(spec: &ExplainSpec, shared: &ServeShared) -> Result<ReportReply, String> {
     let opts = profile_options(spec);
-    let state = match &spec.delta_state {
-        Some(dir) => Path::new(dir).join("explain.affidavit-delta.json"),
-        None => affidavit_core::delta::default_explain_state(Path::new(&spec.target)),
-    };
+    let state = affidavit_core::delta::explain_state(
+        Path::new(&spec.target),
+        spec.delta_state.as_deref().map(Path::new),
+    );
     let warm_session = std::cell::Cell::new(false);
     let outcome = affidavit_core::delta::explain_delta_with(
         Path::new(&spec.source),

@@ -53,9 +53,9 @@ impl std::str::FromStr for Fingerprint {
 
 /// An incremental FNV-1a 64 hasher: the streaming core shared by
 /// [`fingerprint_bytes`], [`fingerprint_file`] and callers that hash
-/// structured content piecewise (the delta manifests hash each block's
-/// resolved strings through one of these). Feeding the same bytes in any
-/// chunking yields the same [`Fingerprint`].
+/// structured content piecewise (the delta manifests hash a staged
+/// pair's resolved strings through one of these). Feeding the same bytes
+/// in any chunking yields the same [`Fingerprint`].
 #[derive(Debug, Clone)]
 pub struct Fnv {
     hash: u64,

@@ -9,7 +9,7 @@
 //! readers only ever see either the previous complete manifest or the
 //! new complete manifest.
 
-use std::io;
+use std::io::{self, Read};
 use std::path::Path;
 
 /// Write `contents` to `path` atomically: temp file in the same
@@ -35,14 +35,34 @@ pub fn save_atomic(path: &Path, contents: &str) -> io::Result<()> {
     }
 }
 
-/// Read a manifest back. `Ok(None)` when the file does not exist (a
-/// first run), `Err` on any other I/O failure.
-pub fn load_string(path: &Path) -> io::Result<Option<String>> {
-    match std::fs::read_to_string(path) {
-        Ok(s) => Ok(Some(s)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
+/// Read a manifest of at most `bound` bytes back. `Ok(None)` when the
+/// file does not exist (a first run), `Err` on any other I/O failure —
+/// a special file, a file over `bound` bytes, or invalid UTF-8. The file
+/// is read through `take(bound + 1)`, so a file that grows past its
+/// stated length still costs at most `bound + 1` bytes of memory.
+pub fn load_string(path: &Path, bound: u64) -> io::Result<Option<String>> {
+    let file = match affidavit_table::csv::open_snapshot(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let over = || {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("manifest exceeds {bound} bytes"),
+        )
+    };
+    if file.metadata()?.len() > bound {
+        return Err(over());
     }
+    let mut bytes = Vec::new();
+    file.take(bound.saturating_add(1)).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 > bound {
+        return Err(over());
+    }
+    String::from_utf8(bytes)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -55,18 +75,45 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let path = dir.join("nested").join("state.json");
         // Absent reads as None, not an error.
-        assert_eq!(load_string(&path).unwrap(), None);
+        assert_eq!(load_string(&path, 64).unwrap(), None);
         // Parents are created; content round-trips.
         save_atomic(&path, "{\"v\":1}").unwrap();
-        assert_eq!(load_string(&path).unwrap().as_deref(), Some("{\"v\":1}"));
+        assert_eq!(
+            load_string(&path, 64).unwrap().as_deref(),
+            Some("{\"v\":1}")
+        );
         // Overwrite replaces wholesale and leaves no temp droppings.
         save_atomic(&path, "{\"v\":2}").unwrap();
-        assert_eq!(load_string(&path).unwrap().as_deref(), Some("{\"v\":2}"));
+        assert_eq!(
+            load_string(&path, 64).unwrap().as_deref(),
+            Some("{\"v\":2}")
+        );
         let siblings: Vec<_> = std::fs::read_dir(path.parent().unwrap())
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         assert_eq!(siblings, vec!["state.json"], "no temp files left behind");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_is_bounded() {
+        let dir = std::env::temp_dir().join("affidavit-manifest-bound-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("state.json");
+        save_atomic(&path, "0123456789").unwrap();
+        // Exactly at the bound reads; one byte over is a typed error.
+        assert_eq!(
+            load_string(&path, 10).unwrap().as_deref(),
+            Some("0123456789")
+        );
+        let err = load_string(&path, 9).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds 9 bytes"), "{err}");
+        // Invalid UTF-8 and a directory are errors too, not `None`.
+        std::fs::write(&path, [b'{', 0xff, b'}']).unwrap();
+        assert!(load_string(&path, 10).is_err());
+        assert!(load_string(&dir, 10).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,7 +9,7 @@
 //! * [`functions`] — transformation meta functions and induction.
 //! * [`blocking`] — blocking indices, random alignments, overlap matching.
 //! * [`core`] — the Affidavit search algorithm (Algorithm 1), plus
-//!   incremental re-profiling (`core::delta`: fingerprinted block
+//!   incremental re-profiling (`core::delta`: fingerprinted pair
 //!   reuse with from-scratch byte identity).
 //! * [`serve`] — the resident explain daemon: framed client API over
 //!   pinned, fingerprint-keyed snapshot sessions, and the frame codec

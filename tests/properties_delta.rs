@@ -9,19 +9,22 @@
 //! configurations × threads {1, 4} × ingest chunkings, and also checks
 //! the redo path's *pool state* against a from-scratch staging — not
 //! just the rendered report. Separately: the streaming fingerprint is
-//! chunking-invariant, and a corrupted manifest falls back to a full
-//! redo (correct bytes, `fallbacks` bumped) instead of failing.
+//! chunking-invariant, and a corrupted manifest — hand-picked or one of
+//! a seeded stream of mutants — falls back to a full redo (correct
+//! bytes, `fallbacks` bumped) instead of failing.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use affidavit::core::delta::{
-    config_fingerprint, default_explain_state, default_profile_state, explain_delta,
-    profile_dirs_delta,
+    config_fingerprint, default_profile_state, explain_delta, explain_state, profile_dirs_delta,
+    DeltaManifest, DELTA_FORMAT_VERSION,
 };
 use affidavit::core::profiling::{profile_dirs, stage_file_pair, ProfileOptions, SnapshotProfile};
 use affidavit::core::report::render_report;
 use affidavit::core::{Affidavit, AffidavitConfig, ProblemInstance};
+use affidavit::serve::fuzz::{structural_offsets, with_value};
 use affidavit::store::{fingerprint_bytes, fingerprint_file, Fnv, IngestOptions};
 use proptest::prelude::*;
 
@@ -168,7 +171,7 @@ proptest! {
         let dir = temp_dir("fuzz");
         let (src, tgt) = write_pair(&dir, pair_seed);
         let opts = opts_for(seed);
-        let state = default_explain_state(&tgt);
+        let state = explain_state(&tgt, None);
 
         // Cold: no manifest yet — a full redo with identical bytes.
         let (report1, polled1, generated1, pool1) = from_scratch(&src, &tgt, &opts);
@@ -185,7 +188,7 @@ proptest! {
         prop_assert!(warm.spliced);
         prop_assert_eq!(&warm.report, &report1);
         prop_assert_eq!((warm.polled, warm.generated), (polled1, generated1));
-        prop_assert_eq!(warm.stats.blocks_redone, 0);
+        prop_assert_eq!(warm.stats.pairs_redone, 0);
         prop_assert_eq!(warm.stats.fallbacks, 0);
 
         // Edited: still byte-identical to a from-scratch run over the
@@ -277,7 +280,7 @@ fn a_broken_manifest_falls_back_to_a_correct_redo() {
     let dir = temp_dir("broken");
     let (src, tgt) = write_pair(&dir, 3);
     let opts = opts_for(0);
-    let state = default_explain_state(&tgt);
+    let state = explain_state(&tgt, None);
     let (report, ..) = from_scratch(&src, &tgt, &opts);
 
     explain_delta(&src, &tgt, &opts, &state).unwrap();
@@ -298,6 +301,103 @@ fn a_broken_manifest_falls_back_to_a_correct_redo() {
         assert!(next.spliced);
         assert_eq!(next.report, report);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// SplitMix64 — a seeded, dependency-free stream, so every run tries the
+/// same manifest mutants.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// Manifest fields with raw JSON values outside their domain: counts no
+/// `u32`/`u64` holds, negative or fractional counts, and values of the
+/// wrong JSON type.
+const BAD_VALUES: &[(&str, &[&str])] = &[
+    ("version", &["-1", "4294967296", "3.5", "\"3\"", "999"]),
+    ("config_fp", &["7", "null", "[]"]),
+    ("polled", &["-1", "18446744073709551616", "1e30"]),
+    ("millis", &["-5", "2.5", "true"]),
+    ("staged_fp", &["7", "{}"]),
+    ("status", &["\"unknown\"", "0"]),
+    ("tables", &["{}", "7", "null"]),
+];
+
+/// One seeded mutant of a valid manifest: a truncation, a flipped
+/// structural byte, an inserted byte that is not UTF-8, or a field value
+/// outside its domain.
+fn mutate_manifest(rng: &mut SplitMix, json: &str) -> Vec<u8> {
+    let mut bytes = json.as_bytes().to_vec();
+    match rng.below(4) {
+        0 => bytes.truncate(rng.below(bytes.len())),
+        1 => {
+            let offsets = structural_offsets(&bytes);
+            let at = offsets[rng.below(offsets.len())];
+            bytes[at] ^= 1 + rng.below(255) as u8;
+        }
+        2 => bytes.insert(rng.below(bytes.len() + 1), [0xFF, 0x80, 0xC3][rng.below(3)]),
+        _ => {
+            let (key, values) = BAD_VALUES[rng.below(BAD_VALUES.len())];
+            bytes = with_value(json, key, values[rng.below(values.len())]).into_bytes();
+        }
+    }
+    bytes
+}
+
+/// Seeded manifest fuzz: every mutant of a recorded manifest must yield
+/// `Ok` without a panic, within `CASE_BOUND` (10 s) per case; its memory
+/// is bounded by the loader's read limit (`MAX_MANIFEST_BYTES`, 64 MiB,
+/// far above these few-KB mutants). A mutant that does not parse as a manifest of
+/// this version and config must count one fallback and redo with
+/// from-scratch bytes. A mutant that still parses as a current manifest
+/// is trusted like any manifest, so only `Ok` is asked of it.
+#[test]
+fn mutated_manifests_fall_back_without_failing() {
+    const CASE_BOUND: Duration = Duration::from_secs(10);
+
+    let dir = temp_dir("manifest-fuzz");
+    let (src, tgt) = write_pair(&dir, 5);
+    let opts = opts_for(0);
+    let state = explain_state(&tgt, None);
+    let (report, ..) = from_scratch(&src, &tgt, &opts);
+    explain_delta(&src, &tgt, &opts, &state).unwrap();
+    let recorded = std::fs::read_to_string(&state).unwrap();
+    let config_fp = config_fingerprint(&opts.config, opts.align);
+
+    let mut rng = SplitMix(0xDE17_A5EE_D000_0001);
+    let mut fell_back = 0;
+    for case in 0..48 {
+        let mutant = mutate_manifest(&mut rng, &recorded);
+        let current = std::str::from_utf8(&mutant)
+            .ok()
+            .and_then(|text| serde_json::from_str::<DeltaManifest>(text).ok())
+            .is_some_and(|m| m.version == DELTA_FORMAT_VERSION && m.config_fp == config_fp);
+        std::fs::write(&state, &mutant).unwrap();
+        let shown = String::from_utf8_lossy(&mutant);
+        let started = Instant::now();
+        let out = explain_delta(&src, &tgt, &opts, &state)
+            .unwrap_or_else(|e| panic!("case {case}: {e} on {shown}"));
+        assert!(
+            started.elapsed() < CASE_BOUND,
+            "case {case} took {:?}",
+            started.elapsed()
+        );
+        if !current {
+            fell_back += 1;
+            assert_eq!(out.stats.fallbacks, 1, "case {case}: {shown}");
+            assert!(!out.spliced, "case {case}: {shown}");
+            assert_eq!(out.report, report, "case {case}: {shown}");
+        }
+    }
+    assert!(fell_back > 24, "only {fell_back} mutants were invalid");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -327,7 +427,7 @@ fn the_manifest_is_portable_across_byte_transparent_knobs() {
         "search-shaping knobs must invalidate the manifest"
     );
 
-    let state = default_explain_state(&tgt);
+    let state = explain_state(&tgt, None);
     let cold = explain_delta(&src, &tgt, &default, &state).unwrap();
     for (knob, opts) in [("3-row chunks", &chunked), ("threads = 4", &threads4)] {
         let warm = explain_delta(&src, &tgt, opts, &state).unwrap();
