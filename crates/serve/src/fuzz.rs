@@ -19,11 +19,12 @@ use std::net::TcpStream;
 use crate::frame::{configure_stream, read_frame, FrameConfig, FrameRead, MAX_FRAME_BYTES};
 
 /// SplitMix64 — a seeded, dependency-free stream, so every run sends
-/// the same mutants.
-struct Rng(u64);
+/// the same mutants. `Rng(seed)` starts a stream.
+pub struct Rng(pub u64);
 
 impl Rng {
-    fn below(&mut self, n: usize) -> usize {
+    /// The next draw, uniform enough in `0..n` for fuzzing (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -24,7 +24,7 @@ use affidavit::core::delta::{
 use affidavit::core::profiling::{profile_dirs, stage_file_pair, ProfileOptions, SnapshotProfile};
 use affidavit::core::report::render_report;
 use affidavit::core::{Affidavit, AffidavitConfig, ProblemInstance};
-use affidavit::serve::fuzz::{structural_offsets, with_value};
+use affidavit::serve::fuzz::{structural_offsets, with_value, Rng};
 use affidavit::store::{fingerprint_bytes, fingerprint_file, Fnv, IngestOptions};
 use proptest::prelude::*;
 
@@ -304,20 +304,6 @@ fn a_broken_manifest_falls_back_to_a_correct_redo() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// SplitMix64 — a seeded, dependency-free stream, so every run tries the
-/// same manifest mutants.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn below(&mut self, n: usize) -> usize {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % n as u64) as usize
-    }
-}
-
 /// Manifest fields with raw JSON values outside their domain: counts no
 /// `u32`/`u64` holds, negative or fractional counts, and values of the
 /// wrong JSON type.
@@ -334,7 +320,7 @@ const BAD_VALUES: &[(&str, &[&str])] = &[
 /// One seeded mutant of a valid manifest: a truncation, a flipped
 /// structural byte, an inserted byte that is not UTF-8, or a field value
 /// outside its domain.
-fn mutate_manifest(rng: &mut SplitMix, json: &str) -> Vec<u8> {
+fn mutate_manifest(rng: &mut Rng, json: &str) -> Vec<u8> {
     let mut bytes = json.as_bytes().to_vec();
     match rng.below(4) {
         0 => bytes.truncate(rng.below(bytes.len())),
@@ -372,7 +358,7 @@ fn mutated_manifests_fall_back_without_failing() {
     let recorded = std::fs::read_to_string(&state).unwrap();
     let config_fp = config_fingerprint(&opts.config, opts.align);
 
-    let mut rng = SplitMix(0xDE17_A5EE_D000_0001);
+    let mut rng = Rng(0xDE17_A5EE_D000_0001);
     let mut fell_back = 0;
     for case in 0..48 {
         let mutant = mutate_manifest(&mut rng, &recorded);
