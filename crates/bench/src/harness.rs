@@ -90,7 +90,7 @@ impl CellResult {
 /// matcher's collapse on low-distinctness tables — the Table 2 effect on
 /// chess/nursery/letter — is preserved at laptop scale.
 #[allow(clippy::too_many_arguments)]
-pub fn run_one(
+fn run_one(
     spec: &DatasetSpec,
     rows: usize,
     eta: f64,

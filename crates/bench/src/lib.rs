@@ -10,22 +10,23 @@
 //! | `repro_table2` | Table 2 — 17 datasets × 3 settings × 2 configs    |
 //! | `repro_fig5`   | Figure 5 — row scalability on flight-500k         |
 //! | `repro_fig6`   | Figure 6 — attribute scalability                  |
+//! | `repro_ablations` | θ, α, min-support and ϱ sweeps; registry ablation |
 //!
-//! Criterion benches (`cargo bench -p affidavit-bench`): `table2`,
-//! `fig5_rows`, `fig6_attrs`, plus `components` micro/ablation benches for
-//! the design choices listed at the top of `benches/components.rs`.
+//! Timing is measured by one harness, `perfbench/` (its own workspace;
+//! workloads `table2-hid`, `table2-hs`, `tall`, `reprofile-delta`), whose
+//! per-layer trace also times the components (`blocking.refine`,
+//! `rank.candidates`, `ingest.parse`).
 //!
 //! All binaries default to laptop-scale row caps; pass `--full` for the
 //! paper's original sizes.
 //!
 //! ```
-//! // The report helpers render measurement series as markdown.
-//! let table = affidavit_bench::report::markdown_series(
-//!     ("rows", "seconds"),
-//!     &[("1000".to_owned(), "0.5".to_owned())],
-//! );
-//! assert!(table.starts_with("| rows | seconds |"));
-//! assert!(table.contains("| 1000 | 0.5 |"));
+//! use affidavit_bench::ConfigKind;
+//!
+//! // Each Table 2 configuration maps to the paper's search parameters.
+//! let hid = ConfigKind::Hid.to_config(7);
+//! assert_eq!((hid.beta, hid.queue_width), (2, 5));
+//! assert_eq!(ConfigKind::Hid.label(), "Hid");
 //! ```
 
 pub mod args;

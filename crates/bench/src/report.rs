@@ -1,5 +1,4 @@
-//! Markdown rendering of harness results — EXPERIMENTS.md is regenerated
-//! from these tables.
+//! Markdown rendering of harness results (`repro_table2 --md FILE`).
 
 use crate::harness::CellResult;
 
@@ -27,15 +26,6 @@ pub fn markdown_table(cells: &[CellResult]) -> String {
     out
 }
 
-/// Render a two-column series (e.g. scale → runtime) as markdown.
-pub fn markdown_series(header: (&str, &str), rows: &[(String, String)]) -> String {
-    let mut out = format!("| {} | {} |\n|---:|---:|\n", header.0, header.1);
-    for (a, b) in rows {
-        out.push_str(&format!("| {a} | {b} |\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,17 +47,5 @@ mod tests {
         }];
         let md = markdown_table(&cells);
         assert!(md.contains("| iris | 6 | 150 | Hid | 0.3 | 0.02s | 1.00 | 0.97 | 1.00 |"));
-    }
-
-    #[test]
-    fn renders_series() {
-        let md = markdown_series(
-            ("scale", "t"),
-            &[
-                ("10%".into(), "1.2s".into()),
-                ("100%".into(), "11.9s".into()),
-            ],
-        );
-        assert!(md.contains("| 10% | 1.2s |"));
     }
 }

@@ -1,7 +1,7 @@
 //! Explanations (Def. 3.2) and their construction from attribute functions
 //! (Prop. 3.6).
 
-use affidavit_functions::{AppliedFunction, AttrFunction};
+use affidavit_functions::{ApplyScratch, AttrFunction};
 use affidavit_table::{FxHashMap, RecordId, Sym};
 
 use crate::instance::ProblemInstance;
@@ -54,11 +54,7 @@ impl Explanation {
             instance.arity(),
             "need exactly one function per attribute"
         );
-        let mut applied: Vec<AppliedFunction> = functions
-            .iter()
-            .cloned()
-            .map(AppliedFunction::new)
-            .collect();
+        let mut memos: Vec<ApplyScratch> = functions.iter().map(|_| ApplyScratch::new()).collect();
 
         // Index target tuples; values are the target ids carrying that
         // tuple, consumed front-to-back for determinism.
@@ -85,7 +81,7 @@ impl Explanation {
                 let v = instance
                     .source
                     .value(sid, affidavit_table::AttrId(a as u32));
-                match applied[a].apply(v, &mut instance.pool) {
+                match memos[a].apply(&functions[a], v, &mut instance.pool) {
                     Some(out) => image.push(out),
                     None => {
                         ok = false;
@@ -198,12 +194,8 @@ impl Explanation {
                 return Err(format!("target record {tid:?} referenced twice"));
             }
         }
-        let mut applied: Vec<AppliedFunction> = self
-            .functions
-            .iter()
-            .cloned()
-            .map(AppliedFunction::new)
-            .collect();
+        let mut memos: Vec<ApplyScratch> =
+            self.functions.iter().map(|_| ApplyScratch::new()).collect();
         for &(sid, tid) in &self.core {
             if std::mem::replace(&mut seen_s[sid.index()], true) {
                 return Err(format!("source record {sid:?} referenced twice"));
@@ -218,7 +210,7 @@ impl Explanation {
                 let attr = affidavit_table::AttrId(a as u32);
                 let sv = instance.source.value(sid, attr);
                 let tv = instance.target.value(tid, attr);
-                match applied[a].apply(sv, &mut instance.pool) {
+                match memos[a].apply(&self.functions[a], sv, &mut instance.pool) {
                     Some(out) if out == tv => {}
                     other => {
                         return Err(format!(

@@ -10,7 +10,7 @@
 
 use affidavit_core::explanation::Explanation;
 use affidavit_core::instance::ProblemInstance;
-use affidavit_functions::{AppliedFunction, AttrFunction, ValueMap};
+use affidavit_functions::{ApplyScratch, AttrFunction, ValueMap};
 use affidavit_table::{
     stats::{attribute_profiles, attribute_stats},
     AttrId, FxHashSet, Record, RecordId, Sym, Table, ValuePool,
@@ -259,20 +259,16 @@ impl Blueprint {
         }
 
         // Transform core and target noise through the sampled functions.
-        let mut applied: Vec<AppliedFunction> = functions
-            .iter()
-            .cloned()
-            .map(AppliedFunction::new)
-            .collect();
+        let mut memos: Vec<ApplyScratch> = functions.iter().map(|_| ApplyScratch::new()).collect();
         let transform =
-            |row: usize, applied: &mut [AppliedFunction], pool: &mut ValuePool| -> Vec<Sym> {
+            |row: usize, memos: &mut [ApplyScratch], pool: &mut ValuePool| -> Vec<Sym> {
                 let rec = self.base.record(RecordId(row as u32));
                 rec.values()
                     .iter()
                     .enumerate()
                     .map(|(a, &v)| {
-                        applied[a]
-                            .apply(v, pool)
+                        memos[a]
+                            .apply(&functions[a], v, pool)
                             .expect("sampled functions are total on the base domain")
                     })
                     .collect()
@@ -333,8 +329,8 @@ impl Blueprint {
         let mut inserted: Vec<RecordId> = Vec::new();
         for (pos, entry) in tgt_entries.iter().enumerate() {
             let (values, is_core_idx) = match entry {
-                TgtEntry::Core(i) => (transform(core[*i], &mut applied, &mut pool), Some(*i)),
-                TgtEntry::Noise(i) => (transform(tgt_noise[*i], &mut applied, &mut pool), None),
+                TgtEntry::Core(i) => (transform(core[*i], &mut memos, &mut pool), Some(*i)),
+                TgtEntry::Noise(i) => (transform(tgt_noise[*i], &mut memos, &mut pool), None),
             };
             let mut values = values;
             values.push(pool.intern(&pk_tgt[pos].to_string()));

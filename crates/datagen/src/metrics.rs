@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use affidavit_core::explanation::Explanation;
-use affidavit_functions::AppliedFunction;
+use affidavit_functions::ApplyScratch;
 
 use crate::blueprint::GeneratedInstance;
 
@@ -72,19 +72,8 @@ pub fn evaluate(
 pub fn cell_accuracy(result: &Explanation, generated: &mut GeneratedInstance) -> f64 {
     let arity = generated.instance.arity();
     let pk = generated.pk_attr.index();
-    let mut res_fns: Vec<AppliedFunction> = result
-        .functions
-        .iter()
-        .cloned()
-        .map(AppliedFunction::new)
-        .collect();
-    let mut ref_fns: Vec<AppliedFunction> = generated
-        .reference
-        .functions
-        .iter()
-        .cloned()
-        .map(AppliedFunction::new)
-        .collect();
+    let mut res_memos: Vec<ApplyScratch> = (0..arity).map(|_| ApplyScratch::new()).collect();
+    let mut ref_memos: Vec<ApplyScratch> = (0..arity).map(|_| ApplyScratch::new()).collect();
     let mut total = 0u64;
     let mut correct = 0u64;
     for &(sid, _) in generated.reference.core_pairs() {
@@ -96,8 +85,9 @@ pub fn cell_accuracy(result: &Explanation, generated: &mut GeneratedInstance) ->
                 .instance
                 .source
                 .value(sid, affidavit_table::AttrId(a as u32));
-            let want = ref_fns[a].apply(v, &mut generated.instance.pool);
-            let got = res_fns[a].apply(v, &mut generated.instance.pool);
+            let pool = &mut generated.instance.pool;
+            let want = ref_memos[a].apply(&generated.reference.functions[a], v, pool);
+            let got = res_memos[a].apply(&result.functions[a], v, pool);
             total += 1;
             if want == got && want.is_some() {
                 correct += 1;

@@ -2,66 +2,22 @@
 //!
 //! During the search, the same attribute function is applied to the same
 //! distinct value over and over (once per record, per blocking pass, per
-//! cost evaluation). [`AppliedFunction`] caches `Sym → Option<Sym>` so each
+//! cost evaluation). [`ApplyScratch`] caches `Sym → Option<Sym>` so each
 //! distinct value is transformed exactly once per function.
 
 use affidavit_table::{FxHashMap, Interner, Sym};
 
 use crate::function::AttrFunction;
 
-/// An attribute function bundled with its application memo.
-#[derive(Debug, Clone)]
-pub struct AppliedFunction {
-    func: AttrFunction,
-    memo: FxHashMap<Sym, Option<Sym>>,
-}
-
-impl AppliedFunction {
-    /// Wrap a function with an empty memo.
-    pub fn new(func: AttrFunction) -> AppliedFunction {
-        AppliedFunction {
-            func,
-            memo: FxHashMap::default(),
-        }
-    }
-
-    /// The underlying function.
-    pub fn func(&self) -> &AttrFunction {
-        &self.func
-    }
-
-    /// Apply with memoization.
-    #[inline]
-    pub fn apply<I: Interner>(&mut self, x: Sym, pool: &mut I) -> Option<Sym> {
-        if let Some(&cached) = self.memo.get(&x) {
-            return cached;
-        }
-        let result = self.func.apply(x, pool);
-        self.memo.insert(x, result);
-        result
-    }
-
-    /// Number of memoized inputs (for diagnostics/benches).
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-}
-
-impl From<AttrFunction> for AppliedFunction {
-    fn from(func: AttrFunction) -> Self {
-        AppliedFunction::new(func)
-    }
-}
-
-/// A reusable, per-worker application memo.
+/// A reusable application memo.
 ///
-/// Where [`AppliedFunction`] owns one memo per wrapped function,
-/// `ApplyScratch` is owned by a search worker and reused across all the
-/// blocking refinements that worker performs: `begin` resets it for the
-/// next function without dropping the allocation. Keys are input `Sym`s —
-/// every distinct value is transformed at most once per function, which is
-/// what keeps Algorithm 1's refine-and-cost loop linear in distinct
-/// values rather than records.
+/// A search worker owns one and reuses it across all the blocking
+/// refinements it performs: `begin` resets it for the next function
+/// without dropping the allocation. A caller that applies a fixed list of
+/// functions (one per attribute) keeps one scratch per function instead
+/// and never resets it. Keys are input `Sym`s — every distinct value is
+/// transformed at most once per function, which is what keeps Algorithm
+/// 1's refine-and-cost loop linear in distinct values rather than records.
 #[derive(Debug, Default)]
 pub struct ApplyScratch {
     memo: FxHashMap<Sym, Option<Sym>>,
@@ -135,17 +91,20 @@ impl ApplyScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substring::{Segment, TokenProgram};
+    use crate::value_map::ValueMap;
     use affidavit_table::{Rational, ValuePool};
 
     #[test]
     fn memoizes() {
         let mut pool = ValuePool::new();
         let x = pool.intern("80000");
-        let mut f = AppliedFunction::new(AttrFunction::Scale(Rational::new(1, 1000).unwrap()));
-        let a = f.apply(x, &mut pool);
-        let b = f.apply(x, &mut pool);
+        let f = AttrFunction::Scale(Rational::new(1, 1000).unwrap());
+        let mut memo = ApplyScratch::new();
+        let a = memo.apply(&f, x, &mut pool);
+        let b = memo.apply(&f, x, &mut pool);
         assert_eq!(a, b);
-        assert_eq!(f.memo_len(), 1);
+        assert_eq!(memo.memo_len(), 1);
         assert_eq!(pool.get(a.unwrap()), "80");
     }
 
@@ -190,9 +149,72 @@ mod tests {
     fn memoizes_failures() {
         let mut pool = ValuePool::new();
         let x = pool.intern("IBM");
-        let mut f = AppliedFunction::new(AttrFunction::Scale(Rational::new(1, 1000).unwrap()));
-        assert_eq!(f.apply(x, &mut pool), None);
-        assert_eq!(f.apply(x, &mut pool), None);
-        assert_eq!(f.memo_len(), 1);
+        let f = AttrFunction::Scale(Rational::new(1, 1000).unwrap());
+        let mut memo = ApplyScratch::new();
+        assert_eq!(memo.apply(&f, x, &mut pool), None);
+        assert_eq!(memo.apply(&f, x, &mut pool), None);
+        assert_eq!(memo.memo_len(), 1);
+    }
+
+    #[test]
+    fn per_function_memos_match_direct_application() {
+        // The same column and functions, built in the same order in two pools.
+        fn fixture() -> (ValuePool, Vec<Sym>, Vec<AttrFunction>) {
+            let mut pool = ValuePool::new();
+            let col: Vec<Sym> = [
+                "1000",
+                "Smith John",
+                "1000",
+                "IBM",
+                "Smith John",
+                "2500",
+                "IBM",
+            ]
+            .iter()
+            .map(|s| pool.intern(s))
+            .collect();
+            let ibm = pool.intern("IBM");
+            let constant = pool.intern("n/a");
+            let sep = pool.intern(", ");
+            let map = ValueMap::from_pairs([(ibm, pool.intern("International Business Machines"))]);
+            let program = TokenProgram::new(vec![
+                Segment::Token {
+                    idx: 1,
+                    from_end: false,
+                },
+                Segment::Literal(sep),
+                Segment::Token {
+                    idx: 0,
+                    from_end: false,
+                },
+            ])
+            .unwrap();
+            let funcs = vec![
+                AttrFunction::Identity,
+                AttrFunction::Constant(constant),
+                AttrFunction::Scale(Rational::new(1, 1000).unwrap()),
+                AttrFunction::Map(map),
+                AttrFunction::TokenProgram(program),
+            ];
+            (pool, col, funcs)
+        }
+        let (mut memo_pool, col, funcs) = fixture();
+        let (mut direct_pool, _, _) = fixture();
+        let fixture_len = memo_pool.len();
+        // One scratch per function, never reset, rows applied across all
+        // functions in turn — the per-attribute callers' access pattern.
+        let mut memos: Vec<ApplyScratch> = funcs.iter().map(|_| ApplyScratch::new()).collect();
+        for &x in &col {
+            for (func, memo) in funcs.iter().zip(&mut memos) {
+                let got = memo.apply(func, x, &mut memo_pool);
+                assert_eq!(got, func.apply(x, &mut direct_pool), "{func:?} on {x:?}");
+            }
+        }
+        let strings =
+            |pool: &ValuePool| -> Vec<String> { pool.iter().map(|(_, s)| s.to_owned()).collect() };
+        assert_eq!(strings(&memo_pool), strings(&direct_pool));
+        assert!(memo_pool.len() > fixture_len, "no function interned");
+        let memo_lens: Vec<usize> = memos.iter().map(ApplyScratch::memo_len).collect();
+        assert_eq!(memo_lens, [0, 0, 4, 4, 4]);
     }
 }

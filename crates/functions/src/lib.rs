@@ -69,7 +69,7 @@ pub mod substring;
 pub mod tokens;
 pub mod value_map;
 
-pub use apply_cache::{AppliedFunction, ApplyScratch};
+pub use apply_cache::ApplyScratch;
 pub use corpus::corpus_candidates;
 pub use function::AttrFunction;
 pub use induce::induce_from_example;

@@ -18,7 +18,7 @@ use affidavit::blocking::{Block, Blocking};
 use affidavit::core::induction::{induce_candidates, InductionParams};
 use affidavit::core::ranking::rank_candidates;
 use affidavit::functions::{
-    corpus_candidates, induce_from_example, AppliedFunction, ApplyScratch, AttrFunction, Registry,
+    corpus_candidates, induce_from_example, ApplyScratch, AttrFunction, Registry,
 };
 use affidavit::table::{
     AttrId, Decimal, FxHashMap, FxHashSet, Interner, Rational, RecordId, Schema, ScratchPool, Sym,
@@ -147,12 +147,8 @@ fn oracle_rank<I: Interner>(
     blocks_to_eval.sort_unstable();
     blocks_to_eval.dedup();
 
-    let mut applied: Vec<AppliedFunction> = candidates
-        .iter()
-        .cloned()
-        .map(AppliedFunction::new)
-        .collect();
-    let mut overlaps = vec![0u64; applied.len()];
+    let mut memos: Vec<ApplyScratch> = candidates.iter().map(|_| ApplyScratch::new()).collect();
+    let mut overlaps = vec![0u64; candidates.len()];
 
     let mut src_hist: FxHashMap<Sym, u32> = FxHashMap::default();
     let mut tgt_hist: FxHashMap<Sym, u32> = FxHashMap::default();
@@ -168,10 +164,10 @@ fn oracle_rank<I: Interner>(
         for &tid in block.tgt {
             *tgt_hist.entry(target.value(tid, attr)).or_default() += 1;
         }
-        for (fi, func) in applied.iter_mut().enumerate() {
+        for (fi, (func, memo)) in candidates.iter().zip(&mut memos).enumerate() {
             out_hist.clear();
             for (&v, &n) in &src_hist {
-                if let Some(w) = func.apply(v, pool) {
+                if let Some(w) = memo.apply(func, v, pool) {
                     *out_hist.entry(w).or_default() += n;
                 }
             }
@@ -184,11 +180,7 @@ fn oracle_rank<I: Interner>(
             overlaps[fi] += overlap;
         }
     }
-    let applications = applied
-        .iter()
-        .filter(|f| !matches!(f.func(), AttrFunction::Identity | AttrFunction::Constant(_)))
-        .map(AppliedFunction::memo_len)
-        .sum();
+    let applications = memos.iter().map(ApplyScratch::memo_len).sum();
 
     let mut ranked: Vec<(AttrFunction, u64, i64)> = candidates
         .into_iter()
