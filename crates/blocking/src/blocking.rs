@@ -17,11 +17,7 @@
 use std::sync::OnceLock;
 
 use affidavit_functions::{ApplyScratch, AttrFunction};
-use affidavit_table::{
-    AttrId, FxHashMap, FxHashSet, Interner, NewStrings, RecordId, ScratchPool, Sym, Table,
-    ValuePool,
-};
-use rayon::prelude::*;
+use affidavit_table::{AttrId, FxHashMap, FxHashSet, Interner, RecordId, Sym, Table};
 
 /// One block φ(κ): the source and target records sharing a blocking index,
 /// borrowed from its [`Blocking`].
@@ -451,17 +447,6 @@ impl Blocking {
         }
     }
 
-    /// Append `chunk` after the blocks of `self`, rebasing its offsets.
-    fn append(&mut self, chunk: Blocking) {
-        let (s, t) = (self.src.len() as u32, self.tgt.len() as u32);
-        self.ends
-            .extend(chunk.ends.iter().map(|&(cs, ct)| (cs + s, ct + t)));
-        self.src.extend_from_slice(&chunk.src);
-        self.tgt.extend_from_slice(&chunk.tgt);
-        self.dead_src.extend_from_slice(&chunk.dead_src);
-        self.index.0.take();
-    }
-
     /// Refine on a newly assigned attribute: every block splits by the
     /// *transformed* source value vs. the raw target value of `attr`.
     ///
@@ -527,88 +512,6 @@ impl Blocking {
         for block in self.blocks() {
             splitter.split(block, src_col, tgt_col, func, scratch, pool, out);
         }
-    }
-
-    /// [`refine`](Blocking::refine), fanned out over the input blocks —
-    /// the per-block lever for the paper's 500k-record instances, where a
-    /// single refinement touches every live record.
-    ///
-    /// Each worker splits one contiguous chunk of blocks against its own
-    /// [`ScratchPool`] overlay of the frozen pool and its own
-    /// [`ApplyScratch`] memo into a chunk-local blocking; the driver then
-    /// concatenates the chunks in block order (rebasing their offsets) and
-    /// absorbs each worker's newly interned strings in that same order, so
-    /// the output blocking **and** the pool's contents are byte-identical
-    /// to the serial path at every thread count (grouping keys never escape
-    /// the workers — only the pool side effects need replaying).
-    ///
-    /// Callers gate on thread count and instance size; this method always
-    /// fans out (degrading to the serial path only for trivial inputs).
-    pub fn refine_parallel(
-        &self,
-        attr: AttrId,
-        func: &AttrFunction,
-        source: &Table,
-        target: &Table,
-        pool: &mut ValuePool,
-    ) -> Blocking {
-        if self.len() <= 1 {
-            // One block means one worker: the fan-out would only add
-            // overhead on the already-hot path.
-            return self.refine(attr, func, &mut ApplyScratch::new(), source, target, pool);
-        }
-        let _span = affidavit_obs::span("blocking.refine");
-        struct ChunkSplit {
-            blocking: Blocking,
-            new_strings: NewStrings,
-        }
-        // One contiguous chunk of blocks per worker (not one block per work
-        // item): each chunk shares a single scratch overlay, apply memo and
-        // splitter, preserving the serial path's cross-block memo hits
-        // within a chunk.
-        let threads = rayon::current_num_threads().max(1);
-        let chunk_size = self.len().div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..self.len())
-            .step_by(chunk_size)
-            .map(|lo| (lo, (lo + chunk_size).min(self.len())))
-            .collect();
-        let (src_col, tgt_col) = (source.column(attr), target.column(attr));
-        let splits: Vec<ChunkSplit> = {
-            let reader = pool.reader();
-            ranges
-                .par_iter()
-                .map(|&(lo, hi)| {
-                    let mut ws = ScratchPool::new(reader);
-                    let mut scratch = ApplyScratch::new();
-                    let mut splitter = Splitter::default();
-                    let mut blocking = Blocking::default();
-                    for i in lo..hi {
-                        splitter.split(
-                            self.block(i),
-                            src_col,
-                            tgt_col,
-                            func,
-                            &mut scratch,
-                            &mut ws,
-                            &mut blocking,
-                        );
-                    }
-                    ChunkSplit {
-                        blocking,
-                        new_strings: ws.take_new_strings(),
-                    }
-                })
-                .collect()
-        };
-        let mut out = self.refined_shell();
-        for split in splits {
-            // Replay the pool side effect in block order: the serial path
-            // interns every transformed source value as it groups, and
-            // later symbol assignment must not depend on which path ran.
-            let _ = pool.absorb(&split.new_strings);
-            out.append(split.blocking);
-        }
-        out
     }
 
     /// The mixed-block index, built by the first caller (concurrent first
@@ -845,101 +748,6 @@ mod tests {
         let mut pushed = Blocking::from_blocks([], vec![RecordId(3)]);
         blocks.iter().for_each(|&blk| pushed.push_block(blk));
         assert_eq!(pushed, built);
-    }
-
-    fn assert_parallel_matches_serial(base: &Blocking, s: &Table, t: &Table, pool: &ValuePool) {
-        for func in [
-            AttrFunction::Identity,
-            AttrFunction::Scale(affidavit_table::Rational::new(1, 1000).unwrap()),
-        ] {
-            for attr in [0u32, 1] {
-                let mut serial_pool = pool.clone();
-                let serial = base.refine(
-                    AttrId(attr),
-                    &func,
-                    &mut ApplyScratch::new(),
-                    s,
-                    t,
-                    &mut serial_pool,
-                );
-                for threads in [1usize, 2, 4, 8] {
-                    let mut par_pool = pool.clone();
-                    let pool_handle = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .unwrap();
-                    let parallel = pool_handle
-                        .install(|| base.refine_parallel(AttrId(attr), &func, s, t, &mut par_pool));
-                    // Structural equality: block order, record order within
-                    // blocks and dead-source order all included.
-                    assert_eq!(
-                        serial, parallel,
-                        "attr {attr} func {func:?} threads {threads}"
-                    );
-                    // Pool side-effect parity: identical contents in
-                    // identical order, so downstream symbol numbering can
-                    // never depend on which refine path ran.
-                    let serial_strings: Vec<&str> = serial_pool.iter().map(|(_, v)| v).collect();
-                    let par_strings: Vec<&str> = par_pool.iter().map(|(_, v)| v).collect();
-                    assert_eq!(serial_strings, par_strings, "pool diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_refine_matches_serial_on_figure3_tables() {
-        let (s, t, mut pool) = tables();
-        let base = Blocking::root(&s, &t).refine(
-            AttrId(0),
-            &AttrFunction::Identity,
-            &mut ApplyScratch::new(),
-            &s,
-            &t,
-            &mut pool,
-        );
-        assert!(base.len() > 1, "fan-out path needs several blocks");
-        assert_parallel_matches_serial(&base, &s, &t, &pool);
-    }
-
-    #[test]
-    fn parallel_refine_handles_adversarial_block_shapes() {
-        let (s, t, pool) = tables();
-        // Empty blocks, source-only and target-only blocks interleaved
-        // with a giant mixed block — shapes the search itself produces
-        // only in corner cases.
-        let all_src: Vec<RecordId> = s.record_ids().collect();
-        let all_tgt: Vec<RecordId> = t.record_ids().collect();
-        let empty = Block { src: &[], tgt: &[] };
-        let adversarial = Blocking::from_blocks(
-            [
-                empty,
-                Block {
-                    src: &all_src,
-                    tgt: &all_tgt,
-                },
-                empty,
-                Block {
-                    src: &all_src[..2],
-                    tgt: &[],
-                },
-                Block {
-                    src: &[],
-                    tgt: &all_tgt[..1],
-                },
-            ],
-            vec![RecordId(3)],
-        );
-        assert_parallel_matches_serial(&adversarial, &s, &t, &pool);
-        // All-singleton blocks: every record alone.
-        let singletons = Blocking::from_blocks(
-            all_src
-                .chunks(1)
-                .map(|src| Block { src, tgt: &[] })
-                .chain(all_tgt.chunks(1).map(|tgt| Block { src: &[], tgt })),
-            Vec::new(),
-        );
-        assert_parallel_matches_serial(&singletons, &s, &t, &pool);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! Both use α = 0.5, θ = 0.1 and ρ = 0.95.
 
 use affidavit_functions::Registry;
+use affidavit_table::resolve_threads;
 use serde::{Deserialize, Serialize};
 
 /// How the set of start states `H0` is chosen (§4.2).
@@ -67,15 +68,12 @@ pub struct AffidavitConfig {
     pub max_expansions: usize,
     /// Record a search trace (Figure 4) — costs a little memory.
     pub trace: bool,
-    /// Minimum number of records (live sources + targets) in a state's
-    /// blocking before its attribute scan, indeterminacy ordering and
-    /// driver-side refines fan out across the worker pool; below it they
-    /// run on the calling thread, since the hand-off would exceed the
-    /// work. Purely a scheduling knob — results are identical either way.
-    pub parallel_min_records: usize,
-    /// Worker threads for candidate generation during state extension.
-    /// `1` (the default) runs fully sequentially on the calling thread;
-    /// `0` means "one per hardware thread". Results are identical at
+    /// Worker threads for the ordered attribute scan of each state
+    /// expansion: above one resolved thread, every expansion fans its
+    /// attributes out across that many workers; `1` (the default) runs
+    /// fully sequentially on the calling thread; `0` means "one per
+    /// hardware thread". Everything else — ordering, start states and ⊞
+    /// finalize — runs on the calling thread. Results are identical at
     /// every thread count: each attribute's induction/ranking runs on a
     /// per-attribute seeded RNG and the extensions are merged in a stable
     /// order.
@@ -106,7 +104,6 @@ impl AffidavitConfig {
             seed: 0xEDB7_2020,
             max_expansions: 10_000,
             trace: false,
-            parallel_min_records: 4096,
             threads: 1,
         }
     }
@@ -174,7 +171,7 @@ impl AffidavitConfig {
     /// itself, or — when `threads == 0` ("one per hardware thread") —
     /// [`std::thread::available_parallelism`].
     pub fn effective_threads(&self) -> usize {
-        resolve_parallelism(self.threads)
+        resolve_threads(self.threads)
     }
 }
 
@@ -229,18 +226,6 @@ pub fn check_threads(requested: usize) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Resolve a `0 = autosize` parallelism knob (`--threads 0`) to
-/// [`std::thread::available_parallelism`], falling back to `1` when the
-/// hardware cannot be queried.
-fn resolve_parallelism(requested: usize) -> usize {
-    if requested != 0 {
-        return requested;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,7 +243,14 @@ mod tests {
             assert_eq!(c.alpha, 0.5);
             assert_eq!(c.theta, 0.1);
             assert_eq!(c.confidence, 0.95);
+            assert_eq!(c.effective_threads(), 1);
         }
+        assert_eq!(
+            AffidavitConfig::paper_id()
+                .with_threads(0)
+                .effective_threads(),
+            resolve_threads(0)
+        );
     }
 
     #[test]
@@ -294,19 +286,5 @@ mod tests {
             edit(&mut cfg);
             assert!(cfg.validate().is_err(), "{cfg:?}");
         }
-    }
-
-    #[test]
-    fn zero_threads_resolve_to_the_hardware() {
-        assert_eq!(resolve_parallelism(3), 3);
-        let auto = resolve_parallelism(0);
-        assert!(auto >= 1);
-        assert_eq!(
-            AffidavitConfig::paper_id()
-                .with_threads(0)
-                .effective_threads(),
-            auto
-        );
-        assert_eq!(AffidavitConfig::paper_id().effective_threads(), 1);
     }
 }

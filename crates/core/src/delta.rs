@@ -176,14 +176,12 @@ pub struct DeltaReport {
 
 /// Fingerprint the parts of the configuration that shape output bytes:
 /// the search configuration and schema alignment. Ingestion chunking and
-/// the scheduling knobs (`threads`, `parallel_min_records`) are
-/// deliberately excluded — they are byte-transparent, so a manifest
-/// recorded under one thread count or chunking splices under another.
+/// the scheduling knob `threads` are deliberately excluded — they are
+/// byte-transparent, so a manifest recorded under one thread count or
+/// chunking splices under another.
 pub fn config_fingerprint(config: &AffidavitConfig, align: bool) -> String {
-    let defaults = AffidavitConfig::default();
     let shaping = AffidavitConfig {
-        threads: defaults.threads,
-        parallel_min_records: defaults.parallel_min_records,
+        threads: AffidavitConfig::default().threads,
         ..config.clone()
     };
     let mut fnv = Fnv::new();
@@ -800,12 +798,11 @@ mod tests {
             config_fingerprint(&id, false),
             config_fingerprint(&id, true)
         );
-        let mut scheduled = id.clone().with_threads(4);
-        scheduled.parallel_min_records = 0;
+        let scheduled = id.clone().with_threads(4);
         assert_eq!(
             config_fingerprint(&id, false),
             config_fingerprint(&scheduled, false),
-            "scheduling knobs are byte-transparent"
+            "the thread count is byte-transparent"
         );
     }
 }

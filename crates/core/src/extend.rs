@@ -23,9 +23,11 @@
 //! Workers share nothing mutable but the claim book. The first attribute
 //! at index `i` whose candidates beat the greedy map reports the stop index
 //! `max(i, β − 1)` — exactly the last index the serial β-then-one-at-a-time
-//! loop expands — and no index past it is claimed any more. The book's
-//! run-ahead window is the worker count, so at most `workers − 1`
-//! expansions past the stop are ever computed; they are dropped.
+//! loop expands. The book claims in windows of the worker count: every
+//! index of a window runs, and the next window opens, cut at the stop,
+//! once the whole window has finished. So at most `workers − 1`
+//! expansions past the stop are ever computed, the same ones in every run
+//! at one worker count, and they are dropped.
 //!
 //! **Phase 2 (sequential merge):** the driver walks the expansions up to
 //! the stop index in attribute order, absorbs each one's newly interned
@@ -35,7 +37,6 @@
 //! independent of scheduling, the search is byte-identical at every
 //! thread count.
 
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,28 +60,14 @@ pub(crate) fn make_child(
     attr: usize,
     func: AttrFunction,
 ) -> SearchState {
-    // Driver-side refinements (start states, ⊞ finalization) touch every
-    // live record; above the fan-out threshold, split the work over the
-    // worker pool — `refine_parallel` is byte-identical to the serial
-    // path, including the shared pool's contents.
-    let blocking = if ctx.search_ctx().fans_out(&state.blocking) {
-        state.blocking.refine_parallel(
-            AttrId(attr as u32),
-            &func,
-            &ctx.instance.source,
-            &ctx.instance.target,
-            &mut ctx.instance.pool,
-        )
-    } else {
-        state.blocking.refine(
-            AttrId(attr as u32),
-            &func,
-            &mut ctx.scratch,
-            &ctx.instance.source,
-            &ctx.instance.target,
-            &mut ctx.instance.pool,
-        )
-    };
+    let blocking = state.blocking.refine(
+        AttrId(attr as u32),
+        &func,
+        &mut ctx.scratch,
+        &ctx.instance.source,
+        &ctx.instance.target,
+        &mut ctx.instance.pool,
+    );
     let bound = (blocking.ct(), blocking.cs());
     let cost = child_cost(ctx.search_ctx().cost_params(), state, &func, bound);
     register_child(ctx, state, attr, func, blocking, cost)
@@ -187,20 +174,16 @@ fn register_child(
 }
 
 /// The `(indeterminacy, attr)` key of every attribute in `attrs` under
-/// `state`'s blocking, in `attrs` order — fanned out across the installed
-/// pool when `parallel`, and identical either way.
+/// `state`'s blocking, in `attrs` order.
 pub(crate) fn indeterminacy_keys(
     source: &affidavit_table::Table,
     state: &SearchState,
     attrs: &[usize],
-    parallel: bool,
 ) -> Vec<(usize, usize)> {
-    let key = |&a: &usize| (state.blocking.indeterminacy(AttrId(a as u32), source), a);
-    if parallel {
-        attrs.par_iter().map(key).collect()
-    } else {
-        attrs.iter().map(key).collect()
-    }
+    attrs
+        .iter()
+        .map(|&a| (state.blocking.indeterminacy(AttrId(a as u32), source), a))
+        .collect()
 }
 
 /// Undecided attributes ordered by indeterminacy (most determined first,
@@ -210,10 +193,9 @@ pub(crate) fn indeterminacy_keys(
 pub(crate) fn order_by_indeterminacy(
     source: &affidavit_table::Table,
     state: &SearchState,
-    parallel: bool,
 ) -> Vec<usize> {
     let _span = affidavit_obs::span("search.order");
-    let mut keys = indeterminacy_keys(source, state, &state.undecided_attrs(), parallel);
+    let mut keys = indeterminacy_keys(source, state, &state.undecided_attrs());
     keys.sort_unstable();
     keys.into_iter().map(|(_, a)| a).collect()
 }
@@ -398,26 +380,23 @@ impl StateExpansion {
 }
 
 /// Phase 1 for a whole state: order the undecided attributes, then run the
-/// ordered attribute scan against the frozen context — one worker per
-/// thread of the installed pool when the state is large enough to fan
-/// out, one worker on the calling thread otherwise. The expansions
-/// kept are those at indices `0..=stop`, where `stop` is the last index
-/// the serial β-then-one-at-a-time loop would expand, so the result is
-/// identical at every worker count.
+/// ordered attribute scan against the frozen context on `sctx.threads`
+/// workers (clamped to the attribute count and the installed pool). The
+/// expansions kept are those at indices `0..=stop`, where `stop` is the
+/// last index the serial β-then-one-at-a-time loop would expand, so the
+/// result is identical at every worker count.
 fn expand_state(
     sctx: &SearchCtx<'_>,
     state: &SearchState,
     alignment: &[(RecordId, RecordId)],
 ) -> StateExpansion {
-    let parallel = sctx.fans_out(&state.blocking);
-    let astar = order_by_indeterminacy(sctx.source, state, parallel);
+    let astar = order_by_indeterminacy(sctx.source, state);
     debug_assert!(!astar.is_empty(), "expand_state called on an end state");
     // The serial loop expands the whole β batch `0..β`, then stops at the
     // first attribute with a kept candidate: a keeper at `i` stops at
     // `max(i, β − 1)`.
     let floor = sctx.cfg.beta.max(1) - 1;
-    let workers = if parallel { sctx.threads } else { 1 };
-    let (parts, discarded) = rayon::ordered_scan(astar.len(), workers, |i| {
+    let (parts, discarded) = rayon::ordered_scan(astar.len(), sctx.threads, |i| {
         let exp = expand_attr(sctx, state, astar[i], alignment);
         let stop = exp.any_kept().then_some(i.max(floor));
         (exp, stop)
@@ -558,8 +537,7 @@ mod tests {
                 .unwrap();
             pool.install(|| {
                 let mut inst = instance();
-                let mut cfg = AffidavitConfig::paper_id().with_threads(threads);
-                cfg.parallel_min_records = 0; // force the fan-out path even on this tiny instance
+                let cfg = AffidavitConfig::paper_id().with_threads(threads);
                 let mut ctx = Ctx::new(&mut inst, &cfg);
                 let root = ctx.root_state();
                 let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
@@ -608,9 +586,8 @@ mod tests {
     }
 
     /// What one expansion of `pick(start)` yields under an installed pool
-    /// of `threads` and batch size `beta`, with the fan-out gate open: the
-    /// expanded attributes in merge order, the run-ahead discards, and the
-    /// kept children.
+    /// of `threads` and batch size `beta`: the expanded attributes in merge
+    /// order, the expansions discarded past the stop, and the kept children.
     fn scan_at(
         threads: usize,
         beta: usize,
@@ -623,7 +600,6 @@ mod tests {
         pool.install(|| {
             let mut inst = late_keeper_instance();
             let mut cfg = AffidavitConfig::paper_id().with_threads(threads);
-            cfg.parallel_min_records = 0;
             cfg.beta = beta;
             let mut ctx = Ctx::new(&mut inst, &cfg);
             let root = ctx.root_state();
@@ -654,10 +630,12 @@ mod tests {
         assert!(!children.is_empty());
         assert!(children.iter().all(|c| c.2.contains("Uppercase")));
         for threads in [2, 4] {
+            let (_, first, _) = scan_at(threads, 2, keep_start);
+            assert!(first < threads, "threads {threads} discarded {first}");
             for _ in 0..8 {
                 let (e, d, c) = scan_at(threads, 2, keep_start);
                 assert_eq!((&e, &c), (&expanded, &children), "threads {threads}");
-                assert!(d < threads, "threads {threads} discarded {d}");
+                assert_eq!(d, first, "threads {threads}: the scan runs whole windows");
             }
         }
         // A keeper inside the batch does not cut the batch short: with
@@ -688,7 +666,7 @@ mod tests {
         let mut ctx = Ctx::new(&mut inst, &cfg);
         let root = ctx.root_state();
         let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
-        let order = order_by_indeterminacy(&ctx.instance.source, &start, false);
+        let order = order_by_indeterminacy(&ctx.instance.source, &start);
         // Unit has 1 distinct source value per block; Val has 1 as well
         // (singleton blocks) — ties break towards the lower index (1).
         assert_eq!(order, vec![1, 2]);

@@ -35,8 +35,7 @@ pub(crate) fn finalize(ctx: &mut Ctx<'_>, state: &SearchState) -> SearchState {
         }
         let attr = {
             let _span = affidavit_obs::span("search.order");
-            let parallel = ctx.search_ctx().fans_out(&current.blocking);
-            indeterminacy_keys(&ctx.instance.source, &current, &open, parallel)
+            indeterminacy_keys(&ctx.instance.source, &current, &open)
                 .into_iter()
                 .min()
                 .map(|(_, a)| a)

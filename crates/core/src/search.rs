@@ -153,14 +153,6 @@ impl<'a> SearchCtx<'a> {
             rng: StdRng::seed_from_u64(mix3(self.cfg.seed, state_id as u64, attr as u64)),
         }
     }
-
-    /// Whether work over `blocking` fans out across the worker pool: more
-    /// than one resolved thread, and at least `parallel_min_records` live
-    /// records — below that, the hand-off costs more than the work.
-    pub(crate) fn fans_out(&self, blocking: &Blocking) -> bool {
-        self.threads > 1
-            && blocking.live_sources() + blocking.total_targets() >= self.cfg.parallel_min_records
-    }
 }
 
 /// SplitMix64-style mixing of three words into one seed.

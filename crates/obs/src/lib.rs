@@ -12,8 +12,8 @@
 //! * **Metrics** ([`metrics()`]): a process-wide registry of named
 //!   counters, gauges and summary histograms. Always on (writes happen
 //!   at phase boundaries, not per record); the registry is the single
-//!   facade over the engine's legacy counter structs (`SearchStats`,
-//!   `QueueStats`, `DistStats`, `SessionCounters`).
+//!   facade over the engine's counter structs (`SearchStats`,
+//!   `DeltaStats`, `SessionCounters`).
 //! * **Sinks**: drained span [`Event`]s encode to NDJSON
 //!   ([`Event::to_ndjson`], [`ObsOut`]), roll up into a per-phase
 //!   profile table ([`summary::render_phase_summary`]), and the

@@ -4,11 +4,11 @@
 //! written at phase boundaries (never per record) and read by the sinks:
 //! [`Metrics::render_prometheus`] for the serve `metrics` op and the
 //! bench regression gate, [`Metrics::snapshot`] for tests. The registry
-//! is the uniform facade over the engine's legacy counter structs —
-//! `SearchStats`, `QueueStats`, `DistStats`, `SessionCounters` each
-//! publish into it after their phase completes, so the numbers here are
-//! exactly the numbers those structs hold (asserted by
-//! `properties_obs`).
+//! is the uniform facade over the engine's counter structs —
+//! `SearchStats`, `DeltaStats` and `SessionCounters` each publish into
+//! it after their phase completes, so the numbers here are exactly the
+//! numbers those structs hold (asserted by `properties_obs` for
+//! `SearchStats` and `SessionCounters`).
 //!
 //! Unlike span recording, the registry is always on: its writers run
 //! once per phase, so there is nothing to gate.

@@ -187,4 +187,21 @@ mod tests {
         // A tag naming no operation is refused, not guessed at.
         assert!(serde_json::from_str::<ClientRequest>(r#"{"op":"claim","worker":"w"}"#).is_err());
     }
+
+    /// A spec from an older client whose config still carries the retired
+    /// `parallel_min_records` field decodes to the same spec: unknown
+    /// config keys are ignored, so such a request keeps working.
+    #[test]
+    fn a_retired_config_field_is_ignored() {
+        let spec = ExplainSpec::new("/tmp/s.csv", "/tmp/t.csv");
+        let json = serde_json::to_string(&spec).unwrap();
+        let old = json.replacen(
+            "\"threads\":",
+            "\"parallel_min_records\":4096,\"threads\":",
+            1,
+        );
+        assert_ne!(old, json, "the config serializes a threads field");
+        let back: ExplainSpec = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
 }

@@ -26,7 +26,8 @@ use std::path::Path;
 
 use affidavit_table::csv::{CsvChunk, CsvOptions, RowChunker, RowScanner};
 use affidavit_table::{
-    NewStrings, PoolReader, ScratchPool, Sym, Table, TableError, ValuePool, MAX_THREADS,
+    resolve_threads, NewStrings, PoolReader, ScratchPool, Sym, Table, TableError, ValuePool,
+    MAX_THREADS,
 };
 use rayon::prelude::*;
 
@@ -86,14 +87,6 @@ fn process_chunk(
     }
 }
 
-fn effective_threads(n: usize) -> usize {
-    if n == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        n
-    }
-}
-
 /// Stream a CSV table from `reader` into `pool`.
 ///
 /// Memory stays bounded by `threads × chunk_rows` records (plus the
@@ -112,7 +105,7 @@ pub fn read_stream<R: BufRead>(
             requested: opts.threads,
         });
     }
-    let threads = effective_threads(opts.threads);
+    let threads = resolve_threads(opts.threads);
     if threads <= 1 {
         // The serial case *is* the table crate's streaming reader; one
         // canonical implementation, no scratch/absorb overhead. It still

@@ -64,3 +64,24 @@ pub use value::{Interner, NewStrings, PoolReader, ScratchPool, Sym, SymRemap, Va
 /// is a typed error instead of an allocation or thread spawn with no
 /// bound.
 pub const MAX_THREADS: usize = 1024;
+
+/// Resolve a `0 = autosize` parallelism knob (`--threads 0`, ingest
+/// threads) to [`std::thread::available_parallelism`], falling back to
+/// `1` when the hardware cannot be queried; any other count is itself.
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested != 0 {
+        return requested;
+    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_threads_resolve_to_the_hardware() {
+        assert_eq!(resolve_threads(3), 3);
+        assert!(resolve_threads(0) >= 1);
+    }
+}

@@ -2,9 +2,9 @@
 //! independence, lower-bound correctness, alignment discipline, and a
 //! differential battery pinning the flat refinement to a nested-`Vec`
 //! reference oracle (block order, record order, dead sources and pool
-//! strings, serial and parallel), the count-only bound pass against the
-//! same oracle, plus the pruned indeterminacy against an exhaustive count
-//! and the mixed-block index against a walk over every block.
+//! strings), the count-only bound pass against the same oracle, plus the
+//! pruned indeterminacy against an exhaustive count and the mixed-block
+//! index against a walk over every block.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -320,38 +320,6 @@ proptest! {
         prop_assert_eq!(b.cs(), expect_cs);
     }
 
-    /// Parallel refinement over blocks is byte-identical to the serial
-    /// path — block order, record order, dead sources and pool contents —
-    /// at every thread count, over random table pairs.
-    #[test]
-    fn parallel_refine_equals_serial((src, tgt) in table_pair()) {
-        let mut pool = ValuePool::new();
-        let s = build(&src, &mut pool);
-        let t = build(&tgt, &mut pool);
-        // Partition on attr 0 first so several blocks exist to fan out.
-        let base = Blocking::root(&s, &t).refine(
-            AttrId(0), &AttrFunction::Identity, &mut ApplyScratch::new(), &s, &t, &mut pool,
-        );
-        let mut serial_pool = pool.clone();
-        let serial = base.refine(
-            AttrId(1), &AttrFunction::Identity, &mut ApplyScratch::new(), &s, &t, &mut serial_pool,
-        );
-        for threads in [1usize, 2, 4, 8] {
-            let mut par_pool = pool.clone();
-            let handle = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let parallel = handle.install(|| {
-                base.refine_parallel(AttrId(1), &AttrFunction::Identity, &s, &t, &mut par_pool)
-            });
-            prop_assert_eq!(nested(&serial), nested(&parallel), "threads {}", threads);
-            prop_assert_eq!(
-                pool_strings(&serial_pool),
-                pool_strings(&par_pool),
-                "pool diverged at {} threads",
-                threads
-            );
-        }
-    }
-
     /// Random alignments pair each record at most once and only within a
     /// block, with exactly min(|src|, |tgt|) pairs per block.
     #[test]
@@ -380,8 +348,7 @@ proptest! {
     /// oracle exactly — blocks, record order within blocks, dead sources
     /// and the pool's strings in interning order — over chains of total
     /// and partial functions starting from blockings with empty,
-    /// source-only and target-only blocks; `refine_parallel` equals the
-    /// serial result at 1/2/4/8 threads at every step.
+    /// source-only and target-only blocks.
     #[test]
     fn flat_refine_matches_nested_oracle(
         (src, tgt) in mixed_table_pair(),
@@ -402,17 +369,7 @@ proptest! {
         for &(attr, f) in &steps {
             let (attr, func) = (AttrId(attr), function(f, &mut pool));
             let _ = function(f, &mut oracle_pool);
-            let mut serial_pool = pool.clone();
-            let serial = flat.refine(attr, &func, &mut scratch, &s, &t, &mut serial_pool);
-            for threads in [1usize, 2, 4, 8] {
-                let mut par_pool = pool.clone();
-                let handle = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-                let parallel =
-                    handle.install(|| flat.refine_parallel(attr, &func, &s, &t, &mut par_pool));
-                prop_assert_eq!(&parallel, &serial, "threads {} {:?}", threads, func);
-                prop_assert_eq!(pool_strings(&par_pool), pool_strings(&serial_pool));
-            }
-            (flat, pool) = (serial, serial_pool);
+            flat = flat.refine(attr, &func, &mut scratch, &s, &t, &mut pool);
             oracle = oracle_refine(&oracle, attr, &func, &s, &t, &mut oracle_pool);
             prop_assert_eq!(nested(&flat), oracle.clone(), "{:?} on {:?}", func, attr);
             prop_assert_eq!(pool_strings(&pool), pool_strings(&oracle_pool));
@@ -495,9 +452,9 @@ proptest! {
 
     /// The mixed-block index equals a walk over every block, for blockings
     /// built every way there is: the root, `from_blocks` over empty,
-    /// source-only, target-only, 1:1 and wide blocks, `refine`, and
-    /// `refine_parallel` at 1, 2 and 4 threads. A block pushed after a
-    /// query is in the next answer: the index is never stale.
+    /// source-only, target-only, 1:1 and wide blocks, and `refine`. A
+    /// block pushed after a query is in the next answer: the index is
+    /// never stale.
     #[test]
     fn mixed_index_matches_a_full_walk(
         (src, tgt) in mixed_table_pair(),
@@ -523,17 +480,7 @@ proptest! {
             start_blocking(&s, &t, &tiny_slots.0, &tiny_slots.1, TINY_BLOCKS),
         ];
         for start in blockings.clone() {
-            let mut serial_pool = pool.clone();
-            let serial =
-                start.refine(attr, &func, &mut ApplyScratch::new(), &s, &t, &mut serial_pool);
-            for threads in [1usize, 2, 4] {
-                let mut par_pool = pool.clone();
-                let handle = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-                let parallel =
-                    handle.install(|| start.refine_parallel(attr, &func, &s, &t, &mut par_pool));
-                check_index(&parallel)?;
-            }
-            blockings.push(serial);
+            blockings.push(start.refine(attr, &func, &mut ApplyScratch::new(), &s, &t, &mut pool.clone()));
         }
         let (all_src, all_tgt): (Vec<_>, Vec<_>) = (s.record_ids().collect(), t.record_ids().collect());
         for mut b in blockings {
@@ -551,7 +498,7 @@ proptest! {
 }
 
 /// Four pool threads query the index of one fresh blocking at the same
-/// moment — the first-use race of the parallel order and scan paths. All
+/// moment — the first-use race of the parallel attribute scan. All
 /// four see the one index that was built, with equal answers.
 #[test]
 fn concurrent_first_queries_share_one_index() {

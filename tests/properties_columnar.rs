@@ -176,7 +176,6 @@ fn explain_is_build_path_invariant() {
         for threads in [1usize, 4] {
             let mut cfg = AffidavitConfig::paper_id();
             cfg.init = init;
-            cfg.parallel_min_records = 0;
             let cfg = cfg.with_threads(threads);
             let row = explain_fingerprint(cfg.clone(), 7, false);
             let col = explain_fingerprint(cfg, 7, true);

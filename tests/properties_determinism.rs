@@ -143,15 +143,13 @@ fn fingerprint_of(cfg: AffidavitConfig, seed: u64, mut inst: ProblemInstance) ->
     }
 }
 
-/// A paper configuration at `threads`, with the fan-out gate forced open
-/// so the parallel engine itself (not just the one-worker fallback) is
-/// what the assertions cover on these small instances.
+/// A paper configuration at `threads`; any count above 1 runs the
+/// parallel attribute scan, even on these small instances.
 fn config(init: InitStrategy, threads: usize) -> AffidavitConfig {
-    let mut cfg = match init {
+    let cfg = match init {
         InitStrategy::Overlap => AffidavitConfig::paper_overlap(),
         _ => AffidavitConfig::paper_id(),
     };
-    cfg.parallel_min_records = 0;
     cfg.with_threads(threads)
 }
 
