@@ -17,13 +17,12 @@ use crate::blocking::Blocking;
 /// Sample a random alignment of source and target records that respects the
 /// blocking result: only records in the same block are paired, and each
 /// record is used at most once (`min(|φ_S|, |φ_T|)` pairs per block).
-/// Visits only the mixed blocks of the blocking's
-/// [`MixedIndex`](crate::MixedIndex), in block order.
+/// Visits the blocks in block order; every block is mixed.
 pub fn sample_random_alignment(blocking: &Blocking, rng: &mut StdRng) -> Vec<(RecordId, RecordId)> {
     let mut pairs = Vec::new();
     let mut src_buf: Vec<RecordId> = Vec::new();
     let mut tgt_buf: Vec<RecordId> = Vec::new();
-    for block in blocking.mixed_blocks() {
+    for block in blocking.blocks() {
         src_buf.clear();
         src_buf.extend_from_slice(block.src);
         tgt_buf.clear();

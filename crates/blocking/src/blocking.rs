@@ -1,18 +1,26 @@
 //! Blocking results Φ^H (Definitions 4.3 and 4.4) with incremental
 //! refinement.
 //!
-//! A blocking is stored flat: every block's source records sit contiguously
-//! in one `src` array and its target records in one `tgt` array, and
-//! `ends[i]` holds the exclusive end offsets of block `i` in both. A
-//! blocking is four allocations however many blocks it has, so refining
-//! it, and dropping a discarded child, costs a constant number of
+//! A blocking stores only *mixed* blocks, those with at least one source
+//! and one target record. By the cost bound of §4.5 a block with one side
+//! only adds its size to `ct` (targets) or to `cs` (sources) under every
+//! later function, and so does a source the function cannot be applied
+//! to. No refinement can change that, and no sample, alignment or
+//! indeterminacy reads such records, so a refinement *settles* them into
+//! two counts and never touches them again.
+//!
+//! The mixed blocks are stored flat: every block's source records sit
+//! contiguously in one `src` array and its target records in one `tgt`
+//! array, and `ends[i]` holds the exclusive end offsets of block `i` in
+//! both, which are also the running record counts the samples draw
+//! through. A blocking is three allocations however many blocks it has, so
+//! refining it, and dropping a discarded child, costs a constant number of
 //! allocations rather than two per block.
 //!
-//! Every per-state query of the search (the indeterminacy order, the
-//! induction and ranking samples, random alignments and the `(ct, cs)`
-//! bound) reads one [`MixedIndex`] instead of walking every block. It is
-//! built on the first such query and at most once per blocking, so a
-//! child that is never polled never pays for it.
+//! The indeterminacy order and the `(ct, cs)` bound read one
+//! [`MixedIndex`] instead of walking every block. It is built on the first
+//! such query and at most once per blocking, so a child that is never
+//! polled never pays for it.
 
 use std::sync::OnceLock;
 
@@ -30,8 +38,8 @@ pub struct Block<'a> {
 }
 
 impl Block<'_> {
-    /// True if the block holds both source and target records — only such
-    /// blocks can contribute alignment examples.
+    /// True if the block holds both source and target records, as every
+    /// block a [`Blocking`] stores does.
     pub fn is_mixed(&self) -> bool {
         !self.src.is_empty() && !self.tgt.is_empty()
     }
@@ -47,55 +55,29 @@ impl Block<'_> {
     }
 }
 
-/// One mixed block in a [`MixedIndex`]: its block index and the running
-/// source and target counts of the mixed blocks up to and including it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MixedBlock {
-    /// Index of the block in block order.
-    pub block: u32,
-    /// Sources in this and every earlier mixed block.
-    pub src_end: u32,
-    /// Targets in this and every earlier mixed block.
-    pub tgt_end: u32,
-}
-
-/// What the per-state queries need of a [`Blocking`], from one walk over
-/// its blocks: the mixed blocks with running counts (for the samples and
-/// alignments), the mixed blocks with at least two sources widest first
-/// (for the indeterminacy), and the `(ct, cs)` surplus sums.
+/// What the indeterminacy order and the `(ct, cs)` bound need of a
+/// [`Blocking`], from one walk over its blocks: the blocks with at least
+/// two sources widest first, and the surplus sums.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MixedIndex {
-    /// The mixed blocks in block order.
-    mixed: Vec<MixedBlock>,
-    /// `(sources, block index)` of every mixed block with at least two
-    /// sources, by sources descending, then block index ascending.
+    /// `(sources, block index)` of every block with at least two sources,
+    /// by sources descending, then block index ascending.
     widest: Vec<(u32, u32)>,
-    /// Target surplus summed over all blocks.
+    /// Target surplus summed over the blocks.
     ct: u64,
-    /// Source surplus summed over all blocks (without the dead sources).
+    /// Source surplus summed over the blocks.
     cs: u64,
 }
 
 impl MixedIndex {
     fn build(blocking: &Blocking) -> MixedIndex {
         let mut index = MixedIndex::default();
-        let (mut src_end, mut tgt_end) = (0u32, 0u32);
         for (bi, block) in blocking.blocks().enumerate() {
             index.ct += block.target_surplus();
             index.cs += block.source_surplus();
-            if block.is_mixed() {
-                // Within `u32`: `push_end` bounds each side's total.
-                src_end += block.src.len() as u32;
-                tgt_end += block.tgt.len() as u32;
-                let block_id = bi as u32;
-                index.mixed.push(MixedBlock {
-                    block: block_id,
-                    src_end,
-                    tgt_end,
-                });
-                if block.src.len() >= 2 {
-                    index.widest.push((block.src.len() as u32, block_id));
-                }
+            if block.src.len() >= 2 {
+                // Within `u32`: `push_block` bounds each side's total.
+                index.widest.push((block.src.len() as u32, bi as u32));
             }
         }
         index
@@ -104,18 +86,14 @@ impl MixedIndex {
         index
     }
 
-    /// The mixed blocks in block order, with running record counts.
-    pub fn mixed(&self) -> &[MixedBlock] {
-        &self.mixed
-    }
-
-    /// `(sources, block index)` of the mixed blocks with at least two
-    /// sources, widest first, ties towards the lower block index.
+    /// `(sources, block index)` of the blocks with at least two sources,
+    /// widest first, ties towards the lower block index.
     pub fn widest(&self) -> &[(u32, u32)] {
         &self.widest
     }
 
-    /// The `(ct, cs)` surplus sums over all blocks, without dead sources.
+    /// The `(ct, cs)` surplus sums over the blocks, without the settled
+    /// records.
     pub fn surplus(&self) -> (u64, u64) {
         (self.ct, self.cs)
     }
@@ -137,10 +115,11 @@ impl Eq for IndexCell {}
 
 /// The blocking result Φ^H of a search state.
 ///
-/// Blocks are kept in deterministic (parent-order, first-seen) order.
-/// `dead_src` holds source records on which some assigned function was
-/// inapplicable (partial application returned `None`); they can never align
-/// with any target under this state and count towards the `cs` lower bound.
+/// Blocks are kept in deterministic (parent-order, first-seen) order, and
+/// every one is mixed. The records of the one-sided blocks of Φ^H, and the
+/// sources on which some assigned function was inapplicable (partial
+/// application returned `None`), can never align with anything under
+/// this state; only their counts are kept, for the `(ct, cs)` bound.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Blocking {
     /// Source records of all blocks, block after block.
@@ -149,19 +128,22 @@ pub struct Blocking {
     tgt: Vec<RecordId>,
     /// Exclusive `(src, tgt)` end offsets of each block.
     ends: Vec<(u32, u32)>,
-    /// Source records excluded by partial function application.
-    dead_src: Vec<RecordId>,
+    /// Sources in no block: dead, or left without a target.
+    settled_src: u64,
+    /// Targets in no block: left without a source.
+    settled_tgt: u64,
     /// The mixed-block index, built on first use.
     index: IndexCell,
 }
 
-/// Group id of a source record the function was inapplicable to.
+/// Group id of a source record the function was inapplicable to, and the
+/// write cursors of a group that settles.
 const DEAD: u32 = u32::MAX;
 
-/// Reusable buffers for splitting blocks, one per refine call (or per
-/// worker chunk). Every buffer is left empty between blocks; the group map
-/// is emptied key by key, because clearing a hash map costs its whole
-/// capacity, and one large block would then tax every small one after it.
+/// Reusable buffers for splitting blocks, one per refine call. Every
+/// buffer is left empty between blocks; the group map is emptied key by
+/// key, because clearing a hash map costs its whole capacity, and one
+/// large block would then tax every small one after it.
 #[derive(Default)]
 struct Splitter {
     /// Grouping key → group id within the current block.
@@ -182,52 +164,62 @@ struct Splitter {
 trait SplitOut {
     /// Whether the grouping pass keeps each record's group for a scatter.
     const SCATTER: bool;
-    /// A source record the function is inapplicable to.
-    fn dead(&mut self, sid: RecordId);
-    /// One sub-block holding exactly these records, in this order.
+    /// `ns` sources and `nt` targets that can no longer align.
+    fn settle(&mut self, ns: usize, nt: usize);
+    /// One mixed sub-block holding exactly these records, in this order.
     fn whole(&mut self, src: &[RecordId], tgt: &[RecordId]);
     /// The sub-blocks of `block` as the splitter grouped them: counts in
     /// `cursors`, and each record's group when [`SCATTER`](Self::SCATTER).
     fn grouped(&mut self, splitter: &mut Splitter, block: Block<'_>);
 }
 
+/// Write `id` at the cursor `at` and advance it, unless its group settled.
+fn place(out: &mut [RecordId], at: &mut u32, id: RecordId) {
+    if *at != DEAD {
+        out[*at as usize] = id;
+        *at += 1;
+    }
+}
+
 impl SplitOut for Blocking {
     const SCATTER: bool = true;
 
-    fn dead(&mut self, sid: RecordId) {
-        self.dead_src.push(sid);
+    fn settle(&mut self, ns: usize, nt: usize) {
+        self.settled_src += ns as u64;
+        self.settled_tgt += nt as u64;
     }
 
     fn whole(&mut self, src: &[RecordId], tgt: &[RecordId]) {
         self.push_block(Block { src, tgt });
     }
 
-    /// The scatter step: write each record to its group's slot.
+    /// The scatter step: write each record of a mixed group to its slot.
     fn grouped(&mut self, splitter: &mut Splitter, block: Block<'_>) {
-        // Group sizes → start offsets in `self`.
+        // Mixed group sizes → start offsets in `self`, and the group's end;
+        // a one-sided group settles, and its cursors become `DEAD`.
         let (mut s, mut t) = (self.src.len() as u32, self.tgt.len() as u32);
         for cursor in &mut splitter.cursors {
             let (ns, nt) = *cursor;
+            if ns == 0 || nt == 0 {
+                self.settle(ns as usize, nt as usize);
+                *cursor = (DEAD, DEAD);
+                continue;
+            }
             *cursor = (s, t);
             s += ns;
             t += nt;
+            self.ends.push((s, t));
         }
         self.src.resize(s as usize, RecordId(0));
         self.tgt.resize(t as usize, RecordId(0));
         for (&sid, &g) in block.src.iter().zip(&splitter.src_group) {
             if g != DEAD {
-                let at = &mut splitter.cursors[g as usize].0;
-                self.src[*at as usize] = sid;
-                *at += 1;
+                place(&mut self.src, &mut splitter.cursors[g as usize].0, sid);
             }
         }
         for (&tid, &g) in block.tgt.iter().zip(&splitter.tgt_group) {
-            let at = &mut splitter.cursors[g as usize].1;
-            self.tgt[*at as usize] = tid;
-            *at += 1;
+            place(&mut self.tgt, &mut splitter.cursors[g as usize].1, tid);
         }
-        // Every cursor now sits at its group's end.
-        self.ends.extend_from_slice(&splitter.cursors);
         self.index.0.take();
     }
 }
@@ -249,8 +241,9 @@ impl Bound {
 impl SplitOut for Bound {
     const SCATTER: bool = false;
 
-    fn dead(&mut self, _: RecordId) {
-        self.cs += 1;
+    fn settle(&mut self, ns: usize, nt: usize) {
+        self.ct += nt as u64;
+        self.cs += ns as u64;
     }
 
     fn whole(&mut self, src: &[RecordId], tgt: &[RecordId]) {
@@ -274,17 +267,17 @@ impl Splitter {
         })
     }
 
-    /// Split one parent block by the transformed source value vs. the raw
-    /// target value of `attr`. Sub-blocks go to `out` in first-seen key
-    /// order (sources before targets), inapplicable sources to its dead
-    /// list in record order. Every source value goes through
+    /// Split one mixed parent block by the transformed source value vs. the
+    /// raw target value of `attr`. Mixed sub-blocks go to `out` in
+    /// first-seen key order (sources before targets); one-sided sub-blocks
+    /// and inapplicable sources settle. Every source value goes through
     /// `scratch.apply` exactly once, in record order, whatever the path,
     /// so the pool evolves identically.
     ///
-    /// A block with at most one record a side is decided directly, without
-    /// the group map. Other blocks are counted: a first pass assigns every
-    /// record its group and counts group sizes; `out` then scatters the
-    /// records (a [`Blocking`]) or only sums the surplus (a [`Bound`]).
+    /// A 1:1 block is decided directly, without the group map. Other
+    /// blocks are counted: a first pass assigns every record its group and
+    /// counts group sizes; `out` then scatters the records (a
+    /// [`Blocking`]) or only sums the surplus (a [`Bound`]).
     #[allow(clippy::too_many_arguments)]
     fn split<I: Interner, O: SplitOut>(
         &mut self,
@@ -296,26 +289,13 @@ impl Splitter {
         pool: &mut I,
         out: &mut O,
     ) {
-        match (block.src, block.tgt) {
-            ([], []) => return,
-            ([], [_]) => return out.whole(&[], block.tgt),
-            (&[sid], tgt) if tgt.len() <= 1 => {
-                match scratch.apply(func, src_col[sid.index()], pool) {
-                    None => {
-                        out.dead(sid);
-                        if !tgt.is_empty() {
-                            out.whole(&[], tgt);
-                        }
-                    }
-                    Some(key) if tgt.first().is_some_and(|t| tgt_col[t.index()] != key) => {
-                        out.whole(block.src, &[]);
-                        out.whole(&[], tgt);
-                    }
-                    Some(_) => out.whole(block.src, tgt),
-                }
-                return;
+        if let (&[sid], &[tid]) = (block.src, block.tgt) {
+            match scratch.apply(func, src_col[sid.index()], pool) {
+                Some(key) if key == tgt_col[tid.index()] => out.whole(block.src, block.tgt),
+                // A dead source or a mismatch: neither record aligns.
+                _ => out.settle(1, 1),
             }
-            _ => {}
+            return;
         }
         let mut dead = 0;
         for &sid in block.src {
@@ -326,7 +306,6 @@ impl Splitter {
                     g
                 }
                 None => {
-                    out.dead(sid);
                     dead += 1;
                     DEAD
                 }
@@ -342,11 +321,12 @@ impl Splitter {
                 self.tgt_group.push(g);
             }
         }
-        match self.keys.len() {
-            0 => {}
-            // One group and no dead source: the block survives whole.
-            1 if dead == 0 => out.whole(block.src, block.tgt),
-            _ => out.grouped(self, block),
+        out.settle(dead, 0);
+        // One group and no dead source: the block survives whole.
+        if self.keys.len() == 1 && dead == 0 {
+            out.whole(block.src, block.tgt);
+        } else {
+            out.grouped(self, block);
         }
         for key in self.keys.drain(..) {
             self.group_of.remove(&key);
@@ -359,46 +339,36 @@ impl Splitter {
 
 impl Blocking {
     /// The root blocking of the empty assignment `H^∅ = (∗, …, ∗)`: a
-    /// single block containing every record.
+    /// single block containing every record (settled if a side is empty).
     pub fn root(source: &Table, target: &Table) -> Blocking {
-        let mut root = Blocking {
-            src: source.record_ids().collect(),
-            tgt: target.record_ids().collect(),
-            ends: Vec::with_capacity(1),
-            dead_src: Vec::new(),
-            index: IndexCell::default(),
-        };
-        root.push_end();
-        root
+        let src: Vec<RecordId> = source.record_ids().collect();
+        let tgt: Vec<RecordId> = target.record_ids().collect();
+        Blocking::from_blocks([Block {
+            src: &src,
+            tgt: &tgt,
+        }])
     }
 
-    /// Build a blocking from explicit blocks and dead sources.
-    pub fn from_blocks<'a>(
-        blocks: impl IntoIterator<Item = Block<'a>>,
-        dead_src: Vec<RecordId>,
-    ) -> Blocking {
-        let mut out = Blocking {
-            dead_src,
-            ..Blocking::default()
-        };
+    /// Build a blocking from explicit blocks, settling every one-sided or
+    /// empty one.
+    pub fn from_blocks<'a>(blocks: impl IntoIterator<Item = Block<'a>>) -> Blocking {
+        let mut out = Blocking::default();
         for block in blocks {
             out.push_block(block);
         }
         out
     }
 
-    /// Append one block after the existing ones.
+    /// Append one block after the existing ones, or settle its records if
+    /// it has no source or no target. Every blocking starts as a root or
+    /// from pushed blocks, and refinement never grows the arrays, so this
+    /// check keeps every offset of every blocking within `u32`.
     pub fn push_block(&mut self, block: Block<'_>) {
+        if block.src.is_empty() || block.tgt.is_empty() {
+            return self.settle(block.src.len(), block.tgt.len());
+        }
         self.src.extend_from_slice(block.src);
         self.tgt.extend_from_slice(block.tgt);
-        self.push_end();
-    }
-
-    /// Close the block formed by the records appended since the last one.
-    /// Every blocking starts as a root or from pushed blocks, and
-    /// refinement never grows the arrays, so this check keeps every offset
-    /// of every blocking within `u32`.
-    fn push_end(&mut self) {
         let offset =
             |len: usize| u32::try_from(len).expect("a blocking holds < 2^32 records per side");
         self.ends
@@ -429,22 +399,16 @@ impl Blocking {
         })
     }
 
-    /// Source records excluded by partial function application, in the
-    /// order refinement found them.
-    pub fn dead_src(&self) -> &[RecordId] {
-        &self.dead_src
+    /// The exclusive `(src, tgt)` end offsets of each block: the running
+    /// source and target counts of the blocks, block by block.
+    pub fn ends(&self) -> &[(u32, u32)] {
+        &self.ends
     }
 
-    /// An empty blocking with the dead sources of `self`, sized for a
-    /// refinement of it.
-    fn refined_shell(&self) -> Blocking {
-        Blocking {
-            src: Vec::with_capacity(self.src.len()),
-            tgt: Vec::with_capacity(self.tgt.len()),
-            ends: Vec::with_capacity(self.ends.len()),
-            dead_src: self.dead_src.clone(),
-            index: IndexCell::default(),
-        }
+    /// `(sources, targets)` settled out of the blocks: sources that died or
+    /// were left without a target, and targets left without a source.
+    pub fn settled(&self) -> (u64, u64) {
+        (self.settled_src, self.settled_tgt)
     }
 
     /// Refine on a newly assigned attribute: every block splits by the
@@ -464,7 +428,14 @@ impl Blocking {
         pool: &mut I,
     ) -> Blocking {
         let _span = affidavit_obs::span("blocking.refine");
-        let mut out = self.refined_shell();
+        let mut out = Blocking {
+            src: Vec::with_capacity(self.src.len()),
+            tgt: Vec::with_capacity(self.tgt.len()),
+            ends: Vec::with_capacity(self.ends.len()),
+            settled_src: self.settled_src,
+            settled_tgt: self.settled_tgt,
+            index: IndexCell::default(),
+        };
         self.split_all(attr, func, scratch, source, target, pool, &mut out);
         out
     }
@@ -484,8 +455,8 @@ impl Blocking {
     ) -> (u64, u64) {
         let _span = affidavit_obs::span("blocking.bound");
         let mut bound = Bound {
-            ct: 0,
-            cs: self.dead_src.len() as u64,
+            ct: self.settled_tgt,
+            cs: self.settled_src,
         };
         self.split_all(attr, func, scratch, source, target, pool, &mut bound);
         (bound.ct, bound.cs)
@@ -521,26 +492,17 @@ impl Blocking {
     }
 
     /// Lower bound on inserted targets from this blocking alone:
-    /// `ct(H) = Σ_{|φ_T| > |φ_S|} (|φ_T| − |φ_S|)` (§4.5).
+    /// `ct(H) = Σ_{|φ_T| > |φ_S|} (|φ_T| − |φ_S|)` (§4.5), over the blocks
+    /// and the settled targets.
     pub fn ct(&self) -> u64 {
-        let ct = self.mixed_index().ct;
-        debug_assert_eq!(ct, self.blocks().map(|b| b.target_surplus()).sum());
-        ct
+        self.mixed_index().ct + self.settled_tgt
     }
 
     /// Lower bound on deleted sources:
-    /// `cs(H) = Σ_{|φ_S| > |φ_T|} (|φ_S| − |φ_T|)` plus the dead sources.
+    /// `cs(H) = Σ_{|φ_S| > |φ_T|} (|φ_S| − |φ_T|)` over the blocks, plus
+    /// the settled sources.
     pub fn cs(&self) -> u64 {
-        let surplus = self.mixed_index().cs;
-        debug_assert_eq!(surplus, self.blocks().map(|b| b.source_surplus()).sum());
-        surplus + self.dead_src.len() as u64
-    }
-
-    /// Iterate over the mixed blocks (both sides non-empty), in block
-    /// order, from the index.
-    pub fn mixed_blocks(&self) -> impl Iterator<Item = Block<'_>> + '_ {
-        let mixed = self.mixed_index().mixed();
-        mixed.iter().map(|m| self.block(m.block as usize))
+        self.mixed_index().cs + self.settled_src
     }
 
     /// Number of blocks.
@@ -555,17 +517,16 @@ impl Blocking {
 
     /// Indeterminacy estimate of an attribute under this blocking (§4.3):
     /// the maximum number of distinct *source* values of `attr` over all
-    /// mixed blocks — an upper bound for how many source values compete as
-    /// the origin of a target value. Any mixed block gives at least 1; the
-    /// index's blocks of two or more sources are read widest first, up to
-    /// the first one with no more sources than the running maximum, which
-    /// no later block can beat.
+    /// blocks — an upper bound for how many source values compete as the
+    /// origin of a target value. Any block gives at least 1; the index's
+    /// blocks of two or more sources are read widest first, up to the
+    /// first one with no more sources than the running maximum, which no
+    /// later block can beat.
     pub fn indeterminacy(&self, attr: AttrId, source: &Table) -> usize {
-        let index = self.mixed_index();
         let col = source.column(attr);
         let mut distinct: FxHashSet<Sym> = FxHashSet::default();
-        let mut max = usize::from(!index.mixed.is_empty());
-        for &(sources, bi) in &index.widest {
+        let mut max = usize::from(!self.is_empty());
+        for &(sources, bi) in &self.mixed_index().widest {
             if sources as usize <= max {
                 break;
             }
@@ -582,7 +543,6 @@ impl Blocking {
         {
             let walked = self
                 .blocks()
-                .filter(Block::is_mixed)
                 .map(|b| {
                     b.src
                         .iter()
@@ -597,12 +557,12 @@ impl Blocking {
         max
     }
 
-    /// Total number of source records still inside blocks (excludes dead).
+    /// Total number of source records in blocks (excludes settled ones).
     pub fn live_sources(&self) -> usize {
         self.src.len()
     }
 
-    /// Total number of target records (always all of T).
+    /// Total number of target records in blocks (excludes settled ones).
     pub fn total_targets(&self) -> usize {
         self.tgt.len()
     }
@@ -683,16 +643,15 @@ mod tests {
                 &mut pool,
             );
 
-        let mixed: Vec<Block> = b.mixed_blocks().collect();
-        assert_eq!(mixed.len(), 2);
-        let sap = mixed.iter().find(|blk| blk.src.len() == 3).unwrap();
+        assert_eq!(b.len(), 2);
+        let sap = b.blocks().find(|blk| blk.src.len() == 3).unwrap();
         assert_eq!(sap.tgt.len(), 2);
         assert_eq!(b.cs(), 1);
         assert_eq!(b.ct(), 0);
     }
 
     #[test]
-    fn dead_sources_counted_in_cs() {
+    fn dead_sources_settle_into_cs() {
         let (s, t, mut pool) = tables();
         // Scaling applies to Val but not to Type — refine on Type with a
         // numeric function: every source dies.
@@ -705,9 +664,9 @@ mod tests {
             &t,
             &mut pool,
         );
-        assert_eq!(b.dead_src().len(), 4);
-        assert_eq!(b.live_sources(), 0);
-        assert_eq!(b.total_targets(), 3);
+        assert!(b.is_empty());
+        assert_eq!(b.settled(), (4, 3)); // the targets lost every source
+        assert_eq!((b.live_sources(), b.total_targets()), (0, 0));
         assert_eq!(b.cs(), 4);
         assert_eq!(b.ct(), 3); // all targets now unmatched
     }
@@ -733,19 +692,23 @@ mod tests {
     #[test]
     fn views_and_builders_agree() {
         let ids = |r: std::ops::Range<u32>| r.map(RecordId).collect::<Vec<_>>();
-        let (a, b, c) = (ids(0..2), ids(2..3), ids(0..1));
+        let (a, b, c, d) = (ids(0..2), ids(2..5), ids(0..1), ids(1..3));
         let blocks = [
             Block { src: &a, tgt: &c },
             Block { src: &[], tgt: &[] },
             Block { src: &b, tgt: &[] },
+            Block { src: &[], tgt: &d },
+            Block { src: &b, tgt: &d },
         ];
-        let built = Blocking::from_blocks(blocks, vec![RecordId(3)]);
-        assert_eq!(built.len(), 3);
-        assert_eq!(built.blocks().collect::<Vec<_>>(), blocks);
-        assert_eq!(built.block(2), blocks[2]);
-        assert_eq!(built.dead_src(), &[RecordId(3)]);
-        assert_eq!((built.live_sources(), built.total_targets()), (3, 1));
-        let mut pushed = Blocking::from_blocks([], vec![RecordId(3)]);
+        let built = Blocking::from_blocks(blocks);
+        assert_eq!(built.len(), 2);
+        assert_eq!(built.blocks().collect::<Vec<_>>(), [blocks[0], blocks[4]]);
+        assert_eq!(built.block(1), blocks[4]);
+        assert_eq!(built.ends(), &[(2, 1), (5, 3)]);
+        assert_eq!(built.settled(), (3, 2));
+        assert_eq!((built.live_sources(), built.total_targets()), (5, 3));
+        assert_eq!((built.ct(), built.cs()), (2, 5));
+        let mut pushed = Blocking::default();
         blocks.iter().for_each(|&blk| pushed.push_block(blk));
         assert_eq!(pushed, built);
     }
@@ -783,13 +746,10 @@ mod tests {
         let s = Table::from_rows(Schema::new(["a"]), &mut pool, rows(src));
         let t = Table::from_rows(Schema::new(["a"]), &mut pool, rows(tgt));
         let (sids, tids): (Vec<_>, Vec<_>) = (s.record_ids().collect(), t.record_ids().collect());
-        let start = Blocking::from_blocks(
-            [Block {
-                src: &sids,
-                tgt: &tids,
-            }],
-            Vec::new(),
-        );
+        let start = Blocking::from_blocks([Block {
+            src: &sids,
+            tgt: &tids,
+        }]);
         let base = pool.len();
         let mut scratch = ApplyScratch::new();
         let mut refined_pool = pool.clone();
@@ -810,50 +770,24 @@ mod tests {
         AttrFunction::Scale(affidavit_table::Rational::new(1, 10).unwrap())
     }
 
+    /// A one-sided block settles when it is built, so no later refine
+    /// applies a function to its records.
     #[test]
-    fn tiny_block_empty_is_dropped() {
-        let (b, interned) = split_one(&[], &[], &AttrFunction::Uppercase);
-        assert!(b.is_empty());
-        assert!(b.dead_src().is_empty());
-        assert!(interned.is_empty());
-    }
-
-    #[test]
-    fn tiny_block_lone_live_source_is_kept() {
-        let (b, interned) = split_one(&["x"], &[], &AttrFunction::Uppercase);
-        let one = ids(0..1);
-        assert_eq!(
-            b.blocks().collect::<Vec<_>>(),
-            [Block {
-                src: &one,
-                tgt: &[]
-            }]
-        );
-        assert!(b.dead_src().is_empty());
-        assert_eq!(interned, ["X"], "the lone source is applied once");
-    }
-
-    #[test]
-    fn tiny_block_lone_dead_source_dies() {
-        let (b, interned) = split_one(&["x"], &[], &scale());
-        assert!(b.is_empty());
-        assert_eq!(b.dead_src(), &[RecordId(0)]);
-        assert_eq!((b.ct(), b.cs()), (0, 1));
-        assert!(interned.is_empty());
-    }
-
-    #[test]
-    fn tiny_block_lone_target_is_copied() {
-        let (b, _) = split_one(&[], &["x"], &AttrFunction::Uppercase);
-        let one = ids(0..1);
-        assert_eq!(
-            b.blocks().collect::<Vec<_>>(),
-            [Block {
-                src: &[],
-                tgt: &one
-            }]
-        );
-        assert_eq!((b.ct(), b.cs()), (1, 0));
+    fn one_sided_blocks_settle_unapplied() {
+        for (src, tgt, settled) in [
+            (&[][..], &[][..], (0, 0)),
+            (&["x"][..], &[][..], (1, 0)),
+            (&["x", "y"][..], &[][..], (2, 0)),
+            (&[][..], &["x"][..], (0, 1)),
+        ] {
+            for func in [AttrFunction::Uppercase, scale()] {
+                let (b, interned) = split_one(src, tgt, &func);
+                assert!(b.is_empty());
+                assert_eq!(b.settled(), settled);
+                assert_eq!((b.ct(), b.cs()), (settled.1, settled.0));
+                assert!(interned.is_empty());
+            }
+        }
     }
 
     #[test]
@@ -875,38 +809,55 @@ mod tests {
     }
 
     #[test]
-    fn tiny_block_mismatched_pair_splits_source_first() {
+    fn tiny_block_mismatched_pair_settles() {
         let (b, interned) = split_one(&["x"], &["Y"], &AttrFunction::Uppercase);
-        let one = ids(0..1);
-        assert_eq!(
-            b.blocks().collect::<Vec<_>>(),
-            [
-                Block {
-                    src: &one,
-                    tgt: &[]
-                },
-                Block {
-                    src: &[],
-                    tgt: &one
-                }
-            ]
-        );
+        assert!(b.is_empty());
+        assert_eq!(b.settled(), (1, 1));
         assert_eq!((b.ct(), b.cs()), (1, 1));
         assert_eq!(interned, ["X"]);
     }
 
     #[test]
-    fn tiny_block_pair_with_dead_source_keeps_its_target() {
+    fn tiny_block_pair_with_dead_source_settles() {
         let (b, _) = split_one(&["x"], &["1"], &scale());
-        let one = ids(0..1);
+        assert!(b.is_empty());
+        assert_eq!(b.settled(), (1, 1));
+        assert_eq!((b.ct(), b.cs()), (1, 1));
+    }
+
+    /// A grouped split keeps its mixed groups in first-seen order and
+    /// settles the one-sided groups and the dead sources.
+    #[test]
+    fn grouped_split_settles_one_sided_groups() {
+        let (b, interned) = split_one(
+            &["a", "b", "c", "a"],
+            &["C", "A", "D"],
+            &AttrFunction::Uppercase,
+        );
+        assert_eq!(
+            b.blocks().collect::<Vec<_>>(),
+            [
+                Block {
+                    src: &[RecordId(0), RecordId(3)],
+                    tgt: &[RecordId(1)]
+                },
+                Block {
+                    src: &[RecordId(2)],
+                    tgt: &[RecordId(0)]
+                }
+            ]
+        );
+        assert_eq!(b.settled(), (1, 1));
+        assert_eq!((b.ct(), b.cs()), (1, 2));
+        assert_eq!(interned, ["B"]);
+        let (b, _) = split_one(&["1", "x", "2"], &["0.1", "0.3"], &scale());
+        assert_eq!(b.settled(), (2, 1));
         assert_eq!(
             b.blocks().collect::<Vec<_>>(),
             [Block {
-                src: &[],
-                tgt: &one
+                src: &[RecordId(0)],
+                tgt: &[RecordId(0)]
             }]
         );
-        assert_eq!(b.dead_src(), &[RecordId(0)]);
-        assert_eq!((b.ct(), b.cs()), (1, 1));
     }
 }

@@ -40,5 +40,5 @@ pub mod blocking;
 pub mod overlap;
 
 pub use alignment::{greedy_map_from_alignment, sample_random_alignment};
-pub use blocking::{Block, Blocking, MixedBlock, MixedIndex};
+pub use blocking::{Block, Blocking, MixedIndex};
 pub use overlap::{overlap_start_attrs, OverlapConfig, OverlapIndex};

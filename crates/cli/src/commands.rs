@@ -89,8 +89,8 @@ SEARCH FLAGS (explain, apply, profile):
                            deterministic given the seed (default: 3988201504
                            = 0xEDB72020).
   --threads N              Worker threads for each search's attribute scan
-                           and refinements, and for ingestion; 0 = one per
-                           hardware thread (default: 1; at most 1024).
+                           and for ingestion; 0 = one per hardware thread
+                           (default: 1; at most 1024).
                            profile also runs table pairs concurrently, one
                            per hardware thread, whatever --threads is.
                            Results are byte-identical at every thread count.
@@ -109,8 +109,9 @@ INGESTION FLAGS (explain, profile, client):
 
 INCREMENTAL FLAGS (explain, profile, client):
   --delta                  Reuse the previous run's results for unchanged
-                           table pairs: block fingerprints are diffed
-                           against the run's manifest, clean pairs splice
+                           table pairs: raw-file and staged-table
+                           fingerprints are compared against the run's
+                           manifest, clean pairs splice
                            their stored report, and only dirty pairs
                            re-enter the search. Output is byte-identical
                            to a from-scratch run; a broken or stale

@@ -1,6 +1,7 @@
 //! The built `affidavit` binary handed a special file (`/dev/zero`, which
-//! never ends) as a snapshot: a typed error and exit 1 within seconds, not
-//! a hang, an abort or a memory blow-up.
+//! never ends) as a snapshot, or a saved explanation nested thousands of
+//! levels deep: a typed error and exit 1 within seconds, not a hang, an
+//! abort or a memory blow-up.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -51,6 +52,32 @@ fn a_special_file_snapshot_exits_1_naming_the_path() {
             stderr.contains("/dev/zero") && stderr.contains("not a regular file"),
             "{args:?}: {stderr}"
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A saved explanation nested past the JSON recursion limit, as arrays or
+/// as objects, is the parser's typed error and exit 1, not a stack
+/// overflow (exit 134).
+#[test]
+fn a_deeply_nested_explanation_exits_1() {
+    let dir = std::env::temp_dir().join("affidavit-cli-nested-explanation");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("u.csv");
+    std::fs::write(&csv, "k,v\na,1\n").unwrap();
+    let json = dir.join("e.json");
+    for nested in ["[".repeat(5000), r#"{"schema":"#.repeat(5000)] {
+        std::fs::write(&json, nested).unwrap();
+        let args = [
+            "apply",
+            "--explanation",
+            json.to_str().unwrap(),
+            csv.to_str().unwrap(),
+        ];
+        let (code, stderr) = run_bounded(&args);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(stderr.contains("recursion limit exceeded"), "{stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -84,15 +84,13 @@ mod tests {
     use affidavit_functions::AttrFunction;
     use affidavit_table::RecordId;
 
-    fn blocking(shape: &[(usize, usize)], dead: usize) -> Blocking {
+    /// Blocks of these `(src, tgt)` sizes; a one-sided one settles.
+    fn blocking(shape: &[(usize, usize)]) -> Blocking {
         let ids = vec![RecordId(0); shape.iter().map(|&(ns, nt)| ns.max(nt)).max().unwrap_or(0)];
-        Blocking::from_blocks(
-            shape.iter().map(|&(ns, nt)| Block {
-                src: &ids[..ns],
-                tgt: &ids[..nt],
-            }),
-            (0..dead as u32).map(RecordId).collect(),
-        )
+        Blocking::from_blocks(shape.iter().map(|&(ns, nt)| Block {
+            src: &ids[..ns],
+            tgt: &ids[..nt],
+        }))
     }
 
     #[test]
@@ -109,7 +107,7 @@ mod tests {
     #[test]
     fn record_bound_uses_tighter_side() {
         // Block shapes: (src, tgt). ct = 2 (surplus targets), cs = 3.
-        let b = blocking(&[(0, 2), (4, 1)], 0);
+        let b = blocking(&[(0, 2), (4, 1)]);
         assert_eq!(b.ct(), 2);
         assert_eq!(b.cs(), 3);
         // Δ = 0: |T^E+| = |S^E−| − Δ = cs ⇒ bound = max(2, 3) = 3.
@@ -122,13 +120,14 @@ mod tests {
 
     #[test]
     fn dead_sources_tighten_cs() {
-        let b = blocking(&[(1, 1)], 2);
+        // Two sources settled out of the blocks, as dead sources are.
+        let b = blocking(&[(1, 1), (2, 0)]);
         assert_eq!(record_bound((b.ct(), b.cs()), 0), 2);
     }
 
     #[test]
     fn alpha_weights() {
-        let b = blocking(&[(0, 1)], 0); // one unmatched target
+        let b = blocking(&[(0, 1)]); // one unmatched target
         let a = vec![Assignment::Assigned(AttrFunction::FrontCharTrim('0'))];
         // α=0.5, |A|=3: cost = 3·1 + 1 = 4.
         assert_eq!(state_cost(&a, &b, 0, 0.5, 3), 4.0);

@@ -16,7 +16,7 @@
 //! targets visit them, so the pool interns the same strings in the same
 //! order as inducing every example afresh.
 
-use affidavit_blocking::{Block, Blocking, MixedBlock};
+use affidavit_blocking::Blocking;
 use affidavit_functions::{induce_from_example, AttrFunction, Registry};
 use affidavit_table::{AttrId, FxHashMap, FxHashSet, Interner, RecordId, Sym, Table};
 use rand::rngs::StdRng;
@@ -64,73 +64,40 @@ pub(crate) enum Side {
 }
 
 impl Side {
-    /// The running record count of this side in a mixed-index entry.
-    fn end(self, m: &MixedBlock) -> usize {
+    /// This side's running record count in a block end offset.
+    fn end(self, (src, tgt): (u32, u32)) -> usize {
         match self {
-            Side::Source => m.src_end as usize,
-            Side::Target => m.tgt_end as usize,
-        }
-    }
-
-    /// The records of this side in a block.
-    fn of<'a>(self, block: &Block<'a>) -> &'a [RecordId] {
-        match self {
-            Side::Source => block.src,
-            Side::Target => block.tgt,
+            Side::Source => src as usize,
+            Side::Target => tgt as usize,
         }
     }
 }
 
 /// Draw up to `k` records uniformly without replacement from one side of
-/// the mixed blocks, as `(block index, offset within that side)`, in draw
-/// order. The draws index the records of all mixed blocks laid end to
-/// end, found through the running counts of the blocking's
-/// [`MixedIndex`](affidavit_blocking::MixedIndex). `None`, without a draw,
-/// when there is no mixed block. Debug builds check every pick against a
-/// walk over all blocks.
+/// the blocks, as `(block index, offset within that side)`, in draw order.
+/// The draws index the records of all blocks laid end to end, found
+/// through the blocking's end offsets; every block is mixed. `None`,
+/// without a draw, when there is no block.
 pub(crate) fn sample_mixed(
     blocking: &Blocking,
     side: Side,
     k: usize,
     rng: &mut StdRng,
 ) -> Option<Vec<(usize, usize)>> {
-    let mixed = blocking.mixed_index().mixed();
-    let total = mixed.last().map_or(0, |m| side.end(m));
+    let ends = blocking.ends();
+    let total = ends.last().map_or(0, |&end| side.end(end));
     if total == 0 {
         return None;
     }
-    let draws: Vec<usize> = index_sample(rng, total, k.min(total)).into_iter().collect();
-    let picks: Vec<(usize, usize)> = draws
-        .iter()
-        .map(|&i| {
-            let j = mixed.partition_point(|m| side.end(m) <= i);
-            let start = if j == 0 { 0 } else { side.end(&mixed[j - 1]) };
-            (mixed[j].block as usize, i - start)
+    let picks = index_sample(rng, total, k.min(total))
+        .into_iter()
+        .map(|i| {
+            let j = ends.partition_point(|&end| side.end(end) <= i);
+            let start = if j == 0 { 0 } else { side.end(ends[j - 1]) };
+            (j, i - start)
         })
         .collect();
-    debug_assert_eq!(picks, walked_picks(blocking, side, &draws));
     Some(picks)
-}
-
-/// `(block index, offset)` of each draw, from prefix sums of one side of
-/// the mixed blocks built by walking every block.
-fn walked_picks(blocking: &Blocking, side: Side, draws: &[usize]) -> Vec<(usize, usize)> {
-    let mut ends: Vec<(usize, usize)> = Vec::new();
-    let mut total = 0;
-    for (bi, block) in blocking.blocks().enumerate() {
-        if block.is_mixed() {
-            total += side.of(&block).len();
-            ends.push((bi, total));
-        }
-    }
-    draws
-        .iter()
-        .map(|&i| {
-            let j = ends.partition_point(|&(_, end)| end <= i);
-            let start = if j == 0 { 0 } else { ends[j - 1].1 };
-            (ends[j].0, i - start)
-        })
-        .collect()
 }
 
 /// Induce and filter candidate functions for `attr` under a blocking
@@ -236,7 +203,7 @@ pub fn induce_candidates<I: Interner>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use affidavit_blocking::Blocking;
+    use affidavit_blocking::{Block, Blocking};
     use affidavit_functions::{ApplyScratch, AttrFunction};
     use affidavit_table::{Schema, Table, ValuePool};
     use rand::SeedableRng;
@@ -272,19 +239,28 @@ mod tests {
         }
     }
 
-    /// The walk `sample_mixed` replaced: prefix sums of one side of the
-    /// mixed blocks, rebuilt from every block on each call.
+    /// The records of one side of a block.
+    fn of(side: Side, block: Block<'_>) -> &[RecordId] {
+        match side {
+            Side::Source => block.src,
+            Side::Target => block.tgt,
+        }
+    }
+
+    /// The walk `sample_mixed` replaced, over the blocks as they were
+    /// built, one-sided ones included: prefix sums of one side of the
+    /// mixed blocks, rebuilt on each call. Returns the picked records.
     fn walk_sample_mixed(
-        blocking: &Blocking,
-        side: impl Fn(&Block<'_>) -> usize,
+        blocks: &[Block<'_>],
+        side: Side,
         k: usize,
         rng: &mut StdRng,
-    ) -> Option<Vec<(usize, usize)>> {
+    ) -> Option<Vec<RecordId>> {
         let mut ends: Vec<(usize, usize)> = Vec::new();
         let mut total = 0;
-        for (bi, block) in blocking.blocks().enumerate() {
+        for (bi, block) in blocks.iter().enumerate() {
             if block.is_mixed() {
-                total += side(&block);
+                total += of(side, *block).len();
                 ends.push((bi, total));
             }
         }
@@ -296,16 +272,16 @@ mod tests {
             .map(|i| {
                 let j = ends.partition_point(|&(_, end)| end <= i);
                 let start = if j == 0 { 0 } else { ends[j - 1].1 };
-                (ends[j].0, i - start)
+                of(side, blocks[ends[j].0])[i - start]
             })
             .collect();
         Some(picks)
     }
 
-    /// `sample_mixed` picks what the walk picks and leaves the RNG where
-    /// the walk leaves it, seed for seed, on blockings of empty,
-    /// one-sided, 1:1 and wide blocks, for samples below, at and above
-    /// the record count.
+    /// `sample_mixed` picks the records the walk picks and leaves the RNG
+    /// where the walk leaves it, seed for seed, on blockings built from
+    /// empty, one-sided, 1:1 and wide blocks, for samples below, at and
+    /// above the record count.
     #[test]
     fn sample_mixed_matches_the_block_walk() {
         use rand::{Rng, RngCore};
@@ -329,23 +305,24 @@ mod tests {
                 (next_src, next_tgt) = (next_src + ns, next_tgt + nt);
                 records.push((src, tgt));
             }
-            let blocking = Blocking::from_blocks(
-                records.iter().map(|(src, tgt)| Block { src, tgt }),
-                Vec::new(),
-            );
+            let built: Vec<Block<'_>> = records
+                .iter()
+                .map(|(src, tgt)| Block { src, tgt })
+                .collect();
+            let blocking = Blocking::from_blocks(built.iter().copied());
             for k in [0, 1, 3, 10, 100] {
-                for (side, len) in [
-                    (
-                        Side::Source,
-                        (|b: &Block<'_>| b.src.len()) as fn(&Block<'_>) -> usize,
-                    ),
-                    (Side::Target, |b: &Block<'_>| b.tgt.len()),
-                ] {
+                for side in [Side::Source, Side::Target] {
                     let seed = case * 101 + k as u64;
                     let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    let picked = sample_mixed(&blocking, side, k, &mut a).map(|picks| {
+                        picks
+                            .into_iter()
+                            .map(|(bi, off)| of(side, blocking.block(bi))[off])
+                            .collect::<Vec<_>>()
+                    });
                     assert_eq!(
-                        sample_mixed(&blocking, side, k, &mut a),
-                        walk_sample_mixed(&blocking, len, k, &mut b),
+                        picked,
+                        walk_sample_mixed(&built, side, k, &mut b),
                         "case {case} k {k} {side:?}"
                     );
                     assert_eq!(a.next_u64(), b.next_u64(), "next draw, case {case}");

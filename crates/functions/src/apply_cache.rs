@@ -52,36 +52,6 @@ impl ApplyScratch {
         result
     }
 
-    /// Apply `func` to a whole column slice, memo keyed per column: the
-    /// scratch is reset on entry, then every *distinct* symbol in `col` is
-    /// transformed exactly once. `out` is overwritten with one result per
-    /// row (`None` where the value is untransformable); the return value
-    /// is the number of failing rows.
-    ///
-    /// This is the columnar fast path the table core exposes: the caller
-    /// hands the contiguous per-attribute slice ([`Table::column`]) and
-    /// gets the transformed column back in one tight loop.
-    ///
-    /// [`Table::column`]: affidavit_table::Table::column
-    pub fn apply_column<I: Interner>(
-        &mut self,
-        func: &AttrFunction,
-        col: &[Sym],
-        pool: &mut I,
-        out: &mut Vec<Option<Sym>>,
-    ) -> usize {
-        self.begin();
-        out.clear();
-        out.reserve(col.len());
-        let mut failures = 0usize;
-        for &x in col {
-            let y = self.apply(func, x, pool);
-            failures += y.is_none() as usize;
-            out.push(y);
-        }
-        failures
-    }
-
     /// Number of memoized inputs.
     pub fn memo_len(&self) -> usize {
         self.memo.len()
@@ -106,26 +76,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(memo.memo_len(), 1);
         assert_eq!(pool.get(a.unwrap()), "80");
-    }
-
-    #[test]
-    fn apply_column_matches_per_value_application() {
-        let mut pool = ValuePool::new();
-        let col: Vec<Sym> = ["1000", "2000", "IBM", "1000"]
-            .iter()
-            .map(|s| pool.intern(s))
-            .collect();
-        let func = AttrFunction::Scale(Rational::new(1, 1000).unwrap());
-        let mut scratch = ApplyScratch::new();
-        let mut out = Vec::new();
-        let failures = scratch.apply_column(&func, &col, &mut pool, &mut out);
-        assert_eq!(failures, 1);
-        assert_eq!(out.len(), 4);
-        assert_eq!(pool.get(out[0].unwrap()), "1");
-        assert_eq!(out[2], None);
-        assert_eq!(out[0], out[3]);
-        // Memo keyed per column: 3 distinct inputs, one application each.
-        assert_eq!(scratch.memo_len(), 3);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! valid request frames into ones that are invalid by construction: a
 //! truncated object or frame, a flipped structural byte, a tag naming no
 //! operation, a field value the listener must refuse (an out-of-domain
-//! number, or a string whose escape names no character), or bytes that
-//! are not UTF-8. [`check_fail_closed`]
+//! number, or a string whose escape names no character), a request
+//! nested thousands of levels deep, or bytes that are not UTF-8.
+//! [`check_fail_closed`]
 //! sends each mutant over its own connection and checks the listener's
 //! contract: a whole UTF-8 frame is answered with an error frame, any
 //! other mutant ends the connection, and nothing goes unanswered for a
@@ -115,10 +116,18 @@ pub fn with_value(frame: &str, key: &str, raw: &str) -> String {
     }
 }
 
+/// `json` wrapped in thousands of arrays or one-key objects: well-formed
+/// structure nested far past any parser's recursion limit, in a few KB.
+pub fn nest(rng: &mut Rng, json: &str) -> String {
+    let depth = 1000 + rng.below(4000);
+    let (open, close) = [("[", "]"), (r#"{"n":"#, "}")][rng.below(2)];
+    format!("{}{json}{}", open.repeat(depth), close.repeat(depth))
+}
+
 /// One invalid mutant of `frame`, a valid `op`-tagged request.
 fn mutate(rng: &mut Rng, frame: &str, vocab: &Vocabulary<'_>) -> Mutant {
     let bytes = frame.as_bytes().to_vec();
-    match rng.below(6) {
+    match rng.below(7) {
         // Truncated JSON: every strict prefix of an object is invalid.
         0 => Mutant::whole(bytes[..rng.below(bytes.len())].to_vec()),
         // Truncated frame: the peer stops mid-frame.
@@ -150,6 +159,8 @@ fn mutate(rng: &mut Rng, frame: &str, vocab: &Vocabulary<'_>) -> Mutant {
             let raw = values[rng.below(values.len())];
             Mutant::whole(with_value(frame, key, raw).into_bytes())
         }
+        // Nested past the recursion limit.
+        5 => Mutant::whole(nest(rng, frame).into_bytes()),
         // Not UTF-8.
         _ => {
             let mut bytes = bytes;

@@ -1,16 +1,16 @@
 //! Property-based tests for the blocking substrate: refinement order
 //! independence, lower-bound correctness, alignment discipline, and a
 //! differential battery pinning the flat refinement to a nested-`Vec`
-//! reference oracle (block order, record order, dead sources and pool
-//! strings), the count-only bound pass against the same oracle, plus the
-//! pruned indeterminacy against an exhaustive count and the mixed-block
-//! index against a walk over every block.
+//! reference oracle (block order, record order, settled counts, `(ct, cs)`,
+//! indeterminacy and pool strings), the count-only bound pass against the
+//! same oracle, plus the pruned indeterminacy against an exhaustive count
+//! and the mixed-block index against a walk over every block.
 
 use std::collections::{BTreeSet, HashMap};
 
 use std::sync::{Arc, Barrier};
 
-use affidavit::blocking::{sample_random_alignment, Block, Blocking, MixedBlock, MixedIndex};
+use affidavit::blocking::{sample_random_alignment, Block, Blocking, MixedIndex};
 use affidavit::functions::{ApplyScratch, AttrFunction};
 use affidavit::table::{
     AttrId, Decimal, Rational, Record, RecordId, Schema, Sym, Table, ValuePool,
@@ -94,9 +94,10 @@ const TINY_BLOCKS: u8 = 32;
 /// The start blocking of `blocks` blocks: source `i` goes to block
 /// `src_slot[i]` (or is dead at slot `blocks`), target `j` to block
 /// `tgt_slot[j]`. With ≤ 25 records over five slots this yields empty,
-/// source-only, target-only and mixed blocks. Sources are listed in
-/// descending id order so record order inside a block is not simply
-/// ascending.
+/// source-only, target-only and mixed blocks, of which `from_blocks`
+/// keeps the mixed ones and settles the rest and the dead sources.
+/// Sources are listed in descending id order so record order inside a
+/// block is not simply ascending.
 fn start_blocking(s: &Table, t: &Table, src_slot: &[u8], tgt_slot: &[u8], blocks: u8) -> Blocking {
     let dead_slot = blocks;
     let mut blocks = vec![(Vec::new(), Vec::new()); blocks as usize];
@@ -110,14 +111,24 @@ fn start_blocking(s: &Table, t: &Table, src_slot: &[u8], tgt_slot: &[u8], blocks
     for tid in t.record_ids() {
         blocks[tgt_slot[tid.index()] as usize].1.push(tid);
     }
-    Blocking::from_blocks(blocks.iter().map(|(src, tgt)| Block { src, tgt }), dead)
+    let dead = Block {
+        src: &dead,
+        tgt: &[],
+    };
+    Blocking::from_blocks(
+        blocks
+            .iter()
+            .map(|(src, tgt)| Block { src, tgt })
+            .chain([dead]),
+    )
 }
 
-/// A blocking as nested vectors: per-block `(src, tgt)` plus dead sources.
+/// A blocking as nested vectors: per-block `(src, tgt)` plus the
+/// `(sources, targets)` settled out of the blocks.
 #[derive(Debug, Clone, PartialEq)]
 struct NestedBlocking {
     blocks: Vec<(Vec<RecordId>, Vec<RecordId>)>,
-    dead_src: Vec<RecordId>,
+    settled: (u64, u64),
 }
 
 fn nested(b: &Blocking) -> NestedBlocking {
@@ -126,15 +137,16 @@ fn nested(b: &Blocking) -> NestedBlocking {
             .blocks()
             .map(|blk| (blk.src.to_vec(), blk.tgt.to_vec()))
             .collect(),
-        dead_src: b.dead_src().to_vec(),
+        settled: b.settled(),
     }
 }
 
 /// Reference refinement over nested vectors: one fresh `(src, tgt)` pair
 /// of vectors per sub-block, grouped by first-seen key (transformed
-/// sources first, then raw targets), inapplicable sources appended to the
-/// dead list in record order, and no apply memo — every source value goes
-/// through the function, so the pool sees every intern in record order.
+/// sources first, then raw targets), and no apply memo — every source
+/// value goes through the function, so the pool sees every intern in
+/// record order. Then it settles: inapplicable sources and the records of
+/// every one-sided group only add to the settled counts.
 fn oracle_refine(
     b: &NestedBlocking,
     attr: AttrId,
@@ -145,7 +157,7 @@ fn oracle_refine(
 ) -> NestedBlocking {
     let mut out = NestedBlocking {
         blocks: Vec::new(),
-        dead_src: b.dead_src.clone(),
+        settled: b.settled,
     };
     for (src, tgt) in &b.blocks {
         let mut index: HashMap<Sym, usize> = HashMap::new();
@@ -162,14 +174,21 @@ fn oracle_refine(
                     let g = slot(key, &mut groups);
                     groups[g].0.push(sid);
                 }
-                None => out.dead_src.push(sid),
+                None => out.settled.0 += 1,
             }
         }
         for &tid in tgt {
             let g = slot(target.value(tid, attr), &mut groups);
             groups[g].1.push(tid);
         }
-        out.blocks.extend(groups);
+        for (src, tgt) in groups {
+            if src.is_empty() || tgt.is_empty() {
+                out.settled.0 += src.len() as u64;
+                out.settled.1 += tgt.len() as u64;
+            } else {
+                out.blocks.push((src, tgt));
+            }
+        }
     }
     out
 }
@@ -178,11 +197,11 @@ fn pool_strings(pool: &ValuePool) -> Vec<String> {
     pool.iter().map(|(_, v)| v.to_owned()).collect()
 }
 
-/// `(ct, cs)` of a nested blocking: surplus targets, and surplus plus dead
-/// sources.
+/// `(ct, cs)` of a nested blocking: surplus plus settled targets, and
+/// surplus plus settled sources.
 fn nested_bound(b: &NestedBlocking) -> (u64, u64) {
     let surplus = |x: usize, y: usize| x.saturating_sub(y) as u64;
-    let ct = b
+    let ct: u64 = b
         .blocks
         .iter()
         .map(|(s, t)| surplus(t.len(), s.len()))
@@ -192,16 +211,18 @@ fn nested_bound(b: &NestedBlocking) -> (u64, u64) {
         .iter()
         .map(|(s, t)| surplus(s.len(), t.len()))
         .sum();
-    (ct, cs + b.dead_src.len() as u64)
+    (ct + b.settled.1, cs + b.settled.0)
 }
 
-/// Exhaustive indeterminacy: the largest distinct-source-value count over
-/// every mixed block, reading every block.
-fn exhaustive_indeterminacy(b: &Blocking, attr: AttrId, source: &Table) -> usize {
-    b.mixed_blocks()
-        .map(|blk| {
-            blk.src
-                .iter()
+/// The largest distinct-source-value count over the blocks of `blocks`.
+fn max_distinct<'a>(
+    blocks: impl Iterator<Item = &'a [RecordId]>,
+    attr: AttrId,
+    source: &Table,
+) -> usize {
+    blocks
+        .map(|src| {
+            src.iter()
                 .map(|&sid| source.value(sid, attr))
                 .collect::<BTreeSet<_>>()
                 .len()
@@ -210,48 +231,52 @@ fn exhaustive_indeterminacy(b: &Blocking, attr: AttrId, source: &Table) -> usize
         .unwrap_or(0)
 }
 
-/// A mixed-block index as a walk finds it: mixed blocks with running
-/// counts, the widest-first `(sources, block)` of those with two or more
-/// sources, and the `(ct, cs)` surplus sums.
-type WalkedIndex = (Vec<MixedBlock>, Vec<(u32, u32)>, (u64, u64));
+/// Exhaustive indeterminacy: the largest distinct-source-value count over
+/// every block, reading every block.
+fn exhaustive_indeterminacy(b: &Blocking, attr: AttrId, source: &Table) -> usize {
+    max_distinct(b.blocks().map(|blk| blk.src), attr, source)
+}
+
+/// A mixed-block index as a walk finds it: the widest-first
+/// `(sources, block)` of the blocks with two or more sources, and the
+/// `(ct, cs)` surplus sums.
+type WalkedIndex = (Vec<(u32, u32)>, (u64, u64));
 
 /// The mixed-block index of `b`, rebuilt by walking every block.
 fn walked_index(b: &Blocking) -> WalkedIndex {
-    let (mut mixed, mut widest, mut surplus) = (Vec::new(), Vec::new(), (0, 0));
-    let (mut src_end, mut tgt_end) = (0, 0);
+    let (mut widest, mut surplus) = (Vec::new(), (0, 0));
     for (bi, blk) in b.blocks().enumerate() {
         surplus.0 += blk.target_surplus();
         surplus.1 += blk.source_surplus();
-        if !blk.src.is_empty() && !blk.tgt.is_empty() {
-            src_end += blk.src.len() as u32;
-            tgt_end += blk.tgt.len() as u32;
-            mixed.push(MixedBlock {
-                block: bi as u32,
-                src_end,
-                tgt_end,
-            });
-            if blk.src.len() >= 2 {
-                widest.push((blk.src.len() as u32, bi as u32));
-            }
+        if blk.src.len() >= 2 {
+            widest.push((blk.src.len() as u32, bi as u32));
         }
     }
     widest.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    (mixed, widest, surplus)
+    (widest, surplus)
 }
 
-/// Check `b`'s index, its `(ct, cs)` and its mixed blocks against a walk.
+/// Check that every block of `b` is mixed, that its end offsets are the
+/// running record counts, and its index and `(ct, cs)` against a walk.
 fn check_index(b: &Blocking) -> Result<(), TestCaseError> {
-    let (mixed, widest, surplus) = walked_index(b);
+    let mut running = (0, 0);
+    for (blk, &end) in b.blocks().zip(b.ends()) {
+        prop_assert!(blk.is_mixed(), "a one-sided block is stored");
+        running = (
+            running.0 + blk.src.len() as u32,
+            running.1 + blk.tgt.len() as u32,
+        );
+        prop_assert_eq!(end, running);
+    }
+    let (widest, surplus) = walked_index(b);
     let index = b.mixed_index();
-    prop_assert_eq!(index.mixed(), &mixed[..]);
     prop_assert_eq!(index.widest(), &widest[..]);
     prop_assert_eq!(index.surplus(), surplus);
+    let (settled_src, settled_tgt) = b.settled();
     prop_assert_eq!(
         (b.ct(), b.cs()),
-        (surplus.0, surplus.1 + b.dead_src().len() as u64)
+        (surplus.0 + settled_tgt, surplus.1 + settled_src)
     );
-    let walked: Vec<Block> = b.blocks().filter(Block::is_mixed).collect();
-    prop_assert_eq!(b.mixed_blocks().collect::<Vec<_>>(), walked);
     Ok(())
 }
 
@@ -332,7 +357,7 @@ proptest! {
             .refine(AttrId(0), &AttrFunction::Identity, &mut scratch, &s, &t, &mut pool);
         let mut rng = StdRng::seed_from_u64(seed);
         let pairs = sample_random_alignment(&b, &mut rng);
-        let expected: usize = b.mixed_blocks().map(|blk| blk.src.len().min(blk.tgt.len())).sum();
+        let expected: usize = b.blocks().map(|blk| blk.src.len().min(blk.tgt.len())).sum();
         prop_assert_eq!(pairs.len(), expected);
         let mut seen_s = std::collections::HashSet::new();
         let mut seen_t = std::collections::HashSet::new();
@@ -345,10 +370,12 @@ proptest! {
     }
 
     /// The flat count-then-scatter refinement equals the nested-`Vec`
-    /// oracle exactly — blocks, record order within blocks, dead sources
-    /// and the pool's strings in interning order — over chains of total
-    /// and partial functions starting from blockings with empty,
-    /// source-only and target-only blocks.
+    /// oracle exactly — blocks, record order within blocks, settled counts,
+    /// `(ct, cs)`, indeterminacy and the pool's strings in interning order
+    /// — over chains of total and partial functions starting from
+    /// blockings built from empty, source-only and target-only blocks.
+    /// Every stored block is mixed, and every record is in a block or
+    /// settled.
     #[test]
     fn flat_refine_matches_nested_oracle(
         (src, tgt) in mixed_table_pair(),
@@ -373,21 +400,29 @@ proptest! {
             oracle = oracle_refine(&oracle, attr, &func, &s, &t, &mut oracle_pool);
             prop_assert_eq!(nested(&flat), oracle.clone(), "{:?} on {:?}", func, attr);
             prop_assert_eq!(pool_strings(&pool), pool_strings(&oracle_pool));
+            prop_assert_eq!((flat.ct(), flat.cs()), nested_bound(&oracle));
+            for a in (0..3).map(AttrId) {
+                let blocks = oracle.blocks.iter().map(|b| &b.0[..]);
+                prop_assert_eq!(flat.indeterminacy(a, &s), max_distinct(blocks, a, &s));
+            }
+            prop_assert!(flat.blocks().all(|blk| blk.is_mixed()), "a one-sided block is stored");
             let live: usize = oracle.blocks.iter().map(|b| b.0.len()).sum();
             let targets: usize = oracle.blocks.iter().map(|b| b.1.len()).sum();
             prop_assert_eq!(flat.live_sources(), live);
             prop_assert_eq!(flat.total_targets(), targets);
-            prop_assert_eq!(flat.live_sources() + flat.dead_src().len(), s.len());
+            let (settled_src, settled_tgt) = flat.settled();
+            prop_assert_eq!(flat.live_sources() + settled_src as usize, s.len());
+            prop_assert_eq!(flat.total_targets() + settled_tgt as usize, t.len());
         }
     }
 
     /// The bound pass gives the `(ct, cs)` of the oracle's refinement and
     /// leaves the pool's strings, in interning order, exactly as `refine`
     /// does. Start blockings of mostly singleton and 1:1 blocks reach every
-    /// tiny-block case: a matching and a mismatched pair, a pair whose
-    /// source dies, a lone source kept or dying, a lone target and an
-    /// empty block. The diagonal layout (source `i` and target `i` share
-    /// block `i`) holds every case at once.
+    /// tiny-block case: a matching and a mismatched pair and a pair whose
+    /// source dies (a lone source or target settles when the start is
+    /// built). The diagonal layout (source `i` and target `i` share block
+    /// `i`) holds every case at once.
     #[test]
     fn refine_bound_matches_refine(
         (src, tgt) in mixed_table_pair(),
@@ -426,7 +461,7 @@ proptest! {
     }
 
     /// The pruned indeterminacy (skipping blocks too small to raise the
-    /// maximum) equals an exhaustive count over every mixed block.
+    /// maximum) equals an exhaustive count over every block.
     #[test]
     fn pruned_indeterminacy_equals_exhaustive_count(
         (src, tgt) in mixed_table_pair(),
@@ -453,8 +488,8 @@ proptest! {
     /// The mixed-block index equals a walk over every block, for blockings
     /// built every way there is: the root, `from_blocks` over empty,
     /// source-only, target-only, 1:1 and wide blocks, and `refine`. A
-    /// block pushed after a query is in the next answer: the index is
-    /// never stale.
+    /// block pushed after a query is in the next answer (or settles): the
+    /// index is never stale.
     #[test]
     fn mixed_index_matches_a_full_walk(
         (src, tgt) in mixed_table_pair(),

@@ -349,7 +349,17 @@ fn start_blocking(case: &Case, s: &Table, t: &Table) -> Blocking {
             .1
             .push(tid);
     }
-    Blocking::from_blocks(slots.iter().map(|(src, tgt)| Block { src, tgt }), dead)
+    // The dead sources settle as one source-only block.
+    let dead = Block {
+        src: &dead,
+        tgt: &[],
+    };
+    Blocking::from_blocks(
+        slots
+            .iter()
+            .map(|(src, tgt)| Block { src, tgt })
+            .chain([dead]),
+    )
 }
 
 /// Everything both sides share: tables, blocking, the pool they were

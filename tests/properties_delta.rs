@@ -24,7 +24,7 @@ use affidavit::core::delta::{
 use affidavit::core::profiling::{profile_dirs, stage_file_pair, ProfileOptions, SnapshotProfile};
 use affidavit::core::report::render_report;
 use affidavit::core::{Affidavit, AffidavitConfig, ProblemInstance};
-use affidavit::serve::fuzz::{structural_offsets, with_value, Rng};
+use affidavit::serve::fuzz::{nest, structural_offsets, with_value, Rng};
 use affidavit::store::{fingerprint_bytes, fingerprint_file, Fnv, IngestOptions};
 use proptest::prelude::*;
 
@@ -304,6 +304,34 @@ fn a_broken_manifest_falls_back_to_a_correct_redo() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A manifest nested thousands of levels deep, in arrays or in objects,
+/// fails to parse at the recursion limit: one fallback and from-scratch
+/// bytes, never a stack overflow.
+#[test]
+fn a_deeply_nested_manifest_falls_back() {
+    let dir = temp_dir("nested");
+    let (src, tgt) = write_pair(&dir, 3);
+    let opts = opts_for(0);
+    let state = explain_state(&tgt, None);
+    let (report, ..) = from_scratch(&src, &tgt, &opts);
+    explain_delta(&src, &tgt, &opts, &state).unwrap();
+    let recorded = std::fs::read_to_string(&state).unwrap();
+    let arrays = format!("{}{recorded}{}", "[".repeat(5000), "]".repeat(5000));
+    let objects = format!(
+        "{}{recorded}{}",
+        r#"{"tables":"#.repeat(5000),
+        "}".repeat(5000)
+    );
+    for nested in [arrays, objects] {
+        std::fs::write(&state, nested).unwrap();
+        let out = explain_delta(&src, &tgt, &opts, &state).unwrap();
+        assert!(!out.spliced);
+        assert_eq!(out.stats.fallbacks, 1);
+        assert_eq!(out.report, report);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Manifest fields with raw JSON values outside their domain: counts no
 /// `u32`/`u64` holds, negative or fractional counts, and values of the
 /// wrong JSON type.
@@ -318,11 +346,11 @@ const BAD_VALUES: &[(&str, &[&str])] = &[
 ];
 
 /// One seeded mutant of a valid manifest: a truncation, a flipped
-/// structural byte, an inserted byte that is not UTF-8, or a field value
-/// outside its domain.
+/// structural byte, an inserted byte that is not UTF-8, the manifest
+/// nested thousands of levels deep, or a field value outside its domain.
 fn mutate_manifest(rng: &mut Rng, json: &str) -> Vec<u8> {
     let mut bytes = json.as_bytes().to_vec();
-    match rng.below(4) {
+    match rng.below(5) {
         0 => bytes.truncate(rng.below(bytes.len())),
         1 => {
             let offsets = structural_offsets(&bytes);
@@ -330,6 +358,7 @@ fn mutate_manifest(rng: &mut Rng, json: &str) -> Vec<u8> {
             bytes[at] ^= 1 + rng.below(255) as u8;
         }
         2 => bytes.insert(rng.below(bytes.len() + 1), [0xFF, 0x80, 0xC3][rng.below(3)]),
+        3 => bytes = nest(rng, json).into_bytes(),
         _ => {
             let (key, values) = BAD_VALUES[rng.below(BAD_VALUES.len())];
             bytes = with_value(json, key, values[rng.below(values.len())]).into_bytes();

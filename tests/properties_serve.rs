@@ -574,6 +574,28 @@ fn an_over_bound_request_header_is_refused_before_its_body() {
     daemon.wait();
 }
 
+/// A request nested thousands of levels deep, in arrays or in objects,
+/// is refused as malformed at the JSON recursion limit, and the daemon
+/// keeps serving.
+#[test]
+fn a_deeply_nested_request_is_malformed_and_the_daemon_stays_up() {
+    let mut daemon = serve(&ServeOptions::default()).unwrap();
+    let addr = daemon.local_addr().to_string();
+    let ping = serde_json::to_string(&ClientRequest::Ping).unwrap();
+    for open in ["[", r#"{"op":"#] {
+        match send(&addr, &open.repeat(5000)) {
+            Some(ClientResponse::Error { message }) => assert!(
+                message.starts_with("malformed request: recursion limit exceeded"),
+                "{message}"
+            ),
+            other => panic!("expected an Error frame, got {other:?}"),
+        }
+        assert!(matches!(send(&addr, &ping), Some(ClientResponse::Pong)));
+    }
+    ServeClient::new(addr).shutdown().unwrap();
+    daemon.wait();
+}
+
 #[test]
 fn in_domain_extreme_counts_are_answered() {
     let dir = std::env::temp_dir().join("affidavit-serve-extremes");
