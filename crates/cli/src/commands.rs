@@ -316,7 +316,13 @@ impl<'a> Parsed<'a> {
 }
 
 fn read_csv(path: &str, pool: &mut ValuePool) -> Result<Table, String> {
-    csv::read_path(path, pool, csv::CsvOptions::default()).map_err(|e| format!("{path}: {e}"))
+    csv::read_path(path, pool, csv::CsvOptions::default()).map_err(in_file(path))
+}
+
+/// Prefix an error with the path of the file it concerns, so every file
+/// error names its file.
+fn in_file<P: std::fmt::Display, E: std::fmt::Display>(path: P) -> impl FnOnce(E) -> String {
+    move |e| format!("{path}: {e}")
 }
 
 /// Ingestion flags shared by `explain`, `profile` and `client`.
@@ -431,7 +437,7 @@ pub fn explain(args: &[String]) -> Result<(), String> {
     }
     if let Some(path) = p.flag_value("save") {
         let portable = PortableExplanation::from_explanation(&outcome.explanation, &instance);
-        std::fs::write(path, portable.to_json()).map_err(|e| e.to_string())?;
+        std::fs::write(path, portable.to_json()).map_err(in_file(path))?;
         eprintln!("saved explanation to {path}");
     }
     Ok(())
@@ -469,10 +475,10 @@ pub fn profile(args: &[String]) -> Result<(), String> {
         return Err("--delta-state requires --delta".to_owned());
     }
     let mut profile = if p.has("delta") {
-        let state = match p.flag_value("delta-state") {
-            Some(dir) => Path::new(dir).join("profile.affidavit-delta.json"),
-            None => affidavit_core::delta::default_profile_state(Path::new(tgt_dir)),
-        };
+        let state = affidavit_core::delta::profile_state(
+            Path::new(tgt_dir),
+            p.flag_value("delta-state").map(Path::new),
+        );
         let (profile, stats) = affidavit_core::delta::profile_dirs_delta(
             Path::new(src_dir),
             Path::new(tgt_dir),
@@ -489,7 +495,7 @@ pub fn profile(args: &[String]) -> Result<(), String> {
     }
     say!("{}", profile.render())?;
     if let Some(path) = p.flag_value("json") {
-        std::fs::write(path, profile.to_json()).map_err(|e| e.to_string())?;
+        std::fs::write(path, profile.to_json()).map_err(in_file(path))?;
         eprintln!("wrote machine-readable profile to {path}");
     }
     Ok(())
@@ -792,8 +798,8 @@ pub fn apply(args: &[String]) -> Result<(), String> {
         let [unseen_path] = p.positional[..] else {
             return Err(format!("apply --explanation needs one CSV path\n{USAGE}"));
         };
-        let json = std::fs::read_to_string(expl_path).map_err(|e| format!("{expl_path}: {e}"))?;
-        let portable = PortableExplanation::from_json(&json)?;
+        let json = std::fs::read_to_string(expl_path).map_err(in_file(expl_path))?;
+        let portable = PortableExplanation::from_json(&json).map_err(in_file(expl_path))?;
         let mut pool = ValuePool::new();
         let unseen = read_csv(unseen_path, &mut pool)?;
         let names: Vec<&str> = unseen.schema().names().collect();
@@ -809,7 +815,7 @@ pub fn apply(args: &[String]) -> Result<(), String> {
                 portable.schema, names
             ));
         }
-        let functions = portable.functions(&mut pool)?;
+        let functions = portable.functions(&mut pool).map_err(in_file(expl_path))?;
         let e = affidavit_core::Explanation::new(functions, vec![], vec![], vec![]);
         let (transformed, failed) = transform_table(&e, &unseen, &mut pool);
         eprintln!(
@@ -820,7 +826,7 @@ pub fn apply(args: &[String]) -> Result<(), String> {
         return match p.flag_value("out") {
             Some(path) => {
                 csv::write_path(path, &transformed, &pool, csv::CsvOptions::default())
-                    .map_err(|e| e.to_string())?;
+                    .map_err(in_file(path))?;
                 eprintln!("wrote {path}");
                 Ok(())
             }
@@ -858,7 +864,7 @@ pub fn apply(args: &[String]) -> Result<(), String> {
                 &instance.pool,
                 csv::CsvOptions::default(),
             )
-            .map_err(|e| e.to_string())?;
+            .map_err(in_file(path))?;
             eprintln!("wrote {path}");
         }
         None => csv_to_stdout(&transformed, &instance.pool)?,
@@ -898,7 +904,7 @@ pub fn gen(args: &[String]) -> Result<(), String> {
     let out_dir = p
         .flag_value("out-dir")
         .ok_or_else(|| "gen requires --out-dir DIR".to_owned())?;
-    std::fs::create_dir_all(out_dir).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(out_dir).map_err(in_file(out_dir))?;
 
     let (base, pool) = affidavit_datasets::synth::generate_rows(&spec, rows, seed);
     let generated = Blueprint::try_new(base, pool, GenConfig::new(eta, tau, seed))
@@ -917,14 +923,14 @@ pub fn gen(args: &[String]) -> Result<(), String> {
         &generated.instance.pool,
         csv::CsvOptions::default(),
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(in_file(src_path.display()))?;
     csv::write_path(
         &tgt_path,
         &generated.instance.target,
         &generated.instance.pool,
         csv::CsvOptions::default(),
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(in_file(tgt_path.display()))?;
     say!(
         "wrote {} and {} (η={eta}, τ={tau}, {} records each, reference cost {})",
         src_path.display(),

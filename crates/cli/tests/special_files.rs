@@ -78,6 +78,37 @@ fn a_deeply_nested_explanation_exits_1() {
         let (code, stderr) = run_bounded(&args);
         assert_eq!(code, Some(1), "{stderr}");
         assert!(stderr.contains("recursion limit exceeded"), "{stderr}");
+        assert!(
+            stderr.contains("e.json: "),
+            "the error names its file: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An output file in a directory that does not exist is exit 1 with an
+/// error that names the file, for every command that writes one.
+#[test]
+fn an_output_in_a_missing_directory_exits_1_naming_the_file() {
+    let dir = std::env::temp_dir().join("affidavit-cli-missing-out-dir");
+    std::fs::remove_dir_all(&dir).ok();
+    let (src, tgt) = (dir.join("src"), dir.join("tgt"));
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::create_dir_all(&tgt).unwrap();
+    let (s, t, u) = (src.join("a.csv"), tgt.join("a.csv"), dir.join("u.csv"));
+    std::fs::write(&s, "k,v\nx,1000\ny,2000\n").unwrap();
+    std::fs::write(&t, "k,v\nx,1\ny,2\n").unwrap();
+    std::fs::write(&u, "k,v\nz,3000\n").unwrap();
+    let out = dir.join("missing").join("out.file");
+    let [s, t, u, src, tgt, out] = [&s, &t, &u, &src, &tgt, &out].map(|p| p.to_str().unwrap());
+    for args in [
+        &["apply", s, t, u, "--out", out][..],
+        &["explain", s, t, "--save", out],
+        &["profile", src, tgt, "--json", out],
+    ] {
+        let (code, stderr) = run_bounded(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("{out}: ")), "{args:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

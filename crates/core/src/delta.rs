@@ -233,6 +233,15 @@ pub fn explain_state(target: &Path, state_dir: Option<&Path>) -> PathBuf {
     target.with_file_name(name)
 }
 
+/// Manifest path for `profile --delta`: `DIR/profile.affidavit-delta.json`
+/// under a `--delta-state DIR`, else [`default_profile_state`].
+pub fn profile_state(target_dir: &Path, state_dir: Option<&Path>) -> PathBuf {
+    match state_dir {
+        Some(dir) => dir.join("profile.affidavit-delta.json"),
+        None => default_profile_state(target_dir),
+    }
+}
+
 /// Default manifest path for `profile --delta`:
 /// `<target_dir>/.affidavit-delta.json` (invisible to the `*.csv` stem
 /// enumeration).
@@ -579,6 +588,20 @@ mod tests {
         assert_eq!(edited.stats.fallbacks, 0, "data dirt is not a fallback");
         assert_eq!(edited.report, scratch_report(&s, &t, &opts));
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn profile_state_sits_in_the_state_dir_or_the_target_dir() {
+        let (tgt, state) = (Path::new("snap/tgt"), Path::new("state"));
+        assert_eq!(
+            profile_state(tgt, Some(state)),
+            state.join("profile.affidavit-delta.json")
+        );
+        assert_eq!(profile_state(tgt, None), default_profile_state(tgt));
+        assert_eq!(
+            default_profile_state(tgt),
+            tgt.join(".affidavit-delta.json")
+        );
     }
 
     #[test]

@@ -381,10 +381,10 @@ impl StateExpansion {
 
 /// Phase 1 for a whole state: order the undecided attributes, then run the
 /// ordered attribute scan against the frozen context on `sctx.threads`
-/// workers (clamped to the attribute count and the installed pool). The
-/// expansions kept are those at indices `0..=stop`, where `stop` is the
-/// last index the serial β-then-one-at-a-time loop would expand, so the
-/// result is identical at every worker count.
+/// workers (clamped to the attribute count). The expansions kept are those
+/// at indices `0..=stop`, where `stop` is the last index the serial
+/// β-then-one-at-a-time loop would expand, so the result is identical at
+/// every worker count.
 fn expand_state(
     sctx: &SearchCtx<'_>,
     state: &SearchState,
@@ -531,21 +531,15 @@ mod tests {
         // The two-phase engine must produce identical children (functions,
         // costs, ids) at any thread count.
         let describe = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                let mut inst = instance();
-                let cfg = AffidavitConfig::paper_id().with_threads(threads);
-                let mut ctx = Ctx::new(&mut inst, &cfg);
-                let root = ctx.root_state();
-                let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
-                extensions(&mut ctx, &start)
-                    .iter()
-                    .map(|e| (e.id, e.cost, format!("{:?}", e.assignments)))
-                    .collect::<Vec<_>>()
-            })
+            let mut inst = instance();
+            let cfg = AffidavitConfig::paper_id().with_threads(threads);
+            let mut ctx = Ctx::new(&mut inst, &cfg);
+            let root = ctx.root_state();
+            let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
+            extensions(&mut ctx, &start)
+                .iter()
+                .map(|e| (e.id, e.cost, format!("{:?}", e.assignments)))
+                .collect::<Vec<_>>()
         };
         let seq = describe(1);
         let par = describe(4);
@@ -585,36 +579,30 @@ mod tests {
         ProblemInstance::new(s, t, pool).unwrap()
     }
 
-    /// What one expansion of `pick(start)` yields under an installed pool
-    /// of `threads` and batch size `beta`: the expanded attributes in merge
-    /// order, the expansions discarded past the stop, and the kept children.
+    /// What one expansion of `pick(start)` yields at `threads` workers and
+    /// batch size `beta`: the expanded attributes in merge order, the
+    /// expansions discarded past the stop, and the kept children.
     fn scan_at(
         threads: usize,
         beta: usize,
         pick: fn(&mut Ctx<'_>, &SearchState) -> SearchState,
     ) -> (Vec<usize>, usize, Vec<(usize, u64, String)>) {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            let mut inst = late_keeper_instance();
-            let mut cfg = AffidavitConfig::paper_id().with_threads(threads);
-            cfg.beta = beta;
-            let mut ctx = Ctx::new(&mut inst, &cfg);
-            let root = ctx.root_state();
-            let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
-            let state = pick(&mut ctx, &start);
-            let alignment = sample_random_alignment(&state.blocking, &mut ctx.rng);
-            let exp = expand_state(&ctx.search_ctx(), &state, &alignment);
-            let expanded = exp.parts.iter().map(|p| p.attr).collect();
-            let discarded = exp.discarded;
-            let children = consume_state_expansion(&mut ctx, &state, exp)
-                .iter()
-                .map(|e| (e.id, e.cost.to_bits(), format!("{:?}", e.assignments)))
-                .collect();
-            (expanded, discarded, children)
-        })
+        let mut inst = late_keeper_instance();
+        let mut cfg = AffidavitConfig::paper_id().with_threads(threads);
+        cfg.beta = beta;
+        let mut ctx = Ctx::new(&mut inst, &cfg);
+        let root = ctx.root_state();
+        let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
+        let state = pick(&mut ctx, &start);
+        let alignment = sample_random_alignment(&state.blocking, &mut ctx.rng);
+        let exp = expand_state(&ctx.search_ctx(), &state, &alignment);
+        let expanded = exp.parts.iter().map(|p| p.attr).collect();
+        let discarded = exp.discarded;
+        let children = consume_state_expansion(&mut ctx, &state, exp)
+            .iter()
+            .map(|e| (e.id, e.cost.to_bits(), format!("{:?}", e.assignments)))
+            .collect();
+        (expanded, discarded, children)
     }
 
     #[test]

@@ -343,7 +343,7 @@ impl Affidavit {
     /// greedy maps.
     ///
     /// When `cfg.threads` resolves to more than one thread, the ordered
-    /// attribute scan of every expansion runs on a persistent rayon pool.
+    /// attribute scan of every expansion runs on that many scoped threads.
     /// The result is byte-identical to the sequential run at any thread
     /// count (see [`AffidavitConfig::threads`]).
     pub fn explain(&self, instance: &mut ProblemInstance) -> SearchOutcome {
@@ -357,24 +357,6 @@ impl Affidavit {
     /// a parallel phase), so an abort is cooperative and prompt at the
     /// granularity of one expansion. `None` never fails.
     pub fn explain_until(
-        &self,
-        instance: &mut ProblemInstance,
-        deadline: Option<Instant>,
-    ) -> Result<SearchOutcome, DeadlineExceeded> {
-        // `threads == 0` autosizes to the hardware (`--threads 0`); a
-        // count that resolves to one thread needs no pool at all.
-        let threads = self.cfg.effective_threads();
-        if threads == 1 {
-            return self.explain_inner(instance, deadline);
-        }
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
-        pool.install(|| self.explain_inner(instance, deadline))
-    }
-
-    fn explain_inner(
         &self,
         instance: &mut ProblemInstance,
         deadline: Option<Instant>,

@@ -4,7 +4,8 @@
 //! the running example, a bottleneck at the paper's "hundreds of tables"
 //! operating point. This module splits the byte stream into chunks of
 //! complete records ([`RowChunker`], quote/CRLF-aware, bounded memory),
-//! fans a window of chunks out over the rayon pool — each worker runs the
+//! fans each window of up to `threads` chunks out as one
+//! [`rayon::ordered_scan`] on `threads` scoped workers — each runs the
 //! chunk kernel ([`RowScanner::intern_records`]) into a private
 //! [`ScratchPool`] overlay over the frozen
 //! pool — and then absorbs worker results **in chunk order** via
@@ -29,7 +30,6 @@ use affidavit_table::{
     resolve_threads, NewStrings, PoolReader, ScratchPool, Sym, Table, TableError, ValuePool,
     MAX_THREADS,
 };
-use rayon::prelude::*;
 
 /// Options for streaming ingestion.
 #[derive(Debug, Clone, Copy)]
@@ -120,11 +120,7 @@ pub fn read_stream<R: BufRead>(
         affidavit_obs::metrics().add_counter("ingest_rows_total", table.len() as u64);
         return Ok(table);
     }
-    let tp = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("ingest thread pool");
-    tp.install(|| ingest(reader, pool, opts, threads))
+    ingest(reader, pool, opts, threads)
 }
 
 /// Stream a CSV file from `path` into `pool` (see [`read_stream`]).
@@ -181,12 +177,10 @@ fn ingest<R: BufRead>(
         let outs: Vec<ChunkOut> = {
             let _span = affidavit_obs::span("ingest.parse");
             let reader = pool.reader();
-            let work = |chunk: &CsvChunk| process_chunk(chunk, reader, arity, csv);
-            if threads > 1 && batch.len() > 1 {
-                batch.par_iter().map(work).collect()
-            } else {
-                batch.iter().map(work).collect()
-            }
+            rayon::ordered_scan(batch.len(), threads, |i| {
+                (process_chunk(&batch[i], reader, arity, csv), None)
+            })
+            .0
         };
         affidavit_obs::metrics().add_counter("ingest_chunks_total", outs.len() as u64);
         // Phase 2 (sequential, chunk order): absorb each worker's new

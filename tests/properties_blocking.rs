@@ -532,7 +532,7 @@ proptest! {
     }
 }
 
-/// Four pool threads query the index of one fresh blocking at the same
+/// Four threads query the index of one fresh blocking at the same
 /// moment — the first-use race of the parallel attribute scan. All
 /// four see the one index that was built, with equal answers.
 #[test]
@@ -550,30 +550,27 @@ fn concurrent_first_queries_share_one_index() {
         &t,
         &mut pool,
     );
-    use rayon::prelude::*;
-    let handle = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
     for _ in 0..20 {
         // `base` is never queried, so each clone starts without an index.
         let fresh = Arc::new(base.clone());
         let barrier = Barrier::new(4);
-        let answers: Vec<(usize, MixedIndex, (u64, u64), usize)> = handle.install(|| {
-            (0..4)
-                .into_par_iter()
+        let answers: Vec<(usize, MixedIndex, (u64, u64), usize)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
                 .map(|_| {
-                    barrier.wait();
-                    let index = fresh.mixed_index();
-                    let at = index as *const MixedIndex as usize;
-                    (
-                        at,
-                        index.clone(),
-                        (fresh.ct(), fresh.cs()),
-                        fresh.indeterminacy(AttrId(1), &s),
-                    )
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let index = fresh.mixed_index();
+                        let at = index as *const MixedIndex as usize;
+                        (
+                            at,
+                            index.clone(),
+                            (fresh.ct(), fresh.cs()),
+                            fresh.indeterminacy(AttrId(1), &s),
+                        )
+                    })
                 })
-                .collect()
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         for answer in &answers[1..] {
             assert_eq!(answer, &answers[0], "the four first queries disagree");
