@@ -415,7 +415,9 @@ impl Blocking {
     /// *transformed* source value vs. the raw target value of `attr`.
     ///
     /// Function application is memoized in the caller's [`ApplyScratch`]
-    /// (reset on entry) and interns transformed values into `pool` — a
+    /// (reset on entry unless it already holds `func`'s images, as after
+    /// the [`refine_bound`](Blocking::refine_bound) pass that costed this
+    /// child) and interns transformed values into `pool` — a
     /// worker passes its `ScratchPool` overlay here, so refinement never
     /// touches shared mutable state.
     pub fn refine<I: Interner>(
@@ -474,7 +476,7 @@ impl Blocking {
         pool: &mut I,
         out: &mut O,
     ) {
-        scratch.begin();
+        scratch.begin(func, pool);
         // One bounds-checked column fetch per table, then contiguous-slice
         // indexing inside the loop: the per-record apply/intern order is
         // unchanged, so pool evolution is byte-identical to the row walk.
@@ -751,10 +753,18 @@ mod tests {
             tgt: &tids,
         }]);
         let base = pool.len();
-        let mut scratch = ApplyScratch::new();
+        // A scratch serves one pool, so each clone gets its own.
         let mut refined_pool = pool.clone();
-        let refined = start.refine(AttrId(0), func, &mut scratch, &s, &t, &mut refined_pool);
-        let bound = start.refine_bound(AttrId(0), func, &mut scratch, &s, &t, &mut pool);
+        let refined = start.refine(
+            AttrId(0),
+            func,
+            &mut ApplyScratch::new(),
+            &s,
+            &t,
+            &mut refined_pool,
+        );
+        let bound =
+            start.refine_bound(AttrId(0), func, &mut ApplyScratch::new(), &s, &t, &mut pool);
         assert_eq!(bound, (refined.ct(), refined.cs()), "{src:?} / {tgt:?}");
         let new = |p: &ValuePool| p.iter().skip(base).map(|(_, v)| v.to_owned()).collect();
         let interned: Vec<String> = new(&refined_pool);
@@ -768,6 +778,33 @@ mod tests {
 
     fn scale() -> AttrFunction {
         AttrFunction::Scale(affidavit_table::Rational::new(1, 10).unwrap())
+    }
+
+    /// A refine on the scratch its bound pass just filled keeps that memo
+    /// and gives the blocking and pool a refine on a fresh scratch gives.
+    #[test]
+    fn refine_after_its_bound_pass_reuses_the_memo() {
+        let (s, t, mut pool) = tables();
+        let func = AttrFunction::Scale(affidavit_table::Rational::new(1, 1000).unwrap());
+        let start = Blocking::root(&s, &t);
+        let mut fresh_pool = pool.clone();
+        let fresh = start.refine(
+            AttrId(1),
+            &func,
+            &mut ApplyScratch::new(),
+            &s,
+            &t,
+            &mut fresh_pool,
+        );
+        let mut scratch = ApplyScratch::new();
+        let bound = start.refine_bound(AttrId(1), &func, &mut scratch, &s, &t, &mut pool);
+        let memoized = scratch.memo_len();
+        let refined = start.refine(AttrId(1), &func, &mut scratch, &s, &t, &mut pool);
+        assert_eq!(scratch.memo_len(), memoized);
+        assert_eq!(refined, fresh);
+        assert_eq!(bound, (fresh.ct(), fresh.cs()));
+        let strings = |p: &ValuePool| p.iter().map(|(_, v)| v.to_owned()).collect::<Vec<_>>();
+        assert_eq!(strings(&pool), strings(&fresh_pool));
     }
 
     /// A one-sided block settles when it is built, so no later refine

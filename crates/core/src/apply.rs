@@ -59,7 +59,7 @@ pub fn transform_table(
         let col = table.column(AttrId(a as u32));
         // Dead rows keep the placeholder; they are compacted away below.
         let mut out = vec![Sym(0); rows];
-        scratch.begin();
+        scratch.begin(func, pool);
         for (i, &x) in col.iter().enumerate() {
             if is_dead(&dead, i) {
                 continue;

@@ -11,12 +11,16 @@
 //!
 //! Every distinct value of the evaluated blocks gets a dense id, and each
 //! candidate one flat image array indexed by it, so a candidate transforms
-//! a value at most once per call. Images are computed on first use: blocks
+//! a value at most once per call. All images are computed first: blocks
 //! ascending, candidates in input order, a block's distinct source values
 //! in the order its source histogram map visits them. That is the order
 //! in which a per-candidate memo fed block by block would apply them, so
-//! the pool interns the same strings in the same order. `Constant` and
-//! `Identity` never intern, and their overlap has a closed form.
+//! the pool interns the same strings in the same order. A candidate's
+//! overlap depends only on its image array, so the blocks are then walked
+//! once per *distinct* array, and candidates with equal arrays (often
+//! several: `Add`/`Scale` variants, or functions that are the identity on
+//! every evaluated value) share that overlap. `Constant` and `Identity`
+//! never intern, and their overlap has a closed form.
 
 use affidavit_blocking::Blocking;
 use affidavit_functions::AttrFunction;
@@ -47,10 +51,23 @@ pub struct Ranking {
     pub applications: usize,
 }
 
-/// An image slot whose function fails on the value, or whose image is no
-/// value of the evaluated blocks (so it matches no target). Any other slot
-/// holds the image's dense id plus one.
+/// The slot of a value that is none of the evaluated blocks' values (so
+/// it matches no target), or of a function's failure. A value of the
+/// blocks has its dense id plus one as its slot, and image arrays and
+/// target counts are indexed by slot.
 const MISS: u32 = 0;
+
+/// One walk over the evaluated blocks: what a candidate's overlap depends
+/// on. Candidates with equal walks have equal overlaps.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Walk<'a> {
+    /// `Constant(c)`: every source becomes `c`; `c`'s slot.
+    Constant(u32),
+    /// `Identity`: every source keeps its value.
+    Identity,
+    /// Anything else: the image array of the dense values.
+    Image(&'a [u32]),
+}
 
 /// Where one evaluated block's data ends in the flat per-call arrays.
 struct BlockLayout {
@@ -61,47 +78,33 @@ struct BlockLayout {
     sources: u32,
 }
 
-/// How a candidate's overlap is computed.
-enum Plan {
-    /// `Constant(c)`: every source becomes `c`; `c`'s dense id, if any.
-    Constant(Option<usize>),
-    /// `Identity`: every source keeps its value.
-    Identity,
-    /// Anything else: apply it, through the image array at this offset.
-    Apply(usize),
-}
-
 /// Overlap of one block's output histogram with its target histogram,
-/// from the images of its source values. `out_count` is all zeros on entry
-/// and on return.
+/// from the images of its source values: `Σ min(output count, target
+/// count)` over output slots, summed as the runs arrive. `used[w]` holds
+/// `pass << 32 | output count of slot w so far` for a `w` met in this
+/// pass, so a new `pass` number resets every count without a walk over
+/// them. A miss lands in slot 0, whose target count is 0, so no branch
+/// singles it out.
+#[inline]
 fn image_overlap(
     image: &[u32],
     runs: &[(u32, u32)],
     tgt_count: &[u32],
-    out_count: &mut [u32],
-    touched: &mut Vec<usize>,
+    used: &mut [u64],
+    pass: u64,
 ) -> u64 {
-    // One distinct source value: its image is the whole output.
-    if let [(v, n)] = *runs {
-        return match image[v as usize] {
-            MISS => 0,
-            w => n.min(tgt_count[w as usize - 1]) as u64,
-        };
-    }
+    let mut overlap = 0;
     for &(v, n) in runs {
-        let w = image[v as usize];
-        if w != MISS && tgt_count[w as usize - 1] > 0 {
-            let w = w as usize - 1;
-            if out_count[w] == 0 {
-                touched.push(w);
-            }
-            out_count[w] += n;
-        }
+        let w = image[v as usize] as usize;
+        let target = tgt_count[w];
+        let so_far = match used[w] {
+            u if u >> 32 == pass => u as u32,
+            _ => 0,
+        };
+        overlap += n.min(target.saturating_sub(so_far)) as u64;
+        used[w] = pass << 32 | u64::from(so_far + n);
     }
-    touched
-        .drain(..)
-        .map(|w| std::mem::take(&mut out_count[w]).min(tgt_count[w]) as u64)
-        .sum()
+    overlap
 }
 
 /// Rank `candidates` for `attr`, returning the best `beta` in descending
@@ -134,7 +137,7 @@ pub fn rank_candidates<I: Interner>(
     // Lay out the evaluated blocks by dense value id. Per block: its
     // distinct source values with their counts, in histogram visiting
     // order; those of them that no earlier block has as a source value, in
-    // the same order; and the value of each of its targets.
+    // the same order; and the slot of each of its targets.
     let mut dense: FxHashMap<Sym, u32> = FxHashMap::default();
     let mut values: Vec<Sym> = Vec::new();
     let mut dense_id = |v: Sym| {
@@ -147,17 +150,24 @@ pub fn rank_candidates<I: Interner>(
     let mut src_runs: Vec<(u32, u32)> = Vec::new();
     let mut seen_as_src: Vec<bool> = Vec::new();
     let mut first_src: Vec<u32> = Vec::new();
-    let mut tgt_ids: Vec<u32> = Vec::new();
+    let mut tgt_slots: Vec<u32> = Vec::new();
     let mut layout: Vec<BlockLayout> = Vec::with_capacity(blocks_to_eval.len());
     for &bi in &blocks_to_eval {
         let block = blocking.block(bi);
-        src_hist.clear();
-        for &sid in block.src {
-            *src_hist.entry(source.value(sid, attr)).or_default() += 1;
+        let runs_start = src_runs.len();
+        if let [sid] = *block.src {
+            // One source: its value is the histogram. Skipping the map
+            // leaves the order it visits later blocks in as it was: a
+            // one-value insert never outgrows the map's first allocation.
+            src_runs.push((dense_id(source.value(sid, attr)), 1));
+        } else {
+            src_hist.clear();
+            for &sid in block.src {
+                *src_hist.entry(source.value(sid, attr)).or_default() += 1;
+            }
+            src_runs.extend(src_hist.iter().map(|(&v, &n)| (dense_id(v), n)));
         }
-        for (&v, &n) in &src_hist {
-            let v = dense_id(v);
-            src_runs.push((v, n));
+        for &(v, _) in &src_runs[runs_start..] {
             let v = v as usize;
             if v >= seen_as_src.len() {
                 seen_as_src.resize(v + 1, false);
@@ -166,75 +176,114 @@ pub fn rank_candidates<I: Interner>(
                 first_src.push(v as u32);
             }
         }
-        tgt_ids.extend(
+        tgt_slots.extend(
             block
                 .tgt
                 .iter()
-                .map(|&tid| dense_id(target.value(tid, attr))),
+                .map(|&tid| dense_id(target.value(tid, attr)) + 1),
         );
         layout.push(BlockLayout {
             runs_end: src_runs.len(),
             first_end: first_src.len(),
-            tgts_end: tgt_ids.len(),
+            tgts_end: tgt_slots.len(),
             sources: block.src.len() as u32,
         });
     }
     let n_values = values.len();
 
-    let mut n_images = 0;
-    let plans: Vec<Plan> = candidates
+    // Candidates that apply, in input order, each with its image array:
+    // `images[i · n..(i + 1) · n]` for the `i`-th of them.
+    let applied: Vec<&AttrFunction> = candidates
         .iter()
-        .map(|func| match func {
-            AttrFunction::Constant(c) => Plan::Constant(dense.get(c).map(|&c| c as usize)),
-            AttrFunction::Identity => Plan::Identity,
-            _ => {
-                n_images += 1;
-                Plan::Apply((n_images - 1) * n_values)
+        .filter(|func| !matches!(func, AttrFunction::Constant(_) | AttrFunction::Identity))
+        .collect();
+    let mut images = vec![MISS; applied.len() * n_values];
+    let mut applications = 0;
+    let mut first_start = 0;
+    for block in &layout {
+        let first = &first_src[first_start..block.first_end];
+        for (func, image) in applied.iter().zip(images.chunks_exact_mut(n_values)) {
+            for &v in first {
+                applications += 1;
+                let x = values[v as usize];
+                image[v as usize] = match func.apply(x, pool) {
+                    Some(w) if w == x => v + 1,
+                    Some(w) => dense.get(&w).map_or(MISS, |&w| w + 1),
+                    None => MISS,
+                };
             }
+        }
+        first_start = block.first_end;
+    }
+
+    // One walk over the blocks per distinct `Walk`: candidates with equal
+    // image arrays (or equal constants) share its overlap.
+    let mut image_arrays = (0..applied.len()).map(|i| &images[i * n_values..(i + 1) * n_values]);
+    let mut walks: Vec<Walk<'_>> = Vec::new();
+    let mut walk_ids: FxHashMap<Walk<'_>, usize> = FxHashMap::default();
+    let walk_of: Vec<usize> = candidates
+        .iter()
+        .map(|func| {
+            let walk = match func {
+                AttrFunction::Constant(c) => Walk::Constant(dense.get(c).map_or(MISS, |&c| c + 1)),
+                AttrFunction::Identity => Walk::Identity,
+                _ => Walk::Image(
+                    image_arrays
+                        .next()
+                        .expect("one image per applied candidate"),
+                ),
+            };
+            *walk_ids.entry(walk).or_insert_with(|| {
+                walks.push(walk);
+                walks.len() - 1
+            })
         })
         .collect();
-    let mut images = vec![MISS; n_images * n_values];
-    let mut applications = 0;
 
-    let mut overlaps = vec![0u64; candidates.len()];
-    // This block's count of each target value; per-candidate output counts
-    // restricted to target values, with the values they touched.
-    let mut tgt_count = vec![0u32; n_values];
-    let mut out_count = vec![0u32; n_values];
-    let mut touched: Vec<usize> = Vec::new();
-    let (mut runs_start, mut first_start, mut tgts_start) = (0, 0, 0);
+    let mut walk_overlaps = vec![0u64; walks.len()];
+    // This block's count of each target slot, and `image_overlap`'s
+    // output counts with the number of the pass that wrote them.
+    let mut tgt_count = vec![0u32; n_values + 1];
+    let mut used = vec![0u64; n_values + 1];
+    let mut pass = 0;
+    let (mut runs_start, mut tgts_start) = (0, 0);
     for block in &layout {
         let runs = &src_runs[runs_start..block.runs_end];
-        let first = &first_src[first_start..block.first_end];
-        let tgts = &tgt_ids[tgts_start..block.tgts_end];
+        let tgts = &tgt_slots[tgts_start..block.tgts_end];
         for &t in tgts {
             tgt_count[t as usize] += 1;
         }
-        for ((func, plan), overlap) in candidates.iter().zip(&plans).zip(&mut overlaps) {
-            *overlap += match *plan {
-                Plan::Constant(c) => c.map_or(0, |c| block.sources.min(tgt_count[c]) as u64),
-                Plan::Identity => runs
-                    .iter()
-                    .map(|&(v, n)| n.min(tgt_count[v as usize]) as u64)
-                    .sum(),
-                Plan::Apply(base) => {
-                    let image = &mut images[base..base + n_values];
-                    for &v in first {
-                        applications += 1;
-                        image[v as usize] = func
-                            .apply(values[v as usize], pool)
-                            .and_then(|w| dense.get(&w))
-                            .map_or(MISS, |&w| w + 1);
+        if let [(v, n)] = *runs {
+            // One distinct source value: its image is the whole output.
+            for (walk, overlap) in walks.iter().zip(&mut walk_overlaps) {
+                let w = match *walk {
+                    Walk::Constant(c) => c,
+                    Walk::Identity => v + 1,
+                    Walk::Image(image) => image[v as usize],
+                };
+                *overlap += n.min(tgt_count[w as usize]) as u64;
+            }
+        } else {
+            for (walk, overlap) in walks.iter().zip(&mut walk_overlaps) {
+                *overlap += match *walk {
+                    Walk::Constant(c) => block.sources.min(tgt_count[c as usize]) as u64,
+                    Walk::Identity => runs
+                        .iter()
+                        .map(|&(v, n)| n.min(tgt_count[v as usize + 1]) as u64)
+                        .sum(),
+                    Walk::Image(image) => {
+                        pass += 1;
+                        image_overlap(image, runs, &tgt_count, &mut used, pass)
                     }
-                    image_overlap(image, runs, &tgt_count, &mut out_count, &mut touched)
-                }
-            };
+                };
+            }
         }
         for &t in tgts {
             tgt_count[t as usize] = 0;
         }
-        (runs_start, first_start, tgts_start) = (block.runs_end, block.first_end, block.tgts_end);
+        (runs_start, tgts_start) = (block.runs_end, block.tgts_end);
     }
+    let overlaps = walk_of.iter().map(|&w| walk_overlaps[w]);
 
     let mut ranked: Vec<RankedCandidate> = candidates
         .into_iter()
@@ -342,6 +391,59 @@ mod tests {
         .ranked;
         assert_eq!(ranked.len(), 1);
         assert!(matches!(ranked[0].func, AttrFunction::Scale(_)));
+    }
+
+    /// Candidates with one image array share one overlap walk, and still
+    /// rank by score, then structural function order, whatever their
+    /// input order.
+    #[test]
+    fn equal_images_keep_score_then_function_order() {
+        let (s, t, mut pool, blocking) = setup();
+        let (hash, pct, g0) = (pool.intern("#"), pool.intern("%"), pool.intern("g0"));
+        // On `k` the trims and replacements are the identity (no value
+        // holds '#'), so those four share one image array, met between
+        // other walks; ψ is 1 for a trim and 2 for a replacement.
+        let candidates = vec![
+            AttrFunction::Scale(Rational::new(1, 1000).unwrap()),
+            AttrFunction::PrefixReplace(hash, pct),
+            AttrFunction::Constant(g0),
+            AttrFunction::BackCharTrim('#'),
+            AttrFunction::FrontCharTrim('#'),
+            AttrFunction::SuffixReplace(hash, pct),
+        ];
+        let mut rng = StdRng::seed_from_u64(4);
+        let ranking = rank_candidates(
+            &blocking,
+            AttrId(0),
+            candidates,
+            &s,
+            &t,
+            &mut pool,
+            139,
+            6,
+            &mut rng,
+        );
+        let order: Vec<(AttrFunction, u64, i64)> = ranking
+            .ranked
+            .iter()
+            .map(|r| (r.func.clone(), r.overlap, r.score))
+            .collect();
+        // Attribute `k` is already blocked on, so the identity aligns all
+        // 30 records and "g0" the 10 of its block; `Scale` fails on every
+        // non-numeric value.
+        assert_eq!(
+            order,
+            vec![
+                (AttrFunction::FrontCharTrim('#'), 30, 29),
+                (AttrFunction::BackCharTrim('#'), 30, 29),
+                (AttrFunction::PrefixReplace(hash, pct), 30, 28),
+                (AttrFunction::SuffixReplace(hash, pct), 30, 28),
+                (AttrFunction::Constant(g0), 10, 9),
+                (AttrFunction::Scale(Rational::new(1, 1000).unwrap()), 0, -1),
+            ]
+        );
+        // Every candidate still applies to every distinct value once.
+        assert_eq!(ranking.applications, 5 * 3);
     }
 
     #[test]

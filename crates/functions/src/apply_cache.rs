@@ -12,15 +12,24 @@ use crate::function::AttrFunction;
 /// A reusable application memo.
 ///
 /// A search worker owns one and reuses it across all the blocking
-/// refinements it performs: `begin` resets it for the next function
-/// without dropping the allocation. A caller that applies a fixed list of
-/// functions (one per attribute) keeps one scratch per function instead
-/// and never resets it. Keys are input `Sym`s — every distinct value is
+/// refinements it performs: `begin` names the function the next pass
+/// applies and resets the memo only when that function differs from the
+/// one it holds images of, so a pass that re-applies the previous pass's
+/// function (the full refine of a child its bound pass just costed) finds
+/// every image memoized. A caller that applies a fixed list of functions
+/// (one per attribute) keeps one scratch per function instead and never
+/// calls `begin`. Keys are input `Sym`s — every distinct value is
 /// transformed at most once per function, which is what keeps Algorithm
 /// 1's refine-and-cost loop linear in distinct values rather than records.
+///
+/// A scratch serves one interner: its symbols mean nothing in another
+/// pool, even a clone that has since interned other strings. (Interning
+/// only appends, so images memoized in a pool stay valid as it grows.)
 #[derive(Debug, Default)]
 pub struct ApplyScratch {
     memo: FxHashMap<Sym, Option<Sym>>,
+    /// The function `memo` holds images of, once `begin` named one.
+    func: Option<AttrFunction>,
 }
 
 impl ApplyScratch {
@@ -29,9 +38,24 @@ impl ApplyScratch {
         ApplyScratch::default()
     }
 
-    /// Reset for a new function, keeping the allocation.
-    pub fn begin(&mut self) {
+    /// Get ready to apply `func`: keep the memo if it holds `func`'s
+    /// images, else reset it, keeping the allocation. Debug builds check
+    /// every kept image against a direct application.
+    pub fn begin<I: Interner>(&mut self, func: &AttrFunction, pool: &mut I) {
+        if self.func.as_ref() == Some(func) {
+            if cfg!(debug_assertions) {
+                for (&x, &image) in &self.memo {
+                    assert_eq!(
+                        func.apply(x, pool),
+                        image,
+                        "kept image of {func:?} on {x:?}"
+                    );
+                }
+            }
+            return;
+        }
         self.memo.clear();
+        self.func = Some(func.clone());
     }
 
     /// Apply `func` with memoization against this scratch. The caller is
@@ -93,6 +117,27 @@ mod tests {
         );
         assert_eq!(scratch.memo_len(), 0);
         assert_eq!(pool.len(), 2);
+    }
+
+    #[test]
+    fn begin_keeps_the_memo_only_for_the_same_function() {
+        let mut pool = ValuePool::new();
+        let x = pool.intern("80000");
+        let tenth = AttrFunction::Scale(Rational::new(1, 10).unwrap());
+        let mut memo = ApplyScratch::new();
+        memo.begin(&tenth, &mut pool);
+        memo.apply(&tenth, x, &mut pool);
+        let len = pool.len();
+        // The same function again (a refine after its bound pass): the
+        // image is kept, and nothing is re-applied or interned.
+        memo.begin(
+            &AttrFunction::Scale(Rational::new(2, 20).unwrap()),
+            &mut pool,
+        );
+        assert_eq!(memo.memo_len(), 1);
+        assert_eq!(pool.len(), len);
+        memo.begin(&AttrFunction::Uppercase, &mut pool);
+        assert_eq!(memo.memo_len(), 0);
     }
 
     #[test]

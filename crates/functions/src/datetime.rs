@@ -206,6 +206,11 @@ fn split3(s: &str, sep: char) -> Option<(&str, &str, &str)> {
 /// Induce all `(from, to)` format pairs consistent with one example.
 pub fn induce_conversions(s: &str, t: &str) -> Vec<(DateFormat, DateFormat)> {
     let mut out = Vec::new();
+    // Every format renders 8, 10 or 11 bytes and parses only that many.
+    let date_len = |v: &str| matches!(v.len(), 8 | 10 | 11);
+    if !date_len(s) || !date_len(t) {
+        return out;
+    }
     for from in DateFormat::ALL {
         let Some(d) = from.parse(s) else { continue };
         for to in DateFormat::ALL {
@@ -247,6 +252,8 @@ mod tests {
         for f in DateFormat::ALL {
             let rendered = f.format(d);
             assert_eq!(f.parse(&rendered), Some(d), "format {f:?} / {rendered}");
+            // `induce_conversions` skips values of any other length.
+            assert!(matches!(rendered.len(), 8 | 10 | 11), "{rendered}");
         }
     }
 

@@ -153,16 +153,15 @@ impl AttrFunction {
             AttrFunction::Add(y) => {
                 let v = pool.decimal(x)?;
                 let r = v.checked_add(*y)?;
-                Some(pool.intern(&r.to_string()))
+                Some(pool.intern(&r.text()))
             }
             AttrFunction::Scale(r) => {
                 let v = pool.decimal(x)?;
                 let out = r.mul_decimal(v)?;
-                Some(pool.intern(&out.to_string()))
+                Some(pool.intern(&out.text()))
             }
             AttrFunction::FrontMask(m) => {
-                let mask = pool.get(*m).to_owned();
-                let s = pool.get(x);
+                let (mask, s) = (pool.get(*m), pool.get(x));
                 let k = mask.chars().count();
                 let mut idx = s.char_indices();
                 // Byte offset after the k-th character, or None if too short.
@@ -171,12 +170,11 @@ impl AttrFunction {
                 } else {
                     idx.nth(k - 1).map(|(i, c)| i + c.len_utf8())?
                 };
-                let out = format!("{}{}", mask, &s[cut..]);
+                let out = [mask, &s[cut..]].concat();
                 Some(pool.intern(&out))
             }
             AttrFunction::BackMask(m) => {
-                let mask = pool.get(*m).to_owned();
-                let s = pool.get(x);
+                let (mask, s) = (pool.get(*m), pool.get(x));
                 let k = mask.chars().count();
                 let n = s.chars().count();
                 if n < k {
@@ -187,7 +185,7 @@ impl AttrFunction {
                     .nth(n - k)
                     .map(|(i, _)| i)
                     .unwrap_or(s.len());
-                let out = format!("{}{}", &s[..cut], mask);
+                let out = [&s[..cut], mask].concat();
                 Some(pool.intern(&out))
             }
             AttrFunction::FrontCharTrim(c) => {
@@ -211,41 +209,29 @@ impl AttrFunction {
                 }
             }
             AttrFunction::Prefix(y) => {
-                let p = pool.get(*y).to_owned();
-                let out = format!("{}{}", p, pool.get(x));
+                let out = [pool.get(*y), pool.get(x)].concat();
                 Some(pool.intern(&out))
             }
             AttrFunction::Suffix(y) => {
-                let suf = pool.get(*y).to_owned();
-                let out = format!("{}{}", pool.get(x), suf);
+                let out = [pool.get(x), pool.get(*y)].concat();
                 Some(pool.intern(&out))
             }
             AttrFunction::PrefixReplace(y, z) => {
-                let pat = pool.get(*y).to_owned();
-                let s = pool.get(x);
-                match s.strip_prefix(pat.as_str()) {
+                match pool.get(x).strip_prefix(pool.get(*y)) {
                     None => Some(x), // identity fallback per Figure 1
                     Some(rest) => {
-                        let rest = rest.to_owned();
-                        let rep = pool.get(*z).to_owned();
-                        let out = format!("{rep}{rest}");
+                        let out = [pool.get(*z), rest].concat();
                         Some(pool.intern(&out))
                     }
                 }
             }
-            AttrFunction::SuffixReplace(y, z) => {
-                let pat = pool.get(*y).to_owned();
-                let s = pool.get(x);
-                match s.strip_suffix(pat.as_str()) {
-                    None => Some(x),
-                    Some(rest) => {
-                        let rest = rest.to_owned();
-                        let rep = pool.get(*z).to_owned();
-                        let out = format!("{rest}{rep}");
-                        Some(pool.intern(&out))
-                    }
+            AttrFunction::SuffixReplace(y, z) => match pool.get(x).strip_suffix(pool.get(*y)) {
+                None => Some(x),
+                Some(rest) => {
+                    let out = [rest, pool.get(*z)].concat();
+                    Some(pool.intern(&out))
                 }
-            }
+            },
             AttrFunction::DateConvert(from, to) => {
                 let d = from.parse(pool.get(x))?;
                 let out = to.format(d);
@@ -278,7 +264,7 @@ impl AttrFunction {
             AttrFunction::Round(places) => {
                 let v = pool.decimal(x)?;
                 let r = numeric_format::round_decimal(v, *places)?;
-                Some(pool.intern(&r.to_string()))
+                Some(pool.intern(&r.text()))
             }
             AttrFunction::TokenProgram(p) => {
                 let out = p.apply_str(pool.get(x), pool)?;

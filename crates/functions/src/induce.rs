@@ -52,27 +52,39 @@ pub fn induce_from_example<I: Interner>(
     reg: &Registry,
 ) -> Vec<AttrFunction> {
     let mut out = Vec::new();
+    // The enabled kinds (fewer than 32) as bits, so each check below is
+    // one bit test rather than a scan of the registry.
+    let enabled = reg.kinds().iter().fold(0u32, |m, &k| m | 1 << k as u32);
+    let has = |k: MetaKind| enabled & 1 << k as u32 != 0;
 
     if s == t {
-        if reg.contains(MetaKind::Identity) {
+        if has(MetaKind::Identity) {
             out.push(AttrFunction::Identity);
         }
-        if reg.contains(MetaKind::Constant) {
+        if has(MetaKind::Constant) {
             out.push(AttrFunction::Constant(t));
         }
         return out;
     }
 
-    if reg.contains(MetaKind::Constant) {
+    if has(MetaKind::Constant) {
         out.push(AttrFunction::Constant(t));
     }
 
     // Case transformations. `s != t` here, so these are real changes.
     let (s_str, t_str) = (pool.get(s).to_owned(), pool.get(t).to_owned());
-    if reg.contains(MetaKind::Uppercase) && s_str.to_uppercase() == t_str {
+    // `str::to_uppercase` maps char by char; `to_lowercase` does too,
+    // except for a capital sigma, which may end a word.
+    if has(MetaKind::Uppercase) && s_str.chars().flat_map(char::to_uppercase).eq(t_str.chars()) {
         out.push(AttrFunction::Uppercase);
     }
-    if reg.contains(MetaKind::Lowercase) && s_str.to_lowercase() == t_str {
+    if has(MetaKind::Lowercase)
+        && if s_str.contains('Σ') {
+            s_str.to_lowercase() == t_str
+        } else {
+            s_str.chars().flat_map(char::to_lowercase).eq(t_str.chars())
+        }
+    {
         out.push(AttrFunction::Lowercase);
     }
 
@@ -81,19 +93,19 @@ pub fn induce_from_example<I: Interner>(
     // canonically formatted ("00" or "1.50" can never be an Add/Scale
     // output — found by the `induction_is_sound` property test).
     let numeric_target_canonical =
-        matches!(pool.decimal(t), Some(tv) if tv.to_string() == pool.get(t));
+        matches!(pool.decimal(t), Some(tv) if tv.text().as_str() == pool.get(t));
     if let (Some(sv), Some(tv)) = (
         pool.decimal(s),
         pool.decimal(t).filter(|_| numeric_target_canonical),
     ) {
-        if reg.contains(MetaKind::Addition) {
+        if has(MetaKind::Addition) {
             if let Some(y) = tv.checked_sub(sv) {
                 if !y.is_zero() {
                     out.push(AttrFunction::Add(y));
                 }
             }
         }
-        if reg.contains(MetaKind::Scaling) && !sv.is_zero() && !tv.is_zero() {
+        if has(MetaKind::Scaling) && !sv.is_zero() && !tv.is_zero() {
             if let Some(r) = Rational::from_decimals(tv, sv) {
                 if !r.is_one() && !r.is_zero() {
                     out.push(AttrFunction::Scale(r));
@@ -109,21 +121,20 @@ pub fn induce_from_example<I: Interner>(
 
     // Front masking: equal length, mask = target prefix up to the longest
     // common suffix (the shortest, most general mask).
-    if reg.contains(MetaKind::FrontMask) && s_chars == t_chars && s_chars >= 1 {
+    if has(MetaKind::FrontMask) && s_chars == t_chars && s_chars >= 1 {
         let mask = &t_str[..t_str.len() - suf];
         debug_assert!(!mask.is_empty(), "s != t guarantees a non-empty mask");
         let m = pool.intern(mask);
         out.push(AttrFunction::FrontMask(m));
     }
-    if reg.contains(MetaKind::BackMask) && s_chars == t_chars && s_chars >= 1 {
+    if has(MetaKind::BackMask) && s_chars == t_chars && s_chars >= 1 {
         let mask = &t_str[pre..];
         let m = pool.intern(mask);
         out.push(AttrFunction::BackMask(m));
     }
 
     // Front char trimming: s = c^k ◦ t, t must not start with c (greedy *).
-    if reg.contains(MetaKind::FrontCharTrim) && s_str.len() > t_str.len() && s_str.ends_with(&t_str)
-    {
+    if has(MetaKind::FrontCharTrim) && s_str.len() > t_str.len() && s_str.ends_with(&t_str) {
         let head = &s_str[..s_str.len() - t_str.len()];
         let mut chars = head.chars();
         let c = chars.next().expect("head is non-empty");
@@ -131,10 +142,7 @@ pub fn induce_from_example<I: Interner>(
             out.push(AttrFunction::FrontCharTrim(c));
         }
     }
-    if reg.contains(MetaKind::BackCharTrim)
-        && s_str.len() > t_str.len()
-        && s_str.starts_with(&t_str)
-    {
+    if has(MetaKind::BackCharTrim) && s_str.len() > t_str.len() && s_str.starts_with(&t_str) {
         let tail = &s_str[t_str.len()..];
         let mut chars = tail.chars();
         let c = chars.next().expect("tail is non-empty");
@@ -144,18 +152,18 @@ pub fn induce_from_example<I: Interner>(
     }
 
     // Prefixing / suffixing: t strictly extends s.
-    if reg.contains(MetaKind::Prefix) && t_str.len() > s_str.len() && t_str.ends_with(&s_str) {
+    if has(MetaKind::Prefix) && t_str.len() > s_str.len() && t_str.ends_with(&s_str) {
         let y = pool.intern(&t_str[..t_str.len() - s_str.len()]);
         out.push(AttrFunction::Prefix(y));
     }
-    if reg.contains(MetaKind::Suffix) && t_str.len() > s_str.len() && t_str.starts_with(&s_str) {
+    if has(MetaKind::Suffix) && t_str.len() > s_str.len() && t_str.starts_with(&s_str) {
         let y = pool.intern(&t_str[s_str.len()..]);
         out.push(AttrFunction::Suffix(y));
     }
 
     // Prefix replacement: split off the longest common suffix; the replaced
     // prefix must be non-empty (otherwise this is plain prefixing).
-    if reg.contains(MetaKind::PrefixReplace) {
+    if has(MetaKind::PrefixReplace) {
         let y = &s_str[..s_str.len() - suf];
         let z = &t_str[..t_str.len() - suf];
         if !y.is_empty() && y != z {
@@ -164,7 +172,7 @@ pub fn induce_from_example<I: Interner>(
             out.push(AttrFunction::PrefixReplace(y, z));
         }
     }
-    if reg.contains(MetaKind::SuffixReplace) {
+    if has(MetaKind::SuffixReplace) {
         let y = &s_str[pre..];
         let z = &t_str[pre..];
         if !y.is_empty() && y != z {
@@ -174,7 +182,7 @@ pub fn induce_from_example<I: Interner>(
         }
     }
 
-    if reg.contains(MetaKind::DateConvert) {
+    if has(MetaKind::DateConvert) {
         for (from, to) in induce_conversions(&s_str, &t_str) {
             out.push(AttrFunction::DateConvert(from, to));
         }
@@ -183,7 +191,7 @@ pub fn induce_from_example<I: Interner>(
     // --- Extension kinds (Registry::extended) ---------------------------
 
     // Zero padding: t = 0^k ◦ s over pure digit strings.
-    if reg.contains(MetaKind::ZeroPad)
+    if has(MetaKind::ZeroPad)
         && t_str.len() > s_str.len()
         && t_str.ends_with(&s_str)
         && !s_str.is_empty()
@@ -197,12 +205,12 @@ pub fn induce_from_example<I: Interner>(
 
     // Thousands grouping and its inverse: probe each unambiguous separator.
     for sep in numeric_format::SEPARATORS {
-        if reg.contains(MetaKind::ThousandsSep)
+        if has(MetaKind::ThousandsSep)
             && numeric_format::add_thousands_sep(&s_str, sep).as_deref() == Some(&t_str)
         {
             out.push(AttrFunction::ThousandsSep(sep));
         }
-        if reg.contains(MetaKind::SepStrip)
+        if has(MetaKind::SepStrip)
             && s_str.contains(sep)
             && numeric_format::strip_thousands_sep(&s_str, sep).as_deref() == Some(&t_str)
         {
@@ -213,7 +221,7 @@ pub fn induce_from_example<I: Interner>(
     // Rounding: the target's fraction length fixes the number of places;
     // canonical-format target required for the same soundness reason as
     // Add/Scale above.
-    if reg.contains(MetaKind::Round) && numeric_target_canonical {
+    if has(MetaKind::Round) && numeric_target_canonical {
         if let (Some(sv), Some(tv)) = (pool.decimal(s), pool.decimal(t)) {
             if sv.scale() > tv.scale() && numeric_format::round_decimal(sv, tv.scale()) == Some(tv)
             {
@@ -223,7 +231,7 @@ pub fn induce_from_example<I: Interner>(
     }
 
     // FlashFill-lite token programs (front- and back-indexed variants).
-    if reg.contains(MetaKind::TokenProgram) {
+    if has(MetaKind::TokenProgram) {
         for p in induce_token_programs(&s_str, &t_str, pool) {
             out.push(AttrFunction::TokenProgram(p));
         }
@@ -269,6 +277,19 @@ mod tests {
         let (fs, _) = induce("IBM", "IBM");
         assert!(fs.contains(&AttrFunction::Identity));
         assert_eq!(fs.len(), 2); // identity + constant
+    }
+
+    #[test]
+    fn case_mappings_match_the_string_conversions() {
+        // 'ß' uppercases to two characters; a word-final capital sigma
+        // lowercases to 'ς' only in the string conversion.
+        let (fs, _) = induce("straße", "STRASSE");
+        assert!(fs.contains(&AttrFunction::Uppercase));
+        let (fs, _) = induce("ΟΔΟΣ", "οδος");
+        assert!(fs.contains(&AttrFunction::Lowercase));
+        let (fs, _) = induce("ΟΔΟΣ", "οδοσ");
+        assert!(!fs.contains(&AttrFunction::Lowercase));
+        assert_all_consistent("ΟΔΟΣ", "οδος");
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! scale 0). All operations are checked; overflow yields `None`, and the
 //! caller treats the value as non-transformable (the function is partial
 //! there, so the record falls outside the explanation core).
+//!
+//! Every operation first runs on machine words: when the operands and
+//! every intermediate fit an `i64`, it computes there (hardware division
+//! and multiplication, powers of ten from a table). Only when a word
+//! overflows does it redo the whole operation in `i128`. Both paths compute
+//! the same intermediates, so a word result is exactly the `i128` result,
+//! and `None` comes only from the `i128` path. [`Decimal::text`] writes
+//! the canonical form into a stack buffer; `Display` writes that buffer.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -17,6 +25,41 @@ use std::fmt;
 /// Maximum scale (fractional digits) a decimal may carry. Bounds the size of
 /// division results; anything finer is treated as non-terminating.
 pub const MAX_SCALE: u32 = 28;
+
+/// `10^k` for every `k` an `i128` holds (`k ≤ 38`).
+const POW10: [i128; 39] = {
+    let mut t = [1i128; 39];
+    let mut k = 1;
+    while k < t.len() {
+        t[k] = t[k - 1] * 10;
+        k += 1;
+    }
+    t
+};
+
+/// `v` as a machine word, if it fits one.
+#[inline]
+pub(crate) fn word(v: i128) -> Option<i64> {
+    i64::try_from(v).ok()
+}
+
+/// `10^exp` as a machine word, if it fits one (`exp ≤ 18`).
+#[inline]
+pub(crate) fn pow10_word(exp: u32) -> Option<i64> {
+    word(*POW10.get(exp as usize)?)
+}
+
+/// Checked `a · b`, on machine words when both factors and the product
+/// fit them.
+#[inline]
+pub(crate) fn checked_mul(a: i128, b: i128) -> Option<i128> {
+    if let (Some(x), Some(y)) = (word(a), word(b)) {
+        if let Some(p) = x.checked_mul(y) {
+            return Some(p.into());
+        }
+    }
+    a.checked_mul(b)
+}
 
 /// An exact decimal number: `mantissa · 10^(−scale)`.
 // NOTE: the derived ordering is *structural* (mantissa/scale resp.
@@ -37,9 +80,30 @@ impl Decimal {
 
     /// Build a decimal from mantissa and scale, normalizing trailing zeros.
     pub fn new(mantissa: i128, scale: u32) -> Decimal {
-        let mut d = Decimal { mantissa, scale };
-        d.normalize();
-        d
+        match word(mantissa) {
+            Some(m) => Decimal::from_word(m, scale),
+            None => {
+                let mut d = Decimal { mantissa, scale };
+                d.normalize_wide();
+                d
+            }
+        }
+    }
+
+    /// [`Decimal::new`] of a word mantissa, normalized on the word.
+    #[inline]
+    pub(crate) fn from_word(mut mantissa: i64, mut scale: u32) -> Decimal {
+        if mantissa == 0 {
+            return Decimal::ZERO;
+        }
+        while scale > 0 && mantissa % 10 == 0 {
+            mantissa /= 10;
+            scale -= 1;
+        }
+        Decimal {
+            mantissa: mantissa.into(),
+            scale,
+        }
     }
 
     /// Build a decimal from an integer.
@@ -70,7 +134,7 @@ impl Decimal {
         self.mantissa == 0
     }
 
-    fn normalize(&mut self) {
+    fn normalize_wide(&mut self) {
         if self.mantissa == 0 {
             self.scale = 0;
             return;
@@ -98,7 +162,9 @@ impl Decimal {
         if rest.is_empty() {
             return None;
         }
-        let mut mantissa: i128 = 0;
+        // The mantissa on a word while it fits one, then on `i128`.
+        let mut on_word: u64 = 0;
+        let mut wide: Option<i128> = None;
         let mut scale: u32 = 0;
         let mut seen_dot = false;
         let mut seen_digit = false;
@@ -106,7 +172,17 @@ impl Decimal {
             match b {
                 b'0'..=b'9' => {
                     seen_digit = true;
-                    mantissa = mantissa.checked_mul(10)?.checked_add((b - b'0') as i128)?;
+                    let digit = b - b'0';
+                    match wide {
+                        Some(m) => wide = Some(m.checked_mul(10)?.checked_add(digit.into())?),
+                        None => match on_word
+                            .checked_mul(10)
+                            .and_then(|m| m.checked_add(digit.into()))
+                        {
+                            Some(m) => on_word = m,
+                            None => wide = Some(i128::from(on_word) * 10 + i128::from(digit)),
+                        },
+                    }
                     if seen_dot {
                         scale += 1;
                         if scale > MAX_SCALE {
@@ -121,10 +197,8 @@ impl Decimal {
         if !seen_digit {
             return None;
         }
-        if neg {
-            mantissa = -mantissa;
-        }
-        Some(Decimal::new(mantissa, scale))
+        let mantissa = wide.unwrap_or(i128::from(on_word));
+        Some(Decimal::new(if neg { -mantissa } else { mantissa }, scale))
     }
 
     /// Rescale so both operands share a scale. Returns `(a, b, scale)`.
@@ -133,23 +207,45 @@ impl Decimal {
             Ordering::Equal => Some((a.mantissa, b.mantissa, a.scale)),
             Ordering::Less => {
                 let f = pow10(b.scale - a.scale)?;
-                Some((a.mantissa.checked_mul(f)?, b.mantissa, b.scale))
+                Some((checked_mul(a.mantissa, f)?, b.mantissa, b.scale))
             }
             Ordering::Greater => {
                 let f = pow10(a.scale - b.scale)?;
-                Some((a.mantissa, b.mantissa.checked_mul(f)?, a.scale))
+                Some((a.mantissa, checked_mul(b.mantissa, f)?, a.scale))
             }
+        }
+    }
+
+    /// [`Decimal::align`] on machine words: `None` when a mantissa, before
+    /// or after rescaling, does not fit one.
+    #[inline]
+    fn align_word(a: Decimal, b: Decimal) -> Option<(i64, i64, u32)> {
+        let (x, y) = (word(a.mantissa)?, word(b.mantissa)?);
+        match a.scale.cmp(&b.scale) {
+            Ordering::Equal => Some((x, y, a.scale)),
+            Ordering::Less => Some((x.checked_mul(pow10_word(b.scale - a.scale)?)?, y, b.scale)),
+            Ordering::Greater => Some((x, y.checked_mul(pow10_word(a.scale - b.scale)?)?, a.scale)),
         }
     }
 
     /// Checked addition.
     pub fn checked_add(self, other: Decimal) -> Option<Decimal> {
+        if let Some((a, b, s)) = Decimal::align_word(self, other) {
+            if let Some(m) = a.checked_add(b) {
+                return Some(Decimal::from_word(m, s));
+            }
+        }
         let (a, b, s) = Decimal::align(self, other)?;
         Some(Decimal::new(a.checked_add(b)?, s))
     }
 
     /// Checked subtraction.
     pub fn checked_sub(self, other: Decimal) -> Option<Decimal> {
+        if let Some((a, b, s)) = Decimal::align_word(self, other) {
+            if let Some(m) = a.checked_sub(b) {
+                return Some(Decimal::from_word(m, s));
+            }
+        }
         let (a, b, s) = Decimal::align(self, other)?;
         Some(Decimal::new(a.checked_sub(b)?, s))
     }
@@ -160,9 +256,7 @@ impl Decimal {
         if scale > 2 * MAX_SCALE {
             return None;
         }
-        let m = self.mantissa.checked_mul(other.mantissa)?;
-        let mut d = Decimal { mantissa: m, scale };
-        d.normalize();
+        let d = Decimal::new(checked_mul(self.mantissa, other.mantissa)?, scale);
         if d.scale > MAX_SCALE {
             return None;
         }
@@ -184,6 +278,9 @@ impl Decimal {
 
     /// Compare two decimals numerically.
     pub fn cmp_value(&self, other: &Decimal) -> Ordering {
+        if let Some((a, b, _)) = Decimal::align_word(*self, *other) {
+            return a.cmp(&b);
+        }
         match Decimal::align(*self, *other) {
             Some((a, b, _)) => a.cmp(&b),
             // Alignment can only overflow for astronomically different
@@ -194,6 +291,88 @@ impl Decimal {
                 sa.cmp(&sb)
             }
         }
+    }
+
+    /// The canonical text `Display` writes, in a stack buffer.
+    pub fn text(&self) -> DecimalText {
+        let mut t = DecimalText {
+            buf: [b'0'; TEXT_BYTES],
+            start: TEXT_BYTES,
+        };
+        let scale = self.scale as usize;
+        assert!(scale < POW10.len(), "normalized scale fits i128");
+        let abs = self.mantissa.unsigned_abs();
+        match u64::try_from(abs) {
+            Ok(v) => t.push_digits(v),
+            Err(_) => t.push_digits_wide(abs),
+        }
+        if scale > 0 {
+            // `buf` is all '0' ahead of the digits: pad the fraction to
+            // `scale` digits and give an integer part of at least "0".
+            let digits = TEXT_BYTES - t.start;
+            if digits <= scale {
+                t.start = TEXT_BYTES - scale - 1;
+            }
+            let point = TEXT_BYTES - scale;
+            t.buf.copy_within(t.start..point, t.start - 1);
+            t.buf[point - 1] = b'.';
+            t.start -= 1;
+        }
+        if self.mantissa < 0 {
+            t.start -= 1;
+            t.buf[t.start] = b'-';
+        }
+        t
+    }
+}
+
+/// Room for the longest canonical text: a sign, 39 digits and a point.
+const TEXT_BYTES: usize = 48;
+
+/// A decimal's canonical text, formatted into a stack buffer by
+/// [`Decimal::text`] (no heap `String`).
+#[derive(Clone, Copy)]
+pub struct DecimalText {
+    buf: [u8; TEXT_BYTES],
+    start: usize,
+}
+
+impl DecimalText {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[self.start..]).expect("decimal text is ASCII")
+    }
+
+    /// Prepend the digits of `v` (at least one).
+    fn push_digits(&mut self, mut v: u64) {
+        loop {
+            self.start -= 1;
+            self.buf[self.start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                return;
+            }
+        }
+    }
+
+    /// [`DecimalText::push_digits`] of a value past `u64`.
+    fn push_digits_wide(&mut self, mut v: u128) {
+        loop {
+            self.start -= 1;
+            self.buf[self.start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                return;
+            }
+        }
+    }
+}
+
+impl std::ops::Deref for DecimalText {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
     }
 }
 
@@ -210,32 +389,14 @@ impl std::ops::Neg for Decimal {
 
 /// `10^exp` as `i128`, or `None` on overflow.
 pub fn pow10(exp: u32) -> Option<i128> {
-    if exp > 38 {
-        return None;
-    }
-    let mut v: i128 = 1;
-    for _ in 0..exp {
-        v = v.checked_mul(10)?;
-    }
-    Some(v)
+    POW10.get(exp as usize).copied()
 }
 
 impl fmt::Display for Decimal {
     /// Canonical formatting: no sign for zero, no trailing fractional
     /// zeros (guaranteed by normalization), fraction zero-padded to scale.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.scale == 0 {
-            return write!(f, "{}", self.mantissa);
-        }
-        let neg = self.mantissa < 0;
-        let abs = self.mantissa.unsigned_abs();
-        let div = pow10(self.scale).expect("normalized scale fits i128") as u128;
-        let int = abs / div;
-        let frac = abs % div;
-        if neg {
-            write!(f, "-")?;
-        }
-        write!(f, "{int}.{frac:0>width$}", width = self.scale as usize)
+        f.write_str(&self.text())
     }
 }
 

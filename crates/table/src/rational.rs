@@ -6,8 +6,14 @@
 //! induces `y = 1/3`, which no decimal can hold. Parameters are therefore
 //! stored as reduced rationals; *applying* the function succeeds only when
 //! the result terminates (see [`Rational::to_decimal`]).
+//!
+//! As in [`crate::decimal`], every operation runs on machine words while
+//! its operands and intermediates fit an `i64`: a binary gcd on `u64`,
+//! powers of two and five from shifts and a table. A word overflow redoes
+//! the operation on the `i128` path, so both paths give the same
+//! rational, and `None` comes only from the `i128` path.
 
-use crate::decimal::{pow10, Decimal, MAX_SCALE};
+use crate::decimal::{checked_mul, pow10, pow10_word, word, Decimal, MAX_SCALE};
 
 /// A reduced rational number `num / den` with `den > 0`.
 // NOTE: the derived ordering is *structural* (mantissa/scale resp.
@@ -28,6 +34,33 @@ fn gcd(mut a: i128, mut b: i128) -> i128 {
     a.abs()
 }
 
+/// Binary gcd of two positive words.
+fn gcd_word(mut a: u64, mut b: u64) -> u64 {
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `5^k` for every `k` an `i64` holds (`k ≤ 27`).
+const POW5: [i64; 28] = {
+    let mut t = [1i64; 28];
+    let mut k = 1;
+    while k < t.len() {
+        t[k] = t[k - 1] * 5;
+        k += 1;
+    }
+    t
+};
+
 impl Rational {
     /// Build a reduced rational. Returns `None` if `den == 0`.
     pub fn new(num: i128, den: i128) -> Option<Rational> {
@@ -36,6 +69,13 @@ impl Rational {
         }
         if num == 0 {
             return Some(Rational { num: 0, den: 1 });
+        }
+        if let (Some(n), Some(d)) = (word(num), word(den)) {
+            let (na, da) = (n.unsigned_abs(), d.unsigned_abs());
+            let g = gcd_word(na, da);
+            let (na, da) = (i128::from(na / g), i128::from(da / g));
+            let num = if (n < 0) != (d < 0) { -na } else { na };
+            return Some(Rational { num, den: da });
         }
         let g = gcd(num, den);
         let (mut n, mut d) = (num / g, den / g);
@@ -78,16 +118,26 @@ impl Rational {
         }
         let f = pow10(exp.unsigned_abs())?;
         if exp > 0 {
-            Rational::new(self.num.checked_mul(f)?, self.den)
+            Rational::new(checked_mul(self.num, f)?, self.den)
         } else {
-            Rational::new(self.num, self.den.checked_mul(f)?)
+            Rational::new(self.num, checked_mul(self.den, f)?)
         }
     }
 
     /// Multiply a decimal by this rational exactly; `None` if the product
     /// does not terminate within [`MAX_SCALE`] fractional digits.
     pub fn mul_decimal(self, d: Decimal) -> Option<Decimal> {
-        let r = Rational::new(d.mantissa().checked_mul(self.num)?, self.den)?;
+        // On words, `d · num / (den · 10^scale)` reduces once to the
+        // rational the two steps below reach.
+        let on_words = || {
+            let num = word(d.mantissa())?.checked_mul(word(self.num)?)?;
+            let den = word(self.den)?.checked_mul(pow10_word(d.scale())?)?;
+            Rational::new(num.into(), den.into())
+        };
+        if let Some(r) = on_words() {
+            return r.to_decimal();
+        }
+        let r = Rational::new(checked_mul(d.mantissa(), self.num)?, self.den)?;
         r.scaled_pow10(-(d.scale() as i32))?.to_decimal()
     }
 
@@ -108,6 +158,31 @@ impl Rational {
     /// denominator is of the form `2^a · 5^b` with the required scale within
     /// [`MAX_SCALE`].
     pub fn to_decimal(self) -> Option<Decimal> {
+        if let (Some(num), Ok(den)) = (word(self.num), u64::try_from(self.den)) {
+            let twos = den.trailing_zeros();
+            let mut den = den >> twos;
+            let mut fives = 0u32;
+            while den % 5 == 0 {
+                den /= 5;
+                fives += 1;
+            }
+            if den != 1 {
+                return None; // non-terminating
+            }
+            let scale = twos.max(fives);
+            if scale > MAX_SCALE {
+                return None;
+            }
+            // mantissa = num · 2^(scale−twos) · 5^(scale−fives)
+            let (up2, up5) = (scale - twos, (scale - fives) as usize);
+            let mant = (up2 < 63)
+                .then(|| num.checked_mul(1 << up2))
+                .flatten()
+                .and_then(|m| m.checked_mul(*POW5.get(up5)?));
+            if let Some(mant) = mant {
+                return Some(Decimal::from_word(mant, scale));
+            }
+        }
         let mut den = self.den;
         let mut twos = 0u32;
         let mut fives = 0u32;

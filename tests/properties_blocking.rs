@@ -449,8 +449,11 @@ proptest! {
             let mut scratch = ApplyScratch::new();
             for &(attr, f) in &steps {
                 let (attr, func) = (AttrId(attr), function(f, &mut pool));
+                // A scratch serves one pool, so the clone gets its own.
                 let mut bound_pool = pool.clone();
-                let bound = flat.refine_bound(attr, &func, &mut scratch, &s, &t, &mut bound_pool);
+                let bound = flat.refine_bound(
+                    attr, &func, &mut ApplyScratch::new(), &s, &t, &mut bound_pool,
+                );
                 let oracle = oracle_refine(&nested(&flat), attr, &func, &s, &t, &mut pool.clone());
                 prop_assert_eq!(bound, nested_bound(&oracle), "{:?} on {:?}", func, attr);
                 flat = flat.refine(attr, &func, &mut scratch, &s, &t, &mut pool);

@@ -10,7 +10,9 @@
 //! values — under blockings built from refine chains over start blockings
 //! with singleton, source-only, target-only and large blocks, against a
 //! `ValuePool` and a `ScratchPool` interner, under both registries with
-//! corpus retrieval on and off. They must agree on the `(func, support)`
+//! corpus retrieval on and off. The ranked lists hold several candidates
+//! with equal image arrays (which the kernel walks once), with different
+//! ψ and in either order around the induced ones. They must agree on the `(func, support)`
 //! list, the `(func, overlap, score)` list, the work counters, the next
 //! RNG draw and the strings the interner gained, in order.
 
@@ -304,7 +306,7 @@ impl Strategy for Cases {
             k_prime: rng.gen_range(0..80),
             beta: rng.gen_range(1..6),
             seed: rng.gen_range(0..1_000_000),
-            split: rng.gen_range(0..8),
+            split: rng.gen_range(0..14),
         }
     }
 }
@@ -397,6 +399,15 @@ fn fixture(case: &Case) -> Fixture {
         AttrFunction::Scale(Rational::new(1, 10).unwrap()),
         AttrFunction::Add(Decimal::parse("1").unwrap()),
         AttrFunction::PrefixReplace(pool.intern("1"), pool.intern("2")),
+        // Candidates whose image arrays equal another's: the identity on
+        // every domain value (no value holds '#'), rounding that leaves
+        // every numeric value as it is, and `Scale(1/10)` spelled again.
+        AttrFunction::FrontCharTrim('#'),
+        AttrFunction::BackCharTrim('#'),
+        AttrFunction::PrefixReplace(pool.intern("#"), pool.intern("%")),
+        AttrFunction::Round(3),
+        AttrFunction::Round(4),
+        AttrFunction::Scale(Rational::new(10, 100).unwrap()),
     ];
     Fixture {
         source,
