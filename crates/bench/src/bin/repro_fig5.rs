@@ -30,8 +30,8 @@ fn main() {
     let blueprint = Blueprint::new(base, pool, GenConfig::new(0.3, 0.3, seed));
 
     println!(
-        "{:>6} {:>9} {:>10} {:>10} {:>7} {:>6}",
-        "scale", "records", "t", "t/record", "Δcore", "acc"
+        "{:>6} {:>9} {:>10} {:>10} {:>7} {:>7} {:>6}",
+        "scale", "records", "t", "t/record", "Δcosts", "Δcore", "acc"
     );
     let mut series: Vec<(usize, f64)> = Vec::new();
     for pct in (10..=100).step_by(10) {
@@ -43,11 +43,12 @@ fn main() {
         let runtime = started.elapsed();
         let m = evaluate(&out.explanation, &mut generated, runtime);
         println!(
-            "{:>5}% {:>9} {:>9.2}s {:>9.2}µs {:>7.2} {:>6.2}",
+            "{:>5}% {:>9} {:>9.2}s {:>9.2}µs {:>7.2} {:>7.2} {:>6.2}",
             pct,
             records,
             m.runtime.as_secs_f64(),
             m.runtime.as_secs_f64() * 1e6 / records as f64,
+            m.delta_costs,
             m.delta_core,
             m.accuracy
         );

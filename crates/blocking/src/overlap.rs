@@ -15,19 +15,25 @@
 //! *chess* or *nursery* in Table 2 (every informative value is too
 //! frequent, leaving only the misleading artificial primary key).
 //!
-//! **The kernel: one budgeted value index, one dense pass.**
+//! **The kernel: one budgeted value index, one stamped pass.**
 //! [`OverlapIndex::build`] counting-sorts each attribute's target records
 //! by value, so every distinct target value owns one contiguous run of
 //! ascending target ids, and gives each source cell the run of its value,
 //! or an empty run when the value has no target record or is over the
 //! budget. It hashes each cell once, never a pair.
-//! [`OverlapIndex::score_sources`] then walks the source records in id
-//! order: each adds 1 per target id of its runs into one dense `u32` score
-//! array of length |T|, noting the slots it touches, hands those to the
-//! caller, and zeroes only them. Scoring therefore costs O(accepted pairs)
-//! array increments with no hash per pair, in O(cells + |T|) memory: one
-//! target id per target cell, one run per source cell and the score array.
-//! The similarity-linker baseline walks the same index, so the budget rule
+//! [`OverlapIndex::best_targets`] then walks the source records in id
+//! order: each adds 1 per target id of its runs into one dense `u64` slot
+//! array of length |T|. A slot holds `source pass << 32 | count`, so a
+//! slot stamped by an earlier source reads as 0 and the pass keeps no
+//! touched list and zeroes nothing; the running best (highest count, ties
+//! to the smaller id) is updated at each increment. Scoring therefore
+//! costs O(accepted pairs) array increments with no hash per pair, in
+//! O(cells + |T|) memory: one target id per target cell, one run per
+//! source cell and the slot array.
+//! [`OverlapIndex::score_sources`] is the same walk with a `u32` score
+//! array and a touched list that it hands to the caller and then zeroes;
+//! the similarity-linker baseline needs every touched pair, not just the
+//! best, so it uses that one. Both walk the same index, so the budget rule
 //! lives here only.
 //!
 //! Only order-independent counts (the `k'` mode and the per-attribute
@@ -176,6 +182,45 @@ impl OverlapIndex {
             }
         }
     }
+
+    /// Find every source record's best target, in source id order:
+    /// `visit(sid, best, score)` gets the target with the highest score
+    /// (ties towards the smaller target id) and that score. A source record
+    /// that shares no kept value is skipped.
+    ///
+    /// Each target's slot holds `pass << 32 | count`, where `pass` is one
+    /// more than the source id that last touched it; a slot from an earlier
+    /// pass reads as 0, so nothing is noted or zeroed between sources. The
+    /// best is kept at each increment: counts only rise, so the last raise
+    /// of the winning target's count decides it.
+    pub fn best_targets(&self, mut visit: impl FnMut(RecordId, RecordId, u32)) {
+        if self.arity == 0 {
+            return;
+        }
+        let mut slots = vec![0u64; self.target_len];
+        for (i, row) in self.runs.chunks_exact(self.arity).enumerate() {
+            let pass = i as u64 + 1;
+            let (mut best, mut top) = (0u32, 0u32);
+            for (a, &(start, end)) in row.iter().enumerate() {
+                let base = a * self.target_len;
+                for &tid in &self.tgt_ids[base + start as usize..base + end as usize] {
+                    let slot = &mut slots[tid.index()];
+                    let count = if *slot >> 32 == pass {
+                        *slot as u32 + 1
+                    } else {
+                        1
+                    };
+                    *slot = pass << 32 | u64::from(count);
+                    if count > top || (count == top && tid.0 < best) {
+                        (best, top) = (tid.0, count);
+                    }
+                }
+            }
+            if top > 0 {
+                visit(RecordId(i as u32), RecordId(best), top);
+            }
+        }
+    }
 }
 
 /// Compute the attribute set `A_id` for the `Hs` start state. The returned
@@ -191,18 +236,14 @@ pub fn overlap_start_attrs(source: &Table, target: &Table, cfg: OverlapConfig) -
     // Best target per source record (highest score, ties towards the
     // smaller record id for determinism), forming the a-priori alignment.
     // A score counts shared attributes, so it is at most `arity`.
-    let index = OverlapIndex::build(source, target, cfg.max_pairs_per_value);
+    let index = {
+        let _span = affidavit_obs::span("search.overlap_index");
+        OverlapIndex::build(source, target, cfg.max_pairs_per_value)
+    };
     let mut pairs: Vec<(RecordId, RecordId)> = Vec::new();
     let mut score_freq = vec![0usize; arity + 1];
-    index.score_sources(|sid, touched, scores| {
-        let mut best = touched[0];
-        for &tid in &touched[1..] {
-            let (score, top) = (scores[tid.index()], scores[best.index()]);
-            if score > top || (score == top && tid < best) {
-                best = tid;
-            }
-        }
-        score_freq[scores[best.index()] as usize] += 1;
+    index.best_targets(|sid, best, score| {
+        score_freq[score as usize] += 1;
         pairs.push((sid, best));
     });
     if pairs.is_empty() {

@@ -1,5 +1,6 @@
 //! The span event record and the NDJSON sink it streams to.
 
+use std::fmt;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -67,7 +68,7 @@ impl ObsOut {
 
     /// Write each event as one NDJSON line, then a `point`-shaped
     /// `obs.dropped` line when the recorder overflowed its cap.
-    pub fn write_events(&self, events: &[Event], dropped: u64) -> Result<(), String> {
+    pub fn write_events(&self, events: &[Event], dropped: u64) -> Result<(), SinkError> {
         let mut buf = String::new();
         for event in events {
             buf.push_str(&event.to_ndjson());
@@ -98,10 +99,56 @@ impl ObsOut {
                     .create(true)
                     .append(true)
                     .open(path)
-                    .map_err(|e| format!("opening obs sink {}: {e}", path.display()))?;
+                    .map_err(|source| SinkError::Open {
+                        path: path.clone(),
+                        source,
+                    })?;
                 file.write_all(buf.as_bytes())
-                    .map_err(|e| format!("writing obs sink {}: {e}", path.display()))
+                    .map_err(|source| SinkError::Write {
+                        path: path.clone(),
+                        source,
+                    })
             }
+        }
+    }
+}
+
+/// A file sink that could not take the event stream, naming its file.
+#[derive(Debug)]
+pub enum SinkError {
+    /// The file could not be opened (or created) for appending.
+    Open {
+        /// The sink file.
+        path: PathBuf,
+        /// The underlying failure.
+        source: std::io::Error,
+    },
+    /// The encoded events could not be written to the opened file.
+    Write {
+        /// The sink file.
+        path: PathBuf,
+        /// The underlying failure.
+        source: std::io::Error,
+    },
+}
+
+impl fmt::Display for SinkError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SinkError::Open { path, source } => {
+                write!(f, "opening obs sink {}: {source}", path.display())
+            }
+            SinkError::Write { path, source } => {
+                write!(f, "writing obs sink {}: {source}", path.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for SinkError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SinkError::Open { source, .. } | SinkError::Write { source, .. } => Some(source),
         }
     }
 }
@@ -156,5 +203,23 @@ mod tests {
         assert!(lines[2].contains("obs.dropped"));
         assert!(lines[2].contains("\"3\""));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_directory_sink_is_an_open_error_naming_its_path() {
+        let dir = std::env::temp_dir().join("affidavit-obs-event-dir-sink");
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = ObsOut::File(dir.clone())
+            .write_events(&[sample()], 0)
+            .unwrap_err();
+        let SinkError::Open { path, source } = &err else {
+            panic!("expected an open error, got {err:?}");
+        };
+        assert_eq!(path, &dir);
+        assert!(std::error::Error::source(&err).is_some());
+        assert_eq!(
+            err.to_string(),
+            format!("opening obs sink {}: {source}", dir.display())
+        );
     }
 }

@@ -54,7 +54,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 pub use diag::{diag, set_diag_format, DiagFormat};
-pub use event::{Event, ObsOut, KIND_BEGIN, KIND_END, KIND_POINT};
+pub use event::{Event, ObsOut, SinkError, KIND_BEGIN, KIND_END, KIND_POINT};
 pub use metrics::{metrics, MetricValue, Metrics};
 
 /// Hard cap on buffered events: recording is bounded by construction, so

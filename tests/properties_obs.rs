@@ -244,7 +244,8 @@ fn the_event_stream_is_schema_valid_nested_and_monotonic() {
 
 /// The extension hot path is spanned piece by piece: the bound pass that
 /// costs every child, the worker-side greedy map inside an expansion, and
-/// the overlap start-state scan under the `Hs` configuration.
+/// the overlap start-state scan under the `Hs` configuration, with its
+/// value-index build nested in it.
 #[test]
 fn the_expansion_pieces_have_their_own_spans() {
     let _guard = serial();
@@ -266,8 +267,19 @@ fn the_expansion_pieces_have_their_own_spans() {
             named("search.greedy_map").any(|e| e.parent.is_some_and(|p| expands.contains(&p))),
             "{name}: no greedy map inside an expansion"
         );
-        let overlap_scans = named("search.overlap_start").count();
-        assert_eq!(overlap_scans, usize::from(name == "overlap"), "{name}");
+        let overlap_scans: Vec<u64> = named("search.overlap_start").map(|e| e.span).collect();
+        assert_eq!(
+            overlap_scans.len(),
+            usize::from(name == "overlap"),
+            "{name}"
+        );
+        let index_builds: Vec<Option<u64>> =
+            named("search.overlap_index").map(|e| e.parent).collect();
+        assert_eq!(
+            index_builds,
+            overlap_scans.iter().map(|&s| Some(s)).collect::<Vec<_>>(),
+            "{name}: one value-index build inside each overlap start-state scan"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

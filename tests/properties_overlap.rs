@@ -1,6 +1,6 @@
 //! Differential battery for the `Hs` start-state kernel:
-//! `overlap_start_attrs` (one budgeted value index, one dense row-major
-//! scoring pass) and the similarity linker that walks the same index,
+//! `overlap_start_attrs` (one budgeted value index, one stamped best-target
+//! pass) and the similarity linker that walks the same index,
 //! against reference copies that accumulate every co-occurring
 //! `(source, target)` pair into nested hash maps.
 //!
@@ -11,8 +11,11 @@
 //! pair count of a value present on both sides, or one below it, so a
 //! value sits right on the budget (kept) or one pair over it (skipped).
 //! One side is sometimes empty. They must agree on the per-source score
-//! maps, the chosen attributes and the linker's matching. Fixed cases pin
-//! the budget boundary, a score tie between target ids and an empty side.
+//! maps, each source's best target and its score (the stamped pass that
+//! `overlap_start_attrs` runs), the chosen attributes and the linker's
+//! matching. Fixed cases pin the budget boundary, a score tie between
+//! target ids, a three-way tie whose smallest id comes last followed by a
+//! source that must not see the earlier source's counts, and an empty side.
 
 use std::collections::BTreeMap;
 
@@ -65,27 +68,35 @@ fn oracle_scores(
     scores
 }
 
+/// Reference best target per source: the argmax of its score map
+/// (highest score, ties towards the smaller target id).
+fn oracle_best(
+    scores: &FxHashMap<RecordId, FxHashMap<RecordId, u32>>,
+) -> BTreeMap<RecordId, (RecordId, u32)> {
+    scores
+        .iter()
+        .map(|(&sid, tmap)| {
+            let (&tid, &score) = tmap
+                .iter()
+                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
+                .expect("score map entries are non-empty");
+            (sid, (tid, score))
+        })
+        .collect()
+}
+
 /// Reference `Hs` attribute choice over the nested score maps.
 fn oracle_start_attrs(source: &Table, target: &Table, cfg: OverlapConfig) -> Vec<AttrId> {
     let arity = source.schema().arity();
     if source.is_empty() || target.is_empty() || arity == 0 {
         return Vec::new();
     }
-    let scores = oracle_scores(source, target, cfg.max_pairs_per_value);
-    let mut pairs: Vec<(RecordId, RecordId, u32)> = Vec::with_capacity(scores.len());
-    for (sid, tmap) in &scores {
-        let best = tmap
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-            .map(|(tid, score)| (*tid, *score))
-            .expect("score map entries are non-empty");
-        pairs.push((*sid, best.0, best.1));
-    }
-    if pairs.is_empty() {
+    let best = oracle_best(&oracle_scores(source, target, cfg.max_pairs_per_value));
+    if best.is_empty() {
         return Vec::new();
     }
     let mut score_freq: FxHashMap<u32, usize> = FxHashMap::default();
-    for &(_, _, score) in &pairs {
+    for &(_, score) in best.values() {
         *score_freq.entry(score).or_default() += 1;
     }
     let k_prime = score_freq
@@ -99,7 +110,7 @@ fn oracle_start_attrs(source: &Table, target: &Table, cfg: OverlapConfig) -> Vec
     let mut agree = vec![0usize; arity];
     for (a, count) in agree.iter_mut().enumerate() {
         let attr = AttrId(a as u32);
-        for &(sid, tid, _) in &pairs {
+        for (&sid, &(tid, _)) in &best {
             if source.value(sid, attr) == target.value(tid, attr) {
                 *count += 1;
             }
@@ -291,6 +302,18 @@ fn index_scores(index: &OverlapIndex) -> BTreeMap<RecordId, BTreeMap<RecordId, u
     out
 }
 
+/// The best-target pass as an ordered map: source → (best target, score).
+fn index_best(index: &OverlapIndex) -> BTreeMap<RecordId, (RecordId, u32)> {
+    let mut out = BTreeMap::new();
+    index.best_targets(|sid, best, score| {
+        assert!(
+            out.insert(sid, (best, score)).is_none(),
+            "a source is visited once"
+        );
+    });
+    out
+}
+
 fn sorted(
     scores: FxHashMap<RecordId, FxHashMap<RecordId, u32>>,
 ) -> BTreeMap<RecordId, BTreeMap<RecordId, u32>> {
@@ -305,9 +328,15 @@ fn check(source: Table, target: Table, pool: ValuePool, budget: usize) {
         max_pairs_per_value: budget,
     };
     let index = OverlapIndex::build(&source, &target, budget);
+    let oracle = oracle_scores(&source, &target, budget);
+    assert_eq!(
+        index_best(&index),
+        oracle_best(&oracle),
+        "best targets diverge at budget {budget}"
+    );
     assert_eq!(
         index_scores(&index),
-        sorted(oracle_scores(&source, &target, budget)),
+        sorted(oracle),
         "score maps diverge at budget {budget}"
     );
     assert_eq!(
@@ -384,12 +413,39 @@ fn a_score_tie_goes_to_the_smaller_target_id() {
     check(s, t, pool, 100_000);
 }
 
+/// Source 0 scores 1 against targets 2, 1 and 0, touched in that order
+/// (one attribute each), so the smallest id wins a three-way tie it joins
+/// last. Source 1 then shares attribute 0 with target 2 again and
+/// attributes 1 and 2 with target 3: if target 2's slot still held source
+/// 0's count, both would score 2 and the tie would go to target 2, but a
+/// stale stamp reads 0, so target 3 wins with 2 against target 2's 1.
+#[test]
+fn a_tie_joined_last_goes_to_the_smallest_id_and_a_stale_stamp_reads_zero() {
+    let src = vec![vec![0, 1, 2], vec![0, 3, 4]];
+    let tgt = vec![
+        vec![10, 11, 2],
+        vec![12, 1, 13],
+        vec![0, 14, 15],
+        vec![16, 3, 4],
+    ];
+    let (s, t, pool) = tables(3, &src, &tgt);
+    let index = OverlapIndex::build(&s, &t, 100_000);
+    let expected = BTreeMap::from([
+        (RecordId(0), (RecordId(0), 1)),
+        (RecordId(1), (RecordId(3), 2)),
+    ]);
+    assert_eq!(index_best(&index), expected);
+    check(s, t, pool, 100_000);
+}
+
 #[test]
 fn an_empty_side_scores_nothing() {
     let rows = vec![vec![0, 1], vec![2, 3]];
     for (src, tgt) in [(vec![], rows.clone()), (rows, vec![]), (vec![], vec![])] {
         let (s, t, pool) = tables(2, &src, &tgt);
-        assert!(index_scores(&OverlapIndex::build(&s, &t, 100_000)).is_empty());
+        let index = OverlapIndex::build(&s, &t, 100_000);
+        assert!(index_scores(&index).is_empty());
+        assert!(index_best(&index).is_empty());
         assert!(overlap_start_attrs(&s, &t, OverlapConfig::default()).is_empty());
         check(s, t, pool, 100_000);
     }
