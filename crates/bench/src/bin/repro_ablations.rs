@@ -16,6 +16,7 @@
 //! `--seed N`.
 
 use affidavit_bench::args::Args;
+use affidavit_bench::say;
 use affidavit_core::{Affidavit, AffidavitConfig};
 use affidavit_datagen::blueprint::{Blueprint, GenConfig};
 use affidavit_datagen::metrics::evaluate;
@@ -71,47 +72,50 @@ fn main() {
     let runs = args.get_or("runs", 3usize);
     let seed: u64 = args.get_or("seed", 0xAB1A);
 
-    println!("=== Ablations on {dataset} ({rows} rows, η=τ=0.5, {runs} runs) ===\n");
+    say!("=== Ablations on {dataset} ({rows} rows, η=τ=0.5, {runs} runs) ===\n");
 
-    println!("θ sweep (induction sample sizing; paper default 0.1):");
-    println!("{:>6} {:>9} {:>7} {:>6}", "θ", "t", "Δcore", "acc");
+    say!("θ sweep (induction sample sizing; paper default 0.1):");
+    say!("{:>6} {:>9} {:>7} {:>6}", "θ", "t", "Δcore", "acc");
     for theta in [0.05, 0.1, 0.3, 0.5] {
         let mut cfg = AffidavitConfig::paper_id();
         cfg.theta = theta;
         let (t, dc, acc) = run(cfg, &dataset, rows, runs, seed);
-        println!("{theta:>6.2} {t:>8.2}s {dc:>7.2} {acc:>6.2}");
+        say!("{theta:>6.2} {t:>8.2}s {dc:>7.2} {acc:>6.2}");
     }
 
-    println!("\nα sweep (record coverage vs function brevity; paper default 0.5):");
-    println!("{:>6} {:>9} {:>7} {:>6}", "α", "t", "Δcore", "acc");
+    say!("\nα sweep (record coverage vs function brevity; paper default 0.5):");
+    say!("{:>6} {:>9} {:>7} {:>6}", "α", "t", "Δcore", "acc");
     for alpha in [0.1, 0.3, 0.5, 0.7, 0.9] {
         let cfg = AffidavitConfig::paper_id().with_alpha(alpha);
         let (t, dc, acc) = run(cfg, &dataset, rows, runs, seed);
-        println!("{alpha:>6.2} {t:>8.2}s {dc:>7.2} {acc:>6.2}");
+        say!("{alpha:>6.2} {t:>8.2}s {dc:>7.2} {acc:>6.2}");
     }
 
-    println!("\nmin-support sweep (candidate significance filter; default 5):");
-    println!("{:>6} {:>9} {:>7} {:>6}", "supp", "t", "Δcore", "acc");
+    say!("\nmin-support sweep (candidate significance filter; default 5):");
+    say!("{:>6} {:>9} {:>7} {:>6}", "supp", "t", "Δcore", "acc");
     for support in [1u32, 3, 5, 10] {
         let mut cfg = AffidavitConfig::paper_id();
         cfg.min_support = support;
         let (t, dc, acc) = run(cfg, &dataset, rows, runs, seed);
-        println!("{support:>6} {t:>8.2}s {dc:>7.2} {acc:>6.2}");
+        say!("{support:>6} {t:>8.2}s {dc:>7.2} {acc:>6.2}");
     }
 
-    println!("\nϱ sweep (queue width; Hs uses 1, H^id uses 5):");
-    println!("{:>6} {:>9} {:>7} {:>6}", "ϱ", "t", "Δcore", "acc");
+    say!("\nϱ sweep (queue width; Hs uses 1, H^id uses 5):");
+    say!("{:>6} {:>9} {:>7} {:>6}", "ϱ", "t", "Δcore", "acc");
     for rho in [1usize, 2, 5, 10, 20] {
         let mut cfg = AffidavitConfig::paper_id();
         cfg.queue_width = rho;
         let (t, dc, acc) = run(cfg, &dataset, rows, runs, seed);
-        println!("{rho:>6} {t:>8.2}s {dc:>7.2} {acc:>6.2}");
+        say!("{rho:>6} {t:>8.2}s {dc:>7.2} {acc:>6.2}");
     }
 
-    println!("\nregistry ablation (classic Table-1 catalogue vs extended):");
-    println!(
+    say!("\nregistry ablation (classic Table-1 catalogue vs extended):");
+    say!(
         "{:>22} {:>9} {:>7} {:>6}",
-        "registry / instances", "t", "Δcore", "acc"
+        "registry / instances",
+        "t",
+        "Δcore",
+        "acc"
     );
     for (label, extended_reg, extension_instances) in [
         ("classic / classic", false, false),
@@ -124,6 +128,6 @@ fn main() {
             cfg.registry = affidavit_functions::Registry::extended();
         }
         let (t, dc, acc) = run_with(cfg, &dataset, rows, runs, seed, extension_instances);
-        println!("{label:>22} {t:>8.2}s {dc:>7.2} {acc:>6.2}");
+        say!("{label:>22} {t:>8.2}s {dc:>7.2} {acc:>6.2}");
     }
 }

@@ -5,6 +5,7 @@
 //! paper configurations.
 
 use affidavit_bench::args::Args;
+use affidavit_bench::say;
 use affidavit_core::explanation::Explanation;
 use affidavit_core::report::{render_report, to_sql};
 use affidavit_core::{Affidavit, AffidavitConfig};
@@ -15,25 +16,25 @@ fn main() {
     let args = Args::parse();
     let mut inst = figure1_instance();
 
-    println!("=== Figure 1: problem instance I1 ===");
-    println!(
+    say!("=== Figure 1: problem instance I1 ===");
+    say!(
         "source S1: {} records, target T1: {} records, |A| = {}",
         inst.source.len(),
         inst.target.len(),
         inst.arity()
     );
     let names: Vec<&str> = inst.schema().names().collect();
-    println!("attributes: {}", names.join(", "));
+    say!("attributes: {}", names.join(", "));
 
     let reference = figure1_reference(&mut inst);
-    println!("\n=== Reference explanation E1 (paper §3.1) ===");
-    println!("{}", render_report(&reference, &inst));
-    println!(
+    say!("\n=== Reference explanation E1 (paper §3.1) ===");
+    say!("{}", render_report(&reference, &inst));
+    say!(
         "c(E1) = {}   (paper: 77)",
         reference.cost_units(inst.arity())
     );
     let trivial = Explanation::trivial(&inst);
-    println!(
+    say!(
         "c(E∅) = {}   (paper: |A1|·|T1| = 7·16 = 112)",
         trivial.cost_units(inst.arity())
     );
@@ -44,9 +45,9 @@ fn main() {
     ] {
         let mut inst = figure1_instance();
         let out = Affidavit::new(cfg).explain(&mut inst);
-        println!("\n=== Affidavit with {label} ===");
-        println!("{}", render_report(&out.explanation, &inst));
-        println!(
+        say!("\n=== Affidavit with {label} ===");
+        say!("{}", render_report(&out.explanation, &inst));
+        say!(
             "cost {} vs reference 77; {} states polled in {:?}",
             out.explanation.cost_units(inst.arity()),
             out.stats.polled,
@@ -66,13 +67,13 @@ fn main() {
             })
             .collect();
         pairs.sort();
-        println!("alignment: {}", pairs.join(", "));
+        say!("alignment: {}", pairs.join(", "));
     }
 
     if args.has("sql") {
         let mut inst = figure1_instance();
         let out = Affidavit::new(AffidavitConfig::paper_id()).explain(&mut inst);
-        println!(
+        say!(
             "\n=== SQL export ===\n{}",
             to_sql(&out.explanation, &inst, "erp_table")
         );

@@ -5,27 +5,28 @@
 //! Explain-Table-Delta decides satisfiability.
 
 use affidavit_baselines::sat::{figure2_cnf, reduce, Cnf, Lit};
+use affidavit_bench::say;
 use affidavit_table::AttrId;
 
 fn print_table(label: &str, table: &affidavit_table::Table, pool: &affidavit_table::ValuePool) {
-    println!("{label} ({} records):", table.len());
+    say!("{label} ({} records):", table.len());
     let names: Vec<&str> = table.schema().names().collect();
-    println!("  {}", names.join(" | "));
+    say!("  {}", names.join(" | "));
     for (_, rec) in table.iter() {
         let row: Vec<&str> = rec.iter().map(|v| pool.get(v)).collect();
-        println!("  {}", row.join(" | "));
+        say!("  {}", row.join(" | "));
     }
 }
 
 fn main() {
-    println!("=== Figure 2: reduction of (v1 ∨ v2 ∨ ¬v3) ∧ (¬v1 ∨ v4) ∧ v3 ===\n");
+    say!("=== Figure 2: reduction of (v1 ∨ v2 ∨ ¬v3) ∧ (¬v1 ∨ v4) ∧ v3 ===\n");
     let cnf = figure2_cnf();
     let mut red = reduce(&cnf);
     print_table("Source records S", &red.instance.source, &red.instance.pool);
-    println!();
+    say!();
     print_table("Target records T", &red.instance.target, &red.instance.pool);
 
-    println!(
+    say!(
         "\nattributes: {:?}",
         red.instance.schema().names().collect::<Vec<_>>()
     );
@@ -34,31 +35,31 @@ fn main() {
 
     match red.solve() {
         Some(model) => {
-            println!("\nsatisfiable — model extracted from the optimal explanation:");
+            say!("\nsatisfiable — model extracted from the optimal explanation:");
             for (i, v) in model.iter().enumerate() {
-                println!("  v{} = {}", i + 1, v);
+                say!("  v{} = {}", i + 1, v);
             }
             assert!(cnf.eval(&model), "model must satisfy the formula");
-            println!("model verified against the CNF ✓");
+            say!("model verified against the CNF ✓");
         }
-        None => println!("\nunsatisfiable (optimal explanation must delete a clause record)"),
+        None => say!("\nunsatisfiable (optimal explanation must delete a clause record)"),
     }
 
     // Contrast with an unsatisfiable formula.
-    println!("\n=== Unsatisfiable control: v1 ∧ ¬v1 ===");
+    say!("\n=== Unsatisfiable control: v1 ∧ ¬v1 ===");
     let unsat = Cnf {
         num_vars: 1,
         clauses: vec![vec![Lit::pos(0)], vec![Lit::neg(0)]],
     };
     let mut red = reduce(&unsat);
-    println!(
+    say!(
         "reduction: {} source, {} target records",
         red.instance.source.len(),
         red.instance.target.len()
     );
     match red.solve() {
-        Some(_) => println!("unexpected: found a model"),
-        None => println!("correctly detected as unsatisfiable ✓"),
+        Some(_) => say!("unexpected: found a model"),
+        None => say!("correctly detected as unsatisfiable ✓"),
     }
 
     let _ = AttrId(0); // keep the import used in all feature combinations

@@ -6,6 +6,7 @@
 //! (the greyed-out arrows of the figure).
 
 use affidavit_bench::args::Args;
+use affidavit_bench::say;
 use affidavit_core::{Affidavit, AffidavitConfig};
 use affidavit_datasets::running_example::figure1_instance;
 
@@ -17,22 +18,22 @@ fn main() {
     let mut inst = figure1_instance();
     let out = Affidavit::new(cfg).explain(&mut inst);
 
-    println!("=== Figure 4: search tree on I1 (α=0.5, β=2, ϱ=3, H0=H^id) ===\n");
+    say!("=== Figure 4: search tree on I1 (α=0.5, β=2, ϱ=3, H0=H^id) ===\n");
     let trace = out.trace.expect("tracing enabled");
-    println!("{}", trace.render());
-    println!(
+    say!("{}", trace.render());
+    say!(
         "result: cost {} ({} states generated, {} polled, {} expanded)",
         out.explanation.cost_units(inst.arity()),
         out.stats.states_generated,
         out.stats.polled,
         out.stats.expansions,
     );
-    println!(
+    say!(
         "reference explanation E1 costs 77; found {} — search reaches the optimum",
         out.explanation.cost_units(inst.arity())
     );
     if let Some(path) = args.get_str("dot") {
         std::fs::write(path, trace.to_dot()).expect("write dot file");
-        println!("wrote Graphviz tree to {path}");
+        say!("wrote Graphviz tree to {path}");
     }
 }

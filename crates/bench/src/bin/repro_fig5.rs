@@ -11,6 +11,7 @@ use std::time::Instant;
 
 use affidavit_bench::args::Args;
 use affidavit_bench::harness::ConfigKind;
+use affidavit_bench::say;
 use affidavit_core::Affidavit;
 use affidavit_datagen::blueprint::{Blueprint, GenConfig};
 use affidavit_datagen::metrics::evaluate;
@@ -25,13 +26,19 @@ fn main() {
     let threads: usize = args.get_or("threads", 1usize);
     let spec = by_name("flight-500k").expect("spec exists");
 
-    println!("=== Figure 5: row scalability (flight-500k @ {base_rows} rows, η=τ=0.3, H^id) ===");
+    say!("=== Figure 5: row scalability (flight-500k @ {base_rows} rows, η=τ=0.3, H^id) ===");
     let (base, pool) = generate_rows(&spec, base_rows, seed);
     let blueprint = Blueprint::new(base, pool, GenConfig::new(0.3, 0.3, seed));
 
-    println!(
+    say!(
         "{:>6} {:>9} {:>10} {:>10} {:>7} {:>7} {:>6}",
-        "scale", "records", "t", "t/record", "Δcosts", "Δcore", "acc"
+        "scale",
+        "records",
+        "t",
+        "t/record",
+        "Δcosts",
+        "Δcore",
+        "acc"
     );
     let mut series: Vec<(usize, f64)> = Vec::new();
     for pct in (10..=100).step_by(10) {
@@ -42,7 +49,7 @@ fn main() {
         let out = solver.explain(&mut generated.instance);
         let runtime = started.elapsed();
         let m = evaluate(&out.explanation, &mut generated, runtime);
-        println!(
+        say!(
             "{:>5}% {:>9} {:>9.2}s {:>9.2}µs {:>7.2} {:>7.2} {:>6.2}",
             pct,
             records,
@@ -59,7 +66,7 @@ fn main() {
     if let (Some(first), Some(last)) = (series.first(), series.last()) {
         let per_first = first.1 / first.0 as f64;
         let per_last = last.1 / last.0 as f64;
-        println!(
+        say!(
             "\nper-record runtime 10% vs 100%: {:.2}µs vs {:.2}µs (ratio {:.2} — \
              ~1.0 means linear scaling, as in the paper)",
             per_first * 1e6,

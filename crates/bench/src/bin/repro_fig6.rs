@@ -11,6 +11,7 @@
 
 use affidavit_bench::args::Args;
 use affidavit_bench::harness::{run_cell, ConfigKind};
+use affidavit_bench::say;
 use affidavit_datasets::specs::by_name;
 
 fn main() {
@@ -23,10 +24,14 @@ fn main() {
     // The figure's x axis: 30, 63(~43+..), 109, 182 attributes — we use the
     // wide datasets of Table 2 directly.
     let names = ["horse", "fd-red-30", "plista", "flight-1k", "uniprot"];
-    println!("=== Figure 6: runtime per record vs attributes (η=τ=0.3, H^id, rows≤{rows_cap}) ===");
-    println!(
+    say!("=== Figure 6: runtime per record vs attributes (η=τ=0.3, H^id, rows≤{rows_cap}) ===");
+    say!(
         "{:<12} {:>6} {:>9} {:>10} {:>14}",
-        "dataset", "attrs", "records", "t", "t per record"
+        "dataset",
+        "attrs",
+        "records",
+        "t",
+        "t per record"
     );
     let mut series: Vec<(usize, f64)> = Vec::new();
     for name in names {
@@ -34,7 +39,7 @@ fn main() {
         let rows = spec.rows.min(rows_cap);
         let cell = run_cell(&spec, rows, 0.3, 0.3, ConfigKind::Hid, runs, seed, threads);
         let per_record = cell.t_secs / rows as f64;
-        println!(
+        say!(
             "{:<12} {:>6} {:>9} {:>9.2}s {:>12.2}µs",
             name,
             spec.attrs,
@@ -47,9 +52,9 @@ fn main() {
 
     // Shape check: per-record runtime should grow roughly linearly with
     // attribute count → per-record-per-attribute stays within a small band.
-    println!("\nnormalized s/record/attr (flat ⇒ linear attribute scaling):");
+    say!("\nnormalized s/record/attr (flat ⇒ linear attribute scaling):");
     for (attrs, per_record) in &series {
-        println!(
+        say!(
             "  |A|={attrs:>4}: {:.3}µs",
             per_record * 1e6 / *attrs as f64
         );

@@ -10,6 +10,7 @@
 
 use affidavit_bench::args::Args;
 use affidavit_bench::harness::{run_cell, CellResult, ConfigKind, SETTINGS};
+use affidavit_bench::say;
 use affidavit_datasets::specs::table2_specs;
 
 fn main() {
@@ -33,7 +34,7 @@ fn main() {
         })
         .collect();
 
-    println!(
+    say!(
         "=== Table 2 ({} datasets, {} runs/cell, row cap {}) ===",
         specs.len(),
         runs,
@@ -43,9 +44,15 @@ fn main() {
             row_cap.to_string()
         }
     );
-    println!(
+    say!(
         "{:<12} {:>3} {:>7}  cfg  setting   {:>10}  {:>6} {:>7} {:>5}",
-        "dataset", "|A|", "records", "t", "Δcore", "Δcosts", "acc"
+        "dataset",
+        "|A|",
+        "records",
+        "t",
+        "Δcore",
+        "Δcosts",
+        "acc"
     );
 
     let mut all: Vec<CellResult> = Vec::new();
@@ -54,11 +61,11 @@ fn main() {
         for &(eta, tau) in &SETTINGS {
             for kind in [ConfigKind::Hs, ConfigKind::Hid] {
                 let cell = run_cell(spec, rows, eta, tau, kind, runs, seed, threads);
-                println!("{}", cell.row());
+                say!("{}", cell.row());
                 all.push(cell);
             }
         }
-        println!();
+        say!();
     }
 
     // Paper-shape checks (printed, not asserted, so partial runs still
@@ -71,14 +78,14 @@ fn main() {
         .collect();
     if !hid_easy.is_empty() {
         let mean_acc: f64 = hid_easy.iter().map(|c| c.acc).sum::<f64>() / hid_easy.len() as f64;
-        println!("H^id mean accuracy at (η=τ=0.3): {mean_acc:.3}  (paper: ~1.0)");
+        say!("H^id mean accuracy at (η=τ=0.3): {mean_acc:.3}  (paper: ~1.0)");
     }
     for name in ["chess", "nursery", "letter"] {
         if let Some(c) = all
             .iter()
             .find(|c| c.dataset == name && c.config == "Hs" && c.eta == 0.3)
         {
-            println!(
+            say!(
                 "Hs on {name} at (0.3): Δcore={:.2}  (paper: 0 — overlap matcher collapses)",
                 c.delta_core
             );
@@ -88,11 +95,11 @@ fn main() {
     if let Some(path) = args.get_str("md") {
         let md = affidavit_bench::report::markdown_table(&all);
         std::fs::write(path, md).expect("write markdown");
-        println!("wrote {path}");
+        say!("wrote {path}");
     }
     if let Some(path) = args.get_str("json") {
         let json = serde_json::to_string_pretty(&all).expect("serializable");
         std::fs::write(path, json).expect("write json");
-        println!("wrote {path}");
+        say!("wrote {path}");
     }
 }

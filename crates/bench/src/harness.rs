@@ -8,7 +8,6 @@ use affidavit_datagen::blueprint::{Blueprint, GenConfig};
 use affidavit_datagen::metrics::{evaluate, InstanceMetrics};
 use affidavit_datasets::specs::DatasetSpec;
 use affidavit_datasets::synth::generate_rows;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// The two Table 2 configurations.
@@ -116,7 +115,9 @@ fn run_one(
     evaluate(&outcome.explanation, &mut generated, runtime)
 }
 
-/// Run a full Table 2 cell: `runs` instances in parallel, averaged.
+/// Run a full Table 2 cell: `runs` instances in parallel on one worker per
+/// hardware thread (`affidavit_table::resolve_threads(0)`), averaged;
+/// `threads` sizes each instance's own search.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cell(
     spec: &DatasetSpec,
@@ -128,10 +129,9 @@ pub fn run_cell(
     base_seed: u64,
     threads: usize,
 ) -> CellResult {
-    let metrics: Vec<InstanceMetrics> = (0..runs)
-        .into_par_iter()
-        .map(|i| run_one(spec, rows, eta, tau, kind, base_seed + i as u64, threads))
-        .collect();
+    let metrics = rayon::fan_out(runs, affidavit_table::resolve_threads(0), |i| {
+        run_one(spec, rows, eta, tau, kind, base_seed + i as u64, threads)
+    });
     let n = metrics.len() as f64;
     CellResult {
         dataset: spec.name.to_owned(),

@@ -18,7 +18,8 @@
 //! `rank.candidates`, `ingest.parse`).
 //!
 //! All binaries default to laptop-scale row caps; pass `--full` for the
-//! paper's original sizes.
+//! paper's original sizes. They print through [`say!`], so a closed
+//! stdout (`repro_fig5 | head`) ends them quietly with exit 0.
 //!
 //! ```
 //! use affidavit_bench::ConfigKind;
@@ -31,6 +32,7 @@
 
 pub mod args;
 pub mod harness;
+pub mod output;
 pub mod report;
 
 pub use harness::{run_cell, CellResult, ConfigKind};

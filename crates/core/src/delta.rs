@@ -455,15 +455,15 @@ pub fn explain_delta_with(
 /// table pairs from the manifest at `state` and re-searching only dirty
 /// ones. The returned profile is byte-identical to
 /// [`crate::profiling::profile_dirs`] on the same inputs (timing fields
-/// aside — spliced rows keep their recorded `millis`).
+/// aside — spliced rows keep their recorded `millis`). Pairs fan out as
+/// in `profile_dirs`: one worker per hardware thread
+/// (`affidavit_table::resolve_threads(0)`).
 pub fn profile_dirs_delta(
     source_dir: &Path,
     target_dir: &Path,
     opts: &ProfileOptions,
     state: &Path,
 ) -> Result<(SnapshotProfile, DeltaStats), String> {
-    use rayon::prelude::*;
-
     let config_fp = config_fingerprint(&opts.config, opts.align);
     let mut stats = DeltaStats::default();
     let prior = load_manifest(state, &config_fp, &mut stats);
@@ -471,39 +471,37 @@ pub fn profile_dirs_delta(
         prior.iter().map(|t| (t.stem.as_str(), &t.pair)).collect();
 
     let pairs = paired_csv_stems(source_dir, target_dir)?;
-    let results: Vec<(TableProfile, Option<TableRecord>, DeltaStats)> = pairs
-        .par_iter()
-        .map(|pair| {
-            let mut table_stats = DeltaStats::default();
-            let (outcome, record) = match (&pair.source, &pair.target) {
-                (Some(src), Some(tgt)) => match delta_pair(
-                    prior_by_stem.get(pair.name.as_str()).copied(),
-                    src,
-                    tgt,
-                    opts,
-                    &mut |_| stage_file_pair(src, tgt, opts),
-                    &mut table_stats,
-                ) {
-                    Ok((record, _)) => (
-                        record.outcome.clone(),
-                        Some(TableRecord {
-                            stem: pair.name.clone(),
-                            pair: record,
-                        }),
-                    ),
-                    Err(reason) => (TableOutcome::Failed { reason }, None),
-                },
-                (Some(_), None) => (TableOutcome::MissingInTarget, None),
-                (None, Some(_)) => (TableOutcome::MissingInSource, None),
-                (None, None) => unreachable!("a paired stem exists in at least one snapshot"),
-            };
-            let profile = TableProfile {
-                name: pair.name.clone(),
-                outcome,
-            };
-            (profile, record, table_stats)
-        })
-        .collect();
+    let results = rayon::fan_out(pairs.len(), affidavit_table::resolve_threads(0), |i| {
+        let pair = &pairs[i];
+        let mut table_stats = DeltaStats::default();
+        let (outcome, record) = match (&pair.source, &pair.target) {
+            (Some(src), Some(tgt)) => match delta_pair(
+                prior_by_stem.get(pair.name.as_str()).copied(),
+                src,
+                tgt,
+                opts,
+                &mut |_| stage_file_pair(src, tgt, opts),
+                &mut table_stats,
+            ) {
+                Ok((record, _)) => (
+                    record.outcome.clone(),
+                    Some(TableRecord {
+                        stem: pair.name.clone(),
+                        pair: record,
+                    }),
+                ),
+                Err(reason) => (TableOutcome::Failed { reason }, None),
+            },
+            (Some(_), None) => (TableOutcome::MissingInTarget, None),
+            (None, Some(_)) => (TableOutcome::MissingInSource, None),
+            (None, None) => unreachable!("a paired stem exists in at least one snapshot"),
+        };
+        let profile = TableProfile {
+            name: pair.name.clone(),
+            outcome,
+        };
+        (profile, record, table_stats)
+    });
 
     let mut tables = Vec::with_capacity(results.len());
     let mut records = Vec::new();

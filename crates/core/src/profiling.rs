@@ -402,7 +402,8 @@ pub fn paired_csv_stems(source_dir: &Path, target_dir: &Path) -> Result<Vec<Pair
 /// Profile two snapshot directories: every `<name>.csv` present in either
 /// directory becomes one [`TableProfile`], paired by file stem.
 ///
-/// Table pairs are profiled concurrently, one per hardware thread whatever
+/// Table pairs are profiled concurrently on one worker per hardware
+/// thread (`affidavit_table::resolve_threads(0)`), whatever
 /// `opts.config.threads` is; that count sizes each pair's own search, and
 /// `opts.ingest.threads` its ingestion. Each pair has its own pool and RNG
 /// seeded from the configuration, so the result is deterministic and
@@ -413,24 +414,20 @@ pub fn profile_dirs(
     target_dir: &Path,
     opts: &ProfileOptions,
 ) -> Result<SnapshotProfile, String> {
-    use rayon::prelude::*;
-
     let pairs = paired_csv_stems(source_dir, target_dir)?;
-    let tables: Vec<TableProfile> = pairs
-        .par_iter()
-        .map(|pair| {
-            let outcome = match (&pair.source, &pair.target) {
-                (Some(src_path), Some(tgt_path)) => profile_file_pair(src_path, tgt_path, opts),
-                (Some(_), None) => TableOutcome::MissingInTarget,
-                (None, Some(_)) => TableOutcome::MissingInSource,
-                (None, None) => unreachable!("a paired stem exists in at least one snapshot"),
-            };
-            TableProfile {
-                name: pair.name.clone(),
-                outcome,
-            }
-        })
-        .collect();
+    let tables = rayon::fan_out(pairs.len(), affidavit_table::resolve_threads(0), |i| {
+        let pair = &pairs[i];
+        let outcome = match (&pair.source, &pair.target) {
+            (Some(src_path), Some(tgt_path)) => profile_file_pair(src_path, tgt_path, opts),
+            (Some(_), None) => TableOutcome::MissingInTarget,
+            (None, Some(_)) => TableOutcome::MissingInSource,
+            (None, None) => unreachable!("a paired stem exists in at least one snapshot"),
+        };
+        TableProfile {
+            name: pair.name.clone(),
+            outcome,
+        }
+    });
     Ok(SnapshotProfile { tables })
 }
 

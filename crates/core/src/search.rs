@@ -367,7 +367,11 @@ impl Affidavit {
         let mut queue = BoundedLevelQueue::new(self.cfg.queue_width);
         let mut visited: FxHashSet<Vec<Assignment>> = FxHashSet::default();
 
-        for st in ctx.start_states() {
+        let starts = {
+            let _span = affidavit_obs::span("search.start");
+            ctx.start_states()
+        };
+        for st in starts {
             if let Some(trace) = ctx.trace.as_mut() {
                 trace.mark_kept(st.id, true);
             }
@@ -419,7 +423,10 @@ impl Affidavit {
         let functions = end_state
             .functions()
             .expect("finalized states are end states");
-        let explanation = Explanation::from_functions(functions, ctx.instance);
+        let explanation = {
+            let _span = affidavit_obs::span("search.explanation");
+            Explanation::from_functions(functions, ctx.instance)
+        };
         let mut stats = ctx.stats;
         stats.duration = started.elapsed();
         stats.publish();

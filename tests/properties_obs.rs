@@ -284,6 +284,47 @@ fn the_expansion_pieces_have_their_own_spans() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The search's wall clock is spanned end to end: the start states and
+/// the explanation built from the end state each have one span per
+/// search, both children of `search.explain`, and under `Hs` the overlap
+/// start-state scan runs inside `search.start`.
+#[test]
+fn the_start_states_and_the_explanation_have_their_own_spans() {
+    let _guard = serial();
+    let dir = std::env::temp_dir().join("affidavit-obs-search-spans");
+    std::fs::remove_dir_all(&dir).ok();
+    let (src, tgt) = write_pair(&dir);
+    for name in ["id", "overlap"] {
+        for threads in [1usize, 4] {
+            explain_fingerprint(&src, &tgt, &config(name, threads));
+            let (events, dropped) = affidavit_obs::drain();
+            assert_eq!(dropped, 0, "this run fits the recorder buffer");
+            let begins = |n: &'static str| {
+                events
+                    .iter()
+                    .filter(move |e| e.name == n && e.kind == KIND_BEGIN)
+            };
+            let spans = |n| begins(n).map(|e| Some(e.span)).collect::<Vec<_>>();
+            let parents = |n| begins(n).map(|e| e.parent).collect::<Vec<_>>();
+            let at = format!("{name}, threads {threads}");
+            assert_eq!(spans("search.explain").len(), 1, "{at}");
+            assert_eq!(parents("search.start"), spans("search.explain"), "{at}");
+            assert_eq!(
+                parents("search.explanation"),
+                spans("search.explain"),
+                "{at}"
+            );
+            let scans = if name == "overlap" {
+                spans("search.start")
+            } else {
+                Vec::new()
+            };
+            assert_eq!(parents("search.overlap_start"), scans, "{at}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn the_registry_mirrors_search_stats_exactly() {
     let _guard = serial();
